@@ -182,7 +182,8 @@ def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
             p = hypergeom_upper(overlap, class_size, len(sets[name]), gsc.universe_size)
             rows.append((label, name, overlap, class_size, len(sets[name]), p))
 
-    decision = bh_fdr([row[5] for row in rows], gamma) if rows else None
+    decision = bh_fdr([row[5] for row in rows], gamma)
+    rejected = set(decision.rejected)
     results = tuple(
         EnrichmentResult(
             class_label=label,
@@ -192,10 +193,10 @@ def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
             set_size=set_size,
             p=p,
             q=float(decision.qvalues[idx]),
-            enriched=idx in set(decision.rejected),
+            enriched=idx in rejected,
         )
         for idx, (label, name, overlap, class_size, set_size, p) in enumerate(rows)
-    ) if rows else ()
+    )
     return EnrichmentReport(
         results=results,
         gamma=gamma,

@@ -101,10 +101,6 @@ class NodeSetMismatch(DataError):
     pass
 
 
-class IdentifierMismatch(DataError):
-    pass
-
-
 class SchemaMismatch(DataError):
     def __init__(self, message, path=None, line=None, column=None):
         super().__init__(message)

@@ -4,6 +4,8 @@ Provides the variance-stabilized correlation test, the chi-squared test on
 all canonical roots, tail approximations for the maximum/minimum of two
 correlated test statistics (with a Monte Carlo alternative), a likelihood
 ratio test for pair homogeneity, and Benjamini-Hochberg FDR control.
+The test formulas work elementwise: arrays of statistics (stacks of
+matrices) give arrays of results, scalars give floats.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import erfc, gammaincc
 
 from . import numkernel
 from .errors import (
@@ -38,42 +40,46 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 HOMOGENEITY_DF_FORMULA = "k(k+1)/2 + k(k-1)/2"
 
 
-def normal_sf(c: float) -> float:
+def _float_or_array(value):
+    """A 0-d result as a Python float; arrays pass through."""
+    value = np.asarray(value)
+    return float(value) if value.ndim == 0 else value
+
+
+def normal_sf(c):
     """Standard normal upper-tail probability."""
-    return 0.5 * math.erfc(c / _SQRT2)
+    return _float_or_array(0.5 * erfc(np.asarray(c, dtype=float) / _SQRT2))
 
 
-def normal_pdf(c: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * c * c)
+def normal_pdf(c):
+    return _float_or_array(_INV_SQRT_2PI * np.exp(-0.5 * np.square(c)))
 
 
-def chi2_sf(x: float, df: int) -> float:
+def chi2_sf(x, df: int):
     """Chi-squared upper-tail probability via the regularized incomplete gamma."""
     if int(df) != df or df < 1:
         raise InvalidDf(f"degrees of freedom must be a positive integer, got {df}")
-    if math.isnan(x):
+    x = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x)):
         raise NonFiniteInput("chi-squared statistic is NaN")
-    if x == math.inf:
-        return 0.0
-    if x <= 0.0:
-        return 1.0
-    return float(gammaincc(df / 2.0, x / 2.0))
+    # gammaincc(a, 0) is exactly 1 and gammaincc(a, inf) exactly 0
+    return _float_or_array(gammaincc(df / 2.0, np.maximum(x, 0.0) / 2.0))
 
 
-def fisher_z(rho_hat: float, n: int) -> float:
+def fisher_z(rho_hat, n: int):
     """Variance-stabilized z statistic for a sample correlation.
 
     Equals sqrt(n-3)/2 * ln((1+rho)/(1-rho)); computed through atanh so the
     statistic is exactly antisymmetric in the correlation.
     """
-    rho_hat = float(rho_hat)
-    if not math.isfinite(rho_hat):
+    rho_hat = np.asarray(rho_hat, dtype=float)
+    if not np.all(np.isfinite(rho_hat)):
         raise NonFiniteInput("correlation is not finite")
-    if abs(rho_hat) >= 1.0:
-        raise DegenerateCorrelation(f"|rho|={abs(rho_hat)} leaves no finite statistic")
+    if np.any(np.abs(rho_hat) >= 1.0):
+        raise DegenerateCorrelation(f"|rho|={np.max(np.abs(rho_hat))} leaves no finite statistic")
     if n < 4:
         raise InsufficientSamples(f"need at least 4 samples, got {n}")
-    return math.sqrt(n - 3) * math.atanh(rho_hat)
+    return _float_or_array(math.sqrt(n - 3) * np.arctanh(rho_hat))
 
 
 @dataclass(frozen=True)
@@ -87,10 +93,10 @@ def bartlett_chi2(roots, n: int, k: int) -> BartlettTest:
     """Joint chi-squared test that all canonical roots are zero.
 
     The statistic is -[(n-1) - (k+0.5)] * ln prod(1 - root^2) with k^2
-    degrees of freedom.
+    degrees of freedom.  Root vectors may be stacked (m, k).
     """
     roots = np.asarray(roots, dtype=float)
-    if roots.size != k:
+    if roots.ndim == 0 or roots.shape[-1] != k:
         raise LengthMismatch(f"expected {k} canonical roots, got {roots.size}")
     if np.any(roots < 0.0) or np.any(roots > 1.0) or not np.all(np.isfinite(roots)):
         raise RootOutOfRange(f"canonical roots outside [0, 1]: {roots}")
@@ -101,13 +107,13 @@ def bartlett_chi2(roots, n: int, k: int) -> BartlettTest:
     factor = (n - 1) - (k + 0.5)
     with np.errstate(divide="ignore"):
         log_terms = np.log1p(-(roots * roots))
-    statistic = float(-factor * np.sum(log_terms))
-    if math.isnan(statistic):
+    statistic = _float_or_array(-factor * np.sum(log_terms, axis=-1))
+    if np.any(np.isnan(statistic)):
         raise InternalNumericalError("Bartlett statistic is NaN")
     return BartlettTest(statistic=statistic, df=k * k, p=chi2_sf(statistic, k * k))
 
 
-def _w_formula(c: float, arc: float, mode: str) -> float:
+def _w_formula(c, arc, mode: str):
     """Tail approximation for the extreme of two correlated z statistics.
 
     ``arc`` is the angle arccos of the correlation between the two
@@ -115,36 +121,37 @@ def _w_formula(c: float, arc: float, mode: str) -> float:
     accuracy at low correlation; see :func:`extreme_corr_mc_pvalue` for the
     calibrated alternative.  Output is clamped to [0, 1].
     """
-    if c == 0.0:
-        # the correction term diverges at zero; the clamp takes over
-        return 0.0 if mode == "max" else 1.0
-    correction = normal_pdf(c) * (normal_pdf(c * arc / 2.0) - 0.5) / (c / 2.0)
+    c = np.asarray(c, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correction = normal_pdf(c) * (normal_pdf(c * arc / 2.0) - 0.5) / (c / 2.0)
     if mode == "max":
         value = normal_sf(c) + correction
     else:
         value = normal_sf(c) - correction
-    return min(1.0, max(0.0, value))
+    # the correction term diverges at zero; the clamp takes over
+    value = np.where(c == 0.0, 0.0 if mode == "max" else 1.0, value)
+    return np.clip(value, 0.0, 1.0)
 
 
-def _check_extreme_inputs(z1: float, z2: float, rho_z: float, mode: str) -> float:
+def _check_extreme_inputs(z1, z2, rho_z, mode: str):
     if mode not in ("max", "min"):
         raise InvalidP(f"mode must be 'max' or 'min', got {mode!r}")
-    if not (math.isfinite(z1) and math.isfinite(z2) and math.isfinite(rho_z)):
+    if not (np.all(np.isfinite(z1)) and np.all(np.isfinite(z2)) and np.all(np.isfinite(rho_z))):
         raise NonFiniteInput("z statistics and their correlation must be finite")
-    if abs(rho_z) > 1.0 + 1e-12:
+    if np.any(np.abs(rho_z) > 1.0 + 1e-12):
         raise NonFiniteInput(f"correlation of z statistics outside [-1, 1]: {rho_z}")
-    return min(1.0, max(-1.0, rho_z))
+    return np.clip(rho_z, -1.0, 1.0)
 
 
-def extreme_corr_pvalue(z1: float, z2: float, rho_z: float, mode: str) -> float:
+def extreme_corr_pvalue(z1, z2, rho_z, mode: str):
     """One-sided tail probability for max(z1, z2) or min(z1, z2)."""
     rho_z = _check_extreme_inputs(z1, z2, rho_z, mode)
-    arc = math.acos(rho_z)
-    c = max(z1, z2) if mode == "max" else min(z1, z2)
-    return _w_formula(c, arc, mode)
+    arc = np.arccos(rho_z)
+    c = np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2)
+    return _float_or_array(_w_formula(c, arc, mode))
 
 
-def extreme_corr_pvalue_two_sided(z1: float, z2: float, rho_z: float, mode: str) -> float:
+def extreme_corr_pvalue_two_sided(z1, z2, rho_z, mode: str):
     """Two-sided tail probability for the extreme of two z statistics.
 
     Built from the one-sided approximation by quadrant decomposition: for the
@@ -154,15 +161,15 @@ def extreme_corr_pvalue_two_sided(z1: float, z2: float, rho_z: float, mode: str)
     correlation.
     """
     rho_z = _check_extreme_inputs(z1, z2, rho_z, mode)
-    arc = math.acos(rho_z)
-    arc_neg = math.acos(-rho_z)
+    arc = np.arccos(rho_z)
+    arc_neg = np.arccos(-rho_z)
     if mode == "max":
-        c = max(abs(z1), abs(z2))
+        c = np.maximum(np.abs(z1), np.abs(z2))
         value = 2.0 * _w_formula(c, arc, "max") - 2.0 * _w_formula(c, arc_neg, "min")
     else:
-        c = min(abs(z1), abs(z2))
+        c = np.minimum(np.abs(z1), np.abs(z2))
         value = 2.0 * _w_formula(c, arc, "min") + 2.0 * _w_formula(c, arc_neg, "min")
-    return min(1.0, max(0.0, value))
+    return _float_or_array(np.clip(value, 0.0, 1.0))
 
 
 class ExtremeTailSampler:
@@ -170,7 +177,8 @@ class ExtremeTailSampler:
 
     Draws a fixed panel of standard-normal pairs once; each query correlates
     the panel to the requested level, so estimates are deterministic for a
-    given seed and smooth in the correlation.
+    given seed and smooth in the correlation.  Only the latest sorted table
+    is kept, since callers query in runs of one key.
     """
 
     def __init__(self, draws: int = 1_000_000, seed: int = 1905):
@@ -194,31 +202,23 @@ class ExtremeTailSampler:
                 z1, z2 = np.abs(z1), np.abs(z2)
             extreme = np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2)
             table = np.sort(extreme)
-            self._tables[key] = table
+            self._tables = {key: table}
         return table
 
-    def pvalue(self, c: float, rho_z: float, mode: str, two_sided: bool = False) -> float:
+    def pvalue(self, c, rho_z: float, mode: str, two_sided: bool = False):
         table = self.sorted_extremes(rho_z, mode, two_sided)
         idx = np.searchsorted(table, c, side="right")
-        return float((table.size - idx) / table.size)
+        return _float_or_array((table.size - idx) / table.size)
 
 
-def extreme_corr_mc_pvalue(
-    z1: float,
-    z2: float,
-    rho_z: float,
-    mode: str,
-    *,
-    two_sided: bool = False,
-    sampler: Optional[ExtremeTailSampler] = None,
-) -> float:
-    """Monte Carlo p-value for the extreme of two correlated z statistics."""
-    rho_z = _check_extreme_inputs(z1, z2, rho_z, mode)
+def extreme_corr_mc_pvalue(z1, z2, rho_z: float, mode: str, *, two_sided: bool = False,
+                           sampler: Optional[ExtremeTailSampler] = None):
+    """Monte Carlo p-value for the extreme of two z statistics with correlation ``rho_z``."""
+    rho_z = float(_check_extreme_inputs(z1, z2, rho_z, mode))
     sampler = sampler or ExtremeTailSampler()
     if two_sided:
-        c = max(abs(z1), abs(z2)) if mode == "max" else min(abs(z1), abs(z2))
-    else:
-        c = max(z1, z2) if mode == "max" else min(z1, z2)
+        z1, z2 = np.abs(z1), np.abs(z2)
+    c = np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2)
     return sampler.pvalue(c, rho_z, mode, two_sided)
 
 
@@ -245,7 +245,7 @@ def w_formula_calibration_table(rho_values=(0.0, 0.3, 0.6), c_values=(1.5, 2.0, 
     return rows
 
 
-def fisher_z_correlation(sigma_ii, sigma_jj, sigma_ij) -> float:
+def fisher_z_correlation(sigma_ii, sigma_jj, sigma_ij):
     """Asymptotic correlation of the two per-attribute z statistics (k = 2).
 
     Delta-method expression for the covariance of two sample correlations
@@ -255,14 +255,14 @@ def fisher_z_correlation(sigma_ii, sigma_jj, sigma_ij) -> float:
     sigma_ii = np.asarray(sigma_ii, dtype=float)
     sigma_jj = np.asarray(sigma_jj, dtype=float)
     sigma_ij = np.asarray(sigma_ij, dtype=float)
-    if sigma_ii.shape != (2, 2) or sigma_jj.shape != (2, 2) or sigma_ij.shape != (2, 2):
+    if any(s.shape[-2:] != (2, 2) for s in (sigma_ii, sigma_jj, sigma_ij)):
         raise LengthMismatch("z-statistic correlation is defined for 2 attributes")
-    r_ab = sigma_ij[0, 0]
-    r_cd = sigma_ij[1, 1]
-    r_ac = sigma_ii[0, 1]
-    r_bd = sigma_jj[0, 1]
-    r_ad = sigma_ij[0, 1]
-    r_bc = sigma_ij[1, 0]
+    r_ab = sigma_ij[..., 0, 0]
+    r_cd = sigma_ij[..., 1, 1]
+    r_ac = sigma_ii[..., 0, 1]
+    r_bd = sigma_jj[..., 0, 1]
+    r_ad = sigma_ij[..., 0, 1]
+    r_bc = sigma_ij[..., 1, 0]
     cov = (
         0.5 * r_ab * r_cd * (r_ac**2 + r_ad**2 + r_bc**2 + r_bd**2)
         + r_ac * r_bd
@@ -271,9 +271,9 @@ def fisher_z_correlation(sigma_ii, sigma_jj, sigma_ij) -> float:
         - r_cd * (r_ac * r_bc + r_ad * r_bd)
     )
     denom = (1.0 - r_ab**2) * (1.0 - r_cd**2)
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise DegenerateCorrelation("a per-attribute correlation has magnitude 1")
-    return min(1.0, max(-1.0, float(cov / denom)))
+    return _float_or_array(np.clip(cov / denom, -1.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,22 +322,34 @@ class HomogeneityTest:
     p: float
 
 
-def _gaussian_loglik_terms(model_cov: np.ndarray, sample_cov: np.ndarray, n: int) -> float:
-    sign, logdet = np.linalg.slogdet(model_cov)
-    if sign <= 0:
-        raise SingularCovariance("model covariance is not positive-definite")
-    trace_term = float(np.trace(np.linalg.solve(model_cov, sample_cov)))
-    return -0.5 * n * (logdet + trace_term)
+def homogeneity_test_from_cov(sample_cov, n: int):
+    """Closed-form homogeneity likelihood ratio test on a stack (m, 2k, 2k) of
+    maximum-likelihood covariances C of the stacked pair vector.
+
+    Under block-swap invariance the MLE is the group average M = (C + PCP)/2
+    (P swaps the two k-blocks), positive-definite whenever C is; since
+    tr(M^-1 C) = 2k the statistic is n (log det M - log det C).  Returns the
+    test over the non-singular entries and the mask of singular ones, which
+    get no verdict.
+    """
+    k = sample_cov.shape[-1] // 2
+    singular = ~numkernel.pd_mask(sample_cov)
+    free = sample_cov[~singular]
+    marginal = (free[:, :k, :k] + free[:, k:, k:]) / 2.0
+    cross = (free[:, :k, k:] + np.swapaxes(free[:, :k, k:], -1, -2)) / 2.0
+    model = np.block([[marginal, cross], [cross, marginal]])
+    logdet_free = np.linalg.slogdet(free)[1]
+    logdet_model = np.linalg.slogdet(model)[1]
+    statistic = np.maximum(0.0, n * (logdet_model - logdet_free))
+    df = k * (k + 1) // 2 + k * (k - 1) // 2
+    return HomogeneityTest(statistic=statistic, df=df, p=chi2_sf(statistic, df)), singular
 
 
 def homogeneity_lrt(samples_i, samples_j) -> HomogeneityTest:
     """Likelihood ratio test of equal marginal blocks and a symmetric cross block.
 
     Fits the stacked 2k-vector as Gaussian, unconstrained versus constrained
-    to a block-swap-invariant covariance.  The constrained fit alternates
-    block averaging, cross-block symmetrization and eigenvalue flooring at
-    1e-8 until the likelihood moves by less than 1e-10 (the projection is a
-    fixed point after one pass whenever no flooring is needed).
+    to a block-swap-invariant covariance (see :func:`homogeneity_test_from_cov`).
     """
     samples_i = numkernel.as_matrix(samples_i)
     samples_j = numkernel.as_matrix(samples_j)
@@ -349,29 +361,7 @@ def homogeneity_lrt(samples_i, samples_j) -> HomogeneityTest:
     stacked = np.hstack([samples_i, samples_j])
     centered = stacked - stacked.mean(axis=0)
     sample_cov = centered.T @ centered / n
-    sign, logdet_free = np.linalg.slogdet(sample_cov)
-    if sign <= 0 or not np.isfinite(logdet_free):
+    test, singular = homogeneity_test_from_cov(sample_cov[None], n)
+    if singular[0]:
         raise SingularCovariance("stacked sample covariance is singular")
-    loglik_free = -0.5 * n * (logdet_free + 2 * k)
-
-    current = sample_cov.copy()
-    previous = None
-    constrained = current
-    for _ in range(100):
-        marginal = (current[:k, :k] + current[k:, k:]) / 2.0
-        cross = (current[:k, k:] + current[:k, k:].T) / 2.0
-        candidate = np.block([[marginal, cross], [cross, marginal]])
-        values, vectors = np.linalg.eigh(candidate)
-        if values[0] < 1e-8:
-            candidate = (vectors * np.maximum(values, 1e-8)) @ vectors.T
-        loglik = _gaussian_loglik_terms(candidate, sample_cov, n)
-        constrained = candidate
-        if previous is not None and abs(loglik - previous) < 1e-10:
-            break
-        previous = loglik
-        current = candidate
-
-    loglik_constrained = _gaussian_loglik_terms(constrained, sample_cov, n)
-    statistic = max(0.0, 2.0 * (loglik_free - loglik_constrained))
-    df = k * (k + 1) // 2 + k * (k - 1) // 2
-    return HomogeneityTest(statistic=statistic, df=df, p=chi2_sf(statistic, df))
+    return HomogeneityTest(statistic=float(test.statistic[0]), df=test.df, p=float(test.p[0]))

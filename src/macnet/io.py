@@ -200,6 +200,7 @@ def network_meta(net: InferredNetwork) -> dict:
         "floored_pairs": [list(pair) for pair in net.floored],
         "homogeneity": {
             "reject_fraction": net.homogeneity_reject_fraction,
+            "singular_pairs": net.homogeneity_singular_pairs,
             "alpha": HOMOGENEITY_ALPHA,
             "df_formula": HOMOGENEITY_DF_FORMULA,
         },
@@ -278,15 +279,12 @@ def read_network(edges_path, meta_path=None) -> InferredNetwork:
             skipped=skipped,
             floored=tuple(tuple(pair) for pair in meta.get("floored_pairs", [])),
             homogeneity_reject_fraction=homogeneity.get("reject_fraction"),
+            homogeneity_singular_pairs=int(homogeneity.get("singular_pairs", 0)),
             pvalue_mode=meta.get("pvalue_mode", "formula"),
         )
 
-    # no metadata: fall back to the nodes seen on edges
-    node_ids = []
-    for edge in edges:
-        for v in (edge.node_i, edge.node_j):
-            if v not in node_ids:
-                node_ids.append(v)
+    # no metadata: fall back to the nodes seen on edges, in first-seen order
+    node_ids = list(dict.fromkeys(v for edge in edges for v in (edge.node_i, edge.node_j)))
     contrib_count = max((len(e.contrib) for e in edges if e.contrib is not None), default=1)
     method = edges[0].method if edges else "unknown"
     return InferredNetwork(

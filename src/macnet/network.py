@@ -10,9 +10,7 @@ connected components, and Jaccard overlap between edge sets.
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +21,6 @@ from .errors import (
     InsufficientSamples,
     LengthMismatch,
     NodeSetMismatch,
-    NotPositiveDefinite,
     OutOfDomain,
     UsageError,
     ZeroVariance,
@@ -39,15 +36,8 @@ _EIG_FLOOR = 1e-8
 #: per-pair homogeneity check is reported against this level
 HOMOGENEITY_ALPHA = 0.05
 
-
-def thread_count() -> int:
-    """Worker cap for pairwise loops, from the MACNET_THREADS env var."""
-    raw = os.environ.get("MACNET_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise UsageError(f"MACNET_THREADS must be an integer, got {raw!r}")
-    return max(1, count)
+#: node pairs tested per batched step; working memory is O(PAIR_CHUNK k n)
+PAIR_CHUNK = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +143,7 @@ class InferredNetwork:
     skipped: tuple = ()
     floored: tuple = ()
     homogeneity_reject_fraction: Optional[float] = None
+    homogeneity_singular_pairs: int = 0
     pvalue_mode: str = "formula"
 
     @property
@@ -175,35 +166,24 @@ class InferredNetwork:
 
 
 def _floor_supermatrix(joint: np.ndarray):
-    """Repair a non-positive-definite joint correlation estimate.
+    """Repair non-positive-definite joint correlation estimates.
 
     Floors eigenvalues at a small positive level and restores the unit
-    diagonal.  Returns (matrix, floored, max_change); callers skip the pair
-    when max_change exceeds ``FLOOR_SKIP_DELTA``.
+    diagonal.  Returns (matrix, floored, max_change), one of each per matrix
+    of a stack (..., 2k, 2k); callers skip the pair when max_change exceeds
+    ``FLOOR_SKIP_DELTA``.
     """
     values, vectors = np.linalg.eigh(joint)
-    if values[0] > numkernel.PD_TOLERANCE * max(values[-1], 0.0) and values[-1] > 0.0:
-        return joint, False, 0.0
+    clean = numkernel.pd_from_eigenvalues(values)
     floored_values = np.maximum(values, _EIG_FLOOR)
-    max_change = float(np.max(np.abs(floored_values - values)))
-    repaired = (vectors * floored_values) @ vectors.T
-    scale = np.sqrt(np.diag(repaired))
-    repaired = repaired / np.outer(scale, scale)
-    np.fill_diagonal(repaired, 1.0)
-    repaired = (repaired + repaired.T) / 2.0
-    return repaired, True, max_change
-
-
-@dataclass
-class _PairOutcome:
-    similarity: float = 0.0
-    statistic: float = 0.0
-    df: Optional[int] = None
-    p: float = 1.0
-    contrib: Optional[tuple] = None
-    skipped_reason: Optional[str] = None
-    floored: bool = False
-    homogeneity_reject: Optional[bool] = None
+    max_change = np.where(clean, 0.0, np.max(np.abs(floored_values - values), axis=-1))
+    repaired = (vectors * floored_values[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+    scale = np.sqrt(np.diagonal(repaired, axis1=-2, axis2=-1))
+    repaired = repaired / (scale[..., :, None] * scale[..., None, :])
+    diag = np.arange(joint.shape[-1])
+    repaired[..., diag, diag] = 1.0
+    repaired = (repaired + np.swapaxes(repaired, -1, -2)) / 2.0
+    return np.where(clean[..., None, None], joint, repaired), ~clean, max_change
 
 
 def _check_preconditions(data: AttributeDataset, method: str):
@@ -233,70 +213,74 @@ def _check_preconditions(data: AttributeDataset, method: str):
         )
 
 
-def _test_pair(data: AttributeDataset, vi: int, vj: int, method: str,
-               sampler: Optional[inference.ExtremeTailSampler]) -> _PairOutcome:
-    n = data.n_samples
-    block_i = data.node_matrix(vi)
-    block_j = data.node_matrix(vj)
-    out = _PairOutcome()
+class _NodeFacts:
+    """Per-node data, computed once: samples (n-by-k), centred rows (k-by-n), Gram
+    and correlation blocks, and for cca their inverse roots (NaN if not PD)."""
 
-    try:
-        hom = inference.homogeneity_lrt(block_i, block_j)
-        out.homogeneity_reject = bool(hom.p < HOMOGENEITY_ALPHA)
-    except (InsufficientSamples, LengthMismatch):
-        out.homogeneity_reject = None
+    def __init__(self, data: AttributeDataset, method: str):
+        selected = data.samples[:, list(data.selected), :]
+        self.k, self.n = data.k, data.n_samples
+        self.samples = selected.transpose(0, 2, 1)
+        self.centred = selected - selected.mean(axis=2, keepdims=True)
+        self._sq = np.einsum("van,van->va", self.centred, self.centred)
+        nodes = np.arange(data.n_nodes)
+        self.gram, self.sigma = self.cross(nodes, nodes)
+        self.sigma[:, np.arange(self.k), np.arange(self.k)] = 1.0
+        if method == "cca":
+            self.pd = numkernel.pd_mask(self.sigma)
+            self.inv_sqrt = np.full_like(self.sigma, np.nan)
+            self.inv_sqrt[self.pd] = numkernel.inv_sqrt_spd_stack(self.sigma[self.pd])
 
-    if method == "pearson":
-        rho = numkernel.pearson_corr(block_i[:, 0], block_j[:, 0])
-        z = inference.fisher_z(rho, n)
-        out.similarity = rho
-        out.statistic = z
-        out.p = min(1.0, 2.0 * inference.normal_sf(abs(z)))
-        return out
+    def cross(self, i, j):
+        """Cross products and correlation blocks of the pairs (i[p], j[p])."""
+        gram = np.einsum("pan,pbn->pab", self.centred[i], self.centred[j])
+        scale = np.sqrt(self._sq[i][:, :, None] * self._sq[j][:, None, :])
+        return gram, np.clip(gram / scale, -1.0, 1.0)
 
-    if method in ("max", "min"):
-        structure = similarity.PairCorrelationStructure.from_samples(block_i, block_j)
-        rhos = [float(structure.sigma_ij[l, l]) for l in range(2)]
-        zs = [inference.fisher_z(r, n) for r in rhos]
-        rho_z = inference.fisher_z_correlation(
-            structure.sigma_ii, structure.sigma_jj, structure.sigma_ij
-        )
-        out.similarity = similarity.aggregate_extreme(rhos, method)
-        out.statistic = max(zs) if method == "max" else min(zs)
-        if sampler is not None:
-            out.p = inference.extreme_corr_mc_pvalue(
-                zs[0], zs[1], rho_z, method, two_sided=True, sampler=sampler
-            )
-        else:
-            out.p = inference.extreme_corr_pvalue_two_sided(zs[0], zs[1], rho_z, method)
-        return out
+    def joint(self, i, j, sigma_ij):
+        """Joint correlation matrices of the pairs, repaired where not positive-definite.
 
-    # canonical correlation
-    structure = similarity.PairCorrelationStructure.from_samples(block_i, block_j)
-    repaired, floored, change = _floor_supermatrix(structure.supermatrix)
-    if change > FLOOR_SKIP_DELTA:
-        out.skipped_reason = (
-            f"joint correlation estimate not positive-definite; repair moved an "
-            f"eigenvalue by {change:.3g}"
-        )
-        return out
-    out.floored = floored
-    if floored:
-        k = data.k
-        structure = similarity.PairCorrelationStructure(
-            repaired[:k, :k], repaired[k:, k:], repaired[:k, k:]
-        )
-    try:
-        solution = similarity.canonical_corr(structure)
-    except NotPositiveDefinite as exc:
-        out.skipped_reason = str(exc)
-        return out
-    test = inference.bartlett_chi2(solution.roots, n, data.k)
-    out.similarity = solution.rho_c
-    out.statistic = test.statistic
-    out.df = test.df
-    out.p = test.p
-    out.contrib = tuple(float(c) for c in solution.contrib)
+        Returns (joint, floored, change, own).  Pairs that need repair or touch
+        a node without an inverse root (``own``) are re-estimated from their
+        stacked samples as ``PairCorrelationStructure.from_samples`` does, as
+        the repair magnifies last-bit differences in its input.
+        """
+        joint = np.block([[self.sigma[i], sigma_ij], [np.swapaxes(sigma_ij, 1, 2), self.sigma[j]]])
+        joint, floored, change = _floor_supermatrix(joint)
+        own = floored | ~self.pd[i] | ~self.pd[j]
+        stacked = np.concatenate([self.samples[i[own]], self.samples[j[own]]], axis=2)
+        joint[own], floored[own], change[own] = _floor_supermatrix(numkernel.corr_matrices(stacked))
+        return joint, floored, change, own
+
+
+def _test_cca(facts: _NodeFacts, i, j, sigma_ij):
+    """Canonical-correlation tests of the pairs (i[p], j[p]): similarity,
+    statistic and p (NaN where skipped), floored flags and repair changes."""
+    k = facts.k
+    joint, floored, change, own = facts.joint(i, j, sigma_ij)
+    ok = change <= FLOOR_SKIP_DELTA
+    own &= ok
+    # a clean or repaired joint matrix is positive-definite, and so are its blocks
+    inv_i, inv_j = facts.inv_sqrt[i], facts.inv_sqrt[j]
+    inv_i[own] = numkernel.inv_sqrt_spd_stack(joint[own, :k, :k])
+    inv_j[own] = numkernel.inv_sqrt_spd_stack(joint[own, k:, k:])
+    roots = similarity.canonical_roots(inv_i[ok] @ joint[ok, :k, k:] @ inv_j[ok])
+    test = inference.bartlett_chi2(roots, facts.n, k)
+    out = np.full((3, i.size), np.nan)
+    out[:, ok] = roots[:, 0], test.statistic, test.p
+    return (*out, floored, change)
+
+
+def _contributions(facts: _NodeFacts, i, j) -> list:
+    """Contribution vectors of the canonical-correlation edges (i[e], j[e])."""
+    k = facts.k
+    out = []
+    for start in range(0, i.size, PAIR_CHUNK):
+        ci, cj = i[start:start + PAIR_CHUNK], j[start:start + PAIR_CHUNK]
+        for block in facts.joint(ci, cj, facts.cross(ci, cj)[1])[0]:
+            structure = similarity.PairCorrelationStructure(block[:k, :k], block[k:, k:],
+                                                            block[:k, k:])
+            out.append(tuple(float(c) for c in similarity.canonical_corr(structure).contrib))
     return out
 
 
@@ -309,6 +293,8 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     methods (the Monte Carlo panel uses a fixed internal seed, so inference
     stays deterministic).  Pairs whose estimated joint correlation matrix
     cannot be repaired are skipped and reported, never silently dropped.
+    Per-node facts are computed once; the pairs are then tested in batches
+    of ``PAIR_CHUNK``, and no result depends on the batch size.
     """
     if not (0.0 < gamma < 1.0):
         raise OutOfDomain(f"FDR level must lie in (0, 1), got {gamma}")
@@ -320,46 +306,74 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     if pvalue_mode == "montecarlo" and method in ("max", "min"):
         sampler = inference.ExtremeTailSampler()
 
-    pairs = [(i, j) for i in range(data.n_nodes) for j in range(i + 1, data.n_nodes)]
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda ij: _test_pair(data, ij[0], ij[1], method, sampler), pairs
-            ))
-    else:
-        outcomes = [_test_pair(data, i, j, method, sampler) for i, j in pairs]
+    facts = _NodeFacts(data, method)
+    n, k = facts.n, facts.k
+    first, second = np.triu_indices(data.n_nodes, 1)
+    sims, statistic, pvalues, hom_p = (np.full(first.size, np.nan) for _ in range(4))
+    floored, singular = (np.zeros(first.size, dtype=bool) for _ in range(2))
+    change = np.zeros(first.size)
+    for start in range(0, first.size, PAIR_CHUNK):
+        chunk = slice(start, start + PAIR_CHUNK)
+        i, j = first[chunk], second[chunk]
+        gram, sigma_ij = facts.cross(i, j)
+        if method == "pearson":
+            sims[chunk] = sigma_ij[:, 0, 0]
+            statistic[chunk] = inference.fisher_z(sims[chunk], n)
+            pvalues[chunk] = np.minimum(1.0, 2.0 * inference.normal_sf(np.abs(statistic[chunk])))
+        elif method in ("max", "min"):
+            rhos = np.diagonal(sigma_ij, axis1=1, axis2=2)
+            zs = inference.fisher_z(rhos, n)
+            rho_z = inference.fisher_z_correlation(facts.sigma[i], facts.sigma[j], sigma_ij)
+            sims[chunk] = similarity.aggregate_extreme(rhos, method)
+            statistic[chunk] = similarity.aggregate_extreme(zs, method)
+            if sampler is None:
+                pvalues[chunk] = inference.extreme_corr_pvalue_two_sided(*zs.T, rho_z, method)
+            else:
+                pvalues[chunk] = [
+                    inference.extreme_corr_mc_pvalue(a, b, r, method, two_sided=True,
+                                                     sampler=sampler)
+                    for a, b, r in zip(*zs.T, rho_z)
+                ]
+        else:
+            sims[chunk], statistic[chunk], pvalues[chunk], floored[chunk], change[chunk] = (
+                _test_cca(facts, i, j, sigma_ij))
+        if n >= 2 * k + 2:
+            cov = np.block([[facts.gram[i], gram], [np.swapaxes(gram, 1, 2), facts.gram[j]]]) / n
+            hom, singular[chunk] = inference.homogeneity_test_from_cov(cov, n)
+            hom_p[chunk][~singular[chunk]] = hom.p
 
-    tested = [(pair, out) for pair, out in zip(pairs, outcomes) if out.skipped_reason is None]
+    ids = data.node_ids
+    tested = change <= FLOOR_SKIP_DELTA
     skipped = tuple(
-        SkippedPair(data.node_ids[i], data.node_ids[j], out.skipped_reason)
-        for (i, j), out in zip(pairs, outcomes)
-        if out.skipped_reason is not None
+        SkippedPair(ids[first[x]], ids[second[x]],
+                    f"joint correlation estimate not positive-definite; repair moved an "
+                    f"eigenvalue by {change[x]:.3g}")
+        for x in np.flatnonzero(~tested)
     )
-    floored = tuple(
-        (data.node_ids[i], data.node_ids[j])
-        for (i, j), out in tested
-        if out.floored
+    floored_pairs = tuple(
+        (ids[first[x]], ids[second[x]]) for x in np.flatnonzero(floored & tested)
     )
-    hom_flags = [out.homogeneity_reject for _, out in tested if out.homogeneity_reject is not None]
-    hom_fraction = float(np.mean(hom_flags)) if hom_flags else None
+    verdicts = hom_p[tested & ~np.isnan(hom_p)]
+    hom_fraction = float(np.mean(verdicts < HOMOGENEITY_ALPHA)) if verdicts.size else None
 
-    decision = inference.bh_fdr([out.p for _, out in tested], gamma)
-    rejected = set(decision.rejected)
+    tested_index = np.flatnonzero(tested)
+    decision = inference.bh_fdr(pvalues[tested_index], gamma)
+    edge_index = tested_index[list(decision.rejected)]
+    contribs = (_contributions(facts, first[edge_index], second[edge_index])
+                if method == "cca" else [None] * edge_index.size)
     edges = tuple(
         EdgeRecord(
-            node_i=data.node_ids[i],
-            node_j=data.node_ids[j],
+            node_i=ids[first[x]],
+            node_j=ids[second[x]],
             method=method,
-            similarity=out.similarity,
-            statistic=out.statistic,
-            df=out.df,
-            p=out.p,
+            similarity=float(sims[x]),
+            statistic=float(statistic[x]),
+            df=k * k if method == "cca" else None,
+            p=float(pvalues[x]),
             q=float(decision.qvalues[idx]),
-            contrib=out.contrib,
+            contrib=contrib,
         )
-        for idx, ((i, j), out) in enumerate(tested)
-        if idx in rejected
+        for idx, x, contrib in zip(decision.rejected, edge_index, contribs)
     )
     return InferredNetwork(
         node_ids=data.node_ids,
@@ -368,10 +382,11 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
         gamma=gamma,
         n_samples=data.n_samples,
         edges=edges,
-        tested_pairs=len(tested),
+        tested_pairs=int(tested_index.size),
         skipped=skipped,
-        floored=floored,
+        floored=floored_pairs,
         homogeneity_reject_fraction=hom_fraction,
+        homogeneity_singular_pairs=int(np.sum(singular & tested)),
         pvalue_mode=pvalue_mode,
     )
 
@@ -410,29 +425,31 @@ def betweenness_values(net: InferredNetwork) -> np.ndarray:
     unordered pair is counted once and the total is normalized by
     (N_v - 1)(N_v - 2) / 2.
     """
-    nodes = list(net.node_ids)
-    n = len(nodes)
+    n = net.n_nodes
+    index = {v: x for x, v in enumerate(net.node_ids)}
     adj = net.adjacency()
-    centrality = {v: 0.0 for v in nodes}
-    for source in nodes:
+    # neighbours in node order, so the float sums never follow set (hash) order
+    neighbours = [sorted(index[w] for w in adj[v]) for v in net.node_ids]
+    centrality = [0.0] * n
+    for source in range(n):
         stack = []
-        predecessors = {v: [] for v in nodes}
-        sigma = {v: 0.0 for v in nodes}
-        distance = {v: -1 for v in nodes}
+        predecessors = [[] for _ in range(n)]
+        sigma = [0.0] * n
+        distance = [-1] * n
         sigma[source] = 1.0
         distance[source] = 0
         queue = deque([source])
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for w in adj[v]:
+            for w in neighbours[v]:
                 if distance[w] < 0:
                     distance[w] = distance[v] + 1
                     queue.append(w)
                 if distance[w] == distance[v] + 1:
                     sigma[w] += sigma[v]
                     predecessors[w].append(v)
-        dependency = {v: 0.0 for v in nodes}
+        dependency = [0.0] * n
         while stack:
             w = stack.pop()
             for v in predecessors[w]:
@@ -443,7 +460,7 @@ def betweenness_values(net: InferredNetwork) -> np.ndarray:
         return np.zeros(n)
     norm = (n - 1) * (n - 2) / 2.0
     # halve: the accumulation visits each unordered pair from both endpoints
-    return np.array([centrality[v] / 2.0 / norm for v in nodes], dtype=float)
+    return np.array([c / 2.0 / norm for c in centrality], dtype=float)
 
 
 def largest_connected_component(net: InferredNetwork) -> int:

@@ -100,21 +100,27 @@ def pearson_corr(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def corr_matrix(samples) -> np.ndarray:
-    """Sample correlation matrix of an n-by-d block (rows are observations)."""
-    samples = as_matrix(samples)
-    n, d = samples.shape
+def corr_matrices(samples) -> np.ndarray:
+    """Sample correlation matrix of each n-by-d block in a stack (..., n, d)."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-2]
     if n < 3:
         raise InsufficientSamples(f"need at least 3 samples, got {n}")
-    xc = samples - samples.mean(axis=0)
-    cross = xc.T @ xc
-    diag = np.diag(cross).copy()
-    bad = np.flatnonzero(diag <= 0.0)
+    xc = samples - samples.mean(axis=-2, keepdims=True)
+    cross = np.swapaxes(xc, -1, -2) @ xc
+    diag = np.diagonal(cross, axis1=-2, axis2=-1)
+    bad = np.flatnonzero(np.any(diag <= 0.0, axis=tuple(range(diag.ndim - 1))))
     if bad.size:
         raise ZeroVariance(f"column {bad[0]} is constant", index=int(bad[0]))
-    r = cross / np.sqrt(np.outer(diag, diag))
-    np.fill_diagonal(r, 1.0)
+    r = cross / np.sqrt(diag[..., :, None] * diag[..., None, :])
+    d = np.arange(samples.shape[-1])
+    r[..., d, d] = 1.0
     return np.clip(r, -1.0, 1.0)
+
+
+def corr_matrix(samples) -> np.ndarray:
+    """Sample correlation matrix of an n-by-d block (rows are observations)."""
+    return corr_matrices(as_matrix(samples))
 
 
 def sym_eigen(a) -> EigenResult:
@@ -175,14 +181,19 @@ def cholesky(a) -> np.ndarray:
     return lower
 
 
+def pd_from_eigenvalues(values: np.ndarray) -> np.ndarray:
+    """PD test on ascending eigenvalues (..., d), relative to the largest."""
+    return (values[..., -1] > 0.0) & (values[..., 0] > PD_TOLERANCE * values[..., -1])
+
+
+def pd_mask(a) -> np.ndarray:
+    """Positive-definiteness of each matrix in a symmetric stack (..., d, d)."""
+    return pd_from_eigenvalues(np.linalg.eigvalsh(a))
+
+
 def is_positive_definite(a) -> bool:
     """True iff every eigenvalue exceeds ``PD_TOLERANCE`` relative to the largest."""
-    a = require_symmetric(a)
-    values = np.linalg.eigvalsh(a)
-    largest = float(values[-1])
-    if largest <= 0.0:
-        return False
-    return bool(float(values[0]) > PD_TOLERANCE * largest)
+    return bool(pd_mask(require_symmetric(a)))
 
 
 def inverse(a) -> np.ndarray:
@@ -199,10 +210,14 @@ def inverse(a) -> np.ndarray:
         raise Singular(str(exc)) from exc
 
 
+def inv_sqrt_spd_stack(a) -> np.ndarray:
+    """Inverse symmetric square root of each SPD matrix in a stack (..., d, d)."""
+    values, vectors = np.linalg.eigh(a)
+    if not np.all(pd_from_eigenvalues(values)):
+        raise NotPositiveDefinite("matrix is not positive-definite")
+    return (vectors / np.sqrt(values)[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+
+
 def inv_sqrt_spd(a) -> np.ndarray:
     """Inverse symmetric square root of an SPD matrix."""
-    eig = sym_eigen(a)
-    largest = float(eig.values[0])
-    if largest <= 0.0 or float(eig.values[-1]) <= PD_TOLERANCE * largest:
-        raise NotPositiveDefinite("matrix is not positive-definite")
-    return (eig.vectors / np.sqrt(eig.values)) @ eig.vectors.T
+    return inv_sqrt_spd_stack(require_symmetric(a))

@@ -160,16 +160,11 @@ class CanonicalSolution:
 def _clamp_squared_roots(values: np.ndarray) -> np.ndarray:
     """Clamp squared roots to [0, 1], tolerating tiny numerical excursions."""
     values = np.asarray(values, dtype=float)
-    low = values < 0.0
-    high = values > 1.0
     if np.any(values < -_CLAMP_TOL) or np.any(values > 1.0 + _CLAMP_TOL):
         raise InternalNumericalError(
             f"squared canonical root outside [0, 1] beyond tolerance: {values}"
         )
-    out = values.copy()
-    out[low] = 0.0
-    out[high] = 1.0
-    return out
+    return np.clip(values, 0.0, 1.0)
 
 
 def _squared_unit(w: np.ndarray) -> np.ndarray:
@@ -186,6 +181,13 @@ def _pair_sign_fix(w_i: np.ndarray, w_j: np.ndarray):
     if nz.size and w_i[nz[0]] < 0:
         return -w_i, -w_j
     return w_i, w_j
+
+
+def canonical_roots(t) -> np.ndarray:
+    """Canonical roots, descending: square roots of the eigenvalues of T'T for
+    T = inv_sqrt(S_ii) S_ij inv_sqrt(S_jj), or for each T of a stack (..., k, k)."""
+    squared = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)[..., ::-1]
+    return np.sqrt(_clamp_squared_roots(squared))
 
 
 def correlation_objective(s: PairCorrelationStructure, w_i, w_j) -> float:
@@ -226,11 +228,9 @@ def canonical_corr(s: PairCorrelationStructure) -> CanonicalSolution:
     inv_sqrt_ii = numkernel.inv_sqrt_spd(s.sigma_ii)
     inv_sqrt_jj = numkernel.inv_sqrt_spd(s.sigma_jj)
     t = inv_sqrt_ii @ s.sigma_ij @ inv_sqrt_jj
-    eig_j = numkernel.sym_eigen(t.T @ t)
-    squared = _clamp_squared_roots(eig_j.values)
-    roots = np.sqrt(squared)
+    roots = canonical_roots(t)
 
-    v_j = eig_j.vectors[:, 0]
+    v_j = numkernel.sym_eigen(t.T @ t).vectors[:, 0]
     w_j = inv_sqrt_jj @ v_j
     rho = float(roots[0])
     if rho > 1e-12:
@@ -340,16 +340,15 @@ def equal_corr_closed_form(k: int, r: float, rho: float, b: float) -> float:
     )
 
 
-def aggregate_extreme(rhos, mode: str) -> float:
-    """Signed max or min of per-attribute correlations."""
-    values = [float(v) for v in rhos]
-    if not values:
+def aggregate_extreme(rhos, mode: str):
+    """Signed max or min of per-attribute correlations (per row of an (m, k) stack)."""
+    values = np.asarray(rhos, dtype=float)
+    if values.size == 0:
         raise EmptyInput("no per-attribute correlations supplied")
-    if mode == "max":
-        return max(values)
-    if mode == "min":
-        return min(values)
-    raise OutOfDomain(f"mode must be 'max' or 'min', got {mode!r}")
+    if mode not in ("max", "min"):
+        raise OutOfDomain(f"mode must be 'max' or 'min', got {mode!r}")
+    out = values.max(axis=-1) if mode == "max" else values.min(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def equal_corr_blocks(k: int, r: float, rho: float, b: float):

@@ -4,24 +4,25 @@ Five tests of a single planted edge are compared over a grid of
 two-attribute correlation structures: each attribute's correlation alone,
 max and min aggregation of the two, and canonical correlation.  Replicates
 draw from a counter-based generator keyed per (seed, grid point,
-replicate), so results are bit-reproducible regardless of execution order
-or thread partitioning.
+replicate), so results are bit-reproducible regardless of execution order.
+All replicates of one grid point are drawn, stacked and tested as one batch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import inference, numkernel
-from .errors import InsufficientSamples, OutOfDomain, UsageError
-from .network import thread_count
-from .similarity import K2Params, PairCorrelationStructure, canonical_corr
+from .errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain, UsageError
+from .similarity import K2Params, canonical_roots
 
 SCENARIOS = (1, 2, 3, 4, 5)
+
+#: replicates drawn and tested per batched step
+REPLICATE_CHUNK = 256
 
 SLICES = {
     "b=0.2r": lambda t: (t, 0.2 * t),
@@ -133,41 +134,34 @@ class PowerResult:
         raise KeyError(f"no cell for (r={r}, b={b}, scenario={scenario})")
 
 
-@dataclass
-class _Replicate:
-    z1: float
-    z2: float
-    bartlett_p: float
-
-
-def _run_replicate(spec: PowerStudySpec, sigma: np.ndarray, grid_index: int, rep: int) -> _Replicate:
-    rng = substream(spec.seed, grid_index, rep)
-    draws = sample_mvn(sigma, spec.n, rng)
-    joint = numkernel.corr_matrix(draws)
-    rho1_hat = joint[0, 2]
-    rho2_hat = joint[1, 3]
-    z1 = inference.fisher_z(rho1_hat, spec.n)
-    z2 = inference.fisher_z(rho2_hat, spec.n)
+def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarray, reps):
+    """z1, z2 and Bartlett p-values of the replicates ``reps`` of one grid point."""
+    normals = np.stack([
+        substream(spec.seed, grid_index, rep).standard_normal((spec.n, 4)) for rep in reps
+    ])
+    joint = numkernel.corr_matrices(normals @ lower.T)
+    z1 = inference.fisher_z(joint[:, 0, 2], spec.n)
+    z2 = inference.fisher_z(joint[:, 1, 3], spec.n)
     # unrestricted block estimates: the k^2-df chi-squared reference assumes a
     # freely estimated cross block even though the generator is homogeneous
-    structure = PairCorrelationStructure(joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
-    solution = canonical_corr(structure)
-    test = inference.bartlett_chi2(solution.roots, spec.n, 2)
-    return _Replicate(z1=z1, z2=z2, bartlett_p=test.p)
+    if not np.all(numkernel.pd_mask(joint)):
+        raise NotPositiveDefinite("joint correlation matrix is not positive-definite")
+    roots = canonical_roots(
+        numkernel.inv_sqrt_spd_stack(joint[:, :2, :2]) @ joint[:, :2, 2:]
+        @ numkernel.inv_sqrt_spd_stack(joint[:, 2:, 2:])
+    )
+    return z1, z2, inference.bartlett_chi2(roots, spec.n, 2).p
 
 
 def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: float) -> dict:
-    sigma = build_sigma(spec.params(r, b))
-    workers = thread_count()
-    rep_ids = range(spec.reps)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(lambda i: _run_replicate(spec, sigma, grid_index, i), rep_ids))
-    else:
-        reps = [_run_replicate(spec, sigma, grid_index, i) for i in rep_ids]
+    lower = numkernel.cholesky(build_sigma(spec.params(r, b)))
+    chunks = [
+        _replicate_statistics(spec, grid_index, lower,
+                              range(start, min(start + REPLICATE_CHUNK, spec.reps)))
+        for start in range(0, spec.reps, REPLICATE_CHUNK)
+    ]
+    z1, z2, bartlett_p = (np.concatenate(parts) for parts in zip(*chunks))
 
-    z1 = np.array([rep.z1 for rep in reps])
-    z2 = np.array([rep.z2 for rep in reps])
     if spec.rho_z_override is not None:
         rho_z = float(spec.rho_z_override)
     elif spec.reps >= 3:
@@ -182,33 +176,21 @@ def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: f
 
     rejections = {}
     for scenario in spec.scenarios:
-        if scenario == 1:
-            p = [inference.normal_sf(v) for v in z1] if spec.one_sided else [
-                min(1.0, 2.0 * inference.normal_sf(abs(v))) for v in z1
-            ]
-        elif scenario == 2:
-            p = [inference.normal_sf(v) for v in z2] if spec.one_sided else [
-                min(1.0, 2.0 * inference.normal_sf(abs(v))) for v in z2
-            ]
+        if scenario in (1, 2):
+            z = z1 if scenario == 1 else z2
+            p = inference.normal_sf(z) if spec.one_sided else 2.0 * inference.normal_sf(np.abs(z))
         elif scenario in (3, 4):
             mode = "max" if scenario == 3 else "min"
             if sampler is not None:
-                p = [
-                    inference.extreme_corr_mc_pvalue(
-                        a, bb, rho_z, mode, two_sided=not spec.one_sided, sampler=sampler
-                    )
-                    for a, bb in zip(z1, z2)
-                ]
+                p = inference.extreme_corr_mc_pvalue(z1, z2, rho_z, mode,
+                                                     two_sided=not spec.one_sided, sampler=sampler)
             elif spec.one_sided:
-                p = [inference.extreme_corr_pvalue(a, bb, rho_z, mode) for a, bb in zip(z1, z2)]
+                p = inference.extreme_corr_pvalue(z1, z2, rho_z, mode)
             else:
-                p = [
-                    inference.extreme_corr_pvalue_two_sided(a, bb, rho_z, mode)
-                    for a, bb in zip(z1, z2)
-                ]
+                p = inference.extreme_corr_pvalue_two_sided(z1, z2, rho_z, mode)
         else:
             # the chi-squared test is upper-tailed in both settings
-            p = [rep.bartlett_p for rep in reps]
+            p = bartlett_p
         rejections[scenario] = int(np.sum(np.asarray(p) < spec.alpha))
     return rejections
 

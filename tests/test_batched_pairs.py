@@ -1,0 +1,357 @@
+"""The batched all-pairs and replicate paths against per-pair reference loops.
+
+Each reference below walks pairs (or replicates) one at a time through the
+public scalar functions, the way inference ran before it was batched.
+"""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import macnet
+from macnet import inference, io as io_mod, network, numkernel, similarity, simulation
+from macnet.cli import main
+from macnet.errors import SingularCovariance
+from macnet.network import AttributeDataset, EdgeRecord, InferredNetwork, infer_network
+
+REL = 1e-12
+
+
+def planted_dataset(seed, n_nodes, k, n=60, planted=((0, 1), (2, 3)), rho=0.7):
+    """Independent nodes except planted pairs, whose attributes share factors."""
+    rng = simulation.substream(seed, 2024)
+    samples = rng.standard_normal((n_nodes, k, n))
+    for a, b in planted:
+        shared = rng.standard_normal((k, n))
+        samples[a] = rho * shared + np.sqrt(1 - rho**2) * rng.standard_normal((k, n))
+        samples[b] = rho * shared + np.sqrt(1 - rho**2) * rng.standard_normal((k, n))
+    ids = tuple(f"v{i}" for i in range(n_nodes))
+    return AttributeDataset(ids, tuple(f"a{l}" for l in range(k)), samples)
+
+
+def collinear_dataset(seed=0, n_nodes=8, n=60):
+    """Node v1's first attribute is a linear mix of node v0's two attributes."""
+    data = planted_dataset(seed, n_nodes, 2, n=n, planted=((2, 3),))
+    samples = data.samples.copy()
+    samples[1, 0] = 0.6 * samples[0, 0] + 0.8 * samples[0, 1]
+    return AttributeDataset(data.node_ids, data.attribute_names, samples)
+
+
+def singular_node_dataset(seed=1, n_nodes=7, n=50):
+    """Node v2's second attribute is a rescaled copy of its first."""
+    data = planted_dataset(seed, n_nodes, 2, n=n)
+    samples = data.samples.copy()
+    samples[2, 1] = -1.5 * samples[2, 0]
+    return AttributeDataset(data.node_ids, data.attribute_names, samples)
+
+
+def reference_network(data, method, gamma, sampler=None):
+    """Per-pair loop over the public scalar functions.
+
+    Returns (edges by pair, skipped pairs, floored pairs, homogeneity reject
+    fraction, singular homogeneity count).
+    """
+    n, k = data.n_samples, data.k
+    rows, skipped, floored, flags, singular = [], [], [], [], 0
+    for vi in range(data.n_nodes):
+        for vj in range(vi + 1, data.n_nodes):
+            block_i, block_j = data.node_matrix(vi), data.node_matrix(vj)
+            pair = (data.node_ids[vi], data.node_ids[vj])
+            if method == "pearson":
+                rho = numkernel.pearson_corr(block_i[:, 0], block_j[:, 0])
+                z = inference.fisher_z(rho, n)
+                row = (rho, z, None, min(1.0, 2.0 * inference.normal_sf(abs(z))), None)
+            elif method in ("max", "min"):
+                s = similarity.PairCorrelationStructure.from_samples(block_i, block_j)
+                rhos = [s.sigma_ij[0, 0], s.sigma_ij[1, 1]]
+                zs = [inference.fisher_z(r, n) for r in rhos]
+                rho_z = inference.fisher_z_correlation(s.sigma_ii, s.sigma_jj, s.sigma_ij)
+                if sampler is None:
+                    p = inference.extreme_corr_pvalue_two_sided(zs[0], zs[1], rho_z, method)
+                else:
+                    p = inference.extreme_corr_mc_pvalue(zs[0], zs[1], rho_z, method,
+                                                         two_sided=True, sampler=sampler)
+                row = (similarity.aggregate_extreme(rhos, method),
+                       similarity.aggregate_extreme(zs, method), None, p, None)
+            else:
+                s = similarity.PairCorrelationStructure.from_samples(block_i, block_j)
+                repaired, was_floored, change = network._floor_supermatrix(s.supermatrix)
+                if change > network.FLOOR_SKIP_DELTA:
+                    skipped.append(pair)
+                    continue
+                if was_floored:
+                    floored.append(pair)
+                    s = similarity.PairCorrelationStructure(
+                        repaired[:k, :k], repaired[k:, k:], repaired[:k, k:])
+                solution = similarity.canonical_corr(s)
+                test = inference.bartlett_chi2(solution.roots, n, k)
+                row = (solution.rho_c, test.statistic, test.df, test.p, tuple(solution.contrib))
+            try:
+                hom = inference.homogeneity_lrt(block_i, block_j)
+                flags.append(hom.p < network.HOMOGENEITY_ALPHA)
+            except SingularCovariance:
+                singular += 1
+            rows.append((pair, row))
+    decision = inference.bh_fdr([row[3] for _, row in rows], gamma)
+    rejected = set(decision.rejected)
+    edges = {pair: row + (float(decision.qvalues[idx]),)
+             for idx, (pair, row) in enumerate(rows) if idx in rejected}
+    fraction = float(np.mean(flags)) if flags else None
+    return edges, skipped, floored, fraction, singular
+
+
+def assert_matches_reference(net, reference):
+    edges, skipped, floored, fraction, singular = reference
+    assert {(e.node_i, e.node_j) for e in net.edges} == set(edges)
+    assert [(s.node_i, s.node_j) for s in net.skipped] == skipped
+    assert list(net.floored) == floored
+    assert net.homogeneity_reject_fraction == fraction
+    assert net.homogeneity_singular_pairs == singular
+    for e in net.edges:
+        similarity_, statistic, df, p, contrib, q = edges[(e.node_i, e.node_j)]
+        assert e.df == df
+        assert e.similarity == pytest.approx(similarity_, rel=REL, abs=0)
+        assert e.statistic == pytest.approx(statistic, rel=REL, abs=0)
+        assert e.p == pytest.approx(p, rel=REL, abs=0)
+        assert e.q == pytest.approx(q, rel=REL, abs=0)
+        if contrib is None:
+            assert e.contrib is None
+        else:
+            assert e.contrib == pytest.approx(contrib, rel=REL, abs=0)
+
+
+CASES = [
+    ("pearson", lambda: planted_dataset(1, 9, 1)),
+    ("cca", lambda: planted_dataset(2, 9, 1)),
+    ("max", lambda: planted_dataset(3, 10, 2)),
+    ("min", lambda: planted_dataset(4, 10, 2)),
+    ("cca", lambda: planted_dataset(6, 10, 2)),
+    ("cca", lambda: planted_dataset(7, 8, 3, n=40)),
+    ("pearson", lambda: collinear_dataset().select(["a0"])),
+    ("max", collinear_dataset),
+    ("min", collinear_dataset),
+    ("cca", collinear_dataset),
+    ("max", singular_node_dataset),
+    ("cca", singular_node_dataset),
+]
+
+
+@pytest.mark.parametrize("method,make", CASES)
+def test_batched_path_matches_per_pair_reference(method, make):
+    data = make()
+    net = infer_network(data, method, 0.05)
+    assert_matches_reference(net, reference_network(data, method, 0.05))
+
+
+def test_monte_carlo_mode_matches_per_pair_reference():
+    data = planted_dataset(8, 5, 2)
+    net = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
+    reference = reference_network(data, "max", 0.05, sampler=inference.ExtremeTailSampler())
+    assert_matches_reference(net, reference)
+
+
+def test_collinear_pair_is_floored_not_fatal():
+    net = infer_network(collinear_dataset(), "cca", 0.05)
+    assert ("v0", "v1") in net.floored
+    assert net.homogeneity_singular_pairs >= 1
+    edge = next(e for e in net.edges if (e.node_i, e.node_j) == ("v0", "v1"))
+    assert edge.similarity == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("method", ["pearson", "max", "min", "cca"])
+def test_results_do_not_depend_on_chunk_size(method, monkeypatch):
+    data = collinear_dataset(n_nodes=12)
+    if method == "pearson":
+        data = data.select(["a1"])
+    base = infer_network(data, method, 0.2)
+    monkeypatch.setattr(network, "PAIR_CHUNK", 7)
+    small = infer_network(data, method, 0.2)
+    for field in ("edges", "tested_pairs", "skipped", "floored",
+                  "homogeneity_reject_fraction", "homogeneity_singular_pairs"):
+        assert getattr(small, field) == getattr(base, field)
+
+
+def reference_power_counts(spec):
+    """Per-replicate loop over the public scalar functions: rejections by cell."""
+    counts = []
+    for grid_index, (r, b) in enumerate(spec.grid):
+        sigma = simulation.build_sigma(spec.params(r, b))
+        z1, z2, bartlett = [], [], []
+        for rep in range(spec.reps):
+            rng = simulation.substream(spec.seed, grid_index, rep)
+            joint = numkernel.corr_matrix(simulation.sample_mvn(sigma, spec.n, rng))
+            z1.append(inference.fisher_z(joint[0, 2], spec.n))
+            z2.append(inference.fisher_z(joint[1, 3], spec.n))
+            structure = similarity.PairCorrelationStructure(
+                joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
+            roots = similarity.canonical_corr(structure).roots
+            bartlett.append(inference.bartlett_chi2(roots, spec.n, 2).p)
+        rho_z = min(1.0, max(-1.0, float(np.corrcoef(z1, z2)[0, 1])))
+        sampler = None
+        if spec.pvalue_mode == "montecarlo":
+            sampler = inference.ExtremeTailSampler(seed=spec.seed * 1_000_003 + grid_index)
+        for scenario in spec.scenarios:
+            if scenario in (1, 2):
+                zs = z1 if scenario == 1 else z2
+                p = [inference.normal_sf(v) if spec.one_sided
+                     else min(1.0, 2.0 * inference.normal_sf(abs(v))) for v in zs]
+            elif scenario in (3, 4):
+                mode = "max" if scenario == 3 else "min"
+                if sampler is not None:
+                    p = [inference.extreme_corr_mc_pvalue(a, c, rho_z, mode,
+                                                          two_sided=not spec.one_sided,
+                                                          sampler=sampler)
+                         for a, c in zip(z1, z2)]
+                elif spec.one_sided:
+                    p = [inference.extreme_corr_pvalue(a, c, rho_z, mode) for a, c in zip(z1, z2)]
+                else:
+                    p = [inference.extreme_corr_pvalue_two_sided(a, c, rho_z, mode)
+                         for a, c in zip(z1, z2)]
+            else:
+                p = bartlett
+            counts.append(sum(value < spec.alpha for value in p))
+    return counts
+
+
+@pytest.mark.parametrize("one_sided,mode,reps", [
+    (True, "formula", 300),
+    (False, "formula", 300),
+    (False, "montecarlo", 60),
+])
+def test_power_study_matches_per_replicate_reference(one_sided, mode, reps):
+    spec = simulation.PowerStudySpec(grid=((0.0, 0.0), (0.2, 0.04)), reps=reps, seed=9,
+                                     one_sided=one_sided, pvalue_mode=mode)
+    cells = simulation.power_study(spec).cells
+    assert [c.rejections for c in cells] == reference_power_counts(spec)
+
+
+def test_power_study_does_not_depend_on_chunk_size(monkeypatch):
+    spec = simulation.PowerStudySpec(grid=((0.1, 0.02),), reps=50, seed=3)
+    base = simulation.power_study(spec).cells
+    monkeypatch.setattr(simulation, "REPLICATE_CHUNK", 7)
+    assert simulation.power_study(spec).cells == base
+
+
+def iterative_homogeneity_statistic(samples_i, samples_j):
+    """The block-swap-constrained fit by alternating projection and flooring."""
+    n, k = samples_i.shape
+    stacked = np.hstack([samples_i, samples_j])
+    centered = stacked - stacked.mean(axis=0)
+    sample_cov = centered.T @ centered / n
+
+    def loglik(model):
+        _, logdet = np.linalg.slogdet(model)
+        return -0.5 * n * (logdet + np.trace(np.linalg.solve(model, sample_cov)))
+
+    current, previous = sample_cov, None
+    for _ in range(100):
+        marginal = (current[:k, :k] + current[k:, k:]) / 2.0
+        cross = (current[:k, k:] + current[:k, k:].T) / 2.0
+        candidate = np.block([[marginal, cross], [cross, marginal]])
+        values, vectors = np.linalg.eigh(candidate)
+        if values[0] < 1e-8:
+            candidate = (vectors * np.maximum(values, 1e-8)) @ vectors.T
+        value = loglik(candidate)
+        if previous is not None and abs(value - previous) < 1e-10:
+            break
+        previous, current = value, candidate
+    free = -0.5 * n * (np.linalg.slogdet(sample_cov)[1] + 2 * k)
+    return max(0.0, 2.0 * (free - loglik(candidate)))
+
+
+def test_homogeneity_closed_form_matches_iterative_fit():
+    rng = np.random.default_rng(17)
+    for case in range(200):
+        k = 1 + case % 3
+        n = int(rng.integers(2 * k + 2, 80))
+        mix = rng.normal(size=(2 * k, 2 * k))
+        draws = rng.normal(size=(n, 2 * k)) @ mix
+        out = inference.homogeneity_lrt(draws[:, :k], draws[:, k:])
+        expected = iterative_homogeneity_statistic(draws[:, :k], draws[:, k:])
+        assert out.statistic == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert out.p == pytest.approx(inference.chi2_sf(expected, k * k), rel=1e-8, abs=1e-12)
+
+
+def test_homogeneity_singular_covariance_raises():
+    rng = np.random.default_rng(2)
+    samples_i = rng.normal(size=(30, 2))
+    samples_j = np.column_stack([samples_i @ [0.6, 0.8], rng.normal(size=30)])
+    with pytest.raises(SingularCovariance):
+        inference.homogeneity_lrt(samples_i, samples_j)
+
+
+def test_tail_sampler_holds_one_table():
+    rhos = np.linspace(-0.9, 0.9, 50)
+    sampler = inference.ExtremeTailSampler(draws=20_000, seed=3)
+    table_bytes = 20_000 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        values = [sampler.pvalue(1.5, rho, "max") for rho in rhos]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * table_bytes
+    fresh = [inference.ExtremeTailSampler(draws=20_000, seed=3).pvalue(1.5, rho, "max")
+             for rho in rhos]
+    assert values == fresh
+
+
+def write_attribute_csvs(directory, data):
+    paths = []
+    for a, name in enumerate(data.attribute_names):
+        path = Path(directory) / f"{name}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["node_id"] + [f"s{t + 1}" for t in range(data.n_samples)])
+            for v, node in enumerate(data.node_ids):
+                writer.writerow([node] + [io_mod.fmt(x) for x in data.samples[v, a]])
+        paths.append(str(path))
+    return paths
+
+
+def test_cli_infer_survives_collinear_pair(tmp_path):
+    inputs = write_attribute_csvs(tmp_path, collinear_dataset())
+    assert main(["infer", *inputs, "--method", "cca", "--out", str(tmp_path / "run")]) == 0
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+    assert ["v0", "v1"] in meta["floored_pairs"]
+    assert meta["homogeneity"]["singular_pairs"] >= 1
+    assert meta["homogeneity"]["reject_fraction"] is not None
+
+
+def test_netstat_output_independent_of_hash_seed(tmp_path):
+    rng = np.random.default_rng(12)
+    ids = [f"node{i}" for i in range(60)]
+    pairs = {tuple(sorted(rng.choice(60, size=2, replace=False))) for _ in range(260)}
+    edges = tuple(EdgeRecord(ids[a], ids[b], "pearson", 0.5, 1.0, None, 0.01, 0.01)
+                  for a, b in sorted(pairs))
+    net = InferredNetwork(tuple(ids), ("attr",), "pearson", 0.05, 10, edges, len(edges))
+    io_mod.write_edges_csv(net, tmp_path / "graph" / "edges.csv")
+    io_mod.write_meta_json(net, tmp_path / "graph" / "meta.json")
+    src = str(Path(macnet.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2", "3"):
+        out = tmp_path / f"out{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "macnet.cli", "netstat",
+                        str(tmp_path / "graph" / "edges.csv"), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append(((out / "edges_distributions.csv").read_bytes(),
+                        (out / "summary.json").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_read_network_without_meta_keeps_first_seen_order(tmp_path):
+    edges = tuple(EdgeRecord(a, b, "pearson", 0.5, 1.0, None, 0.01, 0.01)
+                  for a, b in (("c", "a"), ("a", "d"), ("b", "c")))
+    net = InferredNetwork(("a", "b", "c", "d"), ("attr",), "pearson", 0.05, 10, edges, 3)
+    io_mod.write_edges_csv(net, tmp_path / "edges.csv")
+    assert io_mod.read_network(tmp_path / "edges.csv").node_ids == ("c", "a", "d", "b")
