@@ -58,7 +58,6 @@ from .numkernel import (
     cholesky,
     corr_matrix,
     general_eigen,
-    inverse,
     is_positive_definite,
     pearson_corr,
     sym_eigen,

@@ -7,8 +7,10 @@ Failures emit a machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +110,17 @@ def _cmd_infer(args) -> int:
     return 0
 
 
+def _distribution_stems(paths) -> dict:
+    """Per input path, the stem of its ``*_distributions.csv``: the file's own stem,
+    plus the first 8 hex digits of the path's SHA-256 when another input shares it."""
+    stems = Counter(path.stem for path in set(paths))
+    return {
+        path: path.stem if stems[path.stem] == 1
+        else f"{path.stem}_{hashlib.sha256(path.as_posix().encode()).hexdigest()[:8]}"
+        for path in paths
+    }
+
+
 def _cmd_netstat(args) -> int:
     networks = []
     for path in args.edges:
@@ -115,18 +128,15 @@ def _cmd_netstat(args) -> int:
             raise SchemaMismatch(f"edge file not found: {path}", path=str(path))
         networks.append((Path(path), io_mod.read_network(path)))
     out = Path(args.out)
+    stems = _distribution_stems([path for path, _ in networks])
     summaries = {}
     for path, net in networks:
+        if str(path) in summaries:
+            continue
         stats = network_mod.summary(net)
         summaries[str(path)] = io_mod.summary_dict(stats)
-        stem = path.stem
-        io_mod.write_distribution_csv(
-            net,
-            network_mod.degree_values(net),
-            network_mod.clustering_values(net),
-            network_mod.betweenness_values(net),
-            out / f"{stem}_distributions.csv",
-        )
+        io_mod.write_distribution_csv(net, stats.degrees, stats.clustering, stats.betweenness,
+                                      out / f"{stems[path]}_distributions.csv")
     io_mod.write_summary_json(summaries, out / "summary.json")
     if len(networks) > 1:
         rows = []

@@ -137,14 +137,6 @@ class NotPositiveDefinite(NumericalError):
         self.pivot_index = pivot_index
 
 
-class Singular(NumericalError):
-    pass
-
-
-class IllConditioned(NumericalError):
-    pass
-
-
 class SingularCovariance(NumericalError):
     pass
 

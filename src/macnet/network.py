@@ -10,8 +10,8 @@ connected components, and Jaccard overlap between edge sets.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,6 +38,9 @@ HOMOGENEITY_ALPHA = 0.05
 
 #: node pairs tested per batched step; working memory is O(PAIR_CHUNK k n)
 PAIR_CHUNK = 2048
+
+#: betweenness sources walked per batched step; working memory is O(SOURCE_CHUNK N_v)
+SOURCE_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +165,19 @@ class InferredNetwork:
         for e in self.edges:
             adj[e.node_i].add(e.node_j)
             adj[e.node_j].add(e.node_i)
+        return adj
+
+    @cached_property
+    def adjacency_matrix(self):
+        """Symmetric 0/1 adjacency in node order, as a ``scipy.sparse`` CSR matrix."""
+        from scipy.sparse import csr_matrix
+
+        index = {v: x for x, v in enumerate(self.node_ids)}
+        ends = np.array([(index[e.node_i], index[e.node_j]) for e in self.edges],
+                        dtype=np.intp).reshape(-1, 2)
+        rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
+        adj = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n_nodes,) * 2)
+        adj.data[:] = 1.0  # a pair listed twice is still one edge
         return adj
 
 
@@ -392,30 +408,23 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
 
 
 # --- graph statistics --------------------------------------------------------
+#
+# Every statistic is derived from ``InferredNetwork.adjacency_matrix``; scipy.sparse is
+# imported there and in the functions, not at module level, so ``import macnet.cli``
+# stays lean for the subcommands that draw no graph.
 
 def degree_values(net: InferredNetwork) -> np.ndarray:
-    adj = net.adjacency()
-    return np.array([len(adj[v]) for v in net.node_ids], dtype=float)
+    return np.diff(net.adjacency_matrix.indptr).astype(float)
 
 
 def clustering_values(net: InferredNetwork) -> np.ndarray:
     """Local clustering coefficient per node; nodes of degree < 2 score 0."""
-    adj = net.adjacency()
-    values = []
-    for v in net.node_ids:
-        neighbors = sorted(adj[v])
-        d = len(neighbors)
-        if d < 2:
-            values.append(0.0)
-            continue
-        links = sum(
-            1
-            for a in range(d)
-            for b in range(a + 1, d)
-            if neighbors[b] in adj[neighbors[a]]
-        )
-        values.append(2.0 * links / (d * (d - 1)))
-    return np.array(values, dtype=float)
+    adj = net.adjacency_matrix
+    degrees = np.diff(adj.indptr).astype(float)
+    # row v of (A @ A) * A counts each link among v's neighbours twice
+    links = np.asarray((adj @ adj).multiply(adj).sum(axis=1), dtype=float).ravel()
+    pairs = degrees * (degrees - 1)
+    return np.divide(links, pairs, out=np.zeros(net.n_nodes), where=degrees >= 2)
 
 
 def betweenness_values(net: InferredNetwork) -> np.ndarray:
@@ -423,65 +432,51 @@ def betweenness_values(net: InferredNetwork) -> np.ndarray:
 
     Shortest-path counts split evenly across equal-length paths; each
     unordered pair is counted once and the total is normalized by
-    (N_v - 1)(N_v - 2) / 2.
+    (N_v - 1)(N_v - 2) / 2.  Sources are taken ``SOURCE_CHUNK`` at a time and
+    walked one breadth-first level per sparse product, forwards for the path
+    counts and backwards for the dependencies (Brandes 2001; Kepner & Gilbert
+    2011), so working memory is O(SOURCE_CHUNK N_v).
     """
     n = net.n_nodes
-    index = {v: x for x, v in enumerate(net.node_ids)}
-    adj = net.adjacency()
-    # neighbours in node order, so the float sums never follow set (hash) order
-    neighbours = [sorted(index[w] for w in adj[v]) for v in net.node_ids]
-    centrality = [0.0] * n
-    for source in range(n):
-        stack = []
-        predecessors = [[] for _ in range(n)]
-        sigma = [0.0] * n
-        distance = [-1] * n
-        sigma[source] = 1.0
-        distance[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in neighbours[v]:
-                if distance[w] < 0:
-                    distance[w] = distance[v] + 1
-                    queue.append(w)
-                if distance[w] == distance[v] + 1:
-                    sigma[w] += sigma[v]
-                    predecessors[w].append(v)
-        dependency = [0.0] * n
-        while stack:
-            w = stack.pop()
-            for v in predecessors[w]:
-                dependency[v] += (sigma[v] / sigma[w]) * (1.0 + dependency[w])
-            if w != source:
-                centrality[w] += dependency[w]
     if n < 3:
         return np.zeros(n)
+    adj = net.adjacency_matrix
+    centrality = np.zeros(n)
+    for start in range(0, n, SOURCE_CHUNK):
+        sources = np.arange(start, min(start + SOURCE_CHUNK, n))
+        column = np.arange(sources.size)
+        # column s: shortest-path count and depth of every node, seen from source s
+        sigma = np.zeros((n, sources.size))
+        sigma[sources, column] = 1.0
+        depth = np.full(sigma.shape, -1)
+        depth[sources, column] = 0
+        frontier, level = sigma.copy(), 0
+        while True:
+            paths = adj @ frontier
+            reached = (paths > 0) & (depth < 0)
+            if not reached.any():
+                break
+            level += 1
+            depth[reached] = level
+            frontier = np.where(reached, paths, 0.0)
+            sigma += frontier
+        dependency = np.zeros_like(sigma)
+        for d in range(level, 0, -1):
+            share = np.divide(1.0 + dependency, sigma, out=np.zeros_like(sigma), where=depth == d)
+            dependency += np.where(depth == d - 1, sigma * (adj @ share), 0.0)
+        centrality += np.where(depth > 0, dependency, 0.0).sum(axis=1)
     norm = (n - 1) * (n - 2) / 2.0
     # halve: the accumulation visits each unordered pair from both endpoints
-    return np.array([c / 2.0 / norm for c in centrality], dtype=float)
+    return centrality / 2.0 / norm
 
 
 def largest_connected_component(net: InferredNetwork) -> int:
-    adj = net.adjacency()
-    seen = set()
-    best = 0
-    for start in net.node_ids:
-        if start in seen:
-            continue
-        size = 0
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            size += 1
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        best = max(best, size)
-    return best
+    if net.n_nodes == 0:
+        return 0
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(net.adjacency_matrix, directed=False)
+    return int(np.bincount(labels).max())
 
 
 @dataclass(frozen=True, eq=False)

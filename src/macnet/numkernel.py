@@ -1,5 +1,5 @@
 """Small dense matrix kernel: correlation estimation, eigendecomposition,
-Cholesky factorization, inversion and positive-definiteness checks.
+Cholesky factorization, inverse square roots and positive-definiteness checks.
 
 Everything here operates on tiny matrices (a few rows per attribute block),
 so the routines favour strict validation and deterministic output over
@@ -15,22 +15,17 @@ import numpy as np
 
 from .errors import (
     ComplexSpectrum,
-    IllConditioned,
     InsufficientSamples,
     LengthMismatch,
     NoConvergence,
     NotPositiveDefinite,
     NotSymmetric,
-    Singular,
     ZeroVariance,
 )
 
 #: relative eigenvalue threshold below which a matrix is not accepted as
 #: positive-definite
 PD_TOLERANCE = 1e-10
-
-#: condition-number cap for :func:`inverse`
-CONDITION_CAP = 1e12
 
 _SYMMETRY_TOL = 1e-12
 _SIGN_TOL = 1e-12
@@ -194,20 +189,6 @@ def pd_mask(a) -> np.ndarray:
 def is_positive_definite(a) -> bool:
     """True iff every eigenvalue exceeds ``PD_TOLERANCE`` relative to the largest."""
     return bool(pd_mask(require_symmetric(a)))
-
-
-def inverse(a) -> np.ndarray:
-    """Matrix inverse, guarded by a condition-number estimate."""
-    a = require_square(a)
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond):
-        raise Singular("matrix is singular")
-    if cond > CONDITION_CAP:
-        raise IllConditioned(f"condition estimate {cond:.3e} exceeds {CONDITION_CAP:.1e}")
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(str(exc)) from exc
 
 
 def inv_sqrt_spd_stack(a) -> np.ndarray:

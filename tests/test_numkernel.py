@@ -3,12 +3,10 @@ import pytest
 
 from macnet import numkernel
 from macnet.errors import (
-    IllConditioned,
     InsufficientSamples,
     LengthMismatch,
     NotPositiveDefinite,
     NotSymmetric,
-    Singular,
     ZeroVariance,
 )
 
@@ -240,29 +238,3 @@ class TestPositiveDefinite:
             except NotPositiveDefinite:
                 factored = False
             assert pd == factored
-
-
-class TestInverse:
-    def test_identity(self):
-        np.testing.assert_array_equal(numkernel.inverse(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            numkernel.inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-15
-        )
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(37)
-        for _ in range(50):
-            a = rng.normal(size=(4, 4))
-            spd = a @ a.T + 0.5 * np.eye(4)
-            inv = numkernel.inverse(spd)
-            assert np.max(np.abs(spd @ inv - np.eye(4))) < 1e-9
-
-    def test_singular(self):
-        with pytest.raises((Singular, IllConditioned)):
-            numkernel.inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_ill_conditioned(self):
-        with pytest.raises(IllConditioned):
-            numkernel.inverse(np.diag([1.0, 1e-14]))
