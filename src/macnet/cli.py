@@ -21,6 +21,7 @@ from . import io as io_mod
 from . import network as network_mod
 from . import simulation as simulation_mod
 from .errors import MacnetError, SchemaMismatch, UsageError
+from .inference import PVALUE_MODES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--method", choices=network_mod.METHODS, default="cca")
     p_infer.add_argument("--attributes", help="comma-separated attribute subset, by name")
     p_infer.add_argument("--fdr", type=_probability("--fdr"), default=0.05)
-    p_infer.add_argument("--pvalue-mode", choices=("formula", "montecarlo"), default="formula")
+    p_infer.add_argument("--pvalue-mode", choices=PVALUE_MODES, default="formula")
     p_infer.add_argument("--out", default=".", help="output directory")
 
     p_netstat = sub.add_parser("netstat", help="summary statistics and pairwise Jaccard overlap")
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenarios", default="1,2,3,4,5")
     p_sim.add_argument("--two-sided", action="store_true",
                        help="use the two-sided test variants (default one-sided)")
-    p_sim.add_argument("--pvalue-mode", choices=("formula", "montecarlo"), default="formula")
+    p_sim.add_argument("--pvalue-mode", choices=PVALUE_MODES, default="formula")
     p_sim.add_argument("--out", default=".")
 
     return parser
@@ -164,28 +165,11 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _read_node_classes(path) -> dict:
-    import csv as _csv
-
-    classes = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = _csv.reader(handle)
-        header = next(reader)
-        if header[:2] != ["node_id", "label"]:
-            raise SchemaMismatch(
-                f"{path}: expected node class CSV starting with node_id,label", path=str(path), line=1
-            )
-        for row in reader:
-            if row:
-                classes[row[0]] = row[1]
-    return classes
-
-
 def _cmd_enrich(args) -> int:
     for path in (args.classes, args.sets):
         if not Path(path).exists():
             raise SchemaMismatch(f"input file not found: {path}", path=str(path))
-    classes = _read_node_classes(args.classes)
+    classes = io_mod.read_node_classes(args.classes)
     gsc = enrichment_mod.load_gmt(args.sets, args.universe)
     exclude = [t.strip() for t in args.exclude.split(",")] if args.exclude else None
     report = enrichment_mod.enrich(classes, gsc, args.fdr, exclude=exclude)

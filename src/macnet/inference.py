@@ -39,6 +39,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: constraints on the cross block
 HOMOGENEITY_DF_FORMULA = "k(k+1)/2 + k(k-1)/2"
 
+#: max/min tail p-values: the paper's analytic approximation or a Monte Carlo panel
+PVALUE_MODES = ("formula", "montecarlo")
+
 
 def _float_or_array(value):
     """A 0-d result as a Python float; arrays pass through."""
@@ -293,7 +296,7 @@ def bh_fdr(pvalues: Sequence[float], gamma: float) -> FdrDecision:
     the largest i with p_(i) <= i * gamma / m; ties are ordered by original
     index.  q-values are q_(i) = min_{j >= i} m p_(j) / j clamped to 1.
     """
-    p = np.asarray(list(pvalues), dtype=float)
+    p = np.asarray(pvalues, dtype=float)
     if p.size and (np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0)):
         bad = int(np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))[0])
         raise InvalidP(f"p-value at index {bad} outside [0, 1]: {p[bad]}")
@@ -307,7 +310,7 @@ def bh_fdr(pvalues: Sequence[float], gamma: float) -> FdrDecision:
     ranks = np.arange(1, m + 1)
     passed = sorted_p <= ranks * gamma / m
     cutoff = int(np.max(np.nonzero(passed)[0]) + 1) if np.any(passed) else 0
-    rejected = tuple(sorted(int(i) for i in order[:cutoff]))
+    rejected = tuple(np.sort(order[:cutoff]).tolist())
     q_sorted = np.minimum.accumulate((m * sorted_p / ranks)[::-1])[::-1]
     q_sorted = np.minimum(q_sorted, 1.0)
     qvalues = np.empty(m)

@@ -60,6 +60,21 @@ def _rows_to_csv(rows) -> str:
     return buffer.getvalue()
 
 
+def _number(cell: str, path, lineno: int, col: int, convert=float):
+    try:
+        return convert(cell)
+    except ValueError:
+        raise NonNumericCell(f"{path}:{lineno}: column {col} is not numeric: {cell!r}",
+                             path=str(path), line=lineno, column=col)
+
+
+def _header(reader, path) -> list:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise SchemaMismatch(f"{path}: file is empty", path=str(path), line=1)
+
+
 # --- attribute ingestion ------------------------------------------------------
 
 
@@ -67,10 +82,7 @@ def _read_attribute_csv(path):
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch(f"{path}: file is empty", path=str(path), line=1)
+        header = _header(reader, path)
         if not header or header[0].strip() != "node_id":
             raise SchemaMismatch(
                 f"{path}: first header cell must be 'node_id'", path=str(path), line=1, column=1
@@ -100,16 +112,7 @@ def _read_attribute_csv(path):
             seen.add(node_id)
             values = []
             for col, cell in enumerate(row[1:], start=2):
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise NonNumericCell(
-                        f"{path}:{lineno}: column {col} is not numeric: {cell!r}",
-                        path=str(path),
-                        line=lineno,
-                        column=col,
-                    )
+                value = _number(cell, path, lineno, col)
                 if not np.isfinite(value):
                     raise NonNumericCell(
                         f"{path}:{lineno}: column {col} is not finite: {cell!r}",
@@ -211,10 +214,6 @@ def write_meta_json(net: InferredNetwork, path):
     atomic_write_text(path, json.dumps(network_meta(net), indent=2, sort_keys=True) + "\n")
 
 
-def _parse_optional_int(cell: str):
-    return int(cell) if cell != "" else None
-
-
 def read_network(edges_path, meta_path=None) -> InferredNetwork:
     """Re-build an inferred network from its CSV (and sibling metadata, if present)."""
     edges_path = Path(edges_path)
@@ -228,7 +227,7 @@ def read_network(edges_path, meta_path=None) -> InferredNetwork:
 
     with edges_path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = _header(reader, edges_path)
         if header[: len(EDGE_FIELDS)] != list(EDGE_FIELDS):
             raise SchemaMismatch(
                 f"{edges_path}: unexpected edge header {header[:8]}", path=str(edges_path), line=1
@@ -243,20 +242,20 @@ def read_network(edges_path, meta_path=None) -> InferredNetwork:
                     path=str(edges_path),
                     line=lineno,
                 )
-            contrib_cells = row[len(EDGE_FIELDS):]
             contrib = None
-            if any(cell != "" for cell in contrib_cells):
-                contrib = tuple(float(cell) for cell in contrib_cells)
+            if any(row[len(EDGE_FIELDS):]):
+                contrib = tuple(_number(row[col], edges_path, lineno, col + 1)
+                                for col in range(len(EDGE_FIELDS), len(row)))
             edges.append(
                 EdgeRecord(
                     node_i=row[0],
                     node_j=row[1],
                     method=row[2],
-                    similarity=float(row[3]),
-                    statistic=float(row[4]),
-                    df=_parse_optional_int(row[5]),
-                    p=float(row[6]),
-                    q=float(row[7]),
+                    similarity=_number(row[3], edges_path, lineno, 4),
+                    statistic=_number(row[4], edges_path, lineno, 5),
+                    df=_number(row[5], edges_path, lineno, 6, int) if row[5] != "" else None,
+                    p=_number(row[6], edges_path, lineno, 7),
+                    q=_number(row[7], edges_path, lineno, 8),
                     contrib=contrib,
                 )
             )
@@ -337,6 +336,24 @@ def write_edge_classes_csv(edge_classes: Sequence[EdgeClass], attribute_names, p
     for ec in edge_classes:
         rows.append([ec.pair[0], ec.pair[1], ec.label, fmt(ec.threshold)] + [fmt(c) for c in ec.contrib])
     atomic_write_text(path, _rows_to_csv(rows))
+
+
+def read_node_classes(path) -> dict:
+    """Node id -> class label from a node class CSV written by ``classify``."""
+    classes = {}
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        if _header(reader, path)[:2] != ["node_id", "label"]:
+            raise SchemaMismatch(f"{path}: expected node class CSV starting with node_id,label",
+                                 path=str(path), line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 2:
+                raise SchemaMismatch(f"{path}:{lineno}: expected at least 2 cells, found {len(row)}",
+                                     path=str(path), line=lineno)
+            classes[row[0]] = row[1]
+    return classes
 
 
 def write_node_classes_csv(node_classes: Sequence[NodeClass], attribute_names, path):

@@ -253,51 +253,42 @@ class _NodeFacts:
         scale = np.sqrt(self._sq[i][:, :, None] * self._sq[j][:, None, :])
         return gram, np.clip(gram / scale, -1.0, 1.0)
 
-    def joint(self, i, j, sigma_ij):
-        """Joint correlation matrices of the pairs, repaired where not positive-definite.
 
-        Returns (joint, floored, change, own).  Pairs that need repair or touch
-        a node without an inverse root (``own``) are re-estimated from their
-        stacked samples as ``PairCorrelationStructure.from_samples`` does, as
-        the repair magnifies last-bit differences in its input.
-        """
-        joint = np.block([[self.sigma[i], sigma_ij], [np.swapaxes(sigma_ij, 1, 2), self.sigma[j]]])
-        joint, floored, change = _floor_supermatrix(joint)
-        own = floored | ~self.pd[i] | ~self.pd[j]
-        stacked = np.concatenate([self.samples[i[own]], self.samples[j[own]]], axis=2)
-        joint[own], floored[own], change[own] = _floor_supermatrix(numkernel.corr_matrices(stacked))
-        return joint, floored, change, own
-
-
-def _test_cca(facts: _NodeFacts, i, j, sigma_ij):
-    """Canonical-correlation tests of the pairs (i[p], j[p]): similarity,
-    statistic and p (NaN where skipped), floored flags and repair changes."""
+def _test_cca(facts: _NodeFacts, i, j, sigma_ij, gamma: float):
+    """Canonical-correlation tests of the pairs (i[p], j[p]): similarity, statistic
+    and p (NaN where skipped), floored flags, repair changes, and a contribution
+    vector per pair, NaN unless p <= gamma (BH can reject no other pair)."""
     k = facts.k
-    joint, floored, change, own = facts.joint(i, j, sigma_ij)
+    joint = np.block([[facts.sigma[i], sigma_ij], [np.swapaxes(sigma_ij, 1, 2), facts.sigma[j]]])
+    joint, floored, change = _floor_supermatrix(joint)
+    # pairs that need repair or touch a node without an inverse root are re-estimated from
+    # their stacked samples as PairCorrelationStructure.from_samples does, as the repair
+    # magnifies last-bit differences in its input
+    own = floored | ~facts.pd[i] | ~facts.pd[j]
+    stacked = np.concatenate([facts.samples[i[own]], facts.samples[j[own]]], axis=2)
+    joint[own], floored[own], change[own] = _floor_supermatrix(numkernel.corr_matrices(stacked))
     ok = change <= FLOOR_SKIP_DELTA
     own &= ok
     # a clean or repaired joint matrix is positive-definite, and so are its blocks
     inv_i, inv_j = facts.inv_sqrt[i], facts.inv_sqrt[j]
     inv_i[own] = numkernel.inv_sqrt_spd_stack(joint[own, :k, :k])
     inv_j[own] = numkernel.inv_sqrt_spd_stack(joint[own, k:, k:])
-    roots = similarity.canonical_roots(inv_i[ok] @ joint[ok, :k, k:] @ inv_j[ok])
+    t = inv_i[ok] @ joint[ok, :k, k:] @ inv_j[ok]
+    roots = similarity.canonical_roots(t)
     test = inference.bartlett_chi2(roots, facts.n, k)
     out = np.full((3, i.size), np.nan)
     out[:, ok] = roots[:, 0], test.statistic, test.p
-    return (*out, floored, change)
-
-
-def _contributions(facts: _NodeFacts, i, j) -> list:
-    """Contribution vectors of the canonical-correlation edges (i[e], j[e])."""
-    k = facts.k
-    out = []
-    for start in range(0, i.size, PAIR_CHUNK):
-        ci, cj = i[start:start + PAIR_CHUNK], j[start:start + PAIR_CHUNK]
-        for block in facts.joint(ci, cj, facts.cross(ci, cj)[1])[0]:
-            structure = similarity.PairCorrelationStructure(block[:k, :k], block[k:, k:],
-                                                            block[:k, k:])
-            out.append(tuple(float(c) for c in similarity.canonical_corr(structure).contrib))
-    return out
+    # weights as canonical_corr forms them: v_j leads T'T (first index of the largest
+    # eigenvalue), w_j = S_jj^-1/2 v_j, w_i ~ S_ii^-1 S_ij w_j; p <= gamma keeps rho_c > 0
+    may_pass = test.p <= gamma
+    cand, t = np.flatnonzero(ok)[may_pass], t[may_pass]
+    values, vectors = np.linalg.eigh(np.swapaxes(t, 1, 2) @ t)
+    w_j = inv_j[cand] @ np.take_along_axis(vectors, values.argmax(axis=1)[:, None, None], axis=2)
+    w_i = inv_i[cand] @ (inv_i[cand] @ (joint[cand, :k, k:] @ w_j))
+    squared = np.concatenate([w_i, w_j], axis=2) ** 2
+    contrib = np.full((i.size, k), np.nan)
+    contrib[cand] = (squared / squared.sum(axis=1, keepdims=True)).mean(axis=2)
+    return (*out, floored, change, contrib)
 
 
 def infer_network(data: AttributeDataset, method: str, gamma: float, *,
@@ -314,8 +305,8 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     """
     if not (0.0 < gamma < 1.0):
         raise OutOfDomain(f"FDR level must lie in (0, 1), got {gamma}")
-    if pvalue_mode not in ("formula", "montecarlo"):
-        raise UsageError(f"pvalue_mode must be 'formula' or 'montecarlo', got {pvalue_mode!r}")
+    if pvalue_mode not in inference.PVALUE_MODES:
+        raise UsageError(f"pvalue_mode must be one of {inference.PVALUE_MODES}, got {pvalue_mode!r}")
     _check_preconditions(data, method)
 
     sampler = None
@@ -328,6 +319,7 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     sims, statistic, pvalues, hom_p = (np.full(first.size, np.nan) for _ in range(4))
     floored, singular = (np.zeros(first.size, dtype=bool) for _ in range(2))
     change = np.zeros(first.size)
+    contribs = np.full((first.size, k if method == "cca" else 0), np.nan)
     for start in range(0, first.size, PAIR_CHUNK):
         chunk = slice(start, start + PAIR_CHUNK)
         i, j = first[chunk], second[chunk]
@@ -351,8 +343,8 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
                     for a, b, r in zip(*zs.T, rho_z)
                 ]
         else:
-            sims[chunk], statistic[chunk], pvalues[chunk], floored[chunk], change[chunk] = (
-                _test_cca(facts, i, j, sigma_ij))
+            (sims[chunk], statistic[chunk], pvalues[chunk], floored[chunk], change[chunk],
+             contribs[chunk]) = _test_cca(facts, i, j, sigma_ij, gamma)
         if n >= 2 * k + 2:
             cov = np.block([[facts.gram[i], gram], [np.swapaxes(gram, 1, 2), facts.gram[j]]]) / n
             hom, singular[chunk] = inference.homogeneity_test_from_cov(cov, n)
@@ -375,8 +367,6 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     tested_index = np.flatnonzero(tested)
     decision = inference.bh_fdr(pvalues[tested_index], gamma)
     edge_index = tested_index[list(decision.rejected)]
-    contribs = (_contributions(facts, first[edge_index], second[edge_index])
-                if method == "cca" else [None] * edge_index.size)
     edges = tuple(
         EdgeRecord(
             node_i=ids[first[x]],
@@ -387,9 +377,9 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
             df=k * k if method == "cca" else None,
             p=float(pvalues[x]),
             q=float(decision.qvalues[idx]),
-            contrib=contrib,
+            contrib=tuple(float(c) for c in contribs[x]) if method == "cca" else None,
         )
-        for idx, x, contrib in zip(decision.rejected, edge_index, contribs)
+        for idx, x in zip(decision.rejected, edge_index)
     )
     return InferredNetwork(
         node_ids=data.node_ids,
@@ -471,12 +461,18 @@ def betweenness_values(net: InferredNetwork) -> np.ndarray:
 
 
 def largest_connected_component(net: InferredNetwork) -> int:
-    if net.n_nodes == 0:
-        return 0
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(net.adjacency_matrix, directed=False)
-    return int(np.bincount(labels).max())
+    """Size of the largest connected component (0 for a 0-node network), labelled by min-label
+    hooking and pointer jumping (Shiloach & Vishkin 1982) until no edge joins two labels."""
+    adj = net.adjacency_matrix.tocoo()
+    label = np.arange(net.n_nodes)
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, label[adj.row], label[adj.col])
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return int(np.bincount(label, minlength=1).max())
+        label = hooked
 
 
 @dataclass(frozen=True, eq=False)

@@ -96,8 +96,8 @@ class PowerStudySpec:
             raise OutOfDomain(f"reps must be positive, got {self.reps}")
         if not (0.0 < self.alpha < 1.0):
             raise OutOfDomain(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.pvalue_mode not in ("formula", "montecarlo"):
-            raise UsageError(f"pvalue_mode must be 'formula' or 'montecarlo', got {self.pvalue_mode!r}")
+        if self.pvalue_mode not in inference.PVALUE_MODES:
+            raise UsageError(f"pvalue_mode must be one of {inference.PVALUE_MODES}, got {self.pvalue_mode!r}")
         scenarios = tuple(int(s) for s in self.scenarios)
         if any(s not in SCENARIOS for s in scenarios):
             raise OutOfDomain(f"scenarios must be drawn from {SCENARIOS}, got {scenarios}")

@@ -150,6 +150,17 @@ def test_batched_path_matches_per_pair_reference(method, make):
     assert_matches_reference(net, reference_network(data, method, 0.05))
 
 
+@pytest.mark.parametrize("make", [make for method, make in CASES if method == "cca"])
+def test_cca_runs_no_per_pair_solver(make, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-pair canonical solver called on the batched path")
+
+    monkeypatch.setattr(similarity, "canonical_corr", refuse)
+    monkeypatch.setattr(similarity, "PairCorrelationStructure", refuse)
+    net = infer_network(make(), "cca", 0.05)
+    assert net.edges and all(len(e.contrib) == len(net.attribute_names) for e in net.edges)
+
+
 def test_monte_carlo_mode_matches_per_pair_reference():
     data = planted_dataset(8, 5, 2)
     net = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")

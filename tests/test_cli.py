@@ -223,6 +223,48 @@ class TestCliNetstatClassifyEnrich:
         assert code == 2
 
 
+class TestMalformedEdgeAndClassFiles:
+    """Each case exits 2 with a JSON error naming the file and line."""
+
+    EDGE_HEADER = "node_i,node_j,method,similarity,statistic,df,p,q,contrib_1,contrib_2\n"
+
+    def run(self, capsys, argv):
+        assert main(argv) == 2
+        return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+    def netstat(self, tmp_path, capsys, text):
+        (tmp_path / "edges.csv").write_text(text)
+        return self.run(capsys, ["netstat", str(tmp_path / "edges.csv"),
+                                 "--out", str(tmp_path / "out")])
+
+    def enrich(self, tmp_path, capsys, text):
+        (tmp_path / "node_classes.csv").write_text(text)
+        (tmp_path / "sets.gmt").write_text("set_one\tdesc\tv0\tv1\n")
+        return self.run(capsys, ["enrich", str(tmp_path / "node_classes.csv"),
+                                 str(tmp_path / "sets.gmt"), "--universe", "50",
+                                 "--out", str(tmp_path / "out")])
+
+    def test_empty_edge_file(self, tmp_path, capsys):
+        err = self.netstat(tmp_path, capsys, "")
+        assert (err["error"], err["path"], err["line"]) == (
+            "SchemaMismatch", str(tmp_path / "edges.csv"), 1)
+
+    def test_non_numeric_edge_cell(self, tmp_path, capsys):
+        err = self.netstat(tmp_path, capsys, self.EDGE_HEADER
+                           + "a,b,cca,0.9,30.1,4,0.001,0.002,0.5,0.5\n"
+                           + "a,c,cca,0.8,25.3,4,small,0.003,0.4,0.6\n")
+        assert (err["error"], err["line"], err["column"]) == ("NonNumericCell", 3, 7)
+
+    def test_node_class_row_with_one_cell(self, tmp_path, capsys):
+        err = self.enrich(tmp_path, capsys, "node_id,label\nv0,protein\nv1\n")
+        assert (err["error"], err["path"], err["line"]) == (
+            "SchemaMismatch", str(tmp_path / "node_classes.csv"), 3)
+
+    def test_empty_node_class_file(self, tmp_path, capsys):
+        err = self.enrich(tmp_path, capsys, "")
+        assert (err["error"], err["line"]) == ("SchemaMismatch", 1)
+
+
 class TestExitCodeMapping:
     def test_error_classes_carry_exit_codes(self):
         from macnet import errors

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from _oracles import brute_force_lcc
 
 import macnet
 from macnet import io as io_mod, network
@@ -48,6 +49,30 @@ def test_pair_listed_twice_is_one_edge():
     np.testing.assert_array_equal(network.degree_values(net), [2, 2, 2, 0])
     np.testing.assert_array_equal(network.clustering_values(net), [1, 1, 1, 0])
     assert network.largest_connected_component(net) == 3
+
+
+def test_largest_component_matches_brute_force():
+    rng = np.random.default_rng(8)
+    nets = [random_graph(seed, int(rng.integers(2, 40)), int(rng.integers(0, 50)))
+            for seed in range(200)]
+    path_ids = [f"p{i}" for i in range(1000)]
+    nets.append(graph(path_ids[::-1], zip(path_ids[:-1], path_ids[1:])))
+    nets.append(graph(["a", "b", "c"], []))
+    for net in nets:
+        pairs = [(e.node_i, e.node_j) for e in net.edges]
+        assert network.largest_connected_component(net) == brute_force_lcc(net.node_ids, pairs)
+
+
+def test_netstat_leaves_csgraph_unloaded(tmp_path):
+    io_mod.write_edges_csv(random_graph(5, 40, 60), tmp_path / "edges.csv")
+    src = str(Path(macnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys; from macnet.cli import main; "
+             f"main(['netstat', {str(tmp_path / 'edges.csv')!r}, '--out', {str(tmp_path)!r}]); "
+             "print('scipy.sparse.csgraph' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_import_cli_leaves_scipy_sparse_unloaded():

@@ -251,6 +251,14 @@ class TestBhFdr:
         mapped = tuple(sorted(int(perm[i]) for i in shuffled.rejected))
         assert mapped == base.rejected
 
+    def test_array_input_matches_list(self):
+        p = np.random.default_rng(33).uniform(size=300) ** 3
+        from_array, from_list = bh_fdr(p, 0.1), bh_fdr(p.tolist(), 0.1)
+        assert from_array.rejected == from_list.rejected
+        assert all(type(i) is int for i in from_array.rejected)
+        assert from_array.cutoff_index == from_list.cutoff_index > 0
+        np.testing.assert_array_equal(from_array.qvalues, from_list.qvalues)
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidP):
             bh_fdr([0.5, 1.2], 0.05)
