@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import EmptyInput, InvalidCounts, SchemaMismatch
 from .inference import bh_fdr
 
@@ -31,7 +33,7 @@ class GeneSetCollection:
             raise EmptyInput("no identifier sets supplied")
         normalized = {}
         for name, members in self.sets.items():
-            members = frozenset(str(m) for m in members)
+            members = frozenset(map(str, members))
             if not members:
                 raise EmptyInput(f"set {name!r} is empty")
             if len(members) > self.universe_size:
@@ -71,7 +73,7 @@ def parse_gmt(source) -> dict:
         name = fields[0].strip()
         if name in sets:
             raise SchemaMismatch(f"{origin}:{lineno}: duplicate set {name!r}", path=origin, line=lineno)
-        members = [m.strip() for m in fields[2:] if m.strip()]
+        members = [m for m in map(str.strip, fields[2:]) if m]
         if not members:
             raise SchemaMismatch(f"{origin}:{lineno}: set {name!r} has no members", path=origin, line=lineno)
         sets[name] = members
@@ -86,42 +88,61 @@ def load_gmt(path, universe_size: int) -> GeneSetCollection:
     return GeneSetCollection(universe_size=universe_size, sets=sets, descriptions=descriptions)
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _counts(name: str, value) -> np.ndarray:
+    values = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(values) & (values >= 0) & (values == np.floor(values)))
+    if bad.any():
+        raise InvalidCounts(f"{name} must be a non-negative integer, got {values[bad].flat[0]:g}")
+    return values.astype(np.int64)
+
+
+def _upper_tails(overlap, class_size, set_size, universe: int) -> np.ndarray:
+    """P(X >= overlap) for each test, X counting set members among class_size draws.
+
+    ``overlap``, ``class_size`` and ``set_size`` broadcast against each other
+    to one dimension or more; a test with overlap 0 gives 1.  Every other
+    test's terms C(s, t) C(U - s, c - t) / C(U, c), t from
+    max(overlap, c - (U - s)) to min(c, s), are laid out in one flat array
+    from a shared log-factorial table and summed in log space per test, so
+    universes of several thousand identifiers stay well inside
+    floating-point range.  Working memory is O(sum of the tests' ranges).
+    """
+    o, c, s = np.broadcast_arrays(_counts("overlap", overlap), _counts("class_size", class_size),
+                                  _counts("set_size", set_size))
+    U = int(_counts("universe", universe))
+    if np.any(c > U) or np.any(s > U):
+        raise InvalidCounts("class and set sizes cannot exceed the universe")
+    if np.any(o > c) or np.any(o > s):
+        raise InvalidCounts("overlap cannot exceed class or set size")
+    p = np.ones(o.shape)
+    tested = np.nonzero(o)
+    if tested[0].size:
+        o, c, s = o[tested], c[tested], s[tested]
+        # the checks above make every range non-empty and every table index
+        # below lie in [0, U]
+        lo = np.maximum(o, c - (U - s))
+        width = np.minimum(c, s) - lo + 1
+        starts = np.cumsum(width) - width
+        test = np.repeat(np.arange(width.size), width)
+        t = lo[test] + np.arange(test.size) - starts[test]
+        cc, ss = c[test], s[test]
+        log_fact = np.array([math.lgamma(m + 1) for m in range(U + 1)])
+        log_denominator = log_fact[U] - log_fact[cc] - log_fact[U - cc]
+        terms = ((log_fact[ss] - log_fact[t] - log_fact[ss - t])
+                 + (log_fact[U - ss] - log_fact[cc - t] - log_fact[U - ss - cc + t])
+                 - log_denominator)
+        peak = np.maximum.reduceat(terms, starts)
+        total = np.bincount(test, weights=np.exp(terms - peak[test]), minlength=width.size)
+        p[tested] = np.minimum(1.0, np.exp(peak + np.log(total)))
+    return p
 
 
 def hypergeom_upper(overlap: int, class_size: int, set_size: int, universe: int) -> float:
     """P(X >= overlap) for X counting set members among class_size draws.
 
-    Summed in log space so universes of several thousand identifiers stay
-    well inside floating-point range.
+    One test through the batched ``_upper_tails``.
     """
-    for name, value in (("overlap", overlap), ("class_size", class_size),
-                        ("set_size", set_size), ("universe", universe)):
-        if int(value) != value or value < 0:
-            raise InvalidCounts(f"{name} must be a non-negative integer, got {value}")
-    if class_size > universe or set_size > universe:
-        raise InvalidCounts("class and set sizes cannot exceed the universe")
-    if overlap > class_size or overlap > set_size:
-        raise InvalidCounts("overlap cannot exceed class or set size")
-    if overlap == 0:
-        return 1.0
-    log_denominator = _log_comb(universe, class_size)
-    upper = min(class_size, set_size)
-    log_terms = []
-    for t in range(overlap, upper + 1):
-        if class_size - t > universe - set_size:
-            continue
-        log_terms.append(
-            _log_comb(set_size, t)
-            + _log_comb(universe - set_size, class_size - t)
-            - log_denominator
-        )
-    if not log_terms:
-        return 0.0
-    peak = max(log_terms)
-    total = peak + math.log(sum(math.exp(term - peak) for term in log_terms))
-    return min(1.0, math.exp(total))
+    return float(_upper_tails([overlap], [class_size], [set_size], universe)[0])
 
 
 @dataclass(frozen=True)
@@ -153,13 +174,14 @@ def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
     ``classes`` maps node id to class label.  Nodes absent from every set
     are dropped first (and reported); class sizes are measured on the
     retained nodes.  ``exclude`` removes sets whose name contains any of the
-    given substrings.
+    given substrings; empty or blank substrings are ignored.  Each class's
+    tail probabilities come from one ``_upper_tails`` call over all sets.
     """
     annotated = gsc.annotated()
     retained = {v: label for v, label in classes.items() if str(v) in annotated}
     unmatched = tuple(sorted(str(v) for v in classes if str(v) not in annotated))
 
-    excluded = tuple(exclude or ())
+    excluded = tuple(token for token in exclude or () if token.strip())
     sets = {
         name: members
         for name, members in gsc.sets.items()
@@ -173,14 +195,16 @@ def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
         if label not in labels:
             warnings.append(f"class {label!r} has no annotated members; skipped")
 
+    names = sorted(sets)
+    set_sizes = [len(sets[name]) for name in names]
     rows = []
     for label in labels:
         members = {str(v) for v, lab in retained.items() if lab == label}
         class_size = len(members)
-        for name in sorted(sets):
-            overlap = len(members & sets[name])
-            p = hypergeom_upper(overlap, class_size, len(sets[name]), gsc.universe_size)
-            rows.append((label, name, overlap, class_size, len(sets[name]), p))
+        overlaps = [len(members & sets[name]) for name in names]
+        pvalues = _upper_tails(overlaps, class_size, set_sizes, gsc.universe_size).tolist()
+        rows.extend((label, name, overlap, class_size, set_size, p)
+                    for name, overlap, set_size, p in zip(names, overlaps, set_sizes, pvalues))
 
     decision = bh_fdr([row[5] for row in rows], gamma)
     rejected = set(decision.rejected)

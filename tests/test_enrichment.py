@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from _oracles import exact_hypergeom_upper
 
+from macnet import enrichment
+from macnet.cli import main
 from macnet.enrichment import (
     GeneSetCollection,
+    _upper_tails,
     enrich,
     hypergeom_upper,
     load_gmt,
@@ -174,3 +178,116 @@ class TestEnrich:
     def test_empty_sets_rejected(self):
         with pytest.raises(EmptyInput):
             GeneSetCollection(universe_size=10, sets={})
+
+
+class TestUpperTails:
+    """The batched tail routine every enrichment p-value comes from."""
+
+    def test_matches_exact_enumeration(self):
+        rng = np.random.default_rng(29)
+        universes = rng.integers(1, 31, size=1000)
+        for universe in np.unique(universes):
+            universe = int(universe)
+            count = int(np.sum(universes == universe))
+            set_size = rng.integers(0, universe + 1, size=count)
+            class_size = rng.integers(0, universe + 1, size=count)
+            overlap = rng.integers(0, np.minimum(set_size, class_size) + 1)
+            values = _upper_tails(overlap, class_size, set_size, universe)
+            expected = [float(exact_hypergeom_upper(int(o), int(c), int(s), universe))
+                        for o, c, s in zip(overlap, class_size, set_size)]
+            np.testing.assert_allclose(values, expected, rtol=1e-10, atol=1e-300)
+
+    def test_large_universe_matches_scipy(self):
+        from scipy.stats import hypergeom
+
+        rng = np.random.default_rng(31)
+        universe = 5017
+        set_size = rng.integers(1, 400, size=300)
+        class_size = rng.integers(1, 2000, size=300)
+        overlap = rng.integers(1, np.minimum(set_size, class_size) + 1)
+        values = _upper_tails(overlap, class_size, set_size, universe)
+        expected = hypergeom.sf(overlap - 1, universe, set_size, class_size)
+        np.testing.assert_allclose(values, expected, rtol=1e-9, atol=1e-300)
+
+    def test_edge_cases(self):
+        # overlap 0; c = U and s = U (X is certain); overlap below the least
+        # possible X = c - (U - s), so the range starts above it and p is 1
+        values = _upper_tails([0, 3, 4, 2], [5, 10, 4, 5], [4, 3, 10, 8], 10)
+        assert values.tolist() == [1.0, 1.0, 1.0, pytest.approx(1.0, rel=1e-14)]
+        assert values.max() <= 1.0
+        # the lower bound c - (U - s) cuts the range short of overlap 1
+        assert _upper_tails([1], [9], [3], 10)[0] == pytest.approx(
+            float(exact_hypergeom_upper(1, 9, 3, 10)), rel=1e-12)
+        # a single-point range at the top of the support
+        assert _upper_tails([3], [5], [3], 10)[0] == pytest.approx(
+            float(exact_hypergeom_upper(3, 5, 3, 10)), rel=1e-12)
+        empty = _upper_tails([], [], [], 10)
+        assert empty.shape == (0,) and empty.dtype == float
+        assert _upper_tails([], 3, [], 10).shape == (0,)
+
+    def test_scalar_call_is_the_batched_value(self):
+        rng = np.random.default_rng(37)
+        universe = 400
+        set_size = rng.integers(1, universe + 1, size=200)
+        class_size = rng.integers(1, universe + 1, size=200)
+        overlap = rng.integers(0, np.minimum(set_size, class_size) + 1)
+        batched = _upper_tails(overlap, class_size, set_size, universe)
+        scalar = [hypergeom_upper(int(o), int(c), int(s), universe)
+                  for o, c, s in zip(overlap, class_size, set_size)]
+        assert batched.tolist() == scalar
+
+    @pytest.mark.parametrize("args", [
+        ([-1, 1], [3, 3], [2, 2], 10),
+        ([1, 1], [3, -3], [2, 2], 10),
+        ([1, 1], [3, 3], [2, 2.5], 10),
+        ([1, 1], [11, 3], [2, 2], 10),
+        ([1, 1], [3, 3], [2, 11], 10),
+        ([1, 4], [3, 3], [2, 5], 10),
+        ([1, float("nan")], [3, 3], [2, 2], 10),
+        ([1], [3], [2], -1),
+    ])
+    def test_invalid_counts_raise(self, args):
+        with pytest.raises(InvalidCounts):
+            _upper_tails(*args)
+
+
+class TestEnrichBatched:
+    def test_enrich_does_not_call_scalar_tail(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enrich called the scalar hypergeom_upper")
+
+        monkeypatch.setattr(enrichment, "hypergeom_upper", forbidden)
+        TestEnrich().test_constructed_extreme_enrichment()
+
+    def test_class_larger_than_universe_raises(self):
+        # the two sets fit the universe, but together they annotate six nodes
+        gsc = GeneSetCollection(universe_size=4, sets={"s1": ["g1", "g2", "g3"],
+                                                       "s2": ["g4", "g5", "g6"]})
+        classes = {f"g{i}": "a" for i in range(1, 7)}
+        with pytest.raises(InvalidCounts):
+            enrich(classes, gsc, gamma=0.05)
+
+    def test_blank_exclusion_tokens_ignored(self):
+        gsc = GeneSetCollection(
+            universe_size=50, sets={"CANCER_PATH": ["g1"], "SIGNALING": ["g1", "g2"]}
+        )
+        classes = {"g1": "a", "g2": "a"}
+        plain = enrich(classes, gsc, gamma=0.05, exclude=["CANCER"])
+        padded = enrich(classes, gsc, gamma=0.05, exclude=["CANCER", "", "  "])
+        assert padded.results == plain.results
+        assert enrich(classes, gsc, gamma=0.05, exclude=[""]).results == enrich(
+            classes, gsc, gamma=0.05).results
+
+    def test_cli_trailing_comma_in_exclude(self, tmp_path):
+        (tmp_path / "node_classes.csv").write_text(
+            "node_id,label\ng1,protein\ng2,protein\ng3,gene\ng4,gene\n")
+        (tmp_path / "sets.gmt").write_text(
+            "CANCER_PATH\tdesc\tg1\tg2\nSIGNALING\tdesc\tg1\tg2\tg3\nOTHER\tdesc\tg3\tg4\n")
+        outputs = []
+        for exclude in ("CANCER", "CANCER,"):
+            out = tmp_path / exclude.replace(",", "_comma")
+            assert main(["enrich", str(tmp_path / "node_classes.csv"), str(tmp_path / "sets.gmt"),
+                         "--universe", "50", "--exclude", exclude, "--out", str(out)]) == 0
+            outputs.append((out / "enrichment.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 1 + 2 * 2
