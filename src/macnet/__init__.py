@@ -37,7 +37,6 @@ from .inference import (
     extreme_corr_pvalue,
     extreme_corr_pvalue_two_sided,
     fisher_z,
-    homogeneity_lrt,
     normal_sf,
 )
 from .network import (
@@ -53,19 +52,10 @@ from .network import (
     largest_connected_component,
     summary,
 )
-from .numkernel import (
-    EigenResult,
-    cholesky,
-    corr_matrix,
-    general_eigen,
-    is_positive_definite,
-    pearson_corr,
-    sym_eigen,
-)
+from .numkernel import cholesky
 from .similarity import (
     CanonicalSolution,
     K2Params,
-    PairCorrelationStructure,
     aggregate_extreme,
     canonical_corr,
     canonical_corr_homogeneous,

@@ -21,6 +21,9 @@ DEFAULT_THRESHOLD = 0.25
 MIXED_LABEL = "mixed"
 UNCLASSIFIED_LABEL = "unclassified"
 
+#: bins of the contribution histogram over [0, 1]
+HISTOGRAM_BINS = 50
+
 _SUM_TOL = 1e-9
 
 
@@ -125,11 +128,12 @@ def classify_network(net, t: float = DEFAULT_THRESHOLD):
     return edge_classes, node_classes
 
 
-def contribution_histogram(edge_classes: Sequence[EdgeClass], attribute_index: int = 0,
-                           bins: int = 50) -> np.ndarray:
-    """Binned counts of one attribute's contribution across edges, over [0, 1]."""
+def contribution_histogram(edge_classes: Sequence[EdgeClass],
+                           attribute_index: int = 0) -> np.ndarray:
+    """Counts of one attribute's contribution across edges in ``HISTOGRAM_BINS`` bins
+    over [0, 1]."""
     values = [ec.contrib[attribute_index] for ec in edge_classes]
-    counts, _ = np.histogram(values, bins=bins, range=(0.0, 1.0))
+    counts, _ = np.histogram(values, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return counts
 
 

@@ -189,17 +189,23 @@ def _parse_grid(text: str):
         token = token.strip()
         if not token:
             continue
-        parts = token.split(":")
-        if len(parts) != 2:
-            raise UsageError(f"grid points must look like r:b, got {token!r}")
-        points.append((float(parts[0]), float(parts[1])))
+        try:
+            r, b = map(float, token.split(":"))
+        except ValueError:
+            raise UsageError(f"grid points must look like r:b with numbers r and b, "
+                             f"got {token!r}") from None
+        points.append((r, b))
     if not points:
         raise UsageError("empty --grid")
     return tuple(points)
 
 
 def _cmd_simulate(args) -> int:
-    scenarios = tuple(int(s) for s in args.scenarios.split(",") if s.strip())
+    try:
+        scenarios = tuple(int(s) for s in args.scenarios.split(",") if s.strip())
+    except ValueError:
+        raise UsageError(f"--scenarios must be comma-separated integers, "
+                         f"got {args.scenarios!r}") from None
     if args.grid:
         grid = _parse_grid(args.grid)
     else:
@@ -212,6 +218,9 @@ def _cmd_simulate(args) -> int:
             r, b = simulation_mod.SLICES[args.slice](float(t))
             if simulation_mod.K2Params(r=r, b=b, rho1=args.rho1, rho2=args.rho2).valid():
                 valid.append(float(t))
+        if not valid:
+            raise UsageError(f"no point of slice {args.slice} is valid at "
+                             f"rho1={args.rho1}, rho2={args.rho2}")
         top = max(valid)
         grid = simulation_mod.slice_grid(args.slice, np.linspace(0.0, 0.95 * top, args.points))
     spec = simulation_mod.PowerStudySpec(

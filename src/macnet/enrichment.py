@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .classify import UNCLASSIFIED_LABEL
 from .errors import EmptyInput, InvalidCounts, SchemaMismatch
 from .inference import bh_fdr
 
@@ -36,10 +37,12 @@ class GeneSetCollection:
             members = frozenset(map(str, members))
             if not members:
                 raise EmptyInput(f"set {name!r} is empty")
-            if len(members) > self.universe_size:
-                raise InvalidCounts(f"set {name!r} is larger than the universe")
             normalized[str(name)] = members
         object.__setattr__(self, "sets", normalized)
+        annotated = len(self.annotated())
+        if annotated > self.universe_size:
+            raise InvalidCounts(f"the sets annotate {annotated} identifiers, more than the "
+                                f"universe size {self.universe_size}")
 
     def annotated(self) -> frozenset:
         """Identifiers appearing in at least one set."""
@@ -167,15 +170,15 @@ class EnrichmentReport:
 
 
 def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
-           exclude: Optional[Sequence[str]] = None,
-           skip_labels: Sequence[str] = ("unclassified",)) -> EnrichmentReport:
+           exclude: Optional[Sequence[str]] = None) -> EnrichmentReport:
     """Test every retained (class, set) pair and control FDR across the family.
 
-    ``classes`` maps node id to class label.  Nodes absent from every set
-    are dropped first (and reported); class sizes are measured on the
-    retained nodes.  ``exclude`` removes sets whose name contains any of the
-    given substrings; empty or blank substrings are ignored.  Each class's
-    tail probabilities come from one ``_upper_tails`` call over all sets.
+    ``classes`` maps node id to class label; unclassified nodes form no class.
+    Nodes absent from every set are dropped first (and reported); class sizes
+    are measured on the retained nodes.  ``exclude`` removes sets whose name
+    contains any of the given substrings; empty or blank substrings are
+    ignored.  Each class's tail probabilities come from one ``_upper_tails``
+    call over all sets.
     """
     annotated = gsc.annotated()
     retained = {v: label for v, label in classes.items() if str(v) in annotated}
@@ -189,8 +192,8 @@ def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
     }
 
     warnings = []
-    labels = sorted({label for label in retained.values() if label not in skip_labels})
-    all_labels = sorted({label for label in classes.values() if label not in skip_labels})
+    labels = sorted({label for label in retained.values() if label != UNCLASSIFIED_LABEL})
+    all_labels = sorted({label for label in classes.values() if label != UNCLASSIFIED_LABEL})
     for label in all_labels:
         if label not in labels:
             warnings.append(f"class {label!r} has no annotated members; skipped")

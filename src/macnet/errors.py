@@ -123,22 +123,10 @@ class NotSymmetric(NumericalError):
     pass
 
 
-class NoConvergence(NumericalError):
-    pass
-
-
-class ComplexSpectrum(NumericalError):
-    pass
-
-
 class NotPositiveDefinite(NumericalError):
     def __init__(self, message, pivot_index=None):
         super().__init__(message)
         self.pivot_index = pivot_index
-
-
-class SingularCovariance(NumericalError):
-    pass
 
 
 class InternalNumericalError(NumericalError):

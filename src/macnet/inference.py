@@ -28,7 +28,6 @@ from .errors import (
     LengthMismatch,
     NonFiniteInput,
     RootOutOfRange,
-    SingularCovariance,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -327,7 +326,8 @@ class HomogeneityTest:
 
 def homogeneity_test_from_cov(sample_cov, n: int):
     """Closed-form homogeneity likelihood ratio test on a stack (m, 2k, 2k) of
-    maximum-likelihood covariances C of the stacked pair vector.
+    maximum-likelihood covariances C of the stacked pair vector: equal marginal
+    blocks and a symmetric cross block against an unconstrained Gaussian fit.
 
     Under block-swap invariance the MLE is the group average M = (C + PCP)/2
     (P swaps the two k-blocks), positive-definite whenever C is; since
@@ -347,24 +347,3 @@ def homogeneity_test_from_cov(sample_cov, n: int):
     df = k * (k + 1) // 2 + k * (k - 1) // 2
     return HomogeneityTest(statistic=statistic, df=df, p=chi2_sf(statistic, df)), singular
 
-
-def homogeneity_lrt(samples_i, samples_j) -> HomogeneityTest:
-    """Likelihood ratio test of equal marginal blocks and a symmetric cross block.
-
-    Fits the stacked 2k-vector as Gaussian, unconstrained versus constrained
-    to a block-swap-invariant covariance (see :func:`homogeneity_test_from_cov`).
-    """
-    samples_i = numkernel.as_matrix(samples_i)
-    samples_j = numkernel.as_matrix(samples_j)
-    if samples_i.shape != samples_j.shape:
-        raise LengthMismatch("sample blocks have mismatched shapes")
-    n, k = samples_i.shape
-    if n < 2 * k + 2:
-        raise InsufficientSamples(f"need at least {2 * k + 2} samples for k={k}, got {n}")
-    stacked = np.hstack([samples_i, samples_j])
-    centered = stacked - stacked.mean(axis=0)
-    sample_cov = centered.T @ centered / n
-    test, singular = homogeneity_test_from_cov(sample_cov[None], n)
-    if singular[0]:
-        raise SingularCovariance("stacked sample covariance is singular")
-    return HomogeneityTest(statistic=float(test.statistic[0]), df=test.df, p=float(test.p[0]))

@@ -214,16 +214,11 @@ def write_meta_json(net: InferredNetwork, path):
     atomic_write_text(path, json.dumps(network_meta(net), indent=2, sort_keys=True) + "\n")
 
 
-def read_network(edges_path, meta_path=None) -> InferredNetwork:
+def read_network(edges_path) -> InferredNetwork:
     """Re-build an inferred network from its CSV (and sibling metadata, if present)."""
     edges_path = Path(edges_path)
-    meta = None
-    if meta_path is None:
-        candidate = edges_path.parent / META_FILENAME
-        if candidate.exists():
-            meta_path = candidate
-    if meta_path is not None:
-        meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+    meta_path = edges_path.parent / META_FILENAME
+    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else None
 
     with edges_path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)

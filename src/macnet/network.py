@@ -262,8 +262,7 @@ def _test_cca(facts: _NodeFacts, i, j, sigma_ij, gamma: float):
     joint = np.block([[facts.sigma[i], sigma_ij], [np.swapaxes(sigma_ij, 1, 2), facts.sigma[j]]])
     joint, floored, change = _floor_supermatrix(joint)
     # pairs that need repair or touch a node without an inverse root are re-estimated from
-    # their stacked samples as PairCorrelationStructure.from_samples does, as the repair
-    # magnifies last-bit differences in its input
+    # their stacked samples, as the repair magnifies last-bit differences in its input
     own = floored | ~facts.pd[i] | ~facts.pd[j]
     stacked = np.concatenate([facts.samples[i[own]], facts.samples[j[own]]], axis=2)
     joint[own], floored[own], change[own] = _floor_supermatrix(numkernel.corr_matrices(stacked))
@@ -278,16 +277,12 @@ def _test_cca(facts: _NodeFacts, i, j, sigma_ij, gamma: float):
     test = inference.bartlett_chi2(roots, facts.n, k)
     out = np.full((3, i.size), np.nan)
     out[:, ok] = roots[:, 0], test.statistic, test.p
-    # weights as canonical_corr forms them: v_j leads T'T (first index of the largest
-    # eigenvalue), w_j = S_jj^-1/2 v_j, w_i ~ S_ii^-1 S_ij w_j; p <= gamma keeps rho_c > 0
+    # p <= gamma keeps rho_c > 0, so every candidate's weights are well defined
     may_pass = test.p <= gamma
-    cand, t = np.flatnonzero(ok)[may_pass], t[may_pass]
-    values, vectors = np.linalg.eigh(np.swapaxes(t, 1, 2) @ t)
-    w_j = inv_j[cand] @ np.take_along_axis(vectors, values.argmax(axis=1)[:, None, None], axis=2)
-    w_i = inv_i[cand] @ (inv_i[cand] @ (joint[cand, :k, k:] @ w_j))
-    squared = np.concatenate([w_i, w_j], axis=2) ** 2
+    cand = np.flatnonzero(ok)[may_pass]
     contrib = np.full((i.size, k), np.nan)
-    contrib[cand] = (squared / squared.sum(axis=1, keepdims=True)).mean(axis=2)
+    _, _, contrib[cand] = similarity._leading_weights(t[may_pass], inv_i[cand], inv_j[cand],
+                                                      joint[cand, :k, k:])
     return (*out, floored, change, contrib)
 
 

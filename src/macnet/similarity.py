@@ -2,7 +2,8 @@
 
 Four measures are supported: single-attribute sample correlation, max/min
 aggregation of per-attribute correlations, and canonical correlation.  The
-canonical solver comes in a general form (separate weight vectors per node)
+canonical solver comes in a general form (separate weight vectors per node,
+for one pair or a stack of pairs, sharing its weight kernel with ``infer``)
 and a homogeneous form (equal marginal blocks, symmetric cross block, one
 weight vector), plus explicit closed forms for the two-attribute and
 equal-correlation parameterizations.
@@ -28,59 +29,6 @@ from .errors import (
 DEGENERACY_TOL = 1e-10
 
 _CLAMP_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class PairCorrelationStructure:
-    """Estimated correlation blocks for one node pair.
-
-    ``sigma_ii`` and ``sigma_jj`` are the k-by-k marginal correlation
-    matrices of the two nodes' attribute vectors; ``sigma_ij[l, m]`` is the
-    correlation between attribute ``l`` of the first node and attribute
-    ``m`` of the second.
-    """
-
-    sigma_ii: np.ndarray
-    sigma_jj: np.ndarray
-    sigma_ij: np.ndarray
-
-    def __post_init__(self):
-        sii = numkernel.require_symmetric(self.sigma_ii, tol=1e-10)
-        sjj = numkernel.require_symmetric(self.sigma_jj, tol=1e-10)
-        sij = numkernel.require_square(self.sigma_ij)
-        if not (sii.shape == sjj.shape == sij.shape):
-            raise LengthMismatch("correlation blocks have mismatched shapes")
-        object.__setattr__(self, "sigma_ii", sii)
-        object.__setattr__(self, "sigma_jj", sjj)
-        object.__setattr__(self, "sigma_ij", sij)
-
-    @property
-    def k(self) -> int:
-        return self.sigma_ii.shape[0]
-
-    @property
-    def supermatrix(self) -> np.ndarray:
-        """Joint 2k-by-2k correlation matrix of the stacked attribute vector."""
-        top = np.hstack([self.sigma_ii, self.sigma_ij])
-        bottom = np.hstack([self.sigma_ij.T, self.sigma_jj])
-        return np.vstack([top, bottom])
-
-    @classmethod
-    def from_samples(cls, samples_i, samples_j) -> "PairCorrelationStructure":
-        """Estimate the blocks from two aligned n-by-k sample matrices."""
-        samples_i = numkernel.as_matrix(samples_i)
-        samples_j = numkernel.as_matrix(samples_j)
-        if samples_i.shape != samples_j.shape:
-            raise LengthMismatch("sample blocks have mismatched shapes")
-        k = samples_i.shape[1]
-        joint = numkernel.corr_matrix(np.hstack([samples_i, samples_j]))
-        return cls(joint[:k, :k], joint[k:, k:], joint[:k, k:])
-
-    @classmethod
-    def homogeneous(cls, sigma_m, sigma_c) -> "PairCorrelationStructure":
-        sigma_m = numkernel.require_symmetric(sigma_m, tol=1e-10)
-        sigma_c = numkernel.require_symmetric(sigma_c, tol=1e-10)
-        return cls(sigma_m, sigma_m, sigma_c)
 
 
 @dataclass(frozen=True)
@@ -131,7 +79,8 @@ class K2Params:
 
 @dataclass(frozen=True, eq=False)
 class CanonicalSolution:
-    """Canonical roots and weight vectors for one node pair.
+    """Canonical roots and weight vectors for one node pair, or for each pair of a
+    stack (then every field gains a leading pair axis).
 
     ``roots`` holds all canonical roots in descending order; ``rho_c`` is the
     first.  ``contrib_i``/``contrib_j`` are the squared entries of the
@@ -153,8 +102,9 @@ class CanonicalSolution:
         object.__setattr__(self, "contrib", (self.contrib_i + self.contrib_j) / 2.0)
 
     @property
-    def rho_c(self) -> float:
-        return float(self.roots[0])
+    def rho_c(self):
+        rho = self.roots[..., 0]
+        return float(rho) if rho.ndim == 0 else rho
 
 
 def _clamp_squared_roots(values: np.ndarray) -> np.ndarray:
@@ -168,19 +118,24 @@ def _clamp_squared_roots(values: np.ndarray) -> np.ndarray:
 
 
 def _squared_unit(w: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(w))
-    if norm <= 0.0:
-        raise InternalNumericalError("zero-length canonical weight vector")
-    u = w / norm
-    return u * u
+    """Squared entries of each weight vector of a stack (..., k) scaled to unit length."""
+    u = w * w
+    return u / u.sum(axis=-1, keepdims=True)
 
 
 def _pair_sign_fix(w_i: np.ndarray, w_j: np.ndarray):
-    """Flip the weight pair together so w_i's first non-negligible entry is positive."""
-    nz = np.flatnonzero(np.abs(w_i) > 1e-12)
-    if nz.size and w_i[nz[0]] < 0:
-        return -w_i, -w_j
-    return w_i, w_j
+    """Flip each weight pair of a stack (..., k) together so w_i's first
+    non-negligible entry is positive."""
+    first = np.take_along_axis(w_i, (np.abs(w_i) > 1e-12).argmax(axis=-1)[..., None], axis=-1)
+    sign = np.where(first < 0.0, -1.0, 1.0)
+    return w_i * sign, w_j * sign
+
+
+def _leading_vector(a: np.ndarray) -> np.ndarray:
+    """Unit eigenvector (m, d, 1) of the largest eigenvalue, first index on ties, of
+    each symmetric matrix in a stack (m, d, d)."""
+    values, vectors = np.linalg.eigh(a)
+    return np.take_along_axis(vectors, values.argmax(axis=-1)[:, None, None], axis=-1)
 
 
 def canonical_roots(t) -> np.ndarray:
@@ -190,62 +145,54 @@ def canonical_roots(t) -> np.ndarray:
     return np.sqrt(_clamp_squared_roots(squared))
 
 
-def correlation_objective(s: PairCorrelationStructure, w_i, w_j) -> float:
-    """Correlation of the two weighted attribute combinations."""
-    w_i = np.asarray(w_i, dtype=float)
-    w_j = np.asarray(w_j, dtype=float)
-    num = float(w_i @ s.sigma_ij @ w_j)
-    den = float(np.sqrt((w_i @ s.sigma_ii @ w_i) * (w_j @ s.sigma_jj @ w_j)))
-    return num / den
+def _leading_weights(t, inv_i, inv_j, sigma_ij):
+    """Leading canonical weights of a stack of pairs (m, k, k), given each pair's T and
+    the inverse roots inv_sqrt(S_ii), inv_sqrt(S_jj).
 
-
-def canonical_corr(s: PairCorrelationStructure) -> CanonicalSolution:
-    """General canonical correlation between two attribute blocks.
-
-    Solves the paired eigensystem for the weight vectors: the squared roots
-    are the eigenvalues of inv(S_jj) S_ij' inv(S_ii) S_ij (and of its
-    companion), computed here through the symmetric equivalent
-    T = inv_sqrt(S_ii) S_ij inv_sqrt(S_jj) whose singular structure carries
-    the same spectrum.  Weights are scaled so w' S w = 1 on each side.
+    v leads T'T, w_j = inv_sqrt(S_jj) v and w_i = inv(S_ii) S_ij w_j, which the
+    Lagrange relation S_ij w_j = rho S_ii w_i fixes up to the positive factor rho.
+    Returns (w_i, w_j, contrib), the weights as (m, k, 1) columns and contrib (m, k)
+    the mean of their squared unit-length entries.
     """
-    if not numkernel.is_positive_definite(s.supermatrix):
+    w_j = inv_j @ _leading_vector(np.swapaxes(t, 1, 2) @ t)
+    w_i = inv_i @ (inv_i @ (sigma_ij @ w_j))
+    squared = np.concatenate([w_i, w_j], axis=2) ** 2
+    return w_i, w_j, (squared / squared.sum(axis=1, keepdims=True)).mean(axis=2)
+
+
+def canonical_corr(sigma_ii, sigma_jj, sigma_ij) -> CanonicalSolution:
+    """General canonical correlation between two attribute blocks, for one pair of
+    (k, k) blocks or for each pair of a stack (m, k, k).
+
+    The squared roots are the eigenvalues of T'T for the symmetric equivalent
+    T = inv_sqrt(S_ii) S_ij inv_sqrt(S_jj) of inv(S_jj) S_ij' inv(S_ii) S_ij; the
+    leading weights come from the kernel that ``infer`` runs on its candidate
+    edges.  Weights are scaled so w' S w = 1 on each side and signed so that
+    w_i' S_ij w_j >= 0 and w_i's first non-negligible entry is positive.
+    """
+    blocks = [np.asarray(s, dtype=float) for s in (sigma_ii, sigma_jj, sigma_ij)]
+    shape = blocks[0].shape
+    if any(b.shape != shape for b in blocks) or len(shape) not in (2, 3) or shape[-1] != shape[-2]:
+        raise LengthMismatch(f"correlation blocks must share one (k, k) or (m, k, k) shape, "
+                             f"got {[b.shape for b in blocks]}")
+    sii, sjj, sij = (b.reshape((-1,) + shape[-2:]) for b in blocks)
+    if not np.all(numkernel.pd_mask(np.block([[sii, sij], [np.swapaxes(sij, 1, 2), sjj]]))):
         raise NotPositiveDefinite("joint correlation matrix is not positive-definite")
-    k = s.k
-    if k == 1:
-        rho = abs(float(s.sigma_ij[0, 0]))
-        one = np.ones(1)
-        scale_i = 1.0 / float(np.sqrt(s.sigma_ii[0, 0]))
-        scale_j = 1.0 / float(np.sqrt(s.sigma_jj[0, 0]))
-        return CanonicalSolution(
-            roots=np.array([rho]),
-            w_i=one * scale_i,
-            w_j=one * scale_j,
-            contrib_i=np.ones(1),
-            contrib_j=np.ones(1),
-            degenerate=False,
-        )
-
-    inv_sqrt_ii = numkernel.inv_sqrt_spd(s.sigma_ii)
-    inv_sqrt_jj = numkernel.inv_sqrt_spd(s.sigma_jj)
-    t = inv_sqrt_ii @ s.sigma_ij @ inv_sqrt_jj
+    inv_i = numkernel.inv_sqrt_spd_stack(sii)
+    inv_j = numkernel.inv_sqrt_spd_stack(sjj)
+    t = inv_i @ sij @ inv_j
     roots = canonical_roots(t)
-
-    v_j = numkernel.sym_eigen(t.T @ t).vectors[:, 0]
-    w_j = inv_sqrt_jj @ v_j
-    rho = float(roots[0])
-    if rho > 1e-12:
-        # Lagrange relation: S_ij w_j = rho * S_ii w_i with both sides unit-scaled
-        w_i = inv_sqrt_ii @ (inv_sqrt_ii @ (s.sigma_ij @ w_j)) / rho
-    else:
-        eig_i = numkernel.sym_eigen(t @ t.T)
-        w_i = inv_sqrt_ii @ eig_i.vectors[:, 0]
-    norm_i = float(np.sqrt(w_i @ s.sigma_ii @ w_i))
-    w_i = w_i / norm_i
-    if float(w_i @ s.sigma_ij @ w_j) < 0.0:
-        w_j = -w_j
-    w_i, w_j = _pair_sign_fix(w_i, w_j)
-
-    degenerate = bool(roots.size > 1 and roots[0] - roots[1] < DEGENERACY_TOL)
+    with np.errstate(invalid="ignore"):  # the contributions of a null pair are 0/0
+        w_i, w_j, _ = _leading_weights(t, inv_i, inv_j, sij)
+    # with no leading root, S_ij w_j vanishes; take w_i from the leading vector of T T'
+    null = roots[:, 0] <= 1e-12
+    w_i[null] = inv_i[null] @ _leading_vector(t[null] @ np.swapaxes(t[null], 1, 2))
+    w_i /= np.sqrt(np.swapaxes(w_i, 1, 2) @ sii @ w_i)
+    w_j *= np.where(np.swapaxes(w_i, 1, 2) @ sij @ w_j < 0.0, -1.0, 1.0)
+    w_i, w_j = _pair_sign_fix(w_i[:, :, 0], w_j[:, :, 0])
+    degenerate = np.any(roots[:, :1] - roots[:, 1:2] < DEGENERACY_TOL, axis=1)
+    if len(shape) == 2:
+        roots, w_i, w_j, degenerate = roots[0], w_i[0], w_j[0], bool(degenerate[0])
     return CanonicalSolution(
         roots=roots,
         w_i=w_i,
@@ -261,27 +208,22 @@ def canonical_corr_homogeneous(sigma_m, sigma_c) -> CanonicalSolution:
 
     Solves inv(S_m) S_c w = lambda w through the symmetric equivalent
     inv_sqrt(S_m) S_c inv_sqrt(S_m); the leading root is the largest
-    eigenvalue in absolute value and a single weight vector serves both
-    nodes.
+    eigenvalue in absolute value (the larger signed value on a tie) and a
+    single weight vector serves both nodes.
     """
     sigma_m = numkernel.require_symmetric(sigma_m, tol=1e-10)
     sigma_c = numkernel.require_symmetric(sigma_c, tol=1e-10)
     if sigma_m.shape != sigma_c.shape:
         raise LengthMismatch("marginal and cross blocks have mismatched shapes")
-    structure = PairCorrelationStructure.homogeneous(sigma_m, sigma_c)
-    if not numkernel.is_positive_definite(structure.supermatrix):
+    if not numkernel.pd_mask(np.block([[sigma_m, sigma_c], [sigma_c, sigma_m]])):
         raise NotPositiveDefinite("joint correlation matrix is not positive-definite")
 
-    inv_sqrt_m = numkernel.inv_sqrt_spd(sigma_m)
-    sym = inv_sqrt_m @ sigma_c @ inv_sqrt_m
-    eig = numkernel.sym_eigen(sym)
-    order = np.argsort(-np.abs(eig.values), kind="stable")
-    signed = eig.values[order]
-    vectors = eig.vectors[:, order]
-    squared = _clamp_squared_roots(signed * signed)
-    roots = np.sqrt(squared)
+    inv_sqrt_m = numkernel.inv_sqrt_spd_stack(sigma_m)
+    values, vectors = np.linalg.eigh(inv_sqrt_m @ sigma_c @ inv_sqrt_m)
+    order = np.lexsort((-values, -np.abs(values)))
+    roots = np.sqrt(_clamp_squared_roots(values[order] ** 2))
 
-    w = inv_sqrt_m @ vectors[:, 0]
+    w = inv_sqrt_m @ vectors[:, order[0]]
     w, _ = _pair_sign_fix(w, w)
     contrib = _squared_unit(w)
     degenerate = bool(roots.size > 1 and roots[0] - roots[1] < DEGENERACY_TOL)

@@ -99,8 +99,10 @@ class PowerStudySpec:
         if self.pvalue_mode not in inference.PVALUE_MODES:
             raise UsageError(f"pvalue_mode must be one of {inference.PVALUE_MODES}, got {self.pvalue_mode!r}")
         scenarios = tuple(int(s) for s in self.scenarios)
-        if any(s not in SCENARIOS for s in scenarios):
-            raise OutOfDomain(f"scenarios must be drawn from {SCENARIOS}, got {scenarios}")
+        if not scenarios or len(set(scenarios)) < len(scenarios) or any(
+                s not in SCENARIOS for s in scenarios):
+            raise OutOfDomain(f"scenarios must be distinct values drawn from {SCENARIOS}, "
+                              f"got {scenarios}")
         grid = tuple((float(r), float(b)) for r, b in self.grid)
         for r, b in grid:
             if not self.params(r, b).valid():

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used by the module and acceptance tests.
 
 Everything here deliberately avoids the implementations under test: paths
-are enumerated explicitly, tail sums use exact rational arithmetic, and the
-step-up rule is spelled out naively.
+are enumerated explicitly, tail sums use exact rational arithmetic, the
+step-up rule is spelled out naively, canonical weights are scored by the
+correlation they achieve, and eigenvalues come from a general (not symmetric)
+eigensolver.
 """
 
 import itertools
@@ -109,3 +111,24 @@ def exact_hypergeom_upper(overlap, class_size, set_size, universe):
             math.comb(set_size, t) * math.comb(universe - set_size, class_size - t), denom
         )
     return total
+
+
+def correlation_objective(sigma_ii, sigma_jj, sigma_ij, w_i, w_j):
+    """Correlation of the two weighted attribute combinations w_i'x_i and w_j'x_j."""
+    w_i = np.asarray(w_i, dtype=float)
+    w_j = np.asarray(w_j, dtype=float)
+    num = float(w_i @ sigma_ij @ w_j)
+    return num / float(np.sqrt((w_i @ sigma_ii @ w_i) * (w_j @ sigma_jj @ w_j)))
+
+
+def general_eigen(a):
+    """Right eigendecomposition (values, unit column vectors) of a square matrix with
+    a real spectrum, sorted by descending absolute value."""
+    values, vectors = np.linalg.eig(np.asarray(a, dtype=float))
+    if np.iscomplexobj(values):
+        scale = max(1.0, float(np.max(np.abs(values))))
+        assert float(np.max(np.abs(values.imag))) <= 1e-9 * scale, "complex spectrum"
+        values, vectors = values.real, vectors.real
+    order = np.argsort(-np.abs(values), kind="stable")
+    vectors = vectors[:, order]
+    return values[order], vectors / np.linalg.norm(vectors, axis=0)

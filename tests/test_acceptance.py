@@ -38,7 +38,6 @@ from macnet.network import (
 )
 from macnet.similarity import (
     K2Params,
-    PairCorrelationStructure,
     canonical_corr,
     canonical_corr_homogeneous,
     k2_closed_form,
@@ -54,6 +53,7 @@ def report(number, text):
 
 
 def random_valid_structure(rng, homogeneous=False, min_eig=0.05):
+    """(sigma_ii, sigma_jj, sigma_ij) of a random two-attribute pair with a PD joint matrix."""
     while True:
         r_i = rng.uniform(-0.8, 0.8)
         r_j = r_i if homogeneous else rng.uniform(-0.8, 0.8)
@@ -62,9 +62,8 @@ def random_valid_structure(rng, homogeneous=False, min_eig=0.05):
         cross = rng.uniform(-0.6, 0.6, size=(2, 2))
         if homogeneous:
             cross = (cross + cross.T) / 2.0
-        structure = PairCorrelationStructure(sigma_ii, sigma_jj, cross)
-        if np.linalg.eigvalsh(structure.supermatrix)[0] > min_eig:
-            return structure
+        if np.linalg.eigvalsh(np.block([[sigma_ii, cross], [cross.T, sigma_jj]]))[0] > min_eig:
+            return sigma_ii, sigma_jj, cross
 
 
 def test_criterion_01_closed_form_equivalence():
@@ -102,7 +101,7 @@ def test_criterion_02_domain_equivalence():
             if margin <= 1e-9:
                 continue
             checked += 1
-            direct = numkernel.is_positive_definite(
+            direct = numkernel.pd_mask(
                 np.block([[params.sigma_m, params.sigma_c],
                           [params.sigma_c, params.sigma_m]])
             )
@@ -118,11 +117,11 @@ def test_criterion_03_cca_optimality():
     w = np.column_stack([np.cos(theta), np.sin(theta)])
     worst = 0.0
     for _ in range(200):
-        structure = random_valid_structure(rng)
-        solution = canonical_corr(structure)
-        num = w @ structure.sigma_ij @ w.T
-        scale_i = np.sqrt(np.einsum("ij,jk,ik->i", w, structure.sigma_ii, w))
-        scale_j = np.sqrt(np.einsum("ij,jk,ik->i", w, structure.sigma_jj, w))
+        sigma_ii, sigma_jj, sigma_ij = random_valid_structure(rng)
+        solution = canonical_corr(sigma_ii, sigma_jj, sigma_ij)
+        num = w @ sigma_ij @ w.T
+        scale_i = np.sqrt(np.einsum("ij,jk,ik->i", w, sigma_ii, w))
+        scale_j = np.sqrt(np.einsum("ij,jk,ik->i", w, sigma_jj, w))
         grid_best = float(np.max(np.abs(num / np.outer(scale_i, scale_j))))
         worst = max(worst, abs(solution.rho_c - grid_best))
     assert worst < 1e-4, f"max grid-search gap {worst:.3e}"
@@ -137,12 +136,12 @@ def test_criterion_04_homogeneous_reduction():
     worst_rho = 0.0
     while produced < 200:
         structure = random_valid_structure(rng, homogeneous=True)
-        hom = canonical_corr_homogeneous(structure.sigma_ii, structure.sigma_ij)
+        hom = canonical_corr_homogeneous(structure[0], structure[2])
         # a repeated leading root leaves the weight direction underdetermined
         if hom.degenerate or abs(hom.roots[0] ** 2 - hom.roots[1] ** 2) < 1e-3:
             continue
         produced += 1
-        gen = canonical_corr(structure)
+        gen = canonical_corr(*structure)
         worst_rho = max(worst_rho, abs(hom.rho_c - gen.rho_c))
         pair_gap = min(np.max(np.abs(gen.w_i - gen.w_j)), np.max(np.abs(gen.w_i + gen.w_j)))
         path_gap = min(np.max(np.abs(gen.w_i - hom.w_i)), np.max(np.abs(gen.w_i + hom.w_i)))
@@ -158,13 +157,10 @@ def test_criterion_05_bartlett_null_calibration():
     n, reps = 200, 5000
     sigma_m = np.array([[1.0, 0.2], [0.2, 1.0]])
     sigma = np.block([[sigma_m, np.zeros((2, 2))], [np.zeros((2, 2)), sigma_m]])
-    statistics = np.empty(reps)
-    for rep in range(reps):
-        draws = sample_mvn(sigma, n, substream(505, rep))
-        joint = numkernel.corr_matrix(draws)
-        structure = PairCorrelationStructure(joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
-        solution = canonical_corr(structure)
-        statistics[rep] = bartlett_chi2(solution.roots, n, 2).statistic
+    draws = np.stack([sample_mvn(sigma, n, substream(505, rep)) for rep in range(reps)])
+    joint = numkernel.corr_matrices(draws)
+    solution = canonical_corr(joint[:, :2, :2], joint[:, 2:, 2:], joint[:, :2, 2:])
+    statistics = bartlett_chi2(solution.roots, n, 2).statistic
     ks = kstest(statistics, scipy_chi2(4).cdf)
     elapsed = time.perf_counter() - started
     assert ks.pvalue > 0.01, f"KS p-value {ks.pvalue:.4f}"
@@ -179,7 +175,7 @@ def test_criterion_06_fisher_null_calibration():
     for rep in range(reps):
         rng = substream(606, rep)
         draws = rng.standard_normal((n, 2))
-        rho = numkernel.pearson_corr(draws[:, 0], draws[:, 1])
+        rho = numkernel.corr_matrices(draws)[0, 1]
         z = fisher_z(rho, n)
         rejections += 2.0 * normal_sf(abs(z)) < alpha
     rate = rejections / reps

@@ -1,7 +1,8 @@
 """The batched all-pairs and replicate paths against per-pair reference loops.
 
 Each reference below walks pairs (or replicates) one at a time through the
-public scalar functions, the way inference ran before it was batched.
+public functions, each called on a single pair, the way inference ran before
+it was batched.
 """
 
 import csv
@@ -18,8 +19,8 @@ import pytest
 import macnet
 from macnet import inference, io as io_mod, network, numkernel, similarity, simulation
 from macnet.cli import main
-from macnet.errors import SingularCovariance
 from macnet.network import AttributeDataset, EdgeRecord, InferredNetwork, infer_network
+from test_inference import pair_homogeneity
 
 REL = 1e-12
 
@@ -53,7 +54,7 @@ def singular_node_dataset(seed=1, n_nodes=7, n=50):
 
 
 def reference_network(data, method, gamma, sampler=None):
-    """Per-pair loop over the public scalar functions.
+    """Per-pair loop over the public functions, one pair per call.
 
     Returns (edges by pair, skipped pairs, floored pairs, homogeneity reject
     fraction, singular homogeneity count).
@@ -64,15 +65,15 @@ def reference_network(data, method, gamma, sampler=None):
         for vj in range(vi + 1, data.n_nodes):
             block_i, block_j = data.node_matrix(vi), data.node_matrix(vj)
             pair = (data.node_ids[vi], data.node_ids[vj])
+            joint = numkernel.corr_matrices(np.hstack([block_i, block_j]))
             if method == "pearson":
-                rho = numkernel.pearson_corr(block_i[:, 0], block_j[:, 0])
+                rho = float(joint[0, 1])
                 z = inference.fisher_z(rho, n)
                 row = (rho, z, None, min(1.0, 2.0 * inference.normal_sf(abs(z))), None)
             elif method in ("max", "min"):
-                s = similarity.PairCorrelationStructure.from_samples(block_i, block_j)
-                rhos = [s.sigma_ij[0, 0], s.sigma_ij[1, 1]]
+                rhos = [joint[0, 2], joint[1, 3]]
                 zs = [inference.fisher_z(r, n) for r in rhos]
-                rho_z = inference.fisher_z_correlation(s.sigma_ii, s.sigma_jj, s.sigma_ij)
+                rho_z = inference.fisher_z_correlation(joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
                 if sampler is None:
                     p = inference.extreme_corr_pvalue_two_sided(zs[0], zs[1], rho_z, method)
                 else:
@@ -81,23 +82,21 @@ def reference_network(data, method, gamma, sampler=None):
                 row = (similarity.aggregate_extreme(rhos, method),
                        similarity.aggregate_extreme(zs, method), None, p, None)
             else:
-                s = similarity.PairCorrelationStructure.from_samples(block_i, block_j)
-                repaired, was_floored, change = network._floor_supermatrix(s.supermatrix)
+                repaired, was_floored, change = network._floor_supermatrix(joint)
                 if change > network.FLOOR_SKIP_DELTA:
                     skipped.append(pair)
                     continue
                 if was_floored:
                     floored.append(pair)
-                    s = similarity.PairCorrelationStructure(
-                        repaired[:k, :k], repaired[k:, k:], repaired[:k, k:])
-                solution = similarity.canonical_corr(s)
+                    joint = repaired
+                solution = similarity.canonical_corr(joint[:k, :k], joint[k:, k:], joint[:k, k:])
                 test = inference.bartlett_chi2(solution.roots, n, k)
                 row = (solution.rho_c, test.statistic, test.df, test.p, tuple(solution.contrib))
-            try:
-                hom = inference.homogeneity_lrt(block_i, block_j)
-                flags.append(hom.p < network.HOMOGENEITY_ALPHA)
-            except SingularCovariance:
+            hom = pair_homogeneity(block_i, block_j)
+            if hom is None:
                 singular += 1
+            else:
+                flags.append(hom.p < network.HOMOGENEITY_ALPHA)
             rows.append((pair, row))
     decision = inference.bh_fdr([row[3] for _, row in rows], gamma)
     rejected = set(decision.rejected)
@@ -156,7 +155,6 @@ def test_cca_runs_no_per_pair_solver(make, monkeypatch):
         raise AssertionError("per-pair canonical solver called on the batched path")
 
     monkeypatch.setattr(similarity, "canonical_corr", refuse)
-    monkeypatch.setattr(similarity, "PairCorrelationStructure", refuse)
     net = infer_network(make(), "cca", 0.05)
     assert net.edges and all(len(e.contrib) == len(net.attribute_names) for e in net.edges)
 
@@ -190,19 +188,18 @@ def test_results_do_not_depend_on_chunk_size(method, monkeypatch):
 
 
 def reference_power_counts(spec):
-    """Per-replicate loop over the public scalar functions: rejections by cell."""
+    """Per-replicate loop over the public functions, one replicate per call: rejections
+    by cell."""
     counts = []
     for grid_index, (r, b) in enumerate(spec.grid):
         sigma = simulation.build_sigma(spec.params(r, b))
         z1, z2, bartlett = [], [], []
         for rep in range(spec.reps):
             rng = simulation.substream(spec.seed, grid_index, rep)
-            joint = numkernel.corr_matrix(simulation.sample_mvn(sigma, spec.n, rng))
+            joint = numkernel.corr_matrices(simulation.sample_mvn(sigma, spec.n, rng))
             z1.append(inference.fisher_z(joint[0, 2], spec.n))
             z2.append(inference.fisher_z(joint[1, 3], spec.n))
-            structure = similarity.PairCorrelationStructure(
-                joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
-            roots = similarity.canonical_corr(structure).roots
+            roots = similarity.canonical_corr(joint[:2, :2], joint[2:, 2:], joint[:2, 2:]).roots
             bartlett.append(inference.bartlett_chi2(roots, spec.n, 2).p)
         rho_z = min(1.0, max(-1.0, float(np.corrcoef(z1, z2)[0, 1])))
         sampler = None
@@ -284,18 +281,17 @@ def test_homogeneity_closed_form_matches_iterative_fit():
         n = int(rng.integers(2 * k + 2, 80))
         mix = rng.normal(size=(2 * k, 2 * k))
         draws = rng.normal(size=(n, 2 * k)) @ mix
-        out = inference.homogeneity_lrt(draws[:, :k], draws[:, k:])
+        out = pair_homogeneity(draws[:, :k], draws[:, k:])
         expected = iterative_homogeneity_statistic(draws[:, :k], draws[:, k:])
         assert out.statistic == pytest.approx(expected, rel=1e-9, abs=1e-9)
         assert out.p == pytest.approx(inference.chi2_sf(expected, k * k), rel=1e-8, abs=1e-12)
 
 
-def test_homogeneity_singular_covariance_raises():
+def test_homogeneity_singular_covariance_is_masked():
     rng = np.random.default_rng(2)
     samples_i = rng.normal(size=(30, 2))
     samples_j = np.column_stack([samples_i @ [0.6, 0.8], rng.normal(size=30)])
-    with pytest.raises(SingularCovariance):
-        inference.homogeneity_lrt(samples_i, samples_j)
+    assert pair_homogeneity(samples_i, samples_j) is None
 
 
 def test_tail_sampler_holds_one_table():

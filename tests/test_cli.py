@@ -273,7 +273,6 @@ class TestExitCodeMapping:
         assert errors.SchemaMismatch("x").exit_code == 2
         assert errors.ZeroVariance("x").exit_code == 2
         assert errors.NotPositiveDefinite("x").exit_code == 3
-        assert errors.ComplexSpectrum("x").exit_code == 3
 
 
 class TestCliSimulate:
@@ -299,3 +298,34 @@ class TestCliSimulate:
         code = main(["simulate", "--grid", "0.9:0", "--reps", "10",
                      "--out", str(tmp_path)])
         assert code == 2
+
+
+class TestCliSimulateRejectsBadArguments:
+    """Bad simulate arguments exit with a JSON error and write no power.csv."""
+
+    def run(self, tmp_path, capsys, extra, code):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--reps", "10", "--out", str(out), *extra]) == code
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert not (out / "power.csv").exists()
+        return err
+
+    def test_grid_value_not_a_number(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--grid", "x:1"], 1)
+        assert err["error"] == "UsageError" and "'x:1'" in err["message"]
+
+    def test_scenario_not_an_integer(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--grid", "0:0", "--scenarios", "a"], 1)
+        assert err["error"] == "UsageError" and "--scenarios" in err["message"]
+
+    def test_slice_without_a_valid_point(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--slice", "b=0.2r", "--rho1", "1"], 1)
+        assert err["error"] == "UsageError" and "b=0.2r" in err["message"]
+
+    def test_empty_scenario_list(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--grid", "0:0", "--scenarios", ""], 2)
+        assert err["error"] == "OutOfDomain"
+
+    def test_repeated_scenario(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--grid", "0:0", "--scenarios", "1,1"], 2)
+        assert err["error"] == "OutOfDomain"

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -260,11 +261,12 @@ class TestEnrichBatched:
         TestEnrich().test_constructed_extreme_enrichment()
 
     def test_class_larger_than_universe_raises(self):
-        # the two sets fit the universe, but together they annotate six nodes
-        gsc = GeneSetCollection(universe_size=4, sets={"s1": ["g1", "g2", "g3"],
-                                                       "s2": ["g4", "g5", "g6"]})
-        classes = {f"g{i}": "a" for i in range(1, 7)}
+        # the two sets fit the universe, but together they annotate six nodes; the
+        # collection refuses them before any class can outgrow the universe
         with pytest.raises(InvalidCounts):
+            gsc = GeneSetCollection(universe_size=4, sets={"s1": ["g1", "g2", "g3"],
+                                                           "s2": ["g4", "g5", "g6"]})
+            classes = {f"g{i}": "a" for i in range(1, 7)}
             enrich(classes, gsc, gamma=0.05)
 
     def test_blank_exclusion_tokens_ignored(self):
@@ -291,3 +293,23 @@ class TestEnrichBatched:
             outputs.append((out / "enrichment.csv").read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == 1 + 2 * 2
+
+
+class TestUniverseCoversAnnotation:
+    SETS = {"A": ["a", "b", "c"], "B": ["c", "d", "e"]}
+
+    def test_union_of_sets_larger_than_universe(self):
+        with pytest.raises(InvalidCounts, match="annotate 5 identifiers.*universe size 4"):
+            GeneSetCollection(4, self.SETS)
+        assert GeneSetCollection(5, self.SETS).annotated() == frozenset("abcde")
+
+    def test_cli_union_larger_than_universe(self, tmp_path, capsys):
+        (tmp_path / "node_classes.csv").write_text("node_id,label\na,protein\nd,gene\n")
+        (tmp_path / "sets.gmt").write_text("A\tdesc\ta\tb\tc\nB\tdesc\tc\td\te\n")
+        code = main(["enrich", str(tmp_path / "node_classes.csv"), str(tmp_path / "sets.gmt"),
+                     "--universe", "4", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "InvalidCounts"
+        assert "5 identifiers" in err["message"] and "universe size 4" in err["message"]
+        assert not (tmp_path / "out" / "enrichment.csv").exists()

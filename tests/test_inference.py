@@ -15,6 +15,7 @@ from macnet.errors import (
 )
 from macnet.inference import (
     ExtremeTailSampler,
+    HomogeneityTest,
     bartlett_chi2,
     bh_fdr,
     chi2_sf,
@@ -23,10 +24,23 @@ from macnet.inference import (
     extreme_corr_pvalue_two_sided,
     fisher_z,
     fisher_z_correlation,
-    homogeneity_lrt,
+    homogeneity_test_from_cov,
     normal_pdf,
     normal_sf,
 )
+
+
+def pair_homogeneity(samples_i, samples_j):
+    """The closed-form homogeneity test of one pair, as ``infer`` runs it on a stack:
+    (HomogeneityTest of floats, or None where the stacked covariance is singular)."""
+    stacked = np.hstack([samples_i, samples_j])
+    n = stacked.shape[0]
+    centered = stacked - stacked.mean(axis=0)
+    test, singular = homogeneity_test_from_cov((centered.T @ centered / n)[None], n)
+    if singular[0]:
+        return None
+    return HomogeneityTest(statistic=float(test.statistic[0]), df=test.df, p=float(test.p[0]))
+
 
 # high-precision references (40-digit evaluation of the defining integrals)
 NORMAL_SF_TABLE = {
@@ -206,7 +220,7 @@ class TestFisherZCorrelation:
         z1s, z2s = [], []
         for rep in range(4000):
             draws = simulation.sample_mvn(sigma, 60, simulation.substream(99, rep))
-            joint = numkernel.corr_matrix(draws)
+            joint = numkernel.corr_matrices(draws)
             z1s.append(fisher_z(joint[0, 2], 60))
             z2s.append(fisher_z(joint[1, 3], 60))
         empirical = np.corrcoef(z1s, z2s)[0, 1]
@@ -274,7 +288,7 @@ class TestHomogeneityLrt:
         base = rng.normal(size=(80, 4))
         samples_i = np.vstack([base[:, :2], base[:, 2:]])
         samples_j = np.vstack([base[:, 2:], base[:, :2]])
-        out = homogeneity_lrt(samples_i, samples_j)
+        out = pair_homogeneity(samples_i, samples_j)
         assert out.statistic == pytest.approx(0.0, abs=1e-8)
         assert out.p > 0.999999
         assert out.df == 4
@@ -286,7 +300,7 @@ class TestHomogeneityLrt:
         reps = 2000
         for rep in range(reps):
             draws = simulation.sample_mvn(sigma, 500, simulation.substream(7, rep))
-            out = homogeneity_lrt(draws[:, :2], draws[:, 2:])
+            out = pair_homogeneity(draws[:, :2], draws[:, 2:])
             rejections += out.p < 0.05
         rate = rejections / reps
         assert abs(rate - 0.05) <= 0.02
@@ -297,9 +311,13 @@ class TestHomogeneityLrt:
         cov_j = np.array([[1.0, -0.8], [-0.8, 1.0]])
         samples_i = simulation.sample_mvn(cov_i, 500, rng)
         samples_j = simulation.sample_mvn(cov_j, 500, simulation.substream(13, 1))
-        out = homogeneity_lrt(samples_i, samples_j)
+        out = pair_homogeneity(samples_i, samples_j)
         assert out.p < 0.01
 
     def test_insufficient_samples(self):
-        with pytest.raises(InsufficientSamples):
-            homogeneity_lrt(np.zeros((4, 2)), np.zeros((4, 2)))
+        # with n <= 2k samples the stacked covariance is singular, so no verdict
+        assert pair_homogeneity(np.zeros((4, 2)), np.zeros((4, 2))) is None
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 4):
+            draws = rng.normal(size=(n, 4))
+            assert pair_homogeneity(draws[:, :2], draws[:, 2:]) is None

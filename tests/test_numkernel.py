@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from _oracles import general_eigen
 from macnet import numkernel
 from macnet.errors import (
     InsufficientSamples,
-    LengthMismatch,
     NotPositiveDefinite,
     NotSymmetric,
     ZeroVariance,
@@ -32,31 +32,32 @@ def build_sigma4(r, b, rho1, rho2):
     return np.block([[sigma_m, sigma_c], [sigma_c, sigma_m]])
 
 
+def pairwise_corr(x, y) -> float:
+    """The (0, 1) entry of the correlation matrix of two sample columns."""
+    return float(numkernel.corr_matrices(np.column_stack([x, y]))[0, 1])
+
+
 class TestPearsonCorr:
     def test_self_correlation_is_one(self):
         x = np.array([0.3, -1.2, 5.0, 2.2, 0.0])
-        assert numkernel.pearson_corr(x, x) == 1.0
+        assert pairwise_corr(x, x) == 1.0
 
     def test_exact_anti_linear(self):
-        assert numkernel.pearson_corr([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == -1.0
+        assert pairwise_corr([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == -1.0
 
     def test_independent_uniforms_near_zero(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(size=1000)
         y = rng.uniform(size=1000)
-        assert abs(numkernel.pearson_corr(x, y)) < 0.08
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            numkernel.pearson_corr([1.0, 2.0], [1.0, 2.0, 3.0])
+        assert abs(pairwise_corr(x, y)) < 0.08
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientSamples):
-            numkernel.pearson_corr([1.0, 2.0], [2.0, 1.0])
+            pairwise_corr([1.0, 2.0], [2.0, 1.0])
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
-            numkernel.pearson_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            pairwise_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_bounds_on_random_inputs(self):
         rng = np.random.default_rng(11)
@@ -64,56 +65,52 @@ class TestPearsonCorr:
             n = rng.integers(3, 40)
             x = rng.normal(size=n)
             y = rng.normal(size=n)
-            r = numkernel.pearson_corr(x, y)
+            r = pairwise_corr(x, y)
             assert -1.0 <= r <= 1.0
 
 
 class TestCorrMatrix:
     def test_single_column(self):
-        out = numkernel.corr_matrix(np.array([[1.0], [2.0], [4.0]]))
+        out = numkernel.corr_matrices(np.array([[1.0], [2.0], [4.0]]))
         np.testing.assert_array_equal(out, [[1.0]])
 
     def test_identical_columns_all_ones(self):
         col = np.array([0.1, 2.0, -3.0, 4.0])
-        out = numkernel.corr_matrix(np.column_stack([col, col]))
+        out = numkernel.corr_matrices(np.column_stack([col, col]))
         np.testing.assert_array_equal(out, np.ones((2, 2)))
 
     def test_independent_columns_near_identity(self):
         rng = np.random.default_rng(3)
-        out = numkernel.corr_matrix(rng.normal(size=(5000, 4)))
+        out = numkernel.corr_matrices(rng.normal(size=(5000, 4)))
         off = out - np.eye(4)
         assert np.max(np.abs(off)) < 0.05
 
     def test_matches_pairwise_estimates(self):
         rng = np.random.default_rng(5)
         block = rng.normal(size=(40, 3))
-        out = numkernel.corr_matrix(block)
+        out = numkernel.corr_matrices(block)
         for a in range(3):
             for b in range(3):
-                expected = numkernel.pearson_corr(block[:, a], block[:, b])
+                x = block[:, a] - block[:, a].mean()
+                y = block[:, b] - block[:, b].mean()
+                expected = (x @ y) / np.sqrt((x @ x) * (y @ y))
                 assert out[a, b] == pytest.approx(expected, abs=1e-14)
 
     def test_constant_column_reports_index(self):
         block = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         with pytest.raises(ZeroVariance) as err:
-            numkernel.corr_matrix(block)
+            numkernel.corr_matrices(block)
         assert err.value.index == 1
 
 
 class TestSymEigen:
-    def test_identity(self):
-        out = numkernel.sym_eigen(np.eye(4))
-        np.testing.assert_allclose(out.values, np.ones(4))
-
-    def test_two_by_two_closed_form(self):
-        out = numkernel.sym_eigen(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        np.testing.assert_allclose(out.values, [1.5, 0.5], atol=1e-14)
+    """The printed eigenvalues of the two-attribute structure, and the symmetry check."""
 
     def test_structured_sigma_matches_printed_formulas(self):
         sigma = build_sigma4(0.1, 0.2, 0.3, 0.1)
-        out = numkernel.sym_eigen(sigma)
+        values = np.linalg.eigvalsh(sigma)[::-1]
         np.testing.assert_allclose(
-            out.values, sigma_eigenvalues_formula(0.1, 0.2, 0.3, 0.1), atol=1e-10
+            values, sigma_eigenvalues_formula(0.1, 0.2, 0.3, 0.1), atol=1e-10
         )
 
     def test_formula_agreement_over_grid(self):
@@ -121,44 +118,26 @@ class TestSymEigen:
         for r in np.arange(-0.95, 0.951, 0.05):
             for b in np.arange(-0.95, 0.951, 0.05):
                 sigma = build_sigma4(r, b, rho1, rho2)
-                out = numkernel.sym_eigen(sigma)
+                values = np.linalg.eigvalsh(sigma)[::-1]
                 expected = sigma_eigenvalues_formula(r, b, rho1, rho2)
-                np.testing.assert_allclose(out.values, expected, atol=1e-10)
-
-    def test_reconstruction_and_trace(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            a = rng.normal(size=(5, 5))
-            a = (a + a.T) / 2.0
-            out = numkernel.sym_eigen(a)
-            recon = out.vectors @ np.diag(out.values) @ out.vectors.T
-            assert np.max(np.abs(recon - a)) < 1e-9
-            assert abs(out.values.sum() - np.trace(a)) < 1e-10
-            np.testing.assert_allclose(np.linalg.norm(out.vectors, axis=0), 1.0, atol=1e-12)
+                np.testing.assert_allclose(values, expected, atol=1e-10)
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
-            numkernel.sym_eigen(np.array([[1.0, 0.2], [0.3, 1.0]]))
-
-    def test_sign_convention_deterministic(self):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        first = numkernel.sym_eigen(a)
-        second = numkernel.sym_eigen(a.copy())
-        np.testing.assert_array_equal(first.vectors, second.vectors)
-        for col in range(2):
-            nz = np.flatnonzero(np.abs(first.vectors[:, col]) > 1e-12)
-            assert first.vectors[nz[0], col] > 0
+            numkernel.require_symmetric(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
 
 class TestGeneralEigen:
+    """The general eigensolver oracle of the homogeneous-reduction tests."""
+
     def test_diagonal(self):
-        out = numkernel.general_eigen(np.diag([0.3, 0.1]))
-        np.testing.assert_allclose(out.values, [0.3, 0.1], atol=1e-14)
+        values, _ = general_eigen(np.diag([0.3, 0.1]))
+        np.testing.assert_allclose(values, [0.3, 0.1], atol=1e-14)
 
     def test_antidiagonal_pair(self):
-        out = numkernel.general_eigen(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        np.testing.assert_allclose(sorted(out.values, reverse=True), [0.5, -0.5], atol=1e-14)
-        np.testing.assert_allclose(np.abs(out.values), [0.5, 0.5], atol=1e-14)
+        values, _ = general_eigen(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        np.testing.assert_allclose(sorted(values, reverse=True), [0.5, -0.5], atol=1e-14)
+        np.testing.assert_allclose(np.abs(values), [0.5, 0.5], atol=1e-14)
 
     def test_matches_ratio_grid_search(self):
         # largest |eigenvalue| of inv(S_m) S_c equals the best Rayleigh-style
@@ -174,8 +153,8 @@ class TestGeneralEigen:
             found += 1
             sigma_m = sigma[:2, :2]
             sigma_c = sigma[:2, 2:]
-            product = np.linalg.inv(sigma_m) @ sigma_c
-            top = np.max(np.abs(numkernel.general_eigen(product).values))
+            values, _ = general_eigen(np.linalg.inv(sigma_m) @ sigma_c)
+            top = np.max(np.abs(values))
             theta = np.linspace(0.0, np.pi, 720, endpoint=False)
             w = np.column_stack([np.cos(theta), np.sin(theta)])
             num = np.einsum("ij,jk,ik->i", w, sigma_c, w)
@@ -187,9 +166,9 @@ class TestGeneralEigen:
         rng = np.random.default_rng(29)
         a = rng.normal(size=(4, 4))
         a = a @ a.T + 0.1 * np.eye(4)  # symmetric: general path still applies
-        out = numkernel.general_eigen(a)
+        values, vectors = general_eigen(a)
         for idx in range(4):
-            residual = a @ out.vectors[:, idx] - out.values[idx] * out.vectors[:, idx]
+            residual = a @ vectors[:, idx] - values[idx] * vectors[:, idx]
             assert np.max(np.abs(residual)) < 1e-9
 
 
@@ -215,23 +194,23 @@ class TestCholesky:
 
 class TestPositiveDefinite:
     def test_identity(self):
-        assert numkernel.is_positive_definite(np.eye(3))
+        assert numkernel.pd_mask(np.eye(3))
 
     def test_indefinite(self):
-        assert not numkernel.is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert not numkernel.pd_mask(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_structured_sigma_outside_domain(self):
         # |b - r| = 0.9 exceeds sqrt(0.7 * 0.9) ~ 0.7937, so an eigenvalue is negative
         sigma = build_sigma4(0.9, 0.0, 0.3, 0.1)
         assert np.linalg.eigvalsh(sigma)[0] < 0
-        assert not numkernel.is_positive_definite(sigma)
+        assert not numkernel.pd_mask(sigma)
 
     def test_equivalence_with_cholesky(self):
         rng = np.random.default_rng(31)
         for _ in range(1000):
             a = rng.normal(size=(4, 4))
             a = (a + a.T) / 2.0
-            pd = numkernel.is_positive_definite(a)
+            pd = numkernel.pd_mask(a)
             try:
                 numkernel.cholesky(a)
                 factored = True

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+from _oracles import correlation_objective, general_eigen
 from macnet import numkernel
-from macnet.errors import DegenerateR, EmptyInput, NotPositiveDefinite, OutOfDomain
+from macnet.errors import (
+    DegenerateR,
+    EmptyInput,
+    LengthMismatch,
+    NotPositiveDefinite,
+    OutOfDomain,
+)
 from macnet.similarity import (
     K2Params,
-    PairCorrelationStructure,
     aggregate_extreme,
     canonical_corr,
     canonical_corr_homogeneous,
-    correlation_objective,
     equal_corr_blocks,
     equal_corr_closed_form,
     k2_closed_form,
@@ -17,17 +22,18 @@ from macnet.similarity import (
 )
 
 
-def grid_search_rho(structure, steps=720):
+def grid_search_rho(sigma_ii, sigma_jj, sigma_ij, steps=720):
     """Brute-force maximization of the weighted-combination correlation."""
     theta = np.linspace(0.0, np.pi, steps, endpoint=False)
     w = np.column_stack([np.cos(theta), np.sin(theta)])
-    num = w @ structure.sigma_ij @ w.T
-    scale_i = np.sqrt(np.einsum("ij,jk,ik->i", w, structure.sigma_ii, w))
-    scale_j = np.sqrt(np.einsum("ij,jk,ik->i", w, structure.sigma_jj, w))
+    num = w @ sigma_ij @ w.T
+    scale_i = np.sqrt(np.einsum("ij,jk,ik->i", w, sigma_ii, w))
+    scale_j = np.sqrt(np.einsum("ij,jk,ik->i", w, sigma_jj, w))
     return float(np.max(np.abs(num / np.outer(scale_i, scale_j))))
 
 
 def random_valid_structure(rng, homogeneous=False):
+    """(sigma_ii, sigma_jj, sigma_ij) of a random two-attribute pair with a PD joint matrix."""
     while True:
         r_i = rng.uniform(-0.8, 0.8)
         r_j = r_i if homogeneous else rng.uniform(-0.8, 0.8)
@@ -36,22 +42,19 @@ def random_valid_structure(rng, homogeneous=False):
         cross = rng.uniform(-0.6, 0.6, size=(2, 2))
         if homogeneous:
             cross = (cross + cross.T) / 2.0
-        structure = PairCorrelationStructure(sigma_ii, sigma_jj, cross)
-        if np.linalg.eigvalsh(structure.supermatrix)[0] > 1e-3:
-            return structure
+        if np.linalg.eigvalsh(np.block([[sigma_ii, cross], [cross.T, sigma_jj]]))[0] > 1e-3:
+            return sigma_ii, sigma_jj, cross
 
 
 class TestCanonicalCorr:
     def test_zero_cross_block(self):
         for k in (2, 3):
-            structure = PairCorrelationStructure(np.eye(k), np.eye(k), np.zeros((k, k)))
-            solution = canonical_corr(structure)
+            solution = canonical_corr(np.eye(k), np.eye(k), np.zeros((k, k)))
             assert solution.rho_c == 0.0
             np.testing.assert_array_equal(solution.roots, np.zeros(k))
 
     def test_single_attribute_degenerates_to_abs_corr(self):
-        structure = PairCorrelationStructure(np.eye(1), np.eye(1), np.array([[0.5]]))
-        solution = canonical_corr(structure)
+        solution = canonical_corr(np.eye(1), np.eye(1), np.array([[0.5]]))
         assert solution.rho_c == 0.5
         np.testing.assert_array_equal(solution.contrib, [1.0])
 
@@ -59,63 +62,60 @@ class TestCanonicalCorr:
         rng = np.random.default_rng(2)
         for _ in range(50):
             rho = rng.uniform(-0.99, 0.99)
-            structure = PairCorrelationStructure(np.eye(1), np.eye(1), np.array([[rho]]))
-            assert canonical_corr(structure).rho_c == abs(rho)
+            assert canonical_corr(np.eye(1), np.eye(1), np.array([[rho]])).rho_c == abs(rho)
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(101)
         for _ in range(25):
             structure = random_valid_structure(rng)
-            solution = canonical_corr(structure)
-            assert abs(solution.rho_c - grid_search_rho(structure)) < 1e-4
+            solution = canonical_corr(*structure)
+            assert abs(solution.rho_c - grid_search_rho(*structure)) < 1e-4
 
     def test_weights_achieve_the_root(self):
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            structure = random_valid_structure(rng)
-            solution = canonical_corr(structure)
-            achieved = correlation_objective(structure, solution.w_i, solution.w_j)
+        structures = [random_valid_structure(rng) for _ in range(25)]
+        # one attribute with a negative cross correlation: the weights must reach +|rho|
+        structures.append((np.eye(1), np.eye(1), np.array([[-0.5]])))
+        for structure in structures:
+            solution = canonical_corr(*structure)
+            achieved = correlation_objective(*structure, solution.w_i, solution.w_j)
             assert achieved == pytest.approx(solution.rho_c, abs=1e-10)
 
     def test_weight_normalization(self):
         rng = np.random.default_rng(7)
-        structure = random_valid_structure(rng)
-        solution = canonical_corr(structure)
-        assert solution.w_i @ structure.sigma_ii @ solution.w_i == pytest.approx(1.0, abs=1e-10)
-        assert solution.w_j @ structure.sigma_jj @ solution.w_j == pytest.approx(1.0, abs=1e-10)
+        sigma_ii, sigma_jj, sigma_ij = random_valid_structure(rng)
+        solution = canonical_corr(sigma_ii, sigma_jj, sigma_ij)
+        assert solution.w_i @ sigma_ii @ solution.w_i == pytest.approx(1.0, abs=1e-10)
+        assert solution.w_j @ sigma_jj @ solution.w_j == pytest.approx(1.0, abs=1e-10)
 
     def test_scale_invariance_of_objective(self):
         rng = np.random.default_rng(11)
         structure = random_valid_structure(rng)
-        solution = canonical_corr(structure)
-        base = correlation_objective(structure, solution.w_i, solution.w_j)
+        solution = canonical_corr(*structure)
+        base = correlation_objective(*structure, solution.w_i, solution.w_j)
         for alpha, beta in [(2.0, 3.0), (0.25, 7.0), (5.0, 0.1)]:
-            scaled = correlation_objective(structure, alpha * solution.w_i, beta * solution.w_j)
+            scaled = correlation_objective(*structure, alpha * solution.w_i, beta * solution.w_j)
             assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_transpose_symmetry(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            structure = random_valid_structure(rng)
-            flipped = PairCorrelationStructure(
-                structure.sigma_jj, structure.sigma_ii, structure.sigma_ij.T
-            )
-            a = canonical_corr(structure)
-            b = canonical_corr(flipped)
+            sigma_ii, sigma_jj, sigma_ij = random_valid_structure(rng)
+            a = canonical_corr(sigma_ii, sigma_jj, sigma_ij)
+            b = canonical_corr(sigma_jj, sigma_ii, sigma_ij.T)
             np.testing.assert_allclose(a.roots, b.roots, atol=1e-12)
 
     def test_lower_bound_on_cross_entries(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             structure = random_valid_structure(rng)
-            solution = canonical_corr(structure)
-            assert solution.rho_c >= np.max(np.abs(structure.sigma_ij)) - 1e-12
+            solution = canonical_corr(*structure)
+            assert solution.rho_c >= np.max(np.abs(structure[2])) - 1e-12
 
     def test_homogeneous_input_gives_equal_weights(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
-            structure = random_valid_structure(rng, homogeneous=True)
-            solution = canonical_corr(structure)
+            solution = canonical_corr(*random_valid_structure(rng, homogeneous=True))
             delta = min(
                 np.max(np.abs(solution.w_i - solution.w_j)),
                 np.max(np.abs(solution.w_i + solution.w_j)),
@@ -125,16 +125,41 @@ class TestCanonicalCorr:
     def test_contrib_sums_to_one(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            solution = canonical_corr(random_valid_structure(rng))
+            solution = canonical_corr(*random_valid_structure(rng))
             assert solution.contrib_i.sum() == pytest.approx(1.0, abs=1e-12)
             assert solution.contrib_j.sum() == pytest.approx(1.0, abs=1e-12)
             assert solution.contrib.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_not_positive_definite(self):
         # a unit cross block makes the joint matrix exactly singular
-        structure = PairCorrelationStructure(np.eye(2), np.eye(2), np.eye(2))
         with pytest.raises(NotPositiveDefinite):
-            canonical_corr(structure)
+            canonical_corr(np.eye(2), np.eye(2), np.eye(2))
+
+    def test_stack_matches_one_pair_at_a_time(self):
+        rng = np.random.default_rng(37)
+        structures = [random_valid_structure(rng) for _ in range(30)]
+        structures.append((np.eye(2), np.eye(2), np.zeros((2, 2))))
+        stacked = canonical_corr(*(np.stack(blocks) for blocks in zip(*structures)))
+        for index, structure in enumerate(structures):
+            single = canonical_corr(*structure)
+            for field in ("roots", "w_i", "w_j", "contrib_i", "contrib_j", "contrib"):
+                np.testing.assert_allclose(getattr(stacked, field)[index], getattr(single, field),
+                                           rtol=0, atol=1e-14)
+            assert stacked.degenerate[index] == single.degenerate
+        np.testing.assert_array_equal(stacked.rho_c, stacked.roots[:, 0])
+
+    def test_sign_convention(self):
+        rng = np.random.default_rng(39)
+        for _ in range(20):
+            sigma_ii, sigma_jj, sigma_ij = random_valid_structure(rng)
+            solution = canonical_corr(sigma_ii, sigma_jj, sigma_ij)
+            assert solution.w_i @ sigma_ij @ solution.w_j > 0.0
+            first = solution.w_i[np.flatnonzero(np.abs(solution.w_i) > 1e-12)[0]]
+            assert first > 0.0
+
+    def test_mismatched_blocks(self):
+        with pytest.raises(LengthMismatch):
+            canonical_corr(np.eye(2), np.eye(3), np.zeros((2, 3)))
 
 
 class TestCanonicalCorrHomogeneous:
@@ -152,8 +177,8 @@ class TestCanonicalCorrHomogeneous:
         rng = np.random.default_rng(29)
         for _ in range(30):
             structure = random_valid_structure(rng, homogeneous=True)
-            hom = canonical_corr_homogeneous(structure.sigma_ii, structure.sigma_ij)
-            gen = canonical_corr(structure)
+            hom = canonical_corr_homogeneous(structure[0], structure[2])
+            gen = canonical_corr(*structure)
             assert abs(hom.rho_c - gen.rho_c) < 1e-9
             delta = min(
                 np.max(np.abs(hom.w_i - gen.w_i)), np.max(np.abs(hom.w_i + gen.w_i))
@@ -163,11 +188,10 @@ class TestCanonicalCorrHomogeneous:
     def test_agrees_with_general_eigen_product(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            structure = random_valid_structure(rng, homogeneous=True)
-            hom = canonical_corr_homogeneous(structure.sigma_ii, structure.sigma_ij)
-            product = np.linalg.inv(structure.sigma_ii) @ structure.sigma_ij
-            top = np.max(np.abs(numkernel.general_eigen(product).values))
-            assert abs(hom.rho_c - top) < 1e-10
+            sigma_m, _, sigma_c = random_valid_structure(rng, homogeneous=True)
+            hom = canonical_corr_homogeneous(sigma_m, sigma_c)
+            values, _ = general_eigen(np.linalg.inv(sigma_m) @ sigma_c)
+            assert abs(hom.rho_c - np.max(np.abs(values))) < 1e-10
 
     def test_weight_surface_at_origin(self):
         solution = canonical_corr_homogeneous(np.eye(2), np.diag([0.3, 0.1]))
@@ -226,7 +250,7 @@ class TestK2Domain:
                 )
                 if margin < 1e-9:
                     continue
-                assert k2_domain(params) == numkernel.is_positive_definite(sigma)
+                assert k2_domain(params) == numkernel.pd_mask(sigma)
 
     def test_rejects_out_of_range_correlations(self):
         with pytest.raises(OutOfDomain):
@@ -273,19 +297,11 @@ class TestAggregateExtreme:
 
 class TestStructureFromSamples:
     def test_blocks_match_direct_estimates(self):
+        # the joint estimate infer re-derives from a pair's stacked samples
         rng = np.random.default_rng(41)
         block_i = rng.normal(size=(60, 2))
         block_j = rng.normal(size=(60, 2))
-        structure = PairCorrelationStructure.from_samples(block_i, block_j)
-        expected = numkernel.pearson_corr(block_i[:, 0], block_j[:, 1])
-        assert structure.sigma_ij[0, 1] == pytest.approx(expected, abs=1e-12)
-        assert numkernel.is_positive_definite(structure.supermatrix)
-
-    def test_supermatrix_blocks_are_the_stored_blocks(self):
-        rng = np.random.default_rng(43)
-        structure = random_valid_structure(rng)
-        joint = structure.supermatrix
-        np.testing.assert_array_equal(joint[:2, :2], structure.sigma_ii)
-        np.testing.assert_array_equal(joint[2:, 2:], structure.sigma_jj)
-        np.testing.assert_array_equal(joint[:2, 2:], structure.sigma_ij)
-        np.testing.assert_array_equal(joint[2:, :2], structure.sigma_ij.T)
+        joint = numkernel.corr_matrices(np.hstack([block_i, block_j]))
+        expected = numkernel.corr_matrices(np.column_stack([block_i[:, 0], block_j[:, 1]]))
+        assert joint[0, 3] == pytest.approx(expected[0, 1], abs=1e-12)
+        assert numkernel.pd_mask(joint)

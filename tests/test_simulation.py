@@ -35,11 +35,11 @@ class TestBuildSigma:
 
     def test_eigenvalues_match_formula(self):
         sigma = build_sigma(K2Params(0.1, 0.2, 0.3, 0.1))
-        values = numkernel.sym_eigen(sigma).values
+        values = np.linalg.eigvalsh(sigma)[::-1]
         np.testing.assert_allclose(
             values, sigma_eigenvalues_formula(0.1, 0.2, 0.3, 0.1), atol=1e-10
         )
-        assert numkernel.is_positive_definite(sigma)
+        assert numkernel.pd_mask(sigma)
 
     def test_boundary_rejected(self):
         params = K2Params(0.0, float(np.sqrt(0.7 * 0.9)), 0.3, 0.1)  # |b - r| = A1
@@ -50,7 +50,7 @@ class TestBuildSigma:
 class TestSampleMvn:
     def test_identity_correlations_near_zero(self):
         draws = sample_mvn(np.eye(4), 100_000, 1)
-        joint = numkernel.corr_matrix(draws)
+        joint = numkernel.corr_matrices(draws)
         assert np.max(np.abs(joint - np.eye(4))) < 0.02
 
     def test_seed_determinism(self):
@@ -62,7 +62,7 @@ class TestSampleMvn:
     def test_target_correlation_recovered(self):
         sigma = build_sigma(K2Params(0.0, 0.0, 0.3, 0.1))
         draws = sample_mvn(sigma, 100_000, 7)
-        joint = numkernel.corr_matrix(draws)
+        joint = numkernel.corr_matrices(draws)
         assert joint[0, 2] == pytest.approx(0.3, abs=0.01)
         assert joint[1, 3] == pytest.approx(0.1, abs=0.01)
 
