@@ -12,7 +12,9 @@ from . import errors
 from .classify import (
     DEFAULT_THRESHOLD,
     EdgeClass,
+    EdgeClasses,
     NodeClass,
+    NodeClasses,
     classify_edge,
     classify_network,
     classify_node,
@@ -42,6 +44,7 @@ from .inference import (
 from .network import (
     AttributeDataset,
     EdgeRecord,
+    EdgeTable,
     InferredNetwork,
     NetworkSummary,
     betweenness_values,

@@ -48,6 +48,42 @@ class NodeClass:
         return self.proportions
 
 
+def _labels(attribute_names) -> tuple:
+    """Class names by code: one per attribute, then mixed, then unclassified."""
+    return (*map(str, attribute_names), MIXED_LABEL, UNCLASSIFIED_LABEL)
+
+
+def _edge_codes(contrib: np.ndarray, t: float, attribute_names: Sequence[str]) -> np.ndarray:
+    """Per row of an (m, k) contribution array, the index of the attribute that
+    dominates the edge, or k for a mixed edge; the first bad row raises."""
+    if not (0.0 < t < 1.0):
+        raise InvalidThreshold(f"threshold must lie in (0, 1), got {t}")
+    k = len(attribute_names)
+    if len(contrib) and contrib.shape[1] != k:
+        raise UnnormalizedContrib(
+            f"contribution vector length {contrib.shape[1]} does not match {k} attributes"
+        )
+    bad = np.any(contrib < -_SUM_TOL, axis=1) | (np.abs(contrib.sum(axis=1) - 1.0) > _SUM_TOL)
+    if bad.any():
+        raise UnnormalizedContrib(
+            f"contributions must be non-negative and sum to 1: {contrib[np.argmax(bad)]}"
+        )
+    top = np.argmax(contrib, axis=1)
+    return np.where(contrib[np.arange(len(contrib)), top] >= 1.0 - t, top, k)
+
+
+def _node_codes(counts: np.ndarray):
+    """Proportions and class code per row of incident-edge counts in (attribute...,
+    mixed) order: ties go to mixed first, then to the lowest attribute index, and a
+    node without edges is unclassified."""
+    k = counts.shape[1] - 1
+    total = counts.sum(axis=1, keepdims=True)
+    proportions = np.divide(counts, total, out=np.zeros_like(counts), where=total > 0)
+    mixed = proportions[:, k] >= proportions.max(axis=1) - 1e-15
+    code = np.where(mixed, k, np.argmax(proportions[:, :k], axis=1))
+    return proportions, np.where(total[:, 0] > 0, code, k + 1)
+
+
 def classify_edge(pair, contrib, t: float, attribute_names: Sequence[str]) -> EdgeClass:
     """Label an edge as dominated by its strongest attribute or mixed.
 
@@ -55,29 +91,19 @@ def classify_edge(pair, contrib, t: float, attribute_names: Sequence[str]) -> Ed
     contribution vector; the edge is dominated by l* iff contrib[l*] >= 1-T.
     With two attributes this is the usual two-cut rule on either entry.
     """
-    if not (0.0 < t < 1.0):
-        raise InvalidThreshold(f"threshold must lie in (0, 1), got {t}")
     values = np.asarray(contrib, dtype=float)
-    if values.ndim != 1 or values.size != len(attribute_names):
+    if values.ndim != 1:
         raise UnnormalizedContrib(
             f"contribution vector length {values.size} does not match "
             f"{len(attribute_names)} attributes"
         )
-    if np.any(values < -_SUM_TOL) or abs(float(values.sum()) - 1.0) > _SUM_TOL:
-        raise UnnormalizedContrib(f"contributions must be non-negative and sum to 1: {values}")
-    top = int(np.argmax(values))
-    if values[top] >= 1.0 - t:
-        label = str(attribute_names[top])
-        dominant = top
-    else:
-        label = MIXED_LABEL
-        dominant = None
+    code = int(_edge_codes(values[None, :], t, attribute_names)[0])
     return EdgeClass(
         pair=(str(pair[0]), str(pair[1])),
-        contrib=tuple(float(v) for v in values),
-        label=label,
+        contrib=tuple(values.tolist()),
+        label=_labels(attribute_names)[code],
         threshold=float(t),
-        dominant_index=dominant,
+        dominant_index=code if code < len(attribute_names) else None,
     )
 
 
@@ -88,64 +114,105 @@ def classify_node(node_id, incident: Sequence[EdgeClass], attribute_names: Seque
     mixed first, then to the lowest attribute index.
     """
     k = len(attribute_names)
-    if not incident:
-        return NodeClass(node_id=str(node_id), proportions=(0.0,) * (k + 1), label=UNCLASSIFIED_LABEL)
-    counts = np.zeros(k + 1)
+    counts = np.zeros((1, k + 1))
     for edge in incident:
-        if edge.label == MIXED_LABEL:
-            counts[k] += 1
-        else:
-            counts[list(attribute_names).index(edge.label)] += 1
-    proportions = counts / counts.sum()
-    best = float(proportions.max())
-    if proportions[k] >= best - 1e-15:
-        label = MIXED_LABEL
-    else:
-        label = str(attribute_names[int(np.argmax(proportions[:k]))])
-    return NodeClass(
-        node_id=str(node_id),
-        proportions=tuple(float(v) for v in proportions),
-        label=label,
-    )
+        counts[0, k if edge.label == MIXED_LABEL else list(attribute_names).index(edge.label)] += 1
+    proportions, code = _node_codes(counts)
+    return NodeClass(node_id=str(node_id), proportions=tuple(proportions[0].tolist()),
+                     label=_labels(attribute_names)[code[0]])
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeClasses:
+    """Edge classes of one network as columns; iterating yields ``EdgeClass`` rows.
+
+    Row r is the edge between ``node_ids[ends[r, 0]]`` and ``node_ids[ends[r, 1]]``;
+    ``code[r]`` indexes ``labels`` (the attribute names, then mixed and unclassified).
+    """
+
+    node_ids: tuple
+    ends: np.ndarray
+    contrib: np.ndarray
+    code: np.ndarray
+    labels: tuple
+    threshold: float
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __iter__(self):
+        k = self.contrib.shape[1]
+        for (a, b), values, code in zip(self.ends.tolist(), self.contrib.tolist(),
+                                        self.code.tolist()):
+            yield EdgeClass((self.node_ids[a], self.node_ids[b]), tuple(values), self.labels[code],
+                            self.threshold, code if code < k else None)
+
+
+@dataclass(frozen=True, eq=False)
+class NodeClasses:
+    """Node classes of one network as columns; iterating yields ``NodeClass`` rows.
+
+    ``proportions`` is (N, k + 1) in (attribute..., mixed) order and ``code``
+    indexes ``labels`` (the attribute names, then mixed and unclassified).
+    """
+
+    node_ids: tuple
+    proportions: np.ndarray
+    code: np.ndarray
+    labels: tuple
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __iter__(self):
+        for node_id, proportions, code in zip(self.node_ids, self.proportions.tolist(),
+                                              self.code.tolist()):
+            yield NodeClass(node_id, tuple(proportions), self.labels[code])
 
 
 def classify_network(net, t: float = DEFAULT_THRESHOLD):
-    """Edge and node classes for an inferred network carrying contributions."""
-    attribute_names = net.attribute_names
-    edge_classes = []
-    for edge in net.edges:
-        if edge.contrib is None:
-            raise MissingContribution(
-                f"edge ({edge.node_i}, {edge.node_j}) carries no contribution vector; "
-                f"classification needs a canonical-correlation network"
-            )
-        edge_classes.append(classify_edge((edge.node_i, edge.node_j), edge.contrib, t, attribute_names))
-    incident = {v: [] for v in net.node_ids}
-    for ec in edge_classes:
-        incident[ec.pair[0]].append(ec)
-        incident[ec.pair[1]].append(ec)
-    node_classes = [classify_node(v, incident[v], attribute_names) for v in net.node_ids]
-    return edge_classes, node_classes
+    """Edge and node classes for an inferred network carrying contributions,
+    labelled by the rules of ``classify_edge`` and ``classify_node``."""
+    table, labels = net.table, _labels(net.attribute_names)
+    missing = np.isnan(table.contrib).all(axis=1)
+    if missing.any():
+        first = int(np.argmax(missing))
+        _edge_codes(table.contrib[:first], t, net.attribute_names)  # an earlier edge's fault first
+        node_i, node_j = (net.node_ids[x] for x in table.ends[first])
+        raise MissingContribution(
+            f"edge ({node_i}, {node_j}) carries no contribution vector; "
+            f"classification needs a canonical-correlation network"
+        )
+    code = _edge_codes(table.contrib, t, net.attribute_names)
+    width = len(net.attribute_names) + 1
+    counts = np.bincount((table.ends * width + code[:, None]).ravel(),
+                         minlength=net.n_nodes * width).reshape(net.n_nodes, width)
+    proportions, node_code = _node_codes(counts.astype(float))
+    return (EdgeClasses(net.node_ids, table.ends, table.contrib, code, labels, float(t)),
+            NodeClasses(net.node_ids, proportions, node_code, labels))
 
 
-def contribution_histogram(edge_classes: Sequence[EdgeClass],
-                           attribute_index: int = 0) -> np.ndarray:
-    """Counts of one attribute's contribution across edges in ``HISTOGRAM_BINS`` bins
-    over [0, 1]."""
-    values = [ec.contrib[attribute_index] for ec in edge_classes]
+def contribution_histogram(edge_classes, attribute_index: int = 0) -> np.ndarray:
+    """Counts of one attribute's contribution across edges, given as ``EdgeClasses``
+    or ``EdgeClass`` rows, in ``HISTOGRAM_BINS`` bins over [0, 1]."""
+    if isinstance(edge_classes, EdgeClasses):
+        values = edge_classes.contrib[:, attribute_index]
+    else:
+        values = [ec.contrib[attribute_index] for ec in edge_classes]
     counts, _ = np.histogram(values, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return counts
 
 
-def simplex_xy(proportions: Sequence[float]):
-    """2-d coordinates of a three-class proportion vector in the unit triangle.
+def simplex_xy(proportions):
+    """2-d coordinates of three-class proportion vectors in the unit triangle.
 
     Defined for two attributes plus the mixed class: attribute 1 at the
-    origin, attribute 2 at (1, 0), mixed at the top corner.
+    origin, attribute 2 at (1, 0), mixed at the top corner.  Takes one vector
+    or an (N, 3) stack, and gives x and y per vector.
     """
     p = np.asarray(proportions, dtype=float)
-    if p.size != 3:
+    if p.shape[-1:] != (3,):
         raise UnnormalizedContrib("triangle coordinates need exactly 3 proportions")
-    x = p[1] + 0.5 * p[2]
-    y = float(np.sqrt(3.0) / 2.0) * p[2]
-    return float(x), float(y)
+    x = p[..., 1] + 0.5 * p[..., 2]
+    y = float(np.sqrt(3.0) / 2.0) * p[..., 2]
+    return x, y

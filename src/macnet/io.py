@@ -12,15 +12,16 @@ import csv
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .classify import EdgeClass, NodeClass, simplex_xy
+from .classify import EdgeClasses, NodeClasses, simplex_xy
 from .enrichment import EnrichmentReport
 from .errors import DuplicateNodeId, NonNumericCell, SchemaMismatch
-from .network import AttributeDataset, EdgeRecord, InferredNetwork, NetworkSummary, SkippedPair
+from .network import AttributeDataset, EdgeTable, InferredNetwork, NetworkSummary, SkippedPair
 from .simulation import PowerResult
 
 META_FILENAME = "meta.json"
@@ -37,6 +38,25 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _cells(values, blank=None) -> list:
+    """One column's cells by the rule of ``fmt``, formatted in one pass; cells where
+    ``blank`` is true are left empty."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        cells = list(map(str, values.tolist()))
+    else:
+        cells = list(map("%.17g".__mod__, values.astype(float).tolist()))
+    if blank is not None:
+        for x in np.flatnonzero(blank):
+            cells[x] = ""
+    return cells
+
+
+def _field_cells(records, name: str, dtype) -> list:
+    """Cells of one field across records, formatted as a column."""
+    return _cells(np.array([getattr(r, name) for r in records], dtype=dtype))
+
+
 def atomic_write_text(path, text: str):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -51,13 +71,15 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def _rows_to_csv(rows) -> str:
+def _write_columns(path, header, columns):
+    """A CSV of one header row and equal-length columns of cells."""
     import io as _io
 
     buffer = _io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    atomic_write_text(path, buffer.getvalue())
 
 
 def _number(cell: str, path, lineno: int, col: int, convert=float):
@@ -92,8 +114,7 @@ def _read_attribute_csv(path):
             raise SchemaMismatch(
                 f"{path}: need at least 3 sample columns, found {n}", path=str(path), line=1
             )
-        ids = []
-        rows = []
+        ids, cells, lines = [], [], []
         seen = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -110,22 +131,27 @@ def _read_attribute_csv(path):
             if node_id in seen:
                 raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {node_id!r}")
             seen.add(node_id)
-            values = []
-            for col, cell in enumerate(row[1:], start=2):
-                value = _number(cell, path, lineno, col)
-                if not np.isfinite(value):
+            ids.append(node_id)
+            cells.append(row[1:])
+            lines.append(lineno)
+    if not ids:
+        raise SchemaMismatch(f"{path}: no data rows", path=str(path), line=2)
+    try:
+        block = np.array(cells, dtype=float)
+    except ValueError:
+        block = None
+    if block is None or not np.isfinite(block).all():
+        # cell by cell, so the error names the first bad cell's line and column
+        for lineno, row in zip(lines, cells):
+            for col, cell in enumerate(row, start=2):
+                if not np.isfinite(_number(cell, path, lineno, col)):
                     raise NonNumericCell(
                         f"{path}:{lineno}: column {col} is not finite: {cell!r}",
                         path=str(path),
                         line=lineno,
                         column=col,
                     )
-                values.append(value)
-            ids.append(node_id)
-            rows.append(values)
-    if not ids:
-        raise SchemaMismatch(f"{path}: no data rows", path=str(path), line=2)
-    return ids, np.asarray(rows, dtype=float)
+    return ids, block
 
 
 def ingest(paths: Sequence, attribute_names: Optional[Sequence[str]] = None) -> AttributeDataset:
@@ -172,16 +198,16 @@ EDGE_FIELDS = ("node_i", "node_j", "method", "similarity", "statistic", "df", "p
 
 
 def write_edges_csv(net: InferredNetwork, path):
+    table = net.table
     k = len(net.attribute_names)
     header = list(EDGE_FIELDS) + [f"contrib_{i + 1}" for i in range(k)]
-    rows = [header]
-    for edge in net.edges:
-        contrib = list(edge.contrib) if edge.contrib is not None else [None] * k
-        rows.append(
-            [edge.node_i, edge.node_j, edge.method, fmt(edge.similarity), fmt(edge.statistic),
-             fmt(edge.df), fmt(edge.p), fmt(edge.q)] + [fmt(c) for c in contrib]
-        )
-    atomic_write_text(path, _rows_to_csv(rows))
+    names = np.array(net.node_ids, dtype=object)
+    no_contrib = np.isnan(table.contrib).all(axis=1)
+    columns = [names[table.ends[:, 0]], names[table.ends[:, 1]], [net.method] * len(table),
+               _cells(table.similarity), _cells(table.statistic),
+               _cells(table.df, blank=np.isnan(table.df)), _cells(table.p), _cells(table.q)]
+    columns += [_cells(c, blank=no_contrib) for c in table.contrib.T]
+    _write_columns(path, header, columns)
 
 
 def network_meta(net: InferredNetwork) -> dict:
@@ -214,8 +240,59 @@ def write_meta_json(net: InferredNetwork, path):
     atomic_write_text(path, json.dumps(network_meta(net), indent=2, sort_keys=True) + "\n")
 
 
+def _optional_column(columns, m: int, dtype) -> np.ndarray:
+    """Cells of c columns of m rows parsed as an (m, c) float array; a row whose
+    cells are all empty reads as NaN."""
+    if all("" not in c for c in columns):
+        return np.array(columns, dtype=dtype).reshape(len(columns), m).T.astype(float)
+    cells = np.array(columns, dtype=str).reshape(len(columns), m).T
+    given = (cells != "").any(axis=1)
+    values = np.full(cells.shape, np.nan)
+    values[given] = cells[given].astype(dtype)
+    return values
+
+
+def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
+    """The edge table of an edge CSV's rows of ``width`` cells, endpoints looked up in
+    ``index``; numeric columns are parsed whole."""
+    columns = list(zip(*rows)) or [()] * width
+    ends = np.array([[index.get(v, -1) for v in columns[x]] for x in (0, 1)],
+                    dtype=np.intp).T.reshape(-1, 2)
+    bad = (ends < 0).any(axis=1) | (ends[:, 0] == ends[:, 1])
+    if bad.any():
+        x = int(np.argmax(bad))
+        if (ends[x] >= 0).all():
+            problem, column = f"self-loop on {rows[x][0]!r}", 2
+        else:
+            column = 1 if ends[x, 0] < 0 else 2
+            problem = f"endpoint {rows[x][column - 1]!r} is not among the node ids of {META_FILENAME}"
+        raise SchemaMismatch(f"{path}:{lines[x]}: {problem}", path=str(path), line=lines[x],
+                             column=column)
+    fields = len(EDGE_FIELDS)
+    try:
+        return EdgeTable(ends=ends, similarity=np.array(columns[3], dtype=float),
+                         statistic=np.array(columns[4], dtype=float),
+                         df=_optional_column(columns[5:6], len(rows), np.int64)[:, 0],
+                         p=np.array(columns[6], dtype=float), q=np.array(columns[7], dtype=float),
+                         contrib=_optional_column(columns[fields:width], len(rows), float))
+    except (ValueError, OverflowError):
+        # cell by cell, in file order, so the error names the first bad cell's line and column
+        for lineno, row in zip(lines, rows):
+            if any(row[fields:]):
+                for col in range(fields, width):
+                    _number(row[col], path, lineno, col + 1)
+            for col in range(3, fields):
+                if col != 5 or row[col] != "":
+                    _number(row[col], path, lineno, col + 1, int if col == 5 else float)
+        raise
+
+
 def read_network(edges_path) -> InferredNetwork:
-    """Re-build an inferred network from its CSV (and sibling metadata, if present)."""
+    """Re-build an inferred network from its CSV (and sibling metadata, if present).
+
+    An edge whose endpoint is missing from the metadata's node ids, a self-loop,
+    and an edge whose method is not the network's are rejected with their line.
+    """
     edges_path = Path(edges_path)
     meta_path = edges_path.parent / META_FILENAME
     meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else None
@@ -227,7 +304,7 @@ def read_network(edges_path) -> InferredNetwork:
             raise SchemaMismatch(
                 f"{edges_path}: unexpected edge header {header[:8]}", path=str(edges_path), line=1
             )
-        edges = []
+        rows, lines = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -237,27 +314,34 @@ def read_network(edges_path) -> InferredNetwork:
                     path=str(edges_path),
                     line=lineno,
                 )
-            contrib = None
-            if any(row[len(EDGE_FIELDS):]):
-                contrib = tuple(_number(row[col], edges_path, lineno, col + 1)
-                                for col in range(len(EDGE_FIELDS), len(row)))
-            edges.append(
-                EdgeRecord(
-                    node_i=row[0],
-                    node_j=row[1],
-                    method=row[2],
-                    similarity=_number(row[3], edges_path, lineno, 4),
-                    statistic=_number(row[4], edges_path, lineno, 5),
-                    df=_number(row[5], edges_path, lineno, 6, int) if row[5] != "" else None,
-                    p=_number(row[6], edges_path, lineno, 7),
-                    q=_number(row[7], edges_path, lineno, 8),
-                    contrib=contrib,
-                )
-            )
+            rows.append(row)
+            lines.append(lineno)
 
     if meta is not None:
         node_ids = tuple(meta["node_ids"])
+        method = meta["method"]
+    else:
+        # no metadata: fall back to the nodes seen on edges, in first-seen order
+        node_ids = tuple(dict.fromkeys(v for row in rows for v in row[:2]))
+        method = rows[0][2] if rows else "unknown"
+    for row, lineno in zip(rows, lines):
+        if row[2] != method:
+            raise SchemaMismatch(f"{edges_path}:{lineno}: method {row[2]!r} is not the "
+                                 f"network's {method!r}", path=str(edges_path), line=lineno,
+                                 column=3)
+    table = _edge_table(rows, len(header), {v: x for x, v in enumerate(node_ids)},
+                        edges_path, lines)
+    no_contrib = np.isnan(table.contrib).all()
+    if meta is not None:
         attribute_names = tuple(meta["attribute_names"])
+    else:
+        count = 1 if no_contrib else table.contrib.shape[1]
+        attribute_names = tuple(f"attr_{i + 1}" for i in range(count))
+    if no_contrib:
+        # one empty contribution cell per attribute, as infer writes them
+        table = replace(table, contrib=np.full((len(table), len(attribute_names)), np.nan))
+
+    if meta is not None:
         skipped = tuple(
             SkippedPair(s["node_i"], s["node_j"], s["reason"]) for s in meta.get("skipped_pairs", [])
         )
@@ -265,10 +349,10 @@ def read_network(edges_path) -> InferredNetwork:
         return InferredNetwork(
             node_ids=node_ids,
             attribute_names=attribute_names,
-            method=meta["method"],
+            method=method,
             gamma=float(meta["gamma"]),
             n_samples=int(meta["n_samples"]),
-            edges=tuple(edges),
+            table=table,
             tested_pairs=int(meta.get("tested_pairs", 0)),
             skipped=skipped,
             floored=tuple(tuple(pair) for pair in meta.get("floored_pairs", [])),
@@ -277,18 +361,14 @@ def read_network(edges_path) -> InferredNetwork:
             pvalue_mode=meta.get("pvalue_mode", "formula"),
         )
 
-    # no metadata: fall back to the nodes seen on edges, in first-seen order
-    node_ids = list(dict.fromkeys(v for edge in edges for v in (edge.node_i, edge.node_j)))
-    contrib_count = max((len(e.contrib) for e in edges if e.contrib is not None), default=1)
-    method = edges[0].method if edges else "unknown"
     return InferredNetwork(
-        node_ids=tuple(node_ids),
-        attribute_names=tuple(f"attr_{i + 1}" for i in range(contrib_count)),
+        node_ids=node_ids,
+        attribute_names=attribute_names,
         method=method,
         gamma=float("nan"),
         n_samples=0,
-        edges=tuple(edges),
-        tested_pairs=len(edges),
+        table=table,
+        tested_pairs=len(table),
     )
 
 
@@ -313,24 +393,24 @@ def write_summary_json(summaries: dict, path):
 
 
 def write_jaccard_csv(rows, path):
-    out = [["network_a", "network_b", "jaccard", "shared_edges"]]
-    for a, b, value, shared in rows:
-        out.append([a, b, fmt(value), fmt(shared)])
-    atomic_write_text(path, _rows_to_csv(out))
+    a, b, value, shared = zip(*rows) if rows else ((),) * 4
+    _write_columns(path, ["network_a", "network_b", "jaccard", "shared_edges"],
+                   [a, b, _cells(np.array(value, dtype=float)), _cells(np.array(shared, dtype=int))])
 
 
 def write_distribution_csv(net: InferredNetwork, degrees, clustering, betweenness, path):
-    rows = [["node_id", "degree", "clustering", "betweenness"]]
-    for v, d, c, b in zip(net.node_ids, degrees, clustering, betweenness):
-        rows.append([v, fmt(d), fmt(c), fmt(b)])
-    atomic_write_text(path, _rows_to_csv(rows))
+    _write_columns(path, ["node_id", "degree", "clustering", "betweenness"],
+                   [net.node_ids, _cells(degrees), _cells(clustering), _cells(betweenness)])
 
 
-def write_edge_classes_csv(edge_classes: Sequence[EdgeClass], attribute_names, path):
-    rows = [["node_i", "node_j", "label", "threshold"] + [f"contrib_{a}" for a in attribute_names]]
-    for ec in edge_classes:
-        rows.append([ec.pair[0], ec.pair[1], ec.label, fmt(ec.threshold)] + [fmt(c) for c in ec.contrib])
-    atomic_write_text(path, _rows_to_csv(rows))
+def write_edge_classes_csv(edge_classes: EdgeClasses, attribute_names, path):
+    names = np.array(edge_classes.node_ids, dtype=object)
+    _write_columns(path, ["node_i", "node_j", "label", "threshold"]
+                   + [f"contrib_{a}" for a in attribute_names],
+                   [names[edge_classes.ends[:, 0]], names[edge_classes.ends[:, 1]],
+                    np.array(edge_classes.labels, dtype=object)[edge_classes.code],
+                    [fmt(edge_classes.threshold)] * len(edge_classes),
+                    *(_cells(c) for c in edge_classes.contrib.T)])
 
 
 def read_node_classes(path) -> dict:
@@ -351,53 +431,48 @@ def read_node_classes(path) -> dict:
     return classes
 
 
-def write_node_classes_csv(node_classes: Sequence[NodeClass], attribute_names, path):
-    rows = [["node_id", "label"] + [f"p_{a}" for a in attribute_names] + ["p_mixed"]]
-    for nc in node_classes:
-        rows.append([nc.node_id, nc.label] + [fmt(p) for p in nc.proportions])
-    atomic_write_text(path, _rows_to_csv(rows))
-
-
-def write_simplex_csv(node_classes: Sequence[NodeClass], attribute_names, path):
-    """Barycentric coordinates per node; adds triangle x/y when there are 3 classes."""
-    triangle = len(attribute_names) == 2
+def _node_class_columns(node_classes: NodeClasses, attribute_names):
+    """Header and columns shared by the node class and simplex files."""
     header = ["node_id", "label"] + [f"p_{a}" for a in attribute_names] + ["p_mixed"]
-    if triangle:
+    return header, [node_classes.node_ids,
+                    np.array(node_classes.labels, dtype=object)[node_classes.code],
+                    *(_cells(p) for p in node_classes.proportions.T)]
+
+
+def write_node_classes_csv(node_classes: NodeClasses, attribute_names, path):
+    _write_columns(path, *_node_class_columns(node_classes, attribute_names))
+
+
+def write_simplex_csv(node_classes: NodeClasses, attribute_names, path):
+    """Barycentric coordinates per node; adds triangle x/y when there are 3 classes."""
+    header, columns = _node_class_columns(node_classes, attribute_names)
+    if len(attribute_names) == 2:
         header += ["x", "y"]
-    rows = [header]
-    for nc in node_classes:
-        row = [nc.node_id, nc.label] + [fmt(p) for p in nc.proportions]
-        if triangle:
-            x, y = simplex_xy(nc.proportions)
-            row += [fmt(x), fmt(y)]
-        rows.append(row)
-    atomic_write_text(path, _rows_to_csv(rows))
+        columns += [_cells(c) for c in simplex_xy(node_classes.proportions)]
+    _write_columns(path, header, columns)
 
 
 def write_histogram_csv(counts, path):
     edges = np.linspace(0.0, 1.0, len(counts) + 1)
-    rows = [["bin_low", "bin_high", "count"]]
-    for i, count in enumerate(counts):
-        rows.append([fmt(edges[i]), fmt(edges[i + 1]), fmt(int(count))])
-    atomic_write_text(path, _rows_to_csv(rows))
+    _write_columns(path, ["bin_low", "bin_high", "count"],
+                   [_cells(edges[:-1]), _cells(edges[1:]), _cells(np.asarray(counts, dtype=int))])
 
 
 def write_enrichment_csv(report: EnrichmentReport, path):
-    rows = [["class", "set", "overlap", "set_size", "class_size", "p", "q", "enriched"]]
-    for r in report.results:
-        rows.append(
-            [r.class_label, r.set_name, fmt(r.overlap), fmt(r.set_size), fmt(r.class_size),
-             fmt(r.p), fmt(r.q), "1" if r.enriched else "0"]
-        )
-    atomic_write_text(path, _rows_to_csv(rows))
+    results = report.results
+    _write_columns(path, ["class", "set", "overlap", "set_size", "class_size", "p", "q", "enriched"],
+                   [[r.class_label for r in results], [r.set_name for r in results],
+                    _field_cells(results, "overlap", int), _field_cells(results, "set_size", int),
+                    _field_cells(results, "class_size", int), _field_cells(results, "p", float),
+                    _field_cells(results, "q", float),
+                    ["1" if r.enriched else "0" for r in results]])
 
 
 def write_power_csv(result: PowerResult, path):
-    spec = result.spec
-    rows = [["r", "b", "rho1", "rho2", "n", "reps", "alpha", "scenario", "power", "mc_se"]]
-    for cell in result.cells:
-        rows.append(
-            [fmt(cell.r), fmt(cell.b), fmt(spec.rho1), fmt(spec.rho2), fmt(spec.n),
-             fmt(spec.reps), fmt(spec.alpha), fmt(cell.scenario), fmt(cell.power), fmt(cell.mc_se)]
-        )
-    atomic_write_text(path, _rows_to_csv(rows))
+    spec, cells = result.spec, result.cells
+    constants = [[fmt(value)] * len(cells)
+                 for value in (spec.rho1, spec.rho2, spec.n, spec.reps, spec.alpha)]
+    _write_columns(path, ["r", "b", "rho1", "rho2", "n", "reps", "alpha", "scenario", "power", "mc_se"],
+                   [_field_cells(cells, "r", float), _field_cells(cells, "b", float), *constants,
+                    _field_cells(cells, "scenario", int), _field_cells(cells, "power", float),
+                    _field_cells(cells, "mc_se", float)])

@@ -114,6 +114,8 @@ class AttributeDataset:
 
 @dataclass(frozen=True)
 class EdgeRecord:
+    """One edge as a row; ``InferredNetwork.edges`` builds these from the edge table."""
+
     node_i: str
     node_j: str
     method: str
@@ -133,6 +135,29 @@ class SkippedPair:
 
 
 @dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Declared edges as columns, one row per edge.
+
+    ``ends`` (m, 2) holds each edge's endpoint indices into the network's
+    ``node_ids``; ``similarity``, ``statistic``, ``df``, ``p`` and ``q`` are
+    float64 columns and ``contrib`` is (m, k).  ``df`` is NaN where a method
+    has no degrees of freedom, and a row of NaN contributions means the edge
+    carries no contribution vector.
+    """
+
+    ends: np.ndarray
+    similarity: np.ndarray
+    statistic: np.ndarray
+    df: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    contrib: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+
+@dataclass(frozen=True, eq=False)
 class InferredNetwork:
     """Declared edges plus the diagnostics needed to audit the run."""
 
@@ -141,7 +166,7 @@ class InferredNetwork:
     method: str
     gamma: float
     n_samples: int
-    edges: tuple
+    table: EdgeTable
     tested_pairs: int = 0
     skipped: tuple = ()
     floored: tuple = ()
@@ -149,22 +174,58 @@ class InferredNetwork:
     homogeneity_singular_pairs: int = 0
     pvalue_mode: str = "formula"
 
+    @classmethod
+    def from_records(cls, node_ids, attribute_names, method, gamma, n_samples, records,
+                     *args, **kwargs) -> "InferredNetwork":
+        """A network from ``EdgeRecord`` rows, such as one built by hand; the
+        arguments after ``records`` are the constructor's."""
+        index = {v: x for x, v in enumerate(node_ids)}
+        if any(e.method != method or e.node_i not in index or e.node_j not in index
+               for e in records):
+            raise UsageError(f"every edge must join two of node_ids and carry method {method!r}")
+        k = len(attribute_names)
+        table = EdgeTable(
+            ends=np.array([(index[e.node_i], index[e.node_j]) for e in records],
+                          dtype=np.intp).reshape(-1, 2),
+            df=np.array([np.nan if e.df is None else e.df for e in records], dtype=float),
+            contrib=np.array([(np.nan,) * k if e.contrib is None else e.contrib for e in records],
+                             dtype=float).reshape(-1, k),
+            **{field: np.array([getattr(e, field) for e in records], dtype=float)
+               for field in ("similarity", "statistic", "p", "q")},
+        )
+        return cls(tuple(node_ids), tuple(attribute_names), method, gamma, n_samples, table,
+                   *args, **kwargs)
+
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.table)
+
+    @property
+    def edges(self) -> tuple:
+        """Read-only view of the edge table as ``EdgeRecord`` rows, built on each access."""
+        t, ids = self.table, self.node_ids
+        return tuple(
+            EdgeRecord(ids[a], ids[b], self.method, similarity, statistic,
+                       None if df != df else int(df), p, q,
+                       None if all(c != c for c in contrib) else tuple(contrib))
+            for (a, b), similarity, statistic, df, p, q, contrib in zip(
+                t.ends.tolist(), t.similarity.tolist(), t.statistic.tolist(), t.df.tolist(),
+                t.p.tolist(), t.q.tolist(), t.contrib.tolist())
+        )
 
     def edge_pairs(self) -> frozenset:
-        return frozenset(frozenset((e.node_i, e.node_j)) for e in self.edges)
+        return frozenset(frozenset((self.node_ids[a], self.node_ids[b]))
+                         for a, b in self.table.ends.tolist())
 
     def adjacency(self) -> dict:
         adj = {v: set() for v in self.node_ids}
-        for e in self.edges:
-            adj[e.node_i].add(e.node_j)
-            adj[e.node_j].add(e.node_i)
+        for a, b in self.table.ends.tolist():
+            adj[self.node_ids[a]].add(self.node_ids[b])
+            adj[self.node_ids[b]].add(self.node_ids[a])
         return adj
 
     @cached_property
@@ -172,9 +233,7 @@ class InferredNetwork:
         """Symmetric 0/1 adjacency in node order, as a ``scipy.sparse`` CSR matrix."""
         from scipy.sparse import csr_matrix
 
-        index = {v: x for x, v in enumerate(self.node_ids)}
-        ends = np.array([(index[e.node_i], index[e.node_j]) for e in self.edges],
-                        dtype=np.intp).reshape(-1, 2)
+        ends = self.table.ends
         rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
         adj = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n_nodes,) * 2)
         adj.data[:] = 1.0  # a pair listed twice is still one edge
@@ -361,20 +420,16 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
 
     tested_index = np.flatnonzero(tested)
     decision = inference.bh_fdr(pvalues[tested_index], gamma)
-    edge_index = tested_index[list(decision.rejected)]
-    edges = tuple(
-        EdgeRecord(
-            node_i=ids[first[x]],
-            node_j=ids[second[x]],
-            method=method,
-            similarity=float(sims[x]),
-            statistic=float(statistic[x]),
-            df=k * k if method == "cca" else None,
-            p=float(pvalues[x]),
-            q=float(decision.qvalues[idx]),
-            contrib=tuple(float(c) for c in contribs[x]) if method == "cca" else None,
-        )
-        for idx, x in zip(decision.rejected, edge_index)
+    rejected = np.asarray(decision.rejected, dtype=np.intp)
+    edge_index = tested_index[rejected]
+    table = EdgeTable(
+        ends=np.stack([first[edge_index], second[edge_index]], axis=1),
+        similarity=sims[edge_index],
+        statistic=statistic[edge_index],
+        df=np.full(edge_index.size, k * k if method == "cca" else np.nan),
+        p=pvalues[edge_index],
+        q=decision.qvalues[rejected],
+        contrib=contribs[edge_index] if method == "cca" else np.full((edge_index.size, k), np.nan),
     )
     return InferredNetwork(
         node_ids=data.node_ids,
@@ -382,7 +437,7 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
         method=method,
         gamma=gamma,
         n_samples=data.n_samples,
-        edges=edges,
+        table=table,
         tested_pairs=int(tested_index.size),
         skipped=skipped,
         floored=floored_pairs,
@@ -497,7 +552,7 @@ def summary(net: InferredNetwork) -> NetworkSummary:
     clustering = clustering_values(net)
     betweenness = betweenness_values(net)
     density = 2.0 * e / (n * (n - 1)) if n > 1 else 0.0
-    avg_abs = float(np.mean([abs(edge.similarity) for edge in net.edges])) if e else 0.0
+    avg_abs = float(np.mean(np.abs(net.table.similarity))) if e else 0.0
     return NetworkSummary(
         n_nodes=n,
         n_edges=e,
@@ -517,10 +572,14 @@ def jaccard(net_a: InferredNetwork, net_b: InferredNetwork):
     """Jaccard similarity of two edge sets over identical node sets."""
     if set(net_a.node_ids) != set(net_b.node_ids):
         raise NodeSetMismatch("networks cover different node sets")
-    edges_a = net_a.edge_pairs()
-    edges_b = net_b.edge_pairs()
-    shared = len(edges_a & edges_b)
-    union = len(edges_a | edges_b)
+    n = net_a.n_nodes
+    index = {v: x for x, v in enumerate(net_a.node_ids)}
+    in_a = np.array([index[v] for v in net_b.node_ids], dtype=np.intp)
+    # each unordered pair as one integer key, both networks in net_a's node order
+    keys = [np.unique(ends.min(axis=1) * n + ends.max(axis=1))
+            for ends in (net_a.table.ends, in_a[net_b.table.ends])]
+    shared = int(np.intersect1d(*keys, assume_unique=True).size)
+    union = keys[0].size + keys[1].size - shared
     if union == 0:
         return 1.0, 0
     return shared / union, shared

@@ -164,17 +164,17 @@ def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: f
     ]
     z1, z2, bartlett_p = (np.concatenate(parts) for parts in zip(*chunks))
 
-    if spec.rho_z_override is not None:
-        rho_z = float(spec.rho_z_override)
-    elif spec.reps >= 3:
-        rho_z = float(np.corrcoef(z1, z2)[0, 1])
-    else:
-        raise InsufficientSamples("need rho_z_override or at least 3 replicates for scenarios 3-4")
-    rho_z = min(1.0, max(-1.0, rho_z))
-
-    sampler = None
-    if spec.pvalue_mode == "montecarlo" and (3 in spec.scenarios or 4 in spec.scenarios):
-        sampler = inference.ExtremeTailSampler(seed=spec.seed * 1_000_003 + grid_index)
+    rho_z = sampler = None
+    if 3 in spec.scenarios or 4 in spec.scenarios:  # only the max/min scenarios read rho_z
+        if spec.rho_z_override is not None:
+            rho_z = float(spec.rho_z_override)
+        elif spec.reps >= 3:
+            rho_z = float(np.corrcoef(z1, z2)[0, 1])
+        else:
+            raise InsufficientSamples("need rho_z_override or at least 3 replicates for scenarios 3-4")
+        rho_z = min(1.0, max(-1.0, rho_z))
+        if spec.pvalue_mode == "montecarlo":
+            sampler = inference.ExtremeTailSampler(seed=spec.seed * 1_000_003 + grid_index)
 
     rejections = {}
     for scenario in spec.scenarios:

@@ -339,7 +339,7 @@ def test_netstat_output_independent_of_hash_seed(tmp_path):
     pairs = {tuple(sorted(rng.choice(60, size=2, replace=False))) for _ in range(260)}
     edges = tuple(EdgeRecord(ids[a], ids[b], "pearson", 0.5, 1.0, None, 0.01, 0.01)
                   for a, b in sorted(pairs))
-    net = InferredNetwork(tuple(ids), ("attr",), "pearson", 0.05, 10, edges, len(edges))
+    net = InferredNetwork.from_records(tuple(ids), ("attr",), "pearson", 0.05, 10, edges, len(edges))
     io_mod.write_edges_csv(net, tmp_path / "graph" / "edges.csv")
     io_mod.write_meta_json(net, tmp_path / "graph" / "meta.json")
     src = str(Path(macnet.__file__).resolve().parents[1])
@@ -359,6 +359,6 @@ def test_netstat_output_independent_of_hash_seed(tmp_path):
 def test_read_network_without_meta_keeps_first_seen_order(tmp_path):
     edges = tuple(EdgeRecord(a, b, "pearson", 0.5, 1.0, None, 0.01, 0.01)
                   for a, b in (("c", "a"), ("a", "d"), ("b", "c")))
-    net = InferredNetwork(("a", "b", "c", "d"), ("attr",), "pearson", 0.05, 10, edges, 3)
+    net = InferredNetwork.from_records(("a", "b", "c", "d"), ("attr",), "pearson", 0.05, 10, edges, 3)
     io_mod.write_edges_csv(net, tmp_path / "edges.csv")
     assert io_mod.read_network(tmp_path / "edges.csv").node_ids == ("c", "a", "d", "b")

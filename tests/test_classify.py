@@ -146,15 +146,42 @@ class TestClassifyNetwork:
             EdgeRecord("a", "b", "cca", 0.5, 10.0, 4, 1e-4, 1e-3, contrib=(0.9, 0.1)),
             EdgeRecord("b", "c", "cca", 0.4, 8.0, 4, 1e-3, 5e-3, contrib=(0.5, 0.5)),
         )
-        net = InferredNetwork(("a", "b", "c", "d"), ATTRS, "cca", 0.05, 60, edges)
+        net = InferredNetwork.from_records(("a", "b", "c", "d"), ATTRS, "cca", 0.05, 60, edges)
         edge_classes, node_classes = classify_network(net, 0.25)
         labels = {nc.node_id: nc.label for nc in node_classes}
         assert labels == {"a": "protein", "b": "mixed", "c": "mixed", "d": "unclassified"}
         assert [ec.label for ec in edge_classes] == ["protein", "mixed"]
 
+    def test_matches_rule_edge_by_edge(self):
+        # exact boundary values (1 - t), balanced vectors and node-level ties included
+        rng = np.random.default_rng(11)
+        ids = [f"n{i}" for i in range(30)]
+        pairs = sorted({tuple(sorted(rng.choice(30, size=2, replace=False))) for _ in range(120)})
+        firsts = rng.choice([0.75, 0.5, 0.25, 0.9, 0.1], size=len(pairs))
+        firsts[::3] = rng.uniform(size=len(firsts[::3]))
+        edges = tuple(EdgeRecord(ids[a], ids[b], "cca", 0.5, 10.0, 4, 1e-4, 1e-3,
+                                 contrib=(float(v), 1.0 - float(v)))
+                      for (a, b), v in zip(pairs, firsts))
+        net = InferredNetwork.from_records(tuple(ids), ATTRS, "cca", 0.05, 60, edges)
+        edge_classes, node_classes = classify_network(net, 0.25)
+        expected = [ATTRS[0] if e.contrib[0] >= 0.75 else ATTRS[1] if e.contrib[1] >= 0.75
+                    else "mixed" for e in edges]
+        assert [ec.label for ec in edge_classes] == expected
+        assert [ec.pair for ec in edge_classes] == [(e.node_i, e.node_j) for e in edges]
+        for nc in node_classes:
+            labels = [lab for e, lab in zip(edges, expected) if nc.node_id in (e.node_i, e.node_j)]
+            counts = [labels.count(ATTRS[0]), labels.count(ATTRS[1]), labels.count("mixed")]
+            if not labels:
+                assert (nc.label, nc.proportions) == ("unclassified", (0.0, 0.0, 0.0))
+                continue
+            assert nc.proportions == tuple(c / len(labels) for c in counts)
+            best = max(counts)
+            assert nc.label == ("mixed" if counts[2] == best
+                                else ATTRS[0] if counts[0] == best else ATTRS[1])
+
     def test_requires_contributions(self):
         edges = (EdgeRecord("a", "b", "pearson", 0.5, 3.0, None, 1e-4, 1e-3),)
-        net = InferredNetwork(("a", "b"), ("x",), "pearson", 0.05, 60, edges)
+        net = InferredNetwork.from_records(("a", "b"), ("x",), "pearson", 0.05, 60, edges)
         with pytest.raises(MissingContribution):
             classify_network(net, 0.25)
 

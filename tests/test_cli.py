@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from macnet import classify, network
 from macnet import io as io_mod
 from macnet import simulation
 from macnet.cli import main
-from macnet.errors import SchemaMismatch
-from macnet.network import infer_network
+from macnet.errors import NonNumericCell, SchemaMismatch
+from macnet.network import EdgeRecord, InferredNetwork, infer_network
 
 
 def write_attribute_csv(path, node_ids, block):
@@ -77,6 +78,15 @@ class TestIngest:
         assert err.value.line == 2
         assert err.value.column == 3
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity"])
+    def test_non_finite_cell_reported(self, tmp_path, cell):
+        path = tmp_path / "broken.csv"
+        path.write_text(f"node_id,s1,s2,s3\na,1,2,3\nb,4,{cell},6\n")
+        with pytest.raises(NonNumericCell) as err:
+            io_mod.ingest([path])
+        assert (err.value.line, err.value.column) == (3, 3)
+        assert "not finite" in str(err.value)
+
     def test_duplicate_node_id(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("node_id,s1,s2,s3\na,1,2,3\na,4,5,6\n")
@@ -117,6 +127,39 @@ class TestRoundTrip:
         assert back.floored == net.floored
         assert back.pvalue_mode == net.pvalue_mode
         assert back.homogeneity_reject_fraction == net.homogeneity_reject_fraction
+
+    @staticmethod
+    def assert_tables_equal(a, b):
+        for field in ("ends", "similarity", "statistic", "df", "p", "q", "contrib"):
+            assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
+
+    @pytest.mark.parametrize("method", ["pearson", "max"])
+    def test_quoted_ids_and_empty_cells_round_trip(self, tmp_path, method):
+        ids = ("plain", "has,comma", 'has"quote', '"both", here')
+        k = 1 if method == "pearson" else 2
+        edges = (EdgeRecord(ids[0], ids[1], method, 0.5, 1.25, None, 1e-3, 2e-3),
+                 EdgeRecord(ids[1], ids[3], method, -0.0, float("inf"), None, 0.0, 1 / 3),
+                 EdgeRecord(ids[2], ids[0], method, -0.75, -2.5, None, 1.0, 1.0))
+        net = InferredNetwork.from_records(ids, tuple(f"a{i}" for i in range(k)), method, 0.05,
+                                           30, edges, 6)
+        io_mod.write_edges_csv(net, tmp_path / "one" / "edges.csv")
+        io_mod.write_meta_json(net, tmp_path / "one" / "meta.json")
+        back = io_mod.read_network(tmp_path / "one" / "edges.csv")
+        io_mod.write_edges_csv(back, tmp_path / "two" / "edges.csv")
+        text = (tmp_path / "one" / "edges.csv").read_bytes()
+        assert text == (tmp_path / "two" / "edges.csv").read_bytes()
+        assert f",{method},-0,inf,,0,".encode() in text and b'"has,comma"' in text
+        self.assert_tables_equal(back.table, net.table)
+        assert back.node_ids == ids and back.edges == net.edges
+
+    def test_column_cells_match_fmt(self):
+        floats = [0.0, -0.0, 1 / 3, -1e-310, 5e-324, 1e17, 123456789.0, float("inf"),
+                  float("-inf"), float("nan"), np.pi]
+        ints = [0, -7, 2**40]
+        assert io_mod._cells(np.array(floats)) == [io_mod.fmt(v) for v in floats]
+        assert io_mod._cells(np.array(ints)) == [io_mod.fmt(v) for v in ints]
+        assert io_mod._cells(np.array(floats), blank=np.isnan(floats)) == [
+            "" if v != v else io_mod.fmt(v) for v in floats]
 
     def test_seventeen_digit_serialization(self):
         values = [1 / 3, np.pi, 1e-17, 0.1 + 0.2]
@@ -215,6 +258,21 @@ class TestCliNetstatClassifyEnrich:
         assert rows
         assert {"class", "set", "overlap", "p", "q", "enriched"} <= set(rows[0])
 
+    def test_pipeline_builds_no_edge_rows(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-edge rows built on the CLI path")
+
+        monkeypatch.setattr(network, "EdgeRecord", refuse)
+        monkeypatch.setattr(classify, "classify_edge", refuse)
+        protein, gene, *_ = make_dataset_files(tmp_path)
+        for method in ("cca", "max"):
+            assert main(["infer", str(protein), str(gene), "--method", method,
+                         "--out", str(tmp_path / method)]) == 0
+        assert main(["netstat", str(tmp_path / "cca" / "edges.csv"),
+                     str(tmp_path / "max" / "edges.csv"), "--out", str(tmp_path / "stats")]) == 0
+        assert main(["classify", str(tmp_path / "cca" / "edges.csv"),
+                     "--out", str(tmp_path / "cls")]) == 0
+
     def test_classify_rejects_network_without_contributions(self, tmp_path):
         protein, gene, *_ = make_dataset_files(tmp_path)
         out = tmp_path / "run_pearson"
@@ -255,6 +313,29 @@ class TestMalformedEdgeAndClassFiles:
                            + "a,c,cca,0.8,25.3,4,small,0.003,0.4,0.6\n")
         assert (err["error"], err["line"], err["column"]) == ("NonNumericCell", 3, 7)
 
+    def test_edge_endpoint_missing_from_meta(self, tmp_path, capsys):
+        (tmp_path / "meta.json").write_text(json.dumps({
+            "method": "cca", "gamma": 0.05, "n_samples": 60, "node_ids": ["a", "b", "c"],
+            "attribute_names": ["protein", "gene"]}))
+        err = self.netstat(tmp_path, capsys, self.EDGE_HEADER
+                           + "a,b,cca,0.9,30.1,4,0.001,0.002,0.5,0.5\n"
+                           + "a,x,cca,0.8,25.3,4,0.002,0.003,0.4,0.6\n")
+        assert (err["error"], err["path"], err["line"], err["column"]) == (
+            "SchemaMismatch", str(tmp_path / "edges.csv"), 3, 2)
+
+    def test_self_loop_edge(self, tmp_path, capsys):
+        err = self.netstat(tmp_path, capsys, self.EDGE_HEADER
+                           + "a,b,cca,0.9,30.1,4,0.001,0.002,0.5,0.5\n"
+                           + "c,c,cca,0.8,25.3,4,0.002,0.003,0.4,0.6\n")
+        assert (err["error"], err["path"], err["line"]) == (
+            "SchemaMismatch", str(tmp_path / "edges.csv"), 3)
+
+    def test_edge_with_another_method(self, tmp_path, capsys):
+        err = self.netstat(tmp_path, capsys, self.EDGE_HEADER
+                           + "a,b,cca,0.9,30.1,4,0.001,0.002,0.5,0.5\n"
+                           + "a,c,max,0.8,25.3,,0.002,0.003,,\n")
+        assert (err["error"], err["line"], err["column"]) == ("SchemaMismatch", 3, 3)
+
     def test_node_class_row_with_one_cell(self, tmp_path, capsys):
         err = self.enrich(tmp_path, capsys, "node_id,label\nv0,protein\nv1\n")
         assert (err["error"], err["path"], err["line"]) == (
@@ -293,6 +374,13 @@ class TestCliSimulate:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4
         assert {row["scenario"] for row in rows} == {"1", "5"}
+
+    def test_two_replicates_suffice_without_max_min_scenarios(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["simulate", "--grid", "0:0", "--reps", "2", "--scenarios", "1,5",
+                     "--out", str(out)]) == 0
+        with open(out / "power.csv", newline="") as handle:
+            assert [row["scenario"] for row in csv.DictReader(handle)] == ["1", "5"]
 
     def test_invalid_grid_point_is_data_error(self, tmp_path, capsys):
         code = main(["simulate", "--grid", "0.9:0", "--reps", "10",

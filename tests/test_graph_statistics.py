@@ -19,7 +19,7 @@ from macnet.network import EdgeRecord, InferredNetwork
 
 def graph(ids, pairs):
     edges = tuple(EdgeRecord(a, b, "pearson", 0.5, 1.0, None, 0.01, 0.01) for a, b in pairs)
-    return InferredNetwork(tuple(ids), ("attr",), "pearson", 0.05, 10, edges, len(edges))
+    return InferredNetwork.from_records(tuple(ids), ("attr",), "pearson", 0.05, 10, edges, len(edges))
 
 
 def random_graph(seed, n_nodes, n_pairs):

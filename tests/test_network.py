@@ -30,13 +30,13 @@ def toy_network(node_ids, pairs, similarities=None):
             EdgeRecord(node_i=a, node_j=b, method="pearson", similarity=sim,
                        statistic=1.0, df=None, p=0.01, q=0.01)
         )
-    return InferredNetwork(
+    return InferredNetwork.from_records(
         node_ids=tuple(node_ids),
         attribute_names=("attr",),
         method="pearson",
         gamma=0.05,
         n_samples=10,
-        edges=tuple(edges),
+        records=tuple(edges),
         tested_pairs=len(node_ids) * (len(node_ids) - 1) // 2,
     )
 
