@@ -26,6 +26,7 @@ class GeneSetCollection:
     universe_size: int
     sets: dict
     descriptions: dict = field(default_factory=dict)
+    _annotated: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.universe_size < 1:
@@ -39,17 +40,14 @@ class GeneSetCollection:
                 raise EmptyInput(f"set {name!r} is empty")
             normalized[str(name)] = members
         object.__setattr__(self, "sets", normalized)
-        annotated = len(self.annotated())
-        if annotated > self.universe_size:
-            raise InvalidCounts(f"the sets annotate {annotated} identifiers, more than the "
-                                f"universe size {self.universe_size}")
+        object.__setattr__(self, "_annotated", frozenset().union(*normalized.values()))
+        if len(self._annotated) > self.universe_size:
+            raise InvalidCounts(f"the sets annotate {len(self._annotated)} identifiers, more "
+                                f"than the universe size {self.universe_size}")
 
     def annotated(self) -> frozenset:
         """Identifiers appearing in at least one set."""
-        out = set()
-        for members in self.sets.values():
-            out |= members
-        return frozenset(out)
+        return self._annotated
 
 
 def parse_gmt(source) -> dict:

@@ -79,9 +79,14 @@ def fisher_z(rho_hat, n: int):
         raise NonFiniteInput("correlation is not finite")
     if np.any(np.abs(rho_hat) >= 1.0):
         raise DegenerateCorrelation(f"|rho|={np.max(np.abs(rho_hat))} leaves no finite statistic")
+    _require_fisher_n(n)
+    return _float_or_array(math.sqrt(n - 3) * np.arctanh(rho_hat))
+
+
+def _require_fisher_n(n: int) -> None:
+    """Raise unless n samples suffice for the Fisher z statistic (n >= 4)."""
     if n < 4:
         raise InsufficientSamples(f"need at least 4 samples, got {n}")
-    return _float_or_array(math.sqrt(n - 3) * np.arctanh(rho_hat))
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,7 @@ def bartlett_chi2(roots, n: int, k: int) -> BartlettTest:
         raise LengthMismatch(f"expected {k} canonical roots, got {roots.size}")
     if np.any(roots < 0.0) or np.any(roots > 1.0) or not np.all(np.isfinite(roots)):
         raise RootOutOfRange(f"canonical roots outside [0, 1]: {roots}")
-    if n <= 2 * k + 2 or n - 1 < k * (2 * k - 1):
-        raise InsufficientSamples(
-            f"n={n} too small for k={k}: need n > {2 * k + 2} and n-1 >= {k * (2 * k - 1)}"
-        )
+    _require_bartlett_n(n, k)
     factor = (n - 1) - (k + 0.5)
     with np.errstate(divide="ignore"):
         log_terms = np.log1p(-(roots * roots))
@@ -113,6 +115,14 @@ def bartlett_chi2(roots, n: int, k: int) -> BartlettTest:
     if np.any(np.isnan(statistic)):
         raise InternalNumericalError("Bartlett statistic is NaN")
     return BartlettTest(statistic=statistic, df=k * k, p=chi2_sf(statistic, k * k))
+
+
+def _require_bartlett_n(n: int, k: int) -> None:
+    """Raise unless n samples suffice for Bartlett's test on k canonical roots."""
+    if n <= 2 * k + 2 or n - 1 < k * (2 * k - 1):
+        raise InsufficientSamples(
+            f"n={n} too small for k={k}: need n > {2 * k + 2} and n-1 >= {k * (2 * k - 1)}"
+        )
 
 
 def _w_formula(c, arc, mode: str):

@@ -5,11 +5,14 @@ two-attribute correlation structures: each attribute's correlation alone,
 max and min aggregation of the two, and canonical correlation.  Replicates
 draw from a counter-based generator keyed per (seed, grid point,
 replicate), so results are bit-reproducible regardless of execution order.
-All replicates of one grid point are drawn, stacked and tested as one batch.
+Replicates are drawn, stacked and tested in chunks: a chunk derives all its
+generator keys in one array pass and replays each replicate's stream on one
+reused generator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,6 +58,103 @@ def substream(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def _seed_words(value) -> list:
+    """``value`` as SeedSequence splits it: little-endian 32-bit words, at least one."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = []
+    while True:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        if not value:
+            return words
+
+
+def _pooled_keys(entropy: list) -> np.ndarray:
+    """Philox keys that SeedSequence derives from entropy words, one row per array element.
+
+    ``entropy`` holds equal-length uint32 arrays, one per entropy word.  This is
+    numpy's ``mix_entropy`` into a 4-word pool followed by
+    ``generate_state(2, np.uint64)``, in wrapping uint32 arithmetic; the
+    constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B and MULT_B.
+    """
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & 0xFFFFFFFF
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = 0xCA01F9DD * x - 0x4973F715 * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    state = np.empty((zero.size, 4), dtype=np.uint32)
+    for i in range(4):
+        value = pool[i] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & 0xFFFFFFFF
+        value = value * hash_const
+        state[:, i] = value ^ (value >> 16)
+    # numpy reads word pairs little-endian whatever the platform's byte order
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _substream_keys(seed: int, point: int, reps) -> np.ndarray:
+    """Philox keys of ``substream(seed, point, rep)`` for each rep, shape (len(reps), 2).
+
+    Row i equals ``np.random.SeedSequence([seed, point, reps[i]]).generate_state(2,
+    np.uint64)``, computed for all reps at once.  Like SeedSequence, it rejects
+    negative values (ValueError) and non-integers (TypeError).
+    """
+    prefix = _seed_words(seed) + _seed_words(point)
+    reps = np.asarray(reps, dtype=np.int64)
+    if np.any(reps < 0):
+        raise ValueError("expected non-negative integer")
+    low = (reps & 0xFFFFFFFF).astype(np.uint32)
+    high = (reps >> 32).astype(np.uint32)
+    keys = np.empty((reps.size, 2), dtype=np.uint64)
+    # a rep below 2**32 is one entropy word, a larger one two
+    for rows, rep_words in ((high == 0, (low,)), (high > 0, (low, high))):
+        if rows.any():
+            count = int(rows.sum())
+            words = [np.full(count, w, dtype=np.uint32) for w in prefix]
+            keys[rows] = _pooled_keys(words + [w[rows] for w in rep_words])
+    return keys
+
+
+def _replicate_normals(seed: int, point: int, reps, n: int) -> np.ndarray:
+    """(len(reps), n, 4) standard normals; row i equals
+    ``substream(seed, point, reps[i]).standard_normal((n, 4))``.
+
+    Philox is counter-based, so a fresh generator's stream depends only on its
+    key: one generator, reset to counter 0 with an empty buffer and each
+    replicate's key in turn, replays every replicate's stream.
+    """
+    bit_generator = np.random.Philox(key=0)
+    generator = np.random.Generator(bit_generator)
+    fresh = bit_generator.state  # counter 0, empty buffer
+    normals = np.empty((len(reps), n, 4))
+    for key, out in zip(_substream_keys(seed, point, reps), normals):
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
+        generator.standard_normal((n, 4), out=out)
+    return normals
+
+
 def sample_mvn(sigma, n: int, seed) -> np.ndarray:
     """n draws from a centered multivariate normal with the given SPD covariance."""
     sigma = numkernel.require_symmetric(sigma, tol=1e-10)
@@ -94,6 +194,8 @@ class PowerStudySpec:
             raise OutOfDomain("empty simulation grid")
         if self.reps < 1:
             raise OutOfDomain(f"reps must be positive, got {self.reps}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise OutOfDomain(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (0.0 < self.alpha < 1.0):
             raise OutOfDomain(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.pvalue_mode not in inference.PVALUE_MODES:
@@ -103,12 +205,16 @@ class PowerStudySpec:
                 s not in SCENARIOS for s in scenarios):
             raise OutOfDomain(f"scenarios must be distinct values drawn from {SCENARIOS}, "
                               f"got {scenarios}")
+        inference._require_fisher_n(self.n)
+        if 5 in scenarios:
+            inference._require_bartlett_n(self.n, 2)
         grid = tuple((float(r), float(b)) for r, b in self.grid)
         for r, b in grid:
             if not self.params(r, b).valid():
                 raise OutOfDomain(f"grid point (r={r}, b={b}) is outside the valid domain")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "scenarios", scenarios)
+        object.__setattr__(self, "seed", int(self.seed))
 
     def params(self, r: float, b: float) -> K2Params:
         return K2Params(r=r, b=b, rho1=self.rho1, rho2=self.rho2)
@@ -137,13 +243,14 @@ class PowerResult:
 
 
 def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarray, reps):
-    """z1, z2 and Bartlett p-values of the replicates ``reps`` of one grid point."""
-    normals = np.stack([
-        substream(spec.seed, grid_index, rep).standard_normal((spec.n, 4)) for rep in reps
-    ])
+    """z1 and z2 of the replicates ``reps`` of one grid point, then their Bartlett
+    p-values if scenario 5 is requested."""
+    normals = _replicate_normals(spec.seed, grid_index, reps, spec.n)
     joint = numkernel.corr_matrices(normals @ lower.T)
     z1 = inference.fisher_z(joint[:, 0, 2], spec.n)
     z2 = inference.fisher_z(joint[:, 1, 3], spec.n)
+    if 5 not in spec.scenarios:
+        return z1, z2
     # unrestricted block estimates: the k^2-df chi-squared reference assumes a
     # freely estimated cross block even though the generator is homogeneous
     if not np.all(numkernel.pd_mask(joint)):
@@ -162,7 +269,7 @@ def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: f
                               range(start, min(start + REPLICATE_CHUNK, spec.reps)))
         for start in range(0, spec.reps, REPLICATE_CHUNK)
     ]
-    z1, z2, bartlett_p = (np.concatenate(parts) for parts in zip(*chunks))
+    z1, z2, *bartlett_p = (np.concatenate(parts) for parts in zip(*chunks))
 
     rho_z = sampler = None
     if 3 in spec.scenarios or 4 in spec.scenarios:  # only the max/min scenarios read rho_z
@@ -192,7 +299,7 @@ def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: f
                 p = inference.extreme_corr_pvalue_two_sided(z1, z2, rho_z, mode)
         else:
             # the chi-squared test is upper-tailed in both settings
-            p = bartlett_p
+            p = bartlett_p[0]
         rejections[scenario] = int(np.sum(np.asarray(p) < spec.alpha))
     return rejections
 

@@ -375,6 +375,13 @@ class TestCliSimulate:
         assert len(rows) == 4
         assert {row["scenario"] for row in rows} == {"1", "5"}
 
+    def test_five_samples_suffice_without_scenario_five(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["simulate", "--grid", "0:0", "--reps", "5", "--n", "5",
+                     "--scenarios", "1,2", "--out", str(out)]) == 0
+        with open(out / "power.csv", newline="") as handle:
+            assert [row["scenario"] for row in csv.DictReader(handle)] == ["1", "2"]
+
     def test_two_replicates_suffice_without_max_min_scenarios(self, tmp_path):
         out = tmp_path / "g"
         assert main(["simulate", "--grid", "0:0", "--reps", "2", "--scenarios", "1,5",
@@ -417,3 +424,16 @@ class TestCliSimulateRejectsBadArguments:
     def test_repeated_scenario(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--scenarios", "1,1"], 2)
         assert err["error"] == "OutOfDomain"
+
+    def test_negative_seed(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--grid", "0:0", "--seed", "-1"], 2)
+        assert err["error"] == "OutOfDomain" and "seed" in err["message"]
+
+    @pytest.mark.parametrize("n", ["4", "5"])
+    def test_too_few_samples_for_bartlett(self, tmp_path, capsys, n):
+        err = self.run(tmp_path, capsys, ["--grid", "0:0", "--n", n], 2)
+        assert err["error"] == "InsufficientSamples" and "k=2" in err["message"]
+
+    def test_too_few_samples_for_fisher_z(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--grid", "0:0", "--n", "3", "--scenarios", "1,2"], 2)
+        assert err["error"] == "InsufficientSamples"

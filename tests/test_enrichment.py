@@ -301,7 +301,9 @@ class TestUniverseCoversAnnotation:
     def test_union_of_sets_larger_than_universe(self):
         with pytest.raises(InvalidCounts, match="annotate 5 identifiers.*universe size 4"):
             GeneSetCollection(4, self.SETS)
-        assert GeneSetCollection(5, self.SETS).annotated() == frozenset("abcde")
+        gsc = GeneSetCollection(5, self.SETS)
+        assert gsc.annotated() == frozenset("abcde")
+        assert gsc.annotated() is gsc.annotated()
 
     def test_cli_union_larger_than_universe(self, tmp_path, capsys):
         (tmp_path / "node_classes.csv").write_text("node_id,label\na,protein\nd,gene\n")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from macnet import numkernel
-from macnet.errors import NotPositiveDefinite, OutOfDomain
+from macnet import inference, numkernel, simulation
+from macnet.errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain
 from macnet.similarity import K2Params
 from macnet.simulation import (
+    REPLICATE_CHUNK,
     PowerStudySpec,
     build_sigma,
     power_study,
@@ -77,10 +78,62 @@ class TestSampleMvn:
             np.testing.assert_array_equal(forward[rep], backward[4 - rep])
 
 
+class TestChunkDraw:
+    """The chunk-level draw replays exactly the streams that ``substream`` builds."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("point", [0, 8])
+    def test_keys_match_seed_sequence(self, seed, point):
+        keys = simulation._substream_keys(seed, point, range(601))
+        expected = np.stack([np.random.SeedSequence([seed, point, rep]).generate_state(2, np.uint64)
+                             for rep in range(601)])
+        assert keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, expected)
+
+    def test_keys_of_multi_word_replicates(self):
+        reps = [3, 2**32, 2**40 + 7, 0]
+        expected = np.stack([np.random.SeedSequence([5, 1, rep]).generate_state(2, np.uint64)
+                             for rep in reps])
+        np.testing.assert_array_equal(simulation._substream_keys(5, 1, reps), expected)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, 2.0])
+    def test_keys_reject_what_seed_sequence_rejects(self, seed):
+        with pytest.raises(Exception) as expected:
+            np.random.SeedSequence([seed, 0, 0])
+        with pytest.raises(expected.type):
+            simulation._substream_keys(seed, 0, range(3))
+
+    def test_normals_match_substream_across_a_chunk_boundary(self):
+        reps = range(REPLICATE_CHUNK + 5)
+        chunks = [simulation._replicate_normals(17, 3, reps[start:start + REPLICATE_CHUNK], 50)
+                  for start in range(0, len(reps), REPLICATE_CHUNK)]
+        expected = np.stack([substream(17, 3, rep).standard_normal((50, 4)) for rep in reps])
+        np.testing.assert_array_equal(np.concatenate(chunks), expected)
+
+
 class TestPowerStudy:
     def test_grid_validation(self):
         with pytest.raises(OutOfDomain):
             PowerStudySpec(grid=((0.9, 0.0),))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(OutOfDomain, match="seed"):
+            PowerStudySpec(grid=((0.0, 0.0),), seed=seed)
+
+    @pytest.mark.parametrize("n,scenarios", [(3, (1, 2)), (6, (1, 5))])
+    def test_sample_size_checked_before_drawing(self, n, scenarios):
+        with pytest.raises(InsufficientSamples):
+            PowerStudySpec(grid=((0.0, 0.0),), n=n, scenarios=scenarios)
+
+    def test_canonical_roots_only_for_scenario_five(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Bartlett step run without scenario 5")
+
+        monkeypatch.setattr(simulation, "canonical_roots", refuse)
+        monkeypatch.setattr(inference, "bartlett_chi2", refuse)
+        spec = PowerStudySpec(grid=((0.0, 0.0),), n=5, reps=20, seed=2, scenarios=(1, 2, 3, 4))
+        assert len(power_study(spec).cells) == 4
 
     def test_deterministic_and_thread_independent(self, monkeypatch):
         spec = PowerStudySpec(grid=((0.0, 0.0), (0.1, 0.5)), reps=200, seed=11)
