@@ -207,7 +207,10 @@ class PowerStudySpec:
                               f"got {scenarios}")
         inference._require_fisher_n(self.n)
         if 5 in scenarios:
-            inference._require_bartlett_n(self.n, 2)
+            try:
+                inference._require_bartlett_n(self.n, 2)
+            except InsufficientSamples as exc:
+                raise InsufficientSamples(f"scenario 5 (Bartlett's test): {exc}") from None
         grid = tuple((float(r), float(b)) for r, b in self.grid)
         for r, b in grid:
             if not self.params(r, b).valid():

@@ -432,7 +432,7 @@ class TestCliSimulateRejectsBadArguments:
     @pytest.mark.parametrize("n", ["4", "5"])
     def test_too_few_samples_for_bartlett(self, tmp_path, capsys, n):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--n", n], 2)
-        assert err["error"] == "InsufficientSamples" and "k=2" in err["message"]
+        assert err["error"] == "InsufficientSamples" and "scenario 5" in err["message"]
 
     def test_too_few_samples_for_fisher_z(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--n", "3", "--scenarios", "1,2"], 2)
