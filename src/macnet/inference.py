@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfc, gammaincc
+from scipy.special import erfc
 
 from . import numkernel
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 #: degrees-of-freedom bookkeeping for the homogeneity likelihood ratio test:
 #: k(k+1)/2 equalities between the marginal blocks plus k(k-1)/2 symmetry
@@ -58,14 +59,33 @@ def normal_pdf(c):
 
 
 def chi2_sf(x, df: int):
-    """Chi-squared upper-tail probability via the regularized incomplete gamma."""
+    """Chi-squared upper-tail probability, in closed form for the integer df.
+
+    With h = x/2 and df = 2m (+1), the tail is e^-h sum_{j<m} h^j / j! for even
+    df and erfc(sqrt h) + e^-h sum_{j=1..m} h^(j-1/2) / Gamma(j+1/2) for odd df,
+    each sum taken by Horner's rule.  e^-h enters as two factors e^(-h/2), so no
+    intermediate underflows while the tail is a normal double; once e^(-h/2)
+    underflows (x > ~2980) the series term is 0, as is the tail for df below ~600.
+    """
     if int(df) != df or df < 1:
         raise InvalidDf(f"degrees of freedom must be a positive integer, got {df}")
     x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
+    if np.isnan(x).any():
         raise NonFiniteInput("chi-squared statistic is NaN")
-    # gammaincc(a, 0) is exactly 1 and gammaincc(a, inf) exactly 0
-    return _float_or_array(gammaincc(df / 2.0, np.maximum(x, 0.0) / 2.0))
+    h = np.maximum(x, 0.0) / 2.0
+    m, odd = divmod(int(df), 2)
+    value = erfc(np.sqrt(h)) if odd else 0.0
+    if m:
+        half = np.exp(-h / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = 1.0
+            for j in range(m - 1, 0, -1):
+                series = series * h / (j + 0.5 * odd) + 1.0
+            tail = half * (half * series * (_TWO_OVER_SQRT_PI * np.sqrt(h) if odd else 1.0))
+        if not half.all():
+            tail = np.where(half > 0.0, tail, 0.0)
+        value = value + tail
+    return _float_or_array(value)
 
 
 def fisher_z(rho_hat, n: int):
@@ -334,26 +354,72 @@ class HomogeneityTest:
     p: float
 
 
-def homogeneity_test_from_cov(sample_cov, n: int):
-    """Closed-form homogeneity likelihood ratio test on a stack (m, 2k, 2k) of
-    maximum-likelihood covariances C of the stacked pair vector: equal marginal
-    blocks and a symmetric cross block against an unconstrained Gaussian fit.
+def covariance_block_facts(cov):
+    """What the homogeneity test needs of each k-by-k covariance block of a stack
+    (m, k, k), computed once per node: (blocks, inverses, log determinants, verdict
+    of the PD rule).  Inverse and log determinant are 0 where the rule fails."""
+    pd = numkernel.pd_mask(cov)
+    inverse = np.zeros_like(cov)
+    logdet = np.zeros(cov.shape[0])
+    inverse[pd] = np.linalg.inv(cov[pd])
+    logdet[pd] = np.linalg.slogdet(cov[pd])[1]
+    return cov, inverse, logdet, pd
 
-    Under block-swap invariance the MLE is the group average M = (C + PCP)/2
-    (P swaps the two k-blocks), positive-definite whenever C is; since
-    tr(M^-1 C) = 2k the statistic is n (log det M - log det C).  Returns the
-    test over the non-singular entries and the mask of singular ones, which
-    get no verdict.
+
+def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
+    """Closed-form homogeneity likelihood ratio test of a stack of pairs, given
+    ``covariance_block_facts`` of each pair's two marginal blocks C_ii, C_jj and
+    the cross blocks C_ij (m, k, k) of their maximum-likelihood covariance C.
+
+    The test compares equal marginal blocks and a symmetric cross block against an
+    unconstrained Gaussian fit.  Under block-swap invariance the MLE is the group
+    average M of C and its block swap, positive-definite whenever C is; since
+    tr(M^-1 C) = 2k the statistic is n (log det M - log det C), with
+    log det C = log det C_ii + log det(C_jj - C_ij' C_ii^-1 C_ij) and
+    log det M = log det(A + B) + log det(A - B), A = (C_ii + C_jj)/2,
+    B = (C_ij + C_ij')/2.  Returns the test over the non-singular pairs and the
+    mask of singular ones, which get no verdict.
+
+    C is singular when it fails ``numkernel.pd_mask``'s rule.  A pair whose blocks
+    pass that rule is certainly not singular when
+    log det C - (2k-1) log tr C > log(2 PD_TOLERANCE tr C), since then
+    lambda_min(C) >= det C / (tr C)^(2k-1) clears the rule's bound on
+    lambda_max(C) <= tr C, with a factor 2 for rounding; every other pair is
+    decided by ``pd_mask`` on its assembled 2k-by-2k C.
     """
-    k = sample_cov.shape[-1] // 2
-    singular = ~numkernel.pd_mask(sample_cov)
-    free = sample_cov[~singular]
-    marginal = (free[:, :k, :k] + free[:, k:, k:]) / 2.0
-    cross = (free[:, :k, k:] + np.swapaxes(free[:, :k, k:], -1, -2)) / 2.0
-    model = np.block([[marginal, cross], [cross, marginal]])
-    logdet_free = np.linalg.slogdet(free)[1]
-    logdet_model = np.linalg.slogdet(model)[1]
-    statistic = np.maximum(0.0, n * (logdet_model - logdet_free))
+    c_ii, inv_ii, logdet_ii, pd_i = facts_i
+    c_jj, _, _, pd_j = facts_j
+    k = cross.shape[-1]
+    cross_t = np.swapaxes(cross, -1, -2)
+    schur_sign, logdet_schur = np.linalg.slogdet(c_jj - cross_t @ inv_ii @ cross)
+    logdet_free = logdet_ii + logdet_schur
+    trace = np.trace(c_ii, axis1=-2, axis2=-1) + np.trace(c_jj, axis1=-2, axis2=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero stack fails the PD rule
+        clean = (pd_i & pd_j & (schur_sign > 0.0)
+                 & (logdet_free - (2 * k - 1) * np.log(trace)
+                    > np.log(2.0 * numkernel.PD_TOLERANCE * trace)))
+    marginal = (c_ii + c_jj) / 2.0
+    sym = (cross + cross_t) / 2.0
+    logdet_model = np.linalg.slogdet(marginal + sym)[1] + np.linalg.slogdet(marginal - sym)[1]
+
+    singular = np.zeros(clean.shape, dtype=bool)
+    undecided = np.flatnonzero(~clean)
+    if undecided.size:
+        free = np.block([[c_ii[undecided], cross[undecided]],
+                         [cross_t[undecided], c_jj[undecided]]])
+        singular[undecided] = ~numkernel.pd_mask(free)
+        # the Schur form needs C_ii^-1, which a block that fails the rule lacks
+        logdet_free[undecided] = np.linalg.slogdet(free)[1]
+    statistic = np.maximum(0.0, n * (logdet_model[~singular] - logdet_free[~singular]))
     df = k * (k + 1) // 2 + k * (k - 1) // 2
     return HomogeneityTest(statistic=statistic, df=df, p=chi2_sf(statistic, df)), singular
 
+
+def homogeneity_test_from_cov(sample_cov, n: int):
+    """``homogeneity_test_from_blocks`` on a stack (m, 2k, 2k) of maximum-likelihood
+    covariances C of the stacked pair vector: the test over the non-singular
+    entries and the mask of singular ones."""
+    k = sample_cov.shape[-1] // 2
+    return homogeneity_test_from_blocks(covariance_block_facts(sample_cov[:, :k, :k]),
+                                        covariance_block_facts(sample_cov[:, k:, k:]),
+                                        sample_cov[:, :k, k:], n)

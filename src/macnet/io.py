@@ -159,7 +159,8 @@ def ingest(paths: Sequence, attribute_names: Optional[Sequence[str]] = None) -> 
 
     All files must cover the same node ids with the same sample count; rows
     are aligned to the first file's order.  Attribute order follows file
-    order, named after the file stems unless names are supplied.
+    order, named after the file stems unless names are supplied; two files
+    with one name are rejected.
     """
     paths = [Path(p) for p in paths]
     if not paths:
@@ -170,6 +171,12 @@ def ingest(paths: Sequence, attribute_names: Optional[Sequence[str]] = None) -> 
         raise SchemaMismatch(
             f"{len(attribute_names)} attribute names for {len(paths)} files"
         )
+    first_path = {}
+    for path, name in zip(paths, attribute_names):
+        if name in first_path:
+            raise SchemaMismatch(f"{first_path[name]} and {path} both give attribute {name!r}",
+                                 path=str(path))
+        first_path[name] = path
     first_ids, first_block = _read_attribute_csv(paths[0])
     n = first_block.shape[1]
     blocks = [first_block]

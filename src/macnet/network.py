@@ -99,12 +99,15 @@ class AttributeDataset:
         return tuple(self.attribute_names[i] for i in self.selected)
 
     def select(self, names) -> "AttributeDataset":
-        """Restrict the active attribute subset, by name."""
+        """Restrict the active attribute subset, by name, each name at most once."""
         indices = []
         for name in names:
             if name not in self.attribute_names:
                 raise LengthMismatch(f"unknown attribute {name!r}")
-            indices.append(self.attribute_names.index(name))
+            index = self.attribute_names.index(name)
+            if index in indices:
+                raise UsageError(f"attribute {name!r} is selected twice")
+            indices.append(index)
         return AttributeDataset(self.node_ids, self.attribute_names, self.samples, tuple(indices))
 
     def node_matrix(self, index: int) -> np.ndarray:
@@ -290,7 +293,9 @@ def _check_preconditions(data: AttributeDataset, method: str):
 
 class _NodeFacts:
     """Per-node data, computed once: samples (n-by-k), centred rows (k-by-n), Gram
-    and correlation blocks, and for cca their inverse roots (NaN if not PD)."""
+    and correlation blocks, the homogeneity test's covariance block facts, and for
+    cca each correlation block's PD verdict, (smallest, largest) eigenvalue and
+    inverse root (NaN if not PD)."""
 
     def __init__(self, data: AttributeDataset, method: str):
         selected = data.samples[:, list(data.selected), :]
@@ -301,10 +306,13 @@ class _NodeFacts:
         nodes = np.arange(data.n_nodes)
         self.gram, self.sigma = self.cross(nodes, nodes)
         self.sigma[:, np.arange(self.k), np.arange(self.k)] = 1.0
+        self.cov = inference.covariance_block_facts(self.gram / self.n)
         if method == "cca":
-            self.pd = numkernel.pd_mask(self.sigma)
+            values, vectors = np.linalg.eigh(self.sigma)
+            self.pd = numkernel.pd_from_eigenvalues(values)
+            self.extremes = values[:, [0, -1]]
             self.inv_sqrt = np.full_like(self.sigma, np.nan)
-            self.inv_sqrt[self.pd] = numkernel.inv_sqrt_spd_stack(self.sigma[self.pd])
+            self.inv_sqrt[self.pd] = numkernel.inv_sqrt_from_eigh(values[self.pd], vectors[self.pd])
 
     def cross(self, i, j):
         """Cross products and correlation blocks of the pairs (i[p], j[p])."""
@@ -313,35 +321,67 @@ class _NodeFacts:
         return gram, np.clip(gram / scale, -1.0, 1.0)
 
 
+def _clean_by_roots(rho, extremes_i, extremes_j):
+    """Pairs whose joint correlation matrix certainly passes ``pd_from_eigenvalues``'s
+    rule, from the leading canonical root rho (NaN: undecided) and each block's
+    (smallest, largest) eigenvalue.  With D = blockdiag(S_ii^1/2, S_jj^1/2) the joint
+    matrix is D [[I, T], [T', I]] D, whose middle factor has eigenvalues 1 +- rho_i,
+    so its eigenvalues lie in [(1 - rho) min lambda_min, (1 + rho) max lambda_max];
+    a factor 2 on the rule's tolerance covers rounding."""
+    lower = (1.0 - rho) * np.minimum(extremes_i[:, 0], extremes_j[:, 0])
+    upper = (1.0 + rho) * np.maximum(extremes_i[:, 1], extremes_j[:, 1])
+    return lower > 2.0 * numkernel.PD_TOLERANCE * upper
+
+
 def _test_cca(facts: _NodeFacts, i, j, sigma_ij, gamma: float):
     """Canonical-correlation tests of the pairs (i[p], j[p]): similarity, statistic
     and p (NaN where skipped), floored flags, repair changes, and a contribution
-    vector per pair, NaN unless p <= gamma (BH can reject no other pair)."""
+    vector per pair, NaN unless p <= gamma (BH can reject no other pair).
+
+    T and the roots come first, from the per-node inverse roots; a pair whose roots
+    show its joint matrix to be positive-definite (``_clean_by_roots``) needs no
+    2k-by-2k decomposition.  Only the other pairs are assembled and checked."""
     k = facts.k
-    joint = np.block([[facts.sigma[i], sigma_ij], [np.swapaxes(sigma_ij, 1, 2), facts.sigma[j]]])
-    joint, floored, change = _floor_supermatrix(joint)
-    # pairs that need repair or touch a node without an inverse root are re-estimated from
-    # their stacked samples, as the repair magnifies last-bit differences in its input
-    own = floored | ~facts.pd[i] | ~facts.pd[j]
-    stacked = np.concatenate([facts.samples[i[own]], facts.samples[j[own]]], axis=2)
-    joint[own], floored[own], change[own] = _floor_supermatrix(numkernel.corr_matrices(stacked))
-    ok = change <= FLOOR_SKIP_DELTA
-    own &= ok
-    # a clean or repaired joint matrix is positive-definite, and so are its blocks
     inv_i, inv_j = facts.inv_sqrt[i], facts.inv_sqrt[j]
-    inv_i[own] = numkernel.inv_sqrt_spd_stack(joint[own, :k, :k])
-    inv_j[own] = numkernel.inv_sqrt_spd_stack(joint[own, k:, k:])
-    t = inv_i[ok] @ joint[ok, :k, k:] @ inv_j[ok]
-    roots = similarity.canonical_roots(t)
+    cross = sigma_ij.copy()
+    both = facts.pd[i] & facts.pd[j]
+    t = np.full_like(cross, np.nan)
+    squared = np.full((i.size, k), np.nan)
+    t[both] = inv_i[both] @ cross[both] @ inv_j[both]
+    squared[both] = similarity.squared_roots(t[both])
+    clean = _clean_by_roots(np.sqrt(np.maximum(squared[:, 0], 0.0)),
+                            facts.extremes[i], facts.extremes[j])
+    floored, change = np.zeros(i.size, dtype=bool), np.zeros(i.size)
+    undecided = np.flatnonzero(~clean)
+    if undecided.size:
+        iu, ju = i[undecided], j[undecided]
+        joint = np.block([[facts.sigma[iu], cross[undecided]],
+                          [np.swapaxes(cross[undecided], 1, 2), facts.sigma[ju]]])
+        joint, floored[undecided], change[undecided] = _floor_supermatrix(joint)
+        # pairs that need repair or touch a node without an inverse root are re-estimated
+        # from their stacked samples, as the repair magnifies last-bit differences in its input
+        own = floored[undecided] | ~both[undecided]
+        stacked = np.concatenate([facts.samples[iu[own]], facts.samples[ju[own]]], axis=2)
+        joint[own], floored[undecided[own]], change[undecided[own]] = _floor_supermatrix(
+            numkernel.corr_matrices(stacked))
+        own &= change[undecided] <= FLOOR_SKIP_DELTA
+        # a clean or repaired joint matrix is positive-definite, and so are its blocks
+        redo = undecided[own]
+        inv_i[redo] = numkernel.inv_sqrt_spd_stack(joint[own, :k, :k])
+        inv_j[redo] = numkernel.inv_sqrt_spd_stack(joint[own, k:, k:])
+        cross[redo] = joint[own, :k, k:]
+        t[redo] = inv_i[redo] @ cross[redo] @ inv_j[redo]
+        squared[redo] = similarity.squared_roots(t[redo])
+    ok = change <= FLOOR_SKIP_DELTA
+    roots = np.sqrt(similarity._clamp_squared_roots(squared[ok]))
     test = inference.bartlett_chi2(roots, facts.n, k)
     out = np.full((3, i.size), np.nan)
     out[:, ok] = roots[:, 0], test.statistic, test.p
     # p <= gamma keeps rho_c > 0, so every candidate's weights are well defined
-    may_pass = test.p <= gamma
-    cand = np.flatnonzero(ok)[may_pass]
+    cand = np.flatnonzero(ok)[test.p <= gamma]
     contrib = np.full((i.size, k), np.nan)
-    _, _, contrib[cand] = similarity._leading_weights(t[may_pass], inv_i[cand], inv_j[cand],
-                                                      joint[cand, :k, k:])
+    _, _, contrib[cand] = similarity._leading_weights(t[cand], inv_i[cand], inv_j[cand],
+                                                      cross[cand])
     return (*out, floored, change, contrib)
 
 
@@ -400,8 +440,8 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
             (sims[chunk], statistic[chunk], pvalues[chunk], floored[chunk], change[chunk],
              contribs[chunk]) = _test_cca(facts, i, j, sigma_ij, gamma)
         if n >= 2 * k + 2:
-            cov = np.block([[facts.gram[i], gram], [np.swapaxes(gram, 1, 2), facts.gram[j]]]) / n
-            hom, singular[chunk] = inference.homogeneity_test_from_cov(cov, n)
+            hom, singular[chunk] = inference.homogeneity_test_from_blocks(
+                [fact[i] for fact in facts.cov], [fact[j] for fact in facts.cov], gram / n, n)
             hom_p[chunk][~singular[chunk]] = hom.p
 
     ids = data.node_ids

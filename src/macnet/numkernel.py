@@ -92,4 +92,10 @@ def inv_sqrt_spd_stack(a) -> np.ndarray:
     values, vectors = np.linalg.eigh(a)
     if not np.all(pd_from_eigenvalues(values)):
         raise NotPositiveDefinite("matrix is not positive-definite")
+    return inv_sqrt_from_eigh(values, vectors)
+
+
+def inv_sqrt_from_eigh(values, vectors) -> np.ndarray:
+    """Inverse symmetric square root of each matrix of a stack, from its eigenvalues
+    (..., d), all positive, and eigenvectors (..., d, d)."""
     return (vectors / np.sqrt(values)[..., None, :]) @ np.swapaxes(vectors, -1, -2)

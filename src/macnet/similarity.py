@@ -138,11 +138,15 @@ def _leading_vector(a: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vectors, values.argmax(axis=-1)[:, None, None], axis=-1)
 
 
-def canonical_roots(t) -> np.ndarray:
-    """Canonical roots, descending: square roots of the eigenvalues of T'T for
+def squared_roots(t) -> np.ndarray:
+    """Squared canonical roots, descending and unclamped: the eigenvalues of T'T for
     T = inv_sqrt(S_ii) S_ij inv_sqrt(S_jj), or for each T of a stack (..., k, k)."""
-    squared = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)[..., ::-1]
-    return np.sqrt(_clamp_squared_roots(squared))
+    return np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)[..., ::-1]
+
+
+def canonical_roots(t) -> np.ndarray:
+    """Canonical roots, descending: square roots of ``squared_roots(t)``, clamped to [0, 1]."""
+    return np.sqrt(_clamp_squared_roots(squared_roots(t)))
 
 
 def _leading_weights(t, inv_i, inv_j, sigma_ij):

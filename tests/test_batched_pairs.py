@@ -53,6 +53,17 @@ def singular_node_dataset(seed=1, n_nodes=7, n=50):
     return AttributeDataset(data.node_ids, data.attribute_names, samples)
 
 
+def exactly_singular_node_dataset(seed=3, n_nodes=7, n=64):
+    """Integer samples, with node v2's second attribute exactly 2 * first + 1.
+
+    n is a power of two and the values small integers, so centring and the Gram sums
+    are exact and v2's covariance block is exactly singular."""
+    data = planted_dataset(seed, n_nodes, 2, n=n)
+    samples = np.round(4.0 * data.samples)
+    samples[2, 1] = 2.0 * samples[2, 0] + 1.0
+    return AttributeDataset(data.node_ids, data.attribute_names, samples)
+
+
 def reference_network(data, method, gamma, sampler=None):
     """Per-pair loop over the public functions, one pair per call.
 
@@ -164,6 +175,89 @@ def test_monte_carlo_mode_matches_per_pair_reference():
     net = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
     reference = reference_network(data, "max", 0.05, sampler=inference.ExtremeTailSampler())
     assert_matches_reference(net, reference)
+
+
+@pytest.mark.parametrize("method", ["max", "min", "cca"])
+def test_exactly_singular_node_matches_per_pair_reference(method):
+    data = exactly_singular_node_dataset()
+    gram = data.samples[2] - data.samples[2].mean(axis=1, keepdims=True)
+    gram = gram @ gram.T
+    assert gram[0, 0] * gram[1, 1] == gram[0, 1] ** 2
+    net = infer_network(data, method, 0.05)
+    assert_matches_reference(net, reference_network(data, method, 0.05))
+    assert net.homogeneity_singular_pairs == data.n_nodes - 1
+
+
+def count_floor_calls(monkeypatch):
+    """Record every joint matrix that reaches ``network._floor_supermatrix``."""
+    seen = []
+    floor = network._floor_supermatrix
+
+    def recording(joint):
+        seen.extend(joint)
+        return floor(joint)
+
+    monkeypatch.setattr(network, "_floor_supermatrix", recording)
+    return seen
+
+
+@pytest.mark.parametrize("make", [lambda: planted_dataset(6, 30, 2),
+                                  lambda: planted_dataset(7, 20, 3, n=40)])
+def test_roots_screen_clears_noise_pairs(make, monkeypatch):
+    seen = count_floor_calls(monkeypatch)
+    infer_network(make(), "cca", 0.05)
+    assert seen == []
+
+
+def test_roots_screen_passes_the_collinear_pair_on(monkeypatch):
+    data = collinear_dataset()
+    seen = count_floor_calls(monkeypatch)
+    net = infer_network(data, "cca", 0.05)
+    joint = numkernel.corr_matrices(np.hstack([data.node_matrix(0), data.node_matrix(1)]))
+    assert any(np.allclose(m, joint, rtol=0, atol=1e-12) for m in seen)
+    assert len(seen) < 2 * data.n_nodes
+    assert ("v0", "v1") in net.floored
+
+
+def random_blocks(rng, m, k):
+    """Correlation blocks (m, k, k) with smallest eigenvalues down to about 1e-8 of the largest."""
+    basis = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
+    values = np.exp(rng.uniform(np.log(1e-8), 0.0, size=(m, k)))
+    cov = (basis * values[:, None, :]) @ np.swapaxes(basis, 1, 2)
+    scale = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    sigma = cov / (scale[:, :, None] * scale[:, None, :])
+    sigma[:, np.arange(k), np.arange(k)] = 1.0
+    return (sigma + np.swapaxes(sigma, 1, 2)) / 2.0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("rho1", [None, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+def test_roots_screen_accepts_only_clean_pairs(k, rho1):
+    """Every pair ``_clean_by_roots`` accepts is clean under ``pd_from_eigenvalues``
+    of its assembled joint matrix; the screen sees the pairs as ``_test_cca`` does."""
+    rng = np.random.default_rng(int(1e3 * k + (0 if rho1 is None else -np.log10(1 - rho1))))
+    m = 4000
+    blocks = random_blocks(rng, 2 * m, k)
+    values, vectors = np.linalg.eigh(blocks)
+    assert numkernel.pd_from_eigenvalues(values).all()
+    inv = numkernel.inv_sqrt_from_eigh(values, vectors)
+    root = (vectors * np.sqrt(values)[:, None, :]) @ np.swapaxes(vectors, 1, 2)
+    roots = rng.uniform(0.0, 1.0, size=(m, k)) ** 0.2
+    if rho1 is not None:
+        roots[:, 0] = rho1
+    # S_ij = S_ii^1/2 U diag(roots) V' S_jj^1/2 has exactly these canonical roots
+    u = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
+    cross = root[:m] @ (u * roots[:, None, :]) @ np.swapaxes(v, 1, 2) @ root[m:]
+    t = inv[:m] @ cross @ inv[m:]
+    rho = np.sqrt(np.maximum(similarity.squared_roots(t)[:, 0], 0.0))
+    accepted = network._clean_by_roots(rho, values[:m, [0, -1]], values[m:, [0, -1]])
+    joint = np.block([[blocks[:m], cross], [np.swapaxes(cross, 1, 2), blocks[m:]]])
+    clean = numkernel.pd_from_eigenvalues(np.linalg.eigh(joint)[0])
+    assert not (accepted & ~clean).any()
+    # the bound cannot clear the rule's tolerance once 1 - rho1 falls below it
+    assert accepted.any() == (rho1 != 1 - 1e-12)
+    assert (~clean).any() or rho1 is None
 
 
 def test_collinear_pair_is_floored_not_fatal():

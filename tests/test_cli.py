@@ -204,6 +204,36 @@ class TestCliInfer:
         code = main(["infer"])
         assert code == 1
 
+    def test_same_file_twice_is_data_error(self, tmp_path, capsys):
+        protein, *_ = make_dataset_files(tmp_path)
+        code = main(["infer", str(protein), str(protein), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "SchemaMismatch" and "'protein'" in err["message"]
+        assert not (tmp_path / "run").exists()
+
+    def test_files_sharing_a_stem_are_data_error(self, tmp_path, capsys):
+        protein, gene, ids, samples = make_dataset_files(tmp_path)
+        (tmp_path / "x").mkdir()
+        (tmp_path / "y").mkdir()
+        write_attribute_csv(tmp_path / "x" / "gene.csv", ids, samples[:, 0, :])
+        write_attribute_csv(tmp_path / "y" / "gene.csv", ids, samples[:, 1, :])
+        code = main(["infer", str(tmp_path / "x" / "gene.csv"), str(tmp_path / "y" / "gene.csv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "SchemaMismatch"
+        assert str(tmp_path / "x" / "gene.csv") in err["message"]
+        assert str(tmp_path / "y" / "gene.csv") in err["message"]
+
+    def test_attribute_selected_twice_is_usage_error(self, tmp_path, capsys):
+        protein, gene, *_ = make_dataset_files(tmp_path)
+        code = main(["infer", str(protein), str(gene), "--attributes", "protein,protein",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError" and "'protein'" in err["message"]
+
     def test_bad_fdr_is_usage_error(self, tmp_path):
         protein, gene, *_ = make_dataset_files(tmp_path)
         code = main(["infer", str(protein), str(gene), "--fdr", "1.5"])

@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macnet import numkernel, simulation
+from macnet import inference, numkernel, simulation
 from macnet.errors import (
     DegenerateCorrelation,
     InsufficientSamples,
@@ -59,6 +60,13 @@ CHI2_SF_TABLE = {
     (100.0, 1): 1.5239706048321052132e-23,
     (200.0, 10): 1.613930533697730479e-37,
     (0.5, 3): 0.91889141165467585936,
+    (4.0, 9): 0.911412526831679171398,
+    (16.9, 9): 0.050305190124310876064,
+    (40.0, 9): 7.59852522946427598232e-06,
+    (49.0, 49): 0.4731282956547652174,
+    (90.0, 49): 3.22987867432421225783e-04,
+    # e^(-x/2) alone underflows to 0 here; the tail does not
+    (1500.0, 49): 5.70882017433584446012e-282,
 }
 
 
@@ -71,9 +79,23 @@ class TestDistributionTails:
             assert abs(normal_sf(c) - expected) / expected < 1e-12
             assert abs(normal_sf(-c) - (1.0 - expected)) < 1e-14
 
-    def test_chi2_sf_at_zero(self):
-        for df in (1, 2, 5):
+    def test_chi2_sf_at_zero_and_infinity(self):
+        for df in range(1, 10):
             assert chi2_sf(0.0, df) == 1.0
+            assert chi2_sf(math.inf, df) == 0.0
+        assert list(chi2_sf(np.array([0.0, math.inf]), 4)) == [1.0, 0.0]
+
+    def test_chi2_sf_matches_scipy(self):
+        from scipy.stats import chi2
+
+        x = np.concatenate([np.linspace(0.0, 5.0, 41), np.geomspace(5.0, 300.0, 60)])
+        for df in range(1, 17):
+            expected = chi2.sf(x, df)
+            assert np.all(np.abs(chi2_sf(x, df) - expected) <= 1e-13 * expected)
+
+    def test_chi2_sf_has_no_incomplete_gamma(self):
+        src = Path(inference.__file__).parent
+        assert not [p for p in src.glob("*.py") if "gammaincc" in p.read_text()]
 
     def test_chi2_sf_accuracy(self):
         for (x, df), expected in CHI2_SF_TABLE.items():
@@ -313,6 +335,54 @@ class TestHomogeneityLrt:
         samples_j = simulation.sample_mvn(cov_j, 500, simulation.substream(13, 1))
         out = pair_homogeneity(samples_i, samples_j)
         assert out.p < 0.01
+
+    @staticmethod
+    def full_form(cov, n):
+        """The 2k-by-2k statistic n (log det M - log det C) with M assembled in full."""
+        k = cov.shape[-1] // 2
+        marginal = (cov[:, :k, :k] + cov[:, k:, k:]) / 2.0
+        cross = (cov[:, :k, k:] + np.swapaxes(cov[:, :k, k:], 1, 2)) / 2.0
+        model = np.block([[marginal, cross], [cross, marginal]])
+        return np.maximum(0.0, n * (np.linalg.slogdet(model)[1] - np.linalg.slogdet(cov)[1]))
+
+    @staticmethod
+    def sample_covs(rng, k, m, n):
+        mix = np.eye(2 * k) + 0.2 * rng.normal(size=(m, 2 * k, 2 * k))
+        draws = rng.normal(size=(m, n, 2 * k)) @ mix
+        centred = draws - draws.mean(axis=1, keepdims=True)
+        return np.swapaxes(centred, 1, 2) @ centred / n
+
+    @pytest.mark.parametrize("k,stat_rel", [(1, 1e-8), (2, 1e-12), (3, 1e-12)])
+    def test_block_form_matches_full_form(self, k, stat_rel):
+        rng = np.random.default_rng(40 + k)
+        n = 50
+        cov = self.sample_covs(rng, k, 500, n)
+        test, singular = homogeneity_test_from_cov(cov, n)
+        assert not singular.any()
+        expected = self.full_form(cov, n)
+        np.testing.assert_allclose(test.statistic, expected, rtol=stat_rel, atol=0)
+        np.testing.assert_allclose(test.p, chi2_sf(expected, k * k), rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_singular_mask_is_pd_mask(self, k):
+        rng = np.random.default_rng(50 + k)
+        random = self.sample_covs(rng, k, 300, 30)
+        # too few samples, one column a combination of two others, a zero block, and
+        # smallest eigenvalues from 1e-12 to 1e-8 of the largest, across the PD rule's bound
+        short = self.sample_covs(rng, k, 50, 2 * k)
+        combined = self.sample_covs(rng, k, 50, 30)
+        combined[:, :, -1] = combined[:, :, 0] + combined[:, :, -2] if k > 1 else 0.0
+        combined = np.swapaxes(combined, 1, 2) @ combined
+        basis = np.linalg.qr(rng.normal(size=(200, 2 * k, 2 * k)))[0]
+        values = rng.uniform(0.5, 2.0, size=(200, 2 * k))
+        values[:, 0] = values.max(axis=1) * np.geomspace(1e-12, 1e-8, 200)
+        edge = (basis * values[:, None, :]) @ np.swapaxes(basis, 1, 2)
+        edge = (edge + np.swapaxes(edge, 1, 2)) / 2.0
+        stacks = [random, short, combined, np.zeros((3, 2 * k, 2 * k)), edge]
+        for cov in stacks:
+            _, singular = homogeneity_test_from_cov(cov, 30)
+            np.testing.assert_array_equal(singular, ~numkernel.pd_mask(cov))
+        assert (~numkernel.pd_mask(edge)).any() and numkernel.pd_mask(edge).any()
 
     def test_insufficient_samples(self):
         # with n <= 2k samples the stacked covariance is singular, so no verdict
