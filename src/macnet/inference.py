@@ -32,7 +32,6 @@ from .errors import (
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 #: degrees-of-freedom bookkeeping for the homogeneity likelihood ratio test:
 #: k(k+1)/2 equalities between the marginal blocks plus k(k-1)/2 symmetry
@@ -81,7 +80,7 @@ def chi2_sf(x, df: int):
             series = 1.0
             for j in range(m - 1, 0, -1):
                 series = series * h / (j + 0.5 * odd) + 1.0
-            tail = half * (half * series * (_TWO_OVER_SQRT_PI * np.sqrt(h) if odd else 1.0))
+            tail = half * (half * series * (2.0 * np.sqrt(h / math.pi) if odd else 1.0))
         if not half.all():
             tail = np.where(half > 0.0, tail, 0.0)
         value = value + tail
