@@ -175,8 +175,7 @@ def _cmd_enrich(args) -> int:
     report = enrichment_mod.enrich(classes, gsc, args.fdr, exclude=exclude)
     out = Path(args.out)
     io_mod.write_enrichment_csv(report, out / "enrichment.csv")
-    enriched = sum(1 for r in report.results if r.enriched)
-    print(f"{enriched} enriched (class, set) pairs of {len(report.results)} tested -> "
+    print(f"{int(report.enriched.sum())} enriched (class, set) pairs of {len(report)} tested -> "
           f"{out / 'enrichment.csv'}")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)

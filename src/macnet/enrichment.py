@@ -21,7 +21,12 @@ from .inference import bh_fdr
 
 @dataclass(frozen=True, eq=False)
 class GeneSetCollection:
-    """Named identifier sets plus the size of the universe they live in."""
+    """Named identifier sets plus the size of the universe they live in.
+
+    Each set is held once, as the frozenset of its distinct members, and a
+    frozenset of strings is kept as it is: members are converted with ``str``
+    only when some identifier is not a string already.
+    """
 
     universe_size: int
     sets: dict
@@ -33,16 +38,18 @@ class GeneSetCollection:
             raise InvalidCounts(f"universe size must be positive, got {self.universe_size}")
         if not self.sets:
             raise EmptyInput("no identifier sets supplied")
-        normalized = {}
-        for name, members in self.sets.items():
-            members = frozenset(map(str, members))
+        sets = {str(name): frozenset(members) for name, members in self.sets.items()}
+        annotated = frozenset().union(*sets.values())
+        if not all(type(v) is str for v in annotated):
+            sets = {name: frozenset(map(str, members)) for name, members in sets.items()}
+            annotated = frozenset().union(*sets.values())
+        for name, members in sets.items():
             if not members:
                 raise EmptyInput(f"set {name!r} is empty")
-            normalized[str(name)] = members
-        object.__setattr__(self, "sets", normalized)
-        object.__setattr__(self, "_annotated", frozenset().union(*normalized.values()))
-        if len(self._annotated) > self.universe_size:
-            raise InvalidCounts(f"the sets annotate {len(self._annotated)} identifiers, more "
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "_annotated", annotated)
+        if len(annotated) > self.universe_size:
+            raise InvalidCounts(f"the sets annotate {len(annotated)} identifiers, more "
                                 f"than the universe size {self.universe_size}")
 
     def annotated(self) -> frozenset:
@@ -50,8 +57,12 @@ class GeneSetCollection:
         return self._annotated
 
 
-def parse_gmt(source) -> dict:
-    """Read ``name<TAB>description<TAB>member...`` lines into (sets, descriptions)."""
+def parse_gmt(source) -> tuple:
+    """Read ``name<TAB>description<TAB>member...`` lines into (sets, descriptions).
+
+    Each set comes out once, as the frozenset of its distinct members with
+    surrounding whitespace stripped; blank member cells are dropped.
+    """
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
         origin = str(source)
@@ -74,7 +85,9 @@ def parse_gmt(source) -> dict:
         name = fields[0].strip()
         if name in sets:
             raise SchemaMismatch(f"{origin}:{lineno}: duplicate set {name!r}", path=origin, line=lineno)
-        members = [m for m in map(str.strip, fields[2:]) if m]
+        members = frozenset(map(str.strip, fields[2:]))
+        if "" in members:
+            members -= {""}
         if not members:
             raise SchemaMismatch(f"{origin}:{lineno}: set {name!r} has no members", path=origin, line=lineno)
         sets[name] = members
@@ -103,10 +116,12 @@ def _upper_tails(overlap, class_size, set_size, universe: int) -> np.ndarray:
     ``overlap``, ``class_size`` and ``set_size`` broadcast against each other
     to one dimension or more; a test with overlap 0 gives 1.  Every other
     test's terms C(s, t) C(U - s, c - t) / C(U, c), t from
-    max(overlap, c - (U - s)) to min(c, s), are laid out in one flat array
-    from a shared log-factorial table and summed in log space per test, so
-    universes of several thousand identifiers stay well inside
-    floating-point range.  Working memory is O(sum of the tests' ranges).
+    max(overlap, c - (U - s)) to min(c, s), are summed in log space per test,
+    so universes of several thousand identifiers stay well inside
+    floating-point range.  The terms come from one shared log-factorial table
+    and are computed once per distinct (c, s), over the union of its tests'
+    ranges; each test's range is a suffix of that block, gathered into one
+    flat array.  Working memory is O(sum of the tests' ranges).
     """
     o, c, s = np.broadcast_arrays(_counts("overlap", overlap), _counts("class_size", class_size),
                                   _counts("set_size", set_size))
@@ -122,16 +137,32 @@ def _upper_tails(overlap, class_size, set_size, universe: int) -> np.ndarray:
         # the checks above make every range non-empty and every table index
         # below lie in [0, U]
         lo = np.maximum(o, c - (U - s))
-        width = np.minimum(c, s) - lo + 1
-        starts = np.cumsum(width) - width
-        test = np.repeat(np.arange(width.size), width)
-        t = lo[test] + np.arange(test.size) - starts[test]
-        cc, ss = c[test], s[test]
+        shapes, block = np.unique(c * (U + 1) + s, return_inverse=True)
+        bc, bs = np.divmod(shapes, U + 1)
+        block_lo = np.full(shapes.size, U)
+        np.minimum.at(block_lo, block, lo)
+        block_width = np.minimum(bc, bs) - block_lo + 1
+        block_start = np.cumsum(block_width) - block_width
+        cc, ss = np.repeat(bc, block_width), np.repeat(bs, block_width)
+        t = np.repeat(block_lo - block_start, block_width) + np.arange(cc.size)
         log_fact = np.array([math.lgamma(m + 1) for m in range(U + 1)])
         log_denominator = log_fact[U] - log_fact[cc] - log_fact[U - cc]
-        terms = ((log_fact[ss] - log_fact[t] - log_fact[ss - t])
-                 + (log_fact[U - ss] - log_fact[cc - t] - log_fact[U - ss - cc + t])
-                 - log_denominator)
+        block_terms = ((log_fact[ss] - log_fact[t] - log_fact[ss - t])
+                       + (log_fact[U - ss] - log_fact[cc - t] - log_fact[U - ss - cc + t])
+                       - log_denominator)
+        # each test's sum stops at the last term of its block at or above m - 40, m the
+        # least first term of the block's tests: every term after that lies past the
+        # test's peak P >= m and below P - 40, so its share e^(term - P) < 2^-53 is lost
+        # when added to a running sum that already holds the peak's share of 1
+        first = block_start[block] + lo - block_lo[block]
+        least_first = np.full(shapes.size, np.inf)
+        np.minimum.at(least_first, block, block_terms[first])
+        kept = block_terms >= np.repeat(least_first - 40.0, block_width)
+        last = np.maximum.reduceat(np.where(kept, np.arange(kept.size), -1), block_start)
+        width = last[block] - first + 1
+        starts = np.cumsum(width) - width
+        test = np.repeat(np.arange(width.size), width)
+        terms = block_terms[np.repeat(first - starts, width) + np.arange(test.size)]
         peak = np.maximum.reduceat(terms, starts)
         total = np.bincount(test, weights=np.exp(terms - peak[test]), minlength=width.size)
         p[tested] = np.minimum(1.0, np.exp(peak + np.log(total)))
@@ -160,11 +191,41 @@ class EnrichmentResult:
 
 @dataclass(frozen=True, eq=False)
 class EnrichmentReport:
-    results: tuple
+    """Every tested (class, set) pair as one cell of a classes-by-sets grid.
+
+    ``class_labels`` and ``set_names``, both sorted, label the rows and
+    columns, and ``class_size`` and ``set_size`` give their sizes; ``overlap``,
+    ``p``, ``q`` and ``enriched`` are (classes, sets) arrays.  Rows of the
+    report run in row-major order: class by class, each over every set.
+    """
+
+    class_labels: tuple
+    set_names: tuple
+    class_size: np.ndarray
+    set_size: np.ndarray
+    overlap: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    enriched: np.ndarray
     gamma: float
     annotated_nodes: int
     unmatched_nodes: tuple
     warnings: tuple
+
+    def __len__(self) -> int:
+        return self.overlap.size
+
+    @property
+    def results(self) -> tuple:
+        """Read-only view of the grid as ``EnrichmentResult`` rows, built on each access."""
+        return tuple(
+            EnrichmentResult(label, name, overlap, class_size, set_size, p, q, enriched)
+            for label, class_size, overlaps, ps, qs, flags in zip(
+                self.class_labels, self.class_size.tolist(), self.overlap.tolist(),
+                self.p.tolist(), self.q.tolist(), self.enriched.tolist())
+            for name, set_size, overlap, p, q, enriched in zip(
+                self.set_names, self.set_size.tolist(), overlaps, ps, qs, flags)
+        )
 
 
 def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
@@ -175,57 +236,63 @@ def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
     Nodes absent from every set are dropped first (and reported); class sizes
     are measured on the retained nodes.  ``exclude`` removes sets whose name
     contains any of the given substrings; empty or blank substrings are
-    ignored.  Each class's tail probabilities come from one ``_upper_tails``
-    call over all sets.
+    ignored.  Each set is intersected once with the classified nodes, one
+    ``np.bincount`` turns the hits into the (classes, sets) overlap grid, and
+    one ``_upper_tails`` call and one BH pass cover the whole grid.
     """
     annotated = gsc.annotated()
-    retained = {v: label for v, label in classes.items() if str(v) in annotated}
-    unmatched = tuple(sorted(str(v) for v in classes if str(v) not in annotated))
+    labelled = {}
+    retained = 0
+    unmatched = []
+    for v, label in classes.items():
+        v = str(v)
+        if v not in annotated:
+            unmatched.append(v)
+            continue
+        retained += 1
+        if label != UNCLASSIFIED_LABEL:
+            labelled[v] = label
+
+    labels = sorted(set(labelled.values()))
+    index = {label: x for x, label in enumerate(labels)}
+    warnings = tuple(
+        f"class {label!r} has no annotated members; skipped"
+        for label in sorted({label for label in classes.values() if label != UNCLASSIFIED_LABEL})
+        if label not in index
+    )
+    node_class = {v: index[label] for v, label in labelled.items()}
+    class_size = np.bincount(np.fromiter(node_class.values(), dtype=np.intp, count=len(node_class)),
+                             minlength=len(labels))
 
     excluded = tuple(token for token in exclude or () if token.strip())
-    sets = {
-        name: members
-        for name, members in gsc.sets.items()
-        if not any(token in name for token in excluded)
-    }
+    names = sorted(name for name in gsc.sets if not any(token in name for token in excluded))
+    members = [gsc.sets[name] for name in names]
+    set_size = np.array([len(m) for m in members], dtype=np.int64)
+    nodes = frozenset(node_class)
+    hit_class, hit_count = [], []
+    for m in members:
+        hit = m & nodes
+        hit_class.extend(map(node_class.__getitem__, hit))
+        hit_count.append(len(hit))
+    hit_set = np.repeat(np.arange(len(names)), hit_count)
+    overlap = np.bincount(np.array(hit_class, dtype=np.intp) * len(names) + hit_set,
+                          minlength=len(labels) * len(names)).reshape(len(labels), len(names))
 
-    warnings = []
-    labels = sorted({label for label in retained.values() if label != UNCLASSIFIED_LABEL})
-    all_labels = sorted({label for label in classes.values() if label != UNCLASSIFIED_LABEL})
-    for label in all_labels:
-        if label not in labels:
-            warnings.append(f"class {label!r} has no annotated members; skipped")
-
-    names = sorted(sets)
-    set_sizes = [len(sets[name]) for name in names]
-    rows = []
-    for label in labels:
-        members = {str(v) for v, lab in retained.items() if lab == label}
-        class_size = len(members)
-        overlaps = [len(members & sets[name]) for name in names]
-        pvalues = _upper_tails(overlaps, class_size, set_sizes, gsc.universe_size).tolist()
-        rows.extend((label, name, overlap, class_size, set_size, p)
-                    for name, overlap, set_size, p in zip(names, overlaps, set_sizes, pvalues))
-
-    decision = bh_fdr([row[5] for row in rows], gamma)
-    rejected = set(decision.rejected)
-    results = tuple(
-        EnrichmentResult(
-            class_label=label,
-            set_name=name,
-            overlap=overlap,
-            class_size=class_size,
-            set_size=set_size,
-            p=p,
-            q=float(decision.qvalues[idx]),
-            enriched=idx in rejected,
-        )
-        for idx, (label, name, overlap, class_size, set_size, p) in enumerate(rows)
-    )
+    p = _upper_tails(overlap, class_size[:, None], set_size[None, :], gsc.universe_size)
+    decision = bh_fdr(p.ravel(), gamma)
+    enriched = np.zeros(p.size, dtype=bool)
+    enriched[list(decision.rejected)] = True
     return EnrichmentReport(
-        results=results,
+        class_labels=tuple(labels),
+        set_names=tuple(names),
+        class_size=class_size,
+        set_size=set_size,
+        overlap=overlap,
+        p=p,
+        q=decision.qvalues.reshape(p.shape),
+        enriched=enriched.reshape(p.shape),
         gamma=gamma,
-        annotated_nodes=len(retained),
-        unmatched_nodes=unmatched,
-        warnings=tuple(warnings),
+        annotated_nodes=retained,
+        unmatched_nodes=tuple(sorted(unmatched)),
+        warnings=warnings,
     )

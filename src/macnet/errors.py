@@ -109,7 +109,7 @@ class SchemaMismatch(DataError):
         self.column = column
 
 
-class DuplicateNodeId(DataError):
+class DuplicateNodeId(SchemaMismatch):
     pass
 
 

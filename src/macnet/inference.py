@@ -356,8 +356,9 @@ class HomogeneityTest:
 def covariance_block_facts(cov):
     """What the homogeneity test needs of each k-by-k covariance block of a stack
     (m, k, k), computed once per node: (blocks, inverses, log determinants, verdict
-    of the PD rule).  Inverse and log determinant are 0 where the rule fails."""
-    pd = numkernel.pd_mask(cov)
+    of the PD rule on the block scaled to unit diagonal).  Inverse and log
+    determinant are 0 where the rule fails."""
+    pd = numkernel.pd_mask(numkernel.unit_diagonal(cov))
     inverse = np.zeros_like(cov)
     logdet = np.zeros(cov.shape[0])
     inverse[pd] = np.linalg.inv(cov[pd])
@@ -379,12 +380,14 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
     B = (C_ij + C_ij')/2.  Returns the test over the non-singular pairs and the
     mask of singular ones, which get no verdict.
 
-    C is singular when it fails ``numkernel.pd_mask``'s rule.  A pair whose blocks
-    pass that rule is certainly not singular when
-    log det C - (2k-1) log tr C > log(2 PD_TOLERANCE tr C), since then
-    lambda_min(C) >= det C / (tr C)^(2k-1) clears the rule's bound on
-    lambda_max(C) <= tr C, with a factor 2 for rounding; every other pair is
-    decided by ``pd_mask`` on its assembled 2k-by-2k C.
+    C is singular when C scaled to unit diagonal, R = D^-1/2 C D^-1/2 with D the
+    diagonal of C, fails ``numkernel.pd_mask``'s rule, so the verdict does not
+    depend on attribute units.  A pair whose blocks pass that rule is certainly
+    not singular when log det R > log(2 PD_TOLERANCE) + 2k log 2k, with
+    log det R = log det C - sum log D, since then
+    lambda_min(R) >= det R / (tr R)^(2k-1) clears the rule's bound on
+    lambda_max(R) <= tr R = 2k, with a factor 2 for rounding; every other pair
+    is decided by ``pd_mask`` on its assembled 2k-by-2k R.
     """
     c_ii, inv_ii, logdet_ii, pd_i = facts_i
     c_jj, _, _, pd_j = facts_j
@@ -392,11 +395,12 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
     cross_t = np.swapaxes(cross, -1, -2)
     schur_sign, logdet_schur = np.linalg.slogdet(c_jj - cross_t @ inv_ii @ cross)
     logdet_free = logdet_ii + logdet_schur
-    trace = np.trace(c_ii, axis1=-2, axis2=-1) + np.trace(c_jj, axis1=-2, axis2=-1)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero stack fails the PD rule
+        log_diagonal = (np.log(np.diagonal(c_ii, axis1=-2, axis2=-1)).sum(axis=-1)
+                        + np.log(np.diagonal(c_jj, axis1=-2, axis2=-1)).sum(axis=-1))
         clean = (pd_i & pd_j & (schur_sign > 0.0)
-                 & (logdet_free - (2 * k - 1) * np.log(trace)
-                    > np.log(2.0 * numkernel.PD_TOLERANCE * trace)))
+                 & (logdet_free - log_diagonal
+                    > math.log(2.0 * numkernel.PD_TOLERANCE) + 2 * k * math.log(2 * k)))
     marginal = (c_ii + c_jj) / 2.0
     sym = (cross + cross_t) / 2.0
     logdet_model = np.linalg.slogdet(marginal + sym)[1] + np.linalg.slogdet(marginal - sym)[1]
@@ -406,7 +410,7 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
     if undecided.size:
         free = np.block([[c_ii[undecided], cross[undecided]],
                          [cross_t[undecided], c_jj[undecided]]])
-        singular[undecided] = ~numkernel.pd_mask(free)
+        singular[undecided] = ~numkernel.pd_mask(numkernel.unit_diagonal(free))
         # the Schur form needs C_ii^-1, which a block that fails the rule lacks
         logdet_free[undecided] = np.linalg.slogdet(free)[1]
     statistic = np.maximum(0.0, n * (logdet_model[~singular] - logdet_free[~singular]))

@@ -129,7 +129,8 @@ def _read_attribute_csv(path):
             if not node_id:
                 raise SchemaMismatch(f"{path}:{lineno}: empty node id", path=str(path), line=lineno, column=1)
             if node_id in seen:
-                raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {node_id!r}")
+                raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {node_id!r}",
+                                      path=str(path), line=lineno, column=1)
             seen.add(node_id)
             ids.append(node_id)
             cells.append(row[1:])
@@ -421,7 +422,8 @@ def write_edge_classes_csv(edge_classes: EdgeClasses, attribute_names, path):
 
 
 def read_node_classes(path) -> dict:
-    """Node id -> class label from a node class CSV written by ``classify``."""
+    """Node id -> class label from a node class CSV written by ``classify``; a node id
+    given twice is rejected with its line."""
     classes = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -434,6 +436,9 @@ def read_node_classes(path) -> dict:
             if len(row) < 2:
                 raise SchemaMismatch(f"{path}:{lineno}: expected at least 2 cells, found {len(row)}",
                                      path=str(path), line=lineno)
+            if row[0] in classes:
+                raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {row[0]!r}",
+                                      path=str(path), line=lineno, column=1)
             classes[row[0]] = row[1]
     return classes
 
@@ -466,13 +471,13 @@ def write_histogram_csv(counts, path):
 
 
 def write_enrichment_csv(report: EnrichmentReport, path):
-    results = report.results
+    classes, sets = len(report.class_labels), len(report.set_names)
     _write_columns(path, ["class", "set", "overlap", "set_size", "class_size", "p", "q", "enriched"],
-                   [[r.class_label for r in results], [r.set_name for r in results],
-                    _field_cells(results, "overlap", int), _field_cells(results, "set_size", int),
-                    _field_cells(results, "class_size", int), _field_cells(results, "p", float),
-                    _field_cells(results, "q", float),
-                    ["1" if r.enriched else "0" for r in results]])
+                   [[label for label in report.class_labels for _ in range(sets)],
+                    report.set_names * classes, _cells(report.overlap.ravel()),
+                    _cells(np.tile(report.set_size, classes)),
+                    _cells(np.repeat(report.class_size, sets)), _cells(report.p.ravel()),
+                    _cells(report.q.ravel()), _cells(report.enriched.ravel().astype(int))])
 
 
 def write_power_csv(result: PowerResult, path):

@@ -82,6 +82,17 @@ def pd_from_eigenvalues(values: np.ndarray) -> np.ndarray:
     return (values[..., -1] > 0.0) & (values[..., 0] > PD_TOLERANCE * values[..., -1])
 
 
+def unit_diagonal(a) -> np.ndarray:
+    """Each matrix of a stack (..., d, d) scaled to unit diagonal, D^-1/2 A D^-1/2 with
+    D its diagonal.  The row and column of a diagonal entry that is not positive
+    become 0, so such a matrix fails the PD rule."""
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    scale = np.zeros(diag.shape)
+    positive = diag > 0.0
+    scale[positive] = 1.0 / np.sqrt(diag[positive])
+    return a * scale[..., :, None] * scale[..., None, :]
+
+
 def pd_mask(a) -> np.ndarray:
     """Positive-definiteness of each matrix in a symmetric stack (..., d, d)."""
     return pd_from_eigenvalues(np.linalg.eigvalsh(a))

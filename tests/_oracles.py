@@ -113,6 +113,31 @@ def exact_hypergeom_upper(overlap, class_size, set_size, universe):
     return total
 
 
+def reference_enrichment(classes, gmt_lines, exclude=()):
+    """(class, set, overlap, class size, set size) of every pair enrich tests, by
+    plain set arithmetic on the lines of a GMT file.
+
+    Members are stripped and blank cells dropped; a node in no set, or
+    unclassified, joins no class; a set whose name contains a non-blank exclude
+    token is dropped; rows run over the classes in sorted order, each over the
+    sets in sorted order.
+    """
+    sets = {}
+    for line in gmt_lines:
+        if line.strip():
+            name, _, *members = line.split("\t")
+            sets[name.strip()] = {m.strip() for m in members} - {""}
+    annotated = set().union(*sets.values())
+    tokens = [t for t in exclude if t.strip()]
+    kept = {name: m for name, m in sets.items() if not any(t in name for t in tokens)}
+    members = {}
+    for node, label in classes.items():
+        if node in annotated and label != "unclassified":
+            members.setdefault(label, set()).add(node)
+    return [(label, name, len(members[label] & kept[name]), len(members[label]), len(kept[name]))
+            for label in sorted(members) for name in sorted(kept)]
+
+
 def correlation_objective(sigma_ii, sigma_jj, sigma_ij, w_i, w_j):
     """Correlation of the two weighted attribute combinations w_i'x_i and w_j'x_j."""
     w_i = np.asarray(w_i, dtype=float)

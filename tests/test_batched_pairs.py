@@ -388,6 +388,33 @@ def test_homogeneity_singular_covariance_is_masked():
     assert pair_homogeneity(samples_i, samples_j) is None
 
 
+def rescaled(data, factors, every_third=1.0):
+    """``data`` with attribute a scaled by factors[a], and every third node's a0 by
+    ``every_third`` on top."""
+    samples = data.samples * np.asarray(factors)[None, :, None]
+    samples[::3, 0] *= every_third
+    return AttributeDataset(data.node_ids, data.attribute_names, samples)
+
+
+@pytest.mark.parametrize("method", ["max", "min", "cca"])
+def test_homogeneity_verdict_does_not_depend_on_attribute_units(method):
+    data = planted_dataset(5, 40, 2)
+    plain = infer_network(data, method, 0.05)
+    assert plain.homogeneity_singular_pairs == 0
+    # one unit per attribute across all nodes leaves the statistic as it is, so the
+    # singular count and the reject fraction must not move either; the PD rule on the
+    # raw covariance called all 780 pairs singular
+    same = infer_network(rescaled(data, [1e-3, 1e4]), method, 0.05)
+    assert same.homogeneity_singular_pairs == plain.homogeneity_singular_pairs
+    assert same.homogeneity_reject_fraction == plain.homogeneity_reject_fraction
+    # a1 x 1e4 and every third node's a0 x 1e-3: those nodes' marginal blocks no longer
+    # match their partners', so the statistic and the reject fraction change, but no
+    # pair is singular (the raw rule called 455 of 780 singular)
+    mixed = infer_network(rescaled(data, [1.0, 1e4], every_third=1e-3), method, 0.05)
+    assert mixed.homogeneity_singular_pairs == 0
+    assert mixed.homogeneity_reject_fraction > plain.homogeneity_reject_fraction
+
+
 def test_tail_sampler_holds_one_table():
     rhos = np.linspace(-0.9, 0.9, 50)
     sampler = inference.ExtremeTailSampler(draws=20_000, seed=3)

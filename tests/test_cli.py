@@ -93,6 +93,7 @@ class TestIngest:
         with pytest.raises(Exception) as err:
             io_mod.ingest([path])
         assert "duplicate" in str(err.value).lower()
+        assert (err.value.path, err.value.line) == (str(path), 3)
 
 
 class TestIngestPublishedShape:
@@ -374,6 +375,14 @@ class TestMalformedEdgeAndClassFiles:
     def test_empty_node_class_file(self, tmp_path, capsys):
         err = self.enrich(tmp_path, capsys, "")
         assert (err["error"], err["line"]) == ("SchemaMismatch", 1)
+
+    def test_node_class_file_repeating_a_node(self, tmp_path, capsys):
+        # the later row used to overwrite the earlier, so the gene class vanished
+        err = self.enrich(tmp_path, capsys, "node_id,label\nG1,gene\nG2,protein\nG1,protein\n")
+        assert (err["error"], err["path"], err["line"], err["column"]) == (
+            "DuplicateNodeId", str(tmp_path / "node_classes.csv"), 4, 1)
+        assert "'G1'" in err["message"]
+        assert not (tmp_path / "out" / "enrichment.csv").exists()
 
 
 class TestExitCodeMapping:

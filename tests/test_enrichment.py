@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from _oracles import exact_hypergeom_upper
+from _oracles import exact_hypergeom_upper, reference_enrichment
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macnet import enrichment
 from macnet.cli import main
@@ -17,6 +19,7 @@ from macnet.enrichment import (
     parse_gmt,
 )
 from macnet.errors import EmptyInput, InvalidCounts, SchemaMismatch
+from macnet.inference import bh_fdr
 
 
 def exact_upper_tail(overlap, class_size, set_size, universe):
@@ -237,6 +240,37 @@ class TestUpperTails:
                   for o, c, s in zip(overlap, class_size, set_size)]
         assert batched.tolist() == scalar
 
+    @staticmethod
+    def full_range_tail(overlap, class_size, set_size, universe):
+        """One test's log-space sum over every term of its range, added left to right,
+        the arithmetic ``_upper_tails`` does before it shares and trims terms."""
+        if overlap == 0:
+            return 1.0
+        log_fact = [math.lgamma(m + 1) for m in range(universe + 1)]
+        c, s, U = class_size, set_size, universe
+        terms = [(log_fact[s] - log_fact[t] - log_fact[s - t])
+                 + (log_fact[U - s] - log_fact[c - t] - log_fact[U - s - c + t])
+                 - (log_fact[U] - log_fact[c] - log_fact[U - c])
+                 for t in range(max(overlap, c - (U - s)), min(c, s) + 1)]
+        peak = max(terms)
+        total = 0.0
+        for term in terms:
+            total += float(np.exp(term - peak))
+        return min(1.0, float(np.exp(peak + np.log(total))))
+
+    @pytest.mark.parametrize("universe", [12, 300, 5017])
+    def test_shared_and_trimmed_terms_give_the_full_sum(self, universe):
+        # tests share a (class size, set size) block and stop e^40 below their peak;
+        # that must leave every p bit for bit as the full left-to-right sum
+        rng = np.random.default_rng(universe)
+        class_size = rng.choice(rng.integers(1, universe + 1, size=4), size=150)
+        set_size = rng.choice(rng.integers(1, universe + 1, size=20), size=150)
+        overlap = rng.integers(0, np.minimum(set_size, class_size) + 1)
+        values = _upper_tails(overlap, class_size, set_size, universe)
+        expected = [self.full_range_tail(int(o), int(c), int(s), universe)
+                    for o, c, s in zip(overlap, class_size, set_size)]
+        assert values.tolist() == expected
+
     @pytest.mark.parametrize("args", [
         ([-1, 1], [3, 3], [2, 2], 10),
         ([1, 1], [3, -3], [2, 2], 10),
@@ -315,3 +349,47 @@ class TestUniverseCoversAnnotation:
         assert err["error"] == "InvalidCounts"
         assert "5 identifiers" in err["message"] and "universe size 4" in err["message"]
         assert not (tmp_path / "out" / "enrichment.csv").exists()
+
+
+IDENTIFIERS = [f"g{i}" for i in range(10)]
+
+
+@st.composite
+def enrichment_cases(draw):
+    """GMT lines with repeated, whitespace-padded and blank member cells, node classes
+    that include unclassified nodes and nodes in no set, exclude tokens (some blank)
+    and a universe that holds every identifier."""
+    names = draw(st.lists(st.sampled_from(["CANCER_A", "SIG_B", "PATH_C", "MOD_D", "E_CANCER",
+                                           "F", "G_SIG"]), min_size=1, max_size=6, unique=True))
+    cell = st.tuples(st.sampled_from(["", " ", "\u00a0 "]), st.sampled_from(IDENTIFIERS + [""]),
+                     st.sampled_from(["", " ", "  "])).map("".join)
+    lines = []
+    for name in names:
+        cells = [draw(st.sampled_from(IDENTIFIERS))] + draw(st.lists(cell, max_size=12))
+        cells = draw(st.permutations(cells))
+        lines.append("\t".join([draw(st.sampled_from([name, f" {name} "])), "desc", *cells]))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  "])))
+    classes = draw(st.dictionaries(st.sampled_from(IDENTIFIERS + ["u0", "u1", "u2"]),
+                                   st.sampled_from(["protein", "gene", "mixed", "unclassified"]),
+                                   max_size=13))
+    exclude = draw(st.lists(st.sampled_from(["CANCER", "SIG", "_", "", "  "]), max_size=3))
+    universe = draw(st.integers(len(IDENTIFIERS), 60))
+    return lines, classes, exclude, universe
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=enrichment_cases())
+def test_enrich_matches_plain_set_reference(case):
+    lines, classes, exclude, universe = case
+    report = enrich(classes, GeneSetCollection(universe, *parse_gmt(lines)), 0.1, exclude=exclude)
+    expected = reference_enrichment(classes, lines, exclude)
+    rows = report.results
+    assert [(r.class_label, r.set_name, r.overlap, r.class_size, r.set_size) for r in rows] == expected
+    assert len(report) == len(expected)
+    p = np.array([r.p for r in rows])
+    exact = [float(exact_hypergeom_upper(o, c, s, universe)) for _, _, o, c, s in expected]
+    np.testing.assert_allclose(p, exact, rtol=1e-12, atol=0)
+    decision = bh_fdr(p, 0.1)
+    assert [r.q for r in rows] == decision.qvalues.tolist()
+    assert [r.enriched for r in rows] == [x in decision.rejected for x in range(len(rows))]

@@ -384,8 +384,9 @@ class TestHomogeneityLrt:
         stacks = [random, short, combined, np.zeros((3, 2 * k, 2 * k)), edge]
         for cov in stacks:
             _, singular = homogeneity_test_from_cov(cov, 30)
-            np.testing.assert_array_equal(singular, ~numkernel.pd_mask(cov))
-        assert (~numkernel.pd_mask(edge)).any() and numkernel.pd_mask(edge).any()
+            np.testing.assert_array_equal(singular, ~numkernel.pd_mask(numkernel.unit_diagonal(cov)))
+        unit = numkernel.unit_diagonal(edge)
+        assert (~numkernel.pd_mask(unit)).any() and numkernel.pd_mask(unit).any()
 
     def test_insufficient_samples(self):
         # with n <= 2k samples the stacked covariance is singular, so no verdict
