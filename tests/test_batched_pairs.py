@@ -397,16 +397,27 @@ def rescaled(data, factors, every_third=1.0):
 
 
 @pytest.mark.parametrize("method", ["max", "min", "cca"])
-def test_homogeneity_verdict_does_not_depend_on_attribute_units(method):
+def test_homogeneity_verdict_does_not_depend_on_attribute_units(method, monkeypatch):
+    assembled = []
+    pd_mask = numkernel.pd_mask
+
+    def recording(a):
+        assembled.append(int(np.prod(a.shape[:-2])) if a.shape[-1] == 4 else 0)
+        return pd_mask(a)
+
+    monkeypatch.setattr(numkernel, "pd_mask", recording)
     data = planted_dataset(5, 40, 2)
     plain = infer_network(data, method, 0.05)
+    plain_assembled, assembled[:] = sum(assembled), []
     assert plain.homogeneity_singular_pairs == 0
     # one unit per attribute across all nodes leaves the statistic as it is, so the
-    # singular count and the reject fraction must not move either; the PD rule on the
-    # raw covariance called all 780 pairs singular
+    # singular count and the reject fraction must not move either (the PD rule on the
+    # raw covariance called all 780 pairs singular), and the determinant screen must
+    # clear the same pairs without assembling them
     same = infer_network(rescaled(data, [1e-3, 1e4]), method, 0.05)
     assert same.homogeneity_singular_pairs == plain.homogeneity_singular_pairs
     assert same.homogeneity_reject_fraction == plain.homogeneity_reject_fraction
+    assert sum(assembled) == plain_assembled
     # a1 x 1e4 and every third node's a0 x 1e-3: those nodes' marginal blocks no longer
     # match their partners', so the statistic and the reject fraction change, but no
     # pair is singular (the raw rule called 455 of 780 singular)
