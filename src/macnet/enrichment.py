@@ -120,8 +120,9 @@ def _upper_tails(overlap, class_size, set_size, universe: int) -> np.ndarray:
     so universes of several thousand identifiers stay well inside
     floating-point range.  The terms come from one shared log-factorial table
     and are computed once per distinct (c, s), over the union of its tests'
-    ranges; each test's range is a suffix of that block, gathered into one
-    flat array.  Working memory is O(sum of the tests' ranges).
+    ranges; each test gathers its terms from that block into one flat array,
+    up to where the rest can no longer change its sum.  Working memory is
+    O(sum of the tests' ranges).
     """
     o, c, s = np.broadcast_arrays(_counts("overlap", overlap), _counts("class_size", class_size),
                                   _counts("set_size", set_size))
