@@ -83,6 +83,8 @@ def parse_gmt(source) -> tuple:
                 line=lineno,
             )
         name = fields[0].strip()
+        if not name:
+            raise SchemaMismatch(f"{origin}:{lineno}: set name is blank", path=origin, line=lineno)
         if name in sets:
             raise SchemaMismatch(f"{origin}:{lineno}: duplicate set {name!r}", path=origin, line=lineno)
         members = frozenset(map(str.strip, fields[2:]))

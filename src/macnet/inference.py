@@ -317,6 +317,28 @@ class FdrDecision:
     qvalues: np.ndarray
 
 
+def _checked_pvalues(pvalues, gamma: float) -> np.ndarray:
+    p = np.asarray(pvalues, dtype=float)
+    if p.size and (np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0)):
+        bad = int(np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))[0])
+        raise InvalidP(f"p-value at index {bad} outside [0, 1]: {p[bad]}")
+    if not (0.0 < gamma < 1.0):
+        raise InvalidGamma(f"FDR level must lie in (0, 1), got {gamma}")
+    return p
+
+
+def _step_up(p: np.ndarray, m: int, gamma: float):
+    """The step-up rule on the len(p) smallest p-values of a family of m: their order
+    (ties by index), the cutoff and their q-values in that order."""
+    order = np.lexsort((np.arange(p.size), p))
+    sorted_p = p[order]
+    ranks = np.arange(1, p.size + 1)
+    passed = sorted_p <= ranks * gamma / m
+    cutoff = int(np.max(np.nonzero(passed)[0]) + 1) if np.any(passed) else 0
+    q_sorted = np.minimum.accumulate((m * sorted_p / ranks)[::-1])[::-1]
+    return order, cutoff, np.minimum(q_sorted, 1.0)
+
+
 def bh_fdr(pvalues: Sequence[float], gamma: float) -> FdrDecision:
     """Benjamini-Hochberg step-up rule with monotone adjusted q-values.
 
@@ -324,26 +346,33 @@ def bh_fdr(pvalues: Sequence[float], gamma: float) -> FdrDecision:
     the largest i with p_(i) <= i * gamma / m; ties are ordered by original
     index.  q-values are q_(i) = min_{j >= i} m p_(j) / j clamped to 1.
     """
-    p = np.asarray(pvalues, dtype=float)
-    if p.size and (np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0)):
-        bad = int(np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))[0])
-        raise InvalidP(f"p-value at index {bad} outside [0, 1]: {p[bad]}")
-    if not (0.0 < gamma < 1.0):
-        raise InvalidGamma(f"FDR level must lie in (0, 1), got {gamma}")
+    p = _checked_pvalues(pvalues, gamma)
     m = p.size
     if m == 0:
         return FdrDecision(gamma=gamma, cutoff_index=0, rejected=(), qvalues=np.array([]))
-    order = np.lexsort((np.arange(m), p))
-    sorted_p = p[order]
-    ranks = np.arange(1, m + 1)
-    passed = sorted_p <= ranks * gamma / m
-    cutoff = int(np.max(np.nonzero(passed)[0]) + 1) if np.any(passed) else 0
+    order, cutoff, q_sorted = _step_up(p, m, gamma)
     rejected = tuple(np.sort(order[:cutoff]).tolist())
-    q_sorted = np.minimum.accumulate((m * sorted_p / ranks)[::-1])[::-1]
-    q_sorted = np.minimum(q_sorted, 1.0)
     qvalues = np.empty(m)
     qvalues[order] = q_sorted
     return FdrDecision(gamma=gamma, cutoff_index=cutoff, rejected=rejected, qvalues=qvalues)
+
+
+def bh_fdr_candidates(pvalues, m: int, gamma: float):
+    """``bh_fdr`` on a family of m p-values, given only its candidates: every p-value
+    <= gamma, in family order (any others may come along).  Returns the indices into
+    ``pvalues`` of the rejected, ascending, and their q-values, both equal to
+    ``bh_fdr`` on the whole family.
+
+    The cutoff rank i has p_(i) <= i gamma / m <= gamma, so it is a candidate; and a
+    rejected p-value has q <= gamma, which no term m p_(j) / j with p_(j) > gamma can
+    attain.
+    """
+    p = _checked_pvalues(pvalues, gamma)
+    if m < p.size:
+        raise LengthMismatch(f"{p.size} candidates from a family of {m}")
+    order, cutoff, q_sorted = _step_up(p, m, gamma)
+    keep = np.argsort(order[:cutoff])
+    return order[:cutoff][keep], q_sorted[:cutoff][keep]
 
 
 @dataclass(frozen=True)
@@ -387,13 +416,14 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
     log det R = log det C - sum log D, since then
     lambda_min(R) >= det R / (tr R)^(2k-1) clears the rule's bound on
     lambda_max(R) <= tr R = 2k, with a factor 2 for rounding; every other pair
-    is decided by ``pd_mask`` on its assembled 2k-by-2k R.
+    is decided by ``pd_mask`` on its assembled 2k-by-2k R.  The k-by-k determinants
+    are taken in closed form for k <= 2 (``numkernel.slogdet``).
     """
     c_ii, inv_ii, logdet_ii, pd_i = facts_i
     c_jj, _, _, pd_j = facts_j
     k = cross.shape[-1]
     cross_t = np.swapaxes(cross, -1, -2)
-    schur_sign, logdet_schur = np.linalg.slogdet(c_jj - cross_t @ inv_ii @ cross)
+    schur_sign, logdet_schur = numkernel.slogdet(c_jj - cross_t @ inv_ii @ cross)
     logdet_free = logdet_ii + logdet_schur
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero stack fails the PD rule
         log_diagonal = (np.log(np.diagonal(c_ii, axis1=-2, axis2=-1)).sum(axis=-1)
@@ -403,7 +433,7 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
                     > math.log(2.0 * numkernel.PD_TOLERANCE) + 2 * k * math.log(2 * k)))
     marginal = (c_ii + c_jj) / 2.0
     sym = (cross + cross_t) / 2.0
-    logdet_model = np.linalg.slogdet(marginal + sym)[1] + np.linalg.slogdet(marginal - sym)[1]
+    logdet_model = numkernel.slogdet(marginal + sym)[1] + numkernel.slogdet(marginal - sym)[1]
 
     singular = np.zeros(clean.shape, dtype=bool)
     undecided = np.flatnonzero(~clean)

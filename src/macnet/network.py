@@ -36,7 +36,8 @@ _EIG_FLOOR = 1e-8
 #: per-pair homogeneity check is reported against this level
 HOMOGENEITY_ALPHA = 0.05
 
-#: node pairs tested per batched step; working memory is O(PAIR_CHUNK k n)
+#: node pairs per row tile, at most: a tile takes PAIR_CHUNK // (N_v - 1) rows of the
+#: pair triangle, one row at least, so working memory is O(N_v k n + max(PAIR_CHUNK, N_v) k^2)
 PAIR_CHUNK = 2048
 
 #: betweenness sources walked per batched step; working memory is O(SOURCE_CHUNK N_v)
@@ -303,8 +304,8 @@ class _NodeFacts:
         self.samples = selected.transpose(0, 2, 1)
         self.centred = selected - selected.mean(axis=2, keepdims=True)
         self._sq = np.einsum("van,van->va", self.centred, self.centred)
-        nodes = np.arange(data.n_nodes)
-        self.gram, self.sigma = self.cross(nodes, nodes)
+        self.gram = np.einsum("van,vbn->vab", self.centred, self.centred)
+        self.sigma = self._correlation(self.gram, self._sq, self._sq)
         self.sigma[:, np.arange(self.k), np.arange(self.k)] = 1.0
         self.cov = inference.covariance_block_facts(self.gram / self.n)
         if method == "cca":
@@ -314,11 +315,25 @@ class _NodeFacts:
             self.inv_sqrt = np.full_like(self.sigma, np.nan)
             self.inv_sqrt[self.pd] = numkernel.inv_sqrt_from_eigh(values[self.pd], vectors[self.pd])
 
-    def cross(self, i, j):
-        """Cross products and correlation blocks of the pairs (i[p], j[p])."""
-        gram = np.einsum("pan,pbn->pab", self.centred[i], self.centred[j])
-        scale = np.sqrt(self._sq[i][:, :, None] * self._sq[j][:, None, :])
-        return gram, np.clip(gram / scale, -1.0, 1.0)
+    @staticmethod
+    def _correlation(gram, sq_i, sq_j):
+        return np.clip(gram / np.sqrt(sq_i[:, :, None] * sq_j[:, None, :]), -1.0, 1.0)
+
+    def tile(self, rows):
+        """The pairs (i, j > i) of the given rows, in row order: their indices, cross
+        products and correlation blocks.
+
+        A row's cross products are one sum over the samples of its centred (k, n) block
+        against a view of the blocks of every later node, so no node's samples are
+        copied per pair.  The sums run in the order an einsum over one pair's blocks
+        takes, whatever the tiling; a BLAS product would sum in an order that depends
+        on the operand shapes, and so on the tile size."""
+        count = len(self._sq)
+        gram = np.concatenate([np.einsum("an,pbn->pab", self.centred[r], self.centred[r + 1:])
+                               for r in rows])
+        i = np.repeat(rows, count - 1 - rows)
+        j = np.concatenate([np.arange(r + 1, count) for r in rows])
+        return i, j, gram, self._correlation(gram, self._sq[i], self._sq[j])
 
 
 def _clean_by_roots(rho, extremes_i, extremes_j):
@@ -394,8 +409,13 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     methods (the Monte Carlo panel uses a fixed internal seed, so inference
     stays deterministic).  Pairs whose estimated joint correlation matrix
     cannot be repaired are skipped and reported, never silently dropped.
-    Per-node facts are computed once; the pairs are then tested in batches
-    of ``PAIR_CHUNK``, and no result depends on the batch size.
+
+    Per-node facts are computed once; the pair triangle is then streamed in tiles
+    of whole rows (``PAIR_CHUNK``).  Only running counts, the skipped and floored
+    pairs and the candidates (p <= gamma) outlive a tile, and Benjamini-Hochberg
+    runs over the candidates and the count of tested pairs
+    (``inference.bh_fdr_candidates``), so memory does not grow with the number of
+    pairs beyond the candidates.  No result depends on the tile size.
     """
     if not (0.0 < gamma < 1.0):
         raise OutOfDomain(f"FDR level must lie in (0, 1), got {gamma}")
@@ -408,68 +428,66 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
         sampler = inference.ExtremeTailSampler()
 
     facts = _NodeFacts(data, method)
-    n, k = facts.n, facts.k
-    first, second = np.triu_indices(data.n_nodes, 1)
-    sims, statistic, pvalues, hom_p = (np.full(first.size, np.nan) for _ in range(4))
-    floored, singular = (np.zeros(first.size, dtype=bool) for _ in range(2))
-    change = np.zeros(first.size)
-    contribs = np.full((first.size, k if method == "cca" else 0), np.nan)
-    for start in range(0, first.size, PAIR_CHUNK):
-        chunk = slice(start, start + PAIR_CHUNK)
-        i, j = first[chunk], second[chunk]
-        gram, sigma_ij = facts.cross(i, j)
+    n, k, ids = facts.n, facts.k, data.node_ids
+    last = data.n_nodes - 1
+    tested = verdicts = rejects = singular = 0
+    skipped, floored, candidates = [], [], []
+    step = max(1, PAIR_CHUNK // last)
+    for start in range(0, last, step):
+        i, j, gram, sigma_ij = facts.tile(np.arange(start, min(start + step, last)))
+        ok, contrib = np.ones(i.size, dtype=bool), np.full((i.size, k), np.nan)
         if method == "pearson":
-            sims[chunk] = sigma_ij[:, 0, 0]
-            statistic[chunk] = inference.fisher_z(sims[chunk], n)
-            pvalues[chunk] = np.minimum(1.0, 2.0 * inference.normal_sf(np.abs(statistic[chunk])))
+            sims = sigma_ij[:, 0, 0]
+            statistic = inference.fisher_z(sims, n)
+            pvalues = np.minimum(1.0, 2.0 * inference.normal_sf(np.abs(statistic)))
         elif method in ("max", "min"):
             rhos = np.diagonal(sigma_ij, axis1=1, axis2=2)
             zs = inference.fisher_z(rhos, n)
             rho_z = inference.fisher_z_correlation(facts.sigma[i], facts.sigma[j], sigma_ij)
-            sims[chunk] = similarity.aggregate_extreme(rhos, method)
-            statistic[chunk] = similarity.aggregate_extreme(zs, method)
+            sims = similarity.aggregate_extreme(rhos, method)
+            statistic = similarity.aggregate_extreme(zs, method)
             if sampler is None:
-                pvalues[chunk] = inference.extreme_corr_pvalue_two_sided(*zs.T, rho_z, method)
+                pvalues = inference.extreme_corr_pvalue_two_sided(*zs.T, rho_z, method)
             else:
-                pvalues[chunk] = [
+                pvalues = np.array([
                     inference.extreme_corr_mc_pvalue(a, b, r, method, two_sided=True,
                                                      sampler=sampler)
                     for a, b, r in zip(*zs.T, rho_z)
-                ]
+                ])
         else:
-            (sims[chunk], statistic[chunk], pvalues[chunk], floored[chunk], change[chunk],
-             contribs[chunk]) = _test_cca(facts, i, j, sigma_ij, gamma)
+            sims, statistic, pvalues, was_floored, change, contrib = _test_cca(
+                facts, i, j, sigma_ij, gamma)
+            ok = change <= FLOOR_SKIP_DELTA
+            skipped += [
+                SkippedPair(ids[i[x]], ids[j[x]],
+                            f"joint correlation estimate not positive-definite; repair moved an "
+                            f"eigenvalue by {change[x]:.3g}")
+                for x in np.flatnonzero(~ok)
+            ]
+            floored += [(ids[i[x]], ids[j[x]]) for x in np.flatnonzero(was_floored & ok)]
+        tested += int(ok.sum())
         if n >= 2 * k + 2:
-            hom, singular[chunk] = inference.homogeneity_test_from_blocks(
+            hom, pair_singular = inference.homogeneity_test_from_blocks(
                 [fact[i] for fact in facts.cov], [fact[j] for fact in facts.cov], gram / n, n)
-            hom_p[chunk][~singular[chunk]] = hom.p
+            verdict_p = hom.p[ok[~pair_singular]]
+            verdicts += verdict_p.size
+            rejects += int(np.sum(verdict_p < HOMOGENEITY_ALPHA))
+            singular += int(np.sum(pair_singular & ok))
+        keep = np.flatnonzero(ok & (pvalues <= gamma))
+        candidates.append((i[keep], j[keep], sims[keep], statistic[keep], pvalues[keep],
+                           contrib[keep]))
 
-    ids = data.node_ids
-    tested = change <= FLOOR_SKIP_DELTA
-    skipped = tuple(
-        SkippedPair(ids[first[x]], ids[second[x]],
-                    f"joint correlation estimate not positive-definite; repair moved an "
-                    f"eigenvalue by {change[x]:.3g}")
-        for x in np.flatnonzero(~tested)
-    )
-    floored_pairs = tuple(
-        (ids[first[x]], ids[second[x]]) for x in np.flatnonzero(floored & tested)
-    )
-    verdicts = hom_p[tested & ~np.isnan(hom_p)]
-    hom_fraction = float(np.mean(verdicts < HOMOGENEITY_ALPHA)) if verdicts.size else None
-
-    tested_index = np.flatnonzero(tested)
-    decision = inference.bh_fdr(pvalues[tested_index], gamma)
-    rejected = np.asarray(decision.rejected, dtype=np.intp)
-    edge_index = tested_index[rejected]
+    ends_i, ends_j, sims, statistic, pvalues, contrib = (
+        np.concatenate(column) for column in zip(*candidates))
+    rejected, qvalues = inference.bh_fdr_candidates(pvalues, tested, gamma)
     table = EdgeTable(
-        ends=np.stack([first[edge_index], second[edge_index]], axis=1),
-        similarity=sims[edge_index],
-        statistic=statistic[edge_index],
-        df=np.full(edge_index.size, k * k if method == "cca" else np.nan),
-        p=pvalues[edge_index],
-        q=decision.qvalues[rejected],
-        contrib=contribs[edge_index] if method == "cca" else np.full((edge_index.size, k), np.nan),
+        ends=np.stack([ends_i[rejected], ends_j[rejected]], axis=1),
+        similarity=sims[rejected],
+        statistic=statistic[rejected],
+        df=np.full(rejected.size, k * k if method == "cca" else np.nan),
+        p=pvalues[rejected],
+        q=qvalues,
+        contrib=contrib[rejected],
     )
     return InferredNetwork(
         node_ids=data.node_ids,
@@ -478,11 +496,11 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
         gamma=gamma,
         n_samples=data.n_samples,
         table=table,
-        tested_pairs=int(tested_index.size),
-        skipped=skipped,
-        floored=floored_pairs,
-        homogeneity_reject_fraction=hom_fraction,
-        homogeneity_singular_pairs=int(np.sum(singular & tested)),
+        tested_pairs=tested,
+        skipped=tuple(skipped),
+        floored=tuple(floored),
+        homogeneity_reject_fraction=rejects / verdicts if verdicts else None,
+        homogeneity_singular_pairs=singular,
         pvalue_mode=pvalue_mode,
     )
 

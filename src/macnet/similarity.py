@@ -140,8 +140,9 @@ def _leading_vector(a: np.ndarray) -> np.ndarray:
 
 def squared_roots(t) -> np.ndarray:
     """Squared canonical roots, descending and unclamped: the eigenvalues of T'T for
-    T = inv_sqrt(S_ii) S_ij inv_sqrt(S_jj), or for each T of a stack (..., k, k)."""
-    return np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)[..., ::-1]
+    T = inv_sqrt(S_ii) S_ij inv_sqrt(S_jj), or for each T of a stack (..., k, k); in
+    closed form for k <= 2 (``numkernel.eigvalsh_descending``)."""
+    return numkernel.eigvalsh_descending(np.swapaxes(t, -1, -2) @ t)
 
 
 def canonical_roots(t) -> np.ndarray:

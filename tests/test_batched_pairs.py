@@ -281,6 +281,52 @@ def test_results_do_not_depend_on_chunk_size(method, monkeypatch):
         assert getattr(small, field) == getattr(base, field)
 
 
+def network_fields(net):
+    """Every output field of a network, floats as their bytes."""
+    t = net.table
+    return ([column.tobytes() for column in (t.ends, t.similarity, t.statistic, t.df, t.p, t.q,
+                                             t.contrib)],
+            net.tested_pairs, net.skipped, net.floored, net.homogeneity_reject_fraction,
+            net.homogeneity_singular_pairs)
+
+
+TILE_CASES = [
+    (1, "pearson", lambda: planted_dataset(11, 23, 1, planted=((0, 1), (2, 3), (5, 9)), rho=0.8)),
+    (1, "cca", lambda: planted_dataset(11, 23, 1, planted=((0, 1), (2, 3), (5, 9)), rho=0.8)),
+    (2, "cca", lambda: collinear_dataset(n_nodes=23)),
+    (2, "max", lambda: collinear_dataset(n_nodes=23)),
+    (2, "min", lambda: planted_dataset(13, 23, 2, planted=((0, 1), (2, 3), (5, 9)), rho=0.8)),
+    (3, "cca", lambda: planted_dataset(12, 23, 3, n=40, planted=((0, 1), (4, 7)), rho=0.8)),
+]
+
+
+@pytest.mark.parametrize("k,method,make", TILE_CASES)
+def test_every_field_is_bit_identical_across_tile_shapes(k, method, make, monkeypatch):
+    """Tiles of 1, 2 and 7 rows and one tile of all rows give the same bits: a BLAS
+    product would sum in an order that depends on its operand shapes (a one-row
+    operand takes gemv, and remainder kernels differ), so the row products must not."""
+    data = make()
+    assert data.k == k
+    last = data.n_nodes - 1
+    tiles = []
+    tile = network._NodeFacts.tile
+
+    def recording(self, rows):
+        tiles.append(len(rows))
+        return tile(self, rows)
+
+    monkeypatch.setattr(network._NodeFacts, "tile", recording)
+    fields = []
+    for rows in (1, 2, 7, last):
+        monkeypatch.setattr(network, "PAIR_CHUNK", rows * last)
+        tiles.clear()
+        net = infer_network(data, method, 0.2)
+        assert tiles == [rows] * (last // rows) + ([last % rows] if last % rows else [])
+        fields.append(network_fields(net))
+    assert len(net.table) > 0
+    assert all(f == fields[0] for f in fields[1:])
+
+
 def reference_power_counts(spec):
     """Per-replicate loop over the public functions, one replicate per call: rejections
     by cell."""

@@ -385,6 +385,19 @@ class TestMalformedEdgeAndClassFiles:
         assert not (tmp_path / "out" / "enrichment.csv").exists()
 
 
+    def test_gmt_set_with_blank_name(self, tmp_path, capsys):
+        # a blank first cell used to pass as a set named '', written with an empty set cell
+        (tmp_path / "node_classes.csv").write_text("node_id,label\nv0,protein\nv1,gene\n")
+        (tmp_path / "sets.gmt").write_text("set_one\tdesc\tv0\tv1\n \tdesc\tv0\tv1\n")
+        err = self.run(capsys, ["enrich", str(tmp_path / "node_classes.csv"),
+                                str(tmp_path / "sets.gmt"), "--universe", "50",
+                                "--out", str(tmp_path / "out")])
+        assert (err["error"], err["path"], err["line"]) == (
+            "SchemaMismatch", str(tmp_path / "sets.gmt"), 2)
+        assert "blank" in err["message"]
+        assert not (tmp_path / "out" / "enrichment.csv").exists()
+
+
 class TestExitCodeMapping:
     def test_error_classes_carry_exit_codes(self):
         from macnet import errors

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macnet import inference, numkernel, simulation
 from macnet.errors import (
@@ -11,6 +13,7 @@ from macnet.errors import (
     InvalidDf,
     InvalidGamma,
     InvalidP,
+    LengthMismatch,
     NonFiniteInput,
     RootOutOfRange,
 )
@@ -19,6 +22,7 @@ from macnet.inference import (
     HomogeneityTest,
     bartlett_chi2,
     bh_fdr,
+    bh_fdr_candidates,
     chi2_sf,
     extreme_corr_mc_pvalue,
     extreme_corr_pvalue,
@@ -303,6 +307,55 @@ class TestBhFdr:
             bh_fdr([0.5, 1.2], 0.05)
         with pytest.raises(InvalidGamma):
             bh_fdr([0.5], 0.0)
+
+
+@st.composite
+def bh_families(draw):
+    """A p-value family of up to 3,000 tests: uniform nulls, a share of small p-values,
+    ties from rounding and p-values exactly at gamma."""
+    m = draw(st.integers(0, 3000))
+    gamma = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.uniform(size=m)
+    signal = rng.uniform(size=m) < draw(st.floats(0.0, 1.0))
+    p[signal] = gamma * rng.uniform(size=int(signal.sum())) ** draw(st.sampled_from([1, 3, 8]))
+    decimals = draw(st.sampled_from([None, 2, 3, 5]))
+    if decimals is not None:
+        p = np.round(p, decimals)
+    p[rng.uniform(size=m) < 0.01] = gamma
+    return p, gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=bh_families())
+def test_bh_over_candidates_matches_whole_family(family):
+    p, gamma = family
+    whole = bh_fdr(p, gamma)
+    candidates = np.flatnonzero(p <= gamma)
+    rejected, q = bh_fdr_candidates(p[candidates], p.size, gamma)
+    assert tuple(candidates[rejected].tolist()) == whole.rejected
+    assert q.tobytes() == whole.qvalues[list(whole.rejected)].tobytes()
+
+
+@pytest.mark.parametrize("p,gamma,error", [
+    ([0.01, -0.1], 0.05, InvalidP),
+    ([0.01, np.nan], 0.05, InvalidP),
+    ([np.inf], 0.05, InvalidP),
+    ([0.01], 0.0, InvalidGamma),
+    ([0.01], 1.0, InvalidGamma),
+])
+def test_bh_over_candidates_raises_bh_fdr_errors(p, gamma, error):
+    with pytest.raises(error):
+        bh_fdr(p, gamma)
+    with pytest.raises(error):
+        bh_fdr_candidates(p, 10, gamma)
+
+
+def test_bh_over_candidates_needs_the_family_size():
+    with pytest.raises(LengthMismatch):
+        bh_fdr_candidates([0.01, 0.02], 1, 0.05)
+    rejected, q = bh_fdr_candidates([], 0, 0.05)
+    assert rejected.size == q.size == 0
 
 
 class TestHomogeneityLrt:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,90 @@ class TestPositiveDefinite:
             except NotPositiveDefinite:
                 factored = False
             assert pd == factored
+
+
+EPS = np.finfo(float).eps
+UNIT_ROUNDOFF = EPS / 2
+
+
+def symmetric_2x2(rng, m):
+    """Symmetric 2x2 stacks, half SPD with eigenvalue ratios log-uniform down to 1e-16
+    (det/(tr/2)^2 down to 4e-16), then indefinite, negative-definite and zero ones."""
+    basis = np.linalg.qr(rng.normal(size=(m, 2, 2)))[0]
+    values = np.exp(rng.uniform(-5.0, 5.0, size=(m, 1))) * np.stack(
+        [np.ones(m), 10.0 ** rng.uniform(-16.0, 0.0, size=m)], axis=1)
+    values[m // 2:, 1] *= np.where(np.arange(m - m // 2) % 2, -1.0, 1.0)
+    values[m // 2::4] *= -1.0
+    values[-1] = 0.0
+    a = (basis * values[:, None, :]) @ np.swapaxes(basis, 1, 2)
+    return (a + np.swapaxes(a, 1, 2)) / 2.0
+
+
+def closed_form_ratio(a):
+    """det / (tr/2)^2 where tr > 0, else 0: above CLOSED_FORM_RATIO a matrix takes the
+    closed forms."""
+    half = (a[:, 0, 0] + a[:, 1, 1]) / 2.0
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2
+    return np.where(half > 0.0, det, 0.0) / np.where(half > 0.0, half * half, 1.0)
+
+
+def test_2x2_stacks_span_the_routing_threshold():
+    ratio = closed_form_ratio(symmetric_2x2(np.random.default_rng(5), 4000))
+    assert ((ratio > 0.0) & (ratio < 1e-14)).any() and (ratio > numkernel.CLOSED_FORM_RATIO).sum() > 500
+    assert ((ratio > 1e-14) & (ratio <= numkernel.CLOSED_FORM_RATIO)).sum() > 500
+
+
+def test_2x2_eigenvalues_match_lapack():
+    a = symmetric_2x2(np.random.default_rng(5), 4000)
+    ratio = closed_form_ratio(a)
+    closed = ratio > numkernel.CLOSED_FORM_RATIO
+    lapack = np.linalg.eigvalsh(a)[:, ::-1]
+    values = numkernel.eigvalsh_descending(a)
+    # below the threshold, down to det/(tr/2)^2 = 1e-14 and past it, LAPACK answers
+    assert values[~closed].tobytes() == lapack[~closed].tobytes()
+    np.testing.assert_allclose(values[closed, 0], lapack[closed, 0], rtol=8 * EPS, atol=0)
+    # the two small roots differ by their two errors: LAPACK's ~ eps hi, the closed
+    # form's below (2 / ratio + 5) u relative
+    tolerance = (8.0 / ratio[closed] + 8.0) * EPS * np.abs(values[closed, 1])
+    assert np.all(np.abs(values[closed, 1] - lapack[closed, 1]) <= tolerance)
+
+
+def test_small_root_error_bound_at_the_threshold():
+    """det / hi against the exact determinant of the same matrix over the same hi:
+    within (2 / ratio + 5) u, about 2.2e-12 at the routing threshold."""
+    a = symmetric_2x2(np.random.default_rng(6), 4000)[:2000]
+    ratio = closed_form_ratio(a)
+    closed = np.flatnonzero(ratio > numkernel.CLOSED_FORM_RATIO)
+    values = numkernel.eigvalsh_descending(a[closed])
+    exact = np.array([float(Fraction(x[0, 0]) * Fraction(x[1, 1]) - Fraction(x[0, 1]) ** 2)
+                      for x in a[closed]]) / values[:, 0]
+    bound = (2.0 / ratio[closed] + 5.0) * UNIT_ROUNDOFF
+    assert np.all(np.abs(values[:, 1] - exact) <= bound * exact)
+    assert ratio[closed].min() < 2 * numkernel.CLOSED_FORM_RATIO
+    assert (2.0 / numkernel.CLOSED_FORM_RATIO + 5.0) * UNIT_ROUNDOFF < 2.3e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_small_slogdet_matches_lapack(d):
+    rng = np.random.default_rng(7 + d)
+    a = symmetric_2x2(rng, 4000) if d == 2 else rng.normal(size=(400, 1, 1))
+    if d == 1:
+        a[::7] = 0.0
+    sign, logdet = numkernel.slogdet(a)
+    lapack_sign, lapack_logdet = np.linalg.slogdet(a)
+    np.testing.assert_array_equal(sign, lapack_sign)
+    if d == 1:
+        np.testing.assert_allclose(logdet, lapack_logdet, rtol=2 * EPS, atol=0)
+        return
+    ratio = closed_form_ratio(a)
+    closed = ratio > numkernel.CLOSED_FORM_RATIO
+    assert logdet[~closed].tobytes() == lapack_logdet[~closed].tobytes()
+    # an error e in the determinant is e absolute in its log
+    assert np.all(np.abs(logdet[closed] - lapack_logdet[closed]) <= (8.0 / ratio[closed] + 8.0) * EPS)
+
+
+def test_larger_stacks_go_to_lapack():
+    a = np.random.default_rng(9).normal(size=(50, 3, 3))
+    a = a @ np.swapaxes(a, 1, 2)
+    assert numkernel.eigvalsh_descending(a).tobytes() == np.linalg.eigvalsh(a)[:, ::-1].tobytes()
+    assert np.array_equal(numkernel.slogdet(a), np.linalg.slogdet(a))
