@@ -11,18 +11,13 @@ over-representation, and estimates edge-detection power by simulation.
 from . import errors
 from .classify import (
     DEFAULT_THRESHOLD,
-    EdgeClass,
     EdgeClasses,
-    NodeClass,
     NodeClasses,
-    classify_edge,
     classify_network,
-    classify_node,
     contribution_histogram,
 )
 from .enrichment import (
     EnrichmentReport,
-    EnrichmentResult,
     GeneSetCollection,
     enrich,
     hypergeom_upper,
@@ -43,7 +38,6 @@ from .inference import (
 )
 from .network import (
     AttributeDataset,
-    EdgeRecord,
     EdgeTable,
     InferredNetwork,
     NetworkSummary,

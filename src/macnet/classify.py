@@ -9,7 +9,7 @@ coordinates on the unit simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,27 +27,6 @@ HISTOGRAM_BINS = 50
 _SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EdgeClass:
-    pair: tuple
-    contrib: tuple
-    label: str
-    threshold: float
-    dominant_index: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class NodeClass:
-    node_id: str
-    proportions: tuple
-    label: str
-
-    @property
-    def simplex_coords(self) -> tuple:
-        """Class proportions read as barycentric coordinates."""
-        return self.proportions
-
-
 def _labels(attribute_names) -> tuple:
     """Class names by code: one per attribute, then mixed, then unclassified."""
     return (*map(str, attribute_names), MIXED_LABEL, UNCLASSIFIED_LABEL)
@@ -55,7 +34,11 @@ def _labels(attribute_names) -> tuple:
 
 def _edge_codes(contrib: np.ndarray, t: float, attribute_names: Sequence[str]) -> np.ndarray:
     """Per row of an (m, k) contribution array, the index of the attribute that
-    dominates the edge, or k for a mixed edge; the first bad row raises."""
+    dominates the edge, or k for a mixed edge; the first bad row raises.
+
+    The argmax attribute (the lowest index on a tie) dominates when its share is
+    at least 1 - T; with two attributes this is the usual two-cut rule.
+    """
     if not (0.0 < t < 1.0):
         raise InvalidThreshold(f"threshold must lie in (0, 1), got {t}")
     k = len(attribute_names)
@@ -84,47 +67,9 @@ def _node_codes(counts: np.ndarray):
     return proportions, np.where(total[:, 0] > 0, code, k + 1)
 
 
-def classify_edge(pair, contrib, t: float, attribute_names: Sequence[str]) -> EdgeClass:
-    """Label an edge as dominated by its strongest attribute or mixed.
-
-    For any number of attributes the rule is: let l* maximize the
-    contribution vector; the edge is dominated by l* iff contrib[l*] >= 1-T.
-    With two attributes this is the usual two-cut rule on either entry.
-    """
-    values = np.asarray(contrib, dtype=float)
-    if values.ndim != 1:
-        raise UnnormalizedContrib(
-            f"contribution vector length {values.size} does not match "
-            f"{len(attribute_names)} attributes"
-        )
-    code = int(_edge_codes(values[None, :], t, attribute_names)[0])
-    return EdgeClass(
-        pair=(str(pair[0]), str(pair[1])),
-        contrib=tuple(values.tolist()),
-        label=_labels(attribute_names)[code],
-        threshold=float(t),
-        dominant_index=code if code < len(attribute_names) else None,
-    )
-
-
-def classify_node(node_id, incident: Sequence[EdgeClass], attribute_names: Sequence[str]) -> NodeClass:
-    """Majority class over incident edges; isolated nodes stay unclassified.
-
-    Proportions are reported in (attribute..., mixed) order.  Ties go to
-    mixed first, then to the lowest attribute index.
-    """
-    k = len(attribute_names)
-    counts = np.zeros((1, k + 1))
-    for edge in incident:
-        counts[0, k if edge.label == MIXED_LABEL else list(attribute_names).index(edge.label)] += 1
-    proportions, code = _node_codes(counts)
-    return NodeClass(node_id=str(node_id), proportions=tuple(proportions[0].tolist()),
-                     label=_labels(attribute_names)[code[0]])
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeClasses:
-    """Edge classes of one network as columns; iterating yields ``EdgeClass`` rows.
+    """Edge classes of one network as columns.
 
     Row r is the edge between ``node_ids[ends[r, 0]]`` and ``node_ids[ends[r, 1]]``;
     ``code[r]`` indexes ``labels`` (the attribute names, then mixed and unclassified).
@@ -140,17 +85,10 @@ class EdgeClasses:
     def __len__(self) -> int:
         return len(self.code)
 
-    def __iter__(self):
-        k = self.contrib.shape[1]
-        for (a, b), values, code in zip(self.ends.tolist(), self.contrib.tolist(),
-                                        self.code.tolist()):
-            yield EdgeClass((self.node_ids[a], self.node_ids[b]), tuple(values), self.labels[code],
-                            self.threshold, code if code < k else None)
-
 
 @dataclass(frozen=True, eq=False)
 class NodeClasses:
-    """Node classes of one network as columns; iterating yields ``NodeClass`` rows.
+    """Node classes of one network as columns.
 
     ``proportions`` is (N, k + 1) in (attribute..., mixed) order and ``code``
     indexes ``labels`` (the attribute names, then mixed and unclassified).
@@ -164,15 +102,10 @@ class NodeClasses:
     def __len__(self) -> int:
         return len(self.code)
 
-    def __iter__(self):
-        for node_id, proportions, code in zip(self.node_ids, self.proportions.tolist(),
-                                              self.code.tolist()):
-            yield NodeClass(node_id, tuple(proportions), self.labels[code])
-
 
 def classify_network(net, t: float = DEFAULT_THRESHOLD):
     """Edge and node classes for an inferred network carrying contributions,
-    labelled by the rules of ``classify_edge`` and ``classify_node``."""
+    labelled by the rules of ``_edge_codes`` and ``_node_codes``."""
     table, labels = net.table, _labels(net.attribute_names)
     missing = np.isnan(table.contrib).all(axis=1)
     if missing.any():
@@ -192,14 +125,11 @@ def classify_network(net, t: float = DEFAULT_THRESHOLD):
             NodeClasses(net.node_ids, proportions, node_code, labels))
 
 
-def contribution_histogram(edge_classes, attribute_index: int = 0) -> np.ndarray:
-    """Counts of one attribute's contribution across edges, given as ``EdgeClasses``
-    or ``EdgeClass`` rows, in ``HISTOGRAM_BINS`` bins over [0, 1]."""
-    if isinstance(edge_classes, EdgeClasses):
-        values = edge_classes.contrib[:, attribute_index]
-    else:
-        values = [ec.contrib[attribute_index] for ec in edge_classes]
-    counts, _ = np.histogram(values, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
+def contribution_histogram(edge_classes: EdgeClasses, attribute_index: int = 0) -> np.ndarray:
+    """Counts of one attribute's contribution across edges in ``HISTOGRAM_BINS``
+    bins over [0, 1]."""
+    counts, _ = np.histogram(edge_classes.contrib[:, attribute_index],
+                             bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return counts
 
 

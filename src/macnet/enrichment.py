@@ -180,18 +180,6 @@ def hypergeom_upper(overlap: int, class_size: int, set_size: int, universe: int)
     return float(_upper_tails([overlap], [class_size], [set_size], universe)[0])
 
 
-@dataclass(frozen=True)
-class EnrichmentResult:
-    class_label: str
-    set_name: str
-    overlap: int
-    class_size: int
-    set_size: int
-    p: float
-    q: float
-    enriched: bool
-
-
 @dataclass(frozen=True, eq=False)
 class EnrichmentReport:
     """Every tested (class, set) pair as one cell of a classes-by-sets grid.
@@ -217,18 +205,6 @@ class EnrichmentReport:
 
     def __len__(self) -> int:
         return self.overlap.size
-
-    @property
-    def results(self) -> tuple:
-        """Read-only view of the grid as ``EnrichmentResult`` rows, built on each access."""
-        return tuple(
-            EnrichmentResult(label, name, overlap, class_size, set_size, p, q, enriched)
-            for label, class_size, overlaps, ps, qs, flags in zip(
-                self.class_labels, self.class_size.tolist(), self.overlap.tolist(),
-                self.p.tolist(), self.q.tolist(), self.enriched.tolist())
-            for name, set_size, overlap, p, q, enriched in zip(
-                self.set_names, self.set_size.tolist(), overlaps, ps, qs, flags)
-        )
 
 
 def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,

@@ -117,21 +117,6 @@ class AttributeDataset:
 
 
 @dataclass(frozen=True)
-class EdgeRecord:
-    """One edge as a row; ``InferredNetwork.edges`` builds these from the edge table."""
-
-    node_i: str
-    node_j: str
-    method: str
-    similarity: float
-    statistic: float
-    df: Optional[int]
-    p: float
-    q: float
-    contrib: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
 class SkippedPair:
     node_i: str
     node_j: str
@@ -178,28 +163,6 @@ class InferredNetwork:
     homogeneity_singular_pairs: int = 0
     pvalue_mode: str = "formula"
 
-    @classmethod
-    def from_records(cls, node_ids, attribute_names, method, gamma, n_samples, records,
-                     *args, **kwargs) -> "InferredNetwork":
-        """A network from ``EdgeRecord`` rows, such as one built by hand; the
-        arguments after ``records`` are the constructor's."""
-        index = {v: x for x, v in enumerate(node_ids)}
-        if any(e.method != method or e.node_i not in index or e.node_j not in index
-               for e in records):
-            raise UsageError(f"every edge must join two of node_ids and carry method {method!r}")
-        k = len(attribute_names)
-        table = EdgeTable(
-            ends=np.array([(index[e.node_i], index[e.node_j]) for e in records],
-                          dtype=np.intp).reshape(-1, 2),
-            df=np.array([np.nan if e.df is None else e.df for e in records], dtype=float),
-            contrib=np.array([(np.nan,) * k if e.contrib is None else e.contrib for e in records],
-                             dtype=float).reshape(-1, k),
-            **{field: np.array([getattr(e, field) for e in records], dtype=float)
-               for field in ("similarity", "statistic", "p", "q")},
-        )
-        return cls(tuple(node_ids), tuple(attribute_names), method, gamma, n_samples, table,
-                   *args, **kwargs)
-
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
@@ -207,19 +170,6 @@ class InferredNetwork:
     @property
     def n_edges(self) -> int:
         return len(self.table)
-
-    @property
-    def edges(self) -> tuple:
-        """Read-only view of the edge table as ``EdgeRecord`` rows, built on each access."""
-        t, ids = self.table, self.node_ids
-        return tuple(
-            EdgeRecord(ids[a], ids[b], self.method, similarity, statistic,
-                       None if df != df else int(df), p, q,
-                       None if all(c != c for c in contrib) else tuple(contrib))
-            for (a, b), similarity, statistic, df, p, q, contrib in zip(
-                t.ends.tolist(), t.similarity.tolist(), t.statistic.tolist(), t.df.tolist(),
-                t.p.tolist(), t.q.tolist(), t.contrib.tolist())
-        )
 
     def edge_pairs(self) -> frozenset:
         return frozenset(frozenset((self.node_ids[a], self.node_ids[b]))

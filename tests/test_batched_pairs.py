@@ -19,8 +19,9 @@ import pytest
 import macnet
 from macnet import inference, io as io_mod, network, numkernel, similarity, simulation
 from macnet.cli import main
-from macnet.network import AttributeDataset, EdgeRecord, InferredNetwork, infer_network
+from macnet.network import AttributeDataset, infer_network
 from test_inference import pair_homogeneity
+from test_network import id_pairs, toy_network
 
 REL = 1e-12
 
@@ -119,22 +120,23 @@ def reference_network(data, method, gamma, sampler=None):
 
 def assert_matches_reference(net, reference):
     edges, skipped, floored, fraction, singular = reference
-    assert {(e.node_i, e.node_j) for e in net.edges} == set(edges)
+    pairs, t = id_pairs(net), net.table
+    assert set(pairs) == set(edges)
     assert [(s.node_i, s.node_j) for s in net.skipped] == skipped
     assert list(net.floored) == floored
     assert net.homogeneity_reject_fraction == fraction
     assert net.homogeneity_singular_pairs == singular
-    for e in net.edges:
-        similarity_, statistic, df, p, contrib, q = edges[(e.node_i, e.node_j)]
-        assert e.df == df
-        assert e.similarity == pytest.approx(similarity_, rel=REL, abs=0)
-        assert e.statistic == pytest.approx(statistic, rel=REL, abs=0)
-        assert e.p == pytest.approx(p, rel=REL, abs=0)
-        assert e.q == pytest.approx(q, rel=REL, abs=0)
+    for r, pair in enumerate(pairs):
+        similarity_, statistic, df, p, contrib, q = edges[pair]
+        assert (None if np.isnan(t.df[r]) else t.df[r]) == df
+        assert t.similarity[r] == pytest.approx(similarity_, rel=REL, abs=0)
+        assert t.statistic[r] == pytest.approx(statistic, rel=REL, abs=0)
+        assert t.p[r] == pytest.approx(p, rel=REL, abs=0)
+        assert t.q[r] == pytest.approx(q, rel=REL, abs=0)
         if contrib is None:
-            assert e.contrib is None
+            assert np.isnan(t.contrib[r]).all()
         else:
-            assert e.contrib == pytest.approx(contrib, rel=REL, abs=0)
+            assert t.contrib[r] == pytest.approx(contrib, rel=REL, abs=0)
 
 
 CASES = [
@@ -167,7 +169,8 @@ def test_cca_runs_no_per_pair_solver(make, monkeypatch):
 
     monkeypatch.setattr(similarity, "canonical_corr", refuse)
     net = infer_network(make(), "cca", 0.05)
-    assert net.edges and all(len(e.contrib) == len(net.attribute_names) for e in net.edges)
+    assert net.n_edges and net.table.contrib.shape[1] == len(net.attribute_names)
+    assert not np.isnan(net.table.contrib).all(axis=1).any()
 
 
 def test_monte_carlo_mode_matches_per_pair_reference():
@@ -264,8 +267,8 @@ def test_collinear_pair_is_floored_not_fatal():
     net = infer_network(collinear_dataset(), "cca", 0.05)
     assert ("v0", "v1") in net.floored
     assert net.homogeneity_singular_pairs >= 1
-    edge = next(e for e in net.edges if (e.node_i, e.node_j) == ("v0", "v1"))
-    assert edge.similarity == pytest.approx(1.0, abs=1e-6)
+    edge = id_pairs(net).index(("v0", "v1"))
+    assert net.table.similarity[edge] == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("method", ["pearson", "max", "min", "cca"])
@@ -276,9 +279,7 @@ def test_results_do_not_depend_on_chunk_size(method, monkeypatch):
     base = infer_network(data, method, 0.2)
     monkeypatch.setattr(network, "PAIR_CHUNK", 7)
     small = infer_network(data, method, 0.2)
-    for field in ("edges", "tested_pairs", "skipped", "floored",
-                  "homogeneity_reject_fraction", "homogeneity_singular_pairs"):
-        assert getattr(small, field) == getattr(base, field)
+    assert network_fields(small) == network_fields(base)
 
 
 def network_fields(net):
@@ -515,9 +516,7 @@ def test_netstat_output_independent_of_hash_seed(tmp_path):
     rng = np.random.default_rng(12)
     ids = [f"node{i}" for i in range(60)]
     pairs = {tuple(sorted(rng.choice(60, size=2, replace=False))) for _ in range(260)}
-    edges = tuple(EdgeRecord(ids[a], ids[b], "pearson", 0.5, 1.0, None, 0.01, 0.01)
-                  for a, b in sorted(pairs))
-    net = InferredNetwork.from_records(tuple(ids), ("attr",), "pearson", 0.05, 10, edges, len(edges))
+    net = toy_network(ids, [(ids[a], ids[b]) for a, b in sorted(pairs)])
     io_mod.write_edges_csv(net, tmp_path / "graph" / "edges.csv")
     io_mod.write_meta_json(net, tmp_path / "graph" / "meta.json")
     src = str(Path(macnet.__file__).resolve().parents[1])
@@ -535,8 +534,6 @@ def test_netstat_output_independent_of_hash_seed(tmp_path):
 
 
 def test_read_network_without_meta_keeps_first_seen_order(tmp_path):
-    edges = tuple(EdgeRecord(a, b, "pearson", 0.5, 1.0, None, 0.01, 0.01)
-                  for a, b in (("c", "a"), ("a", "d"), ("b", "c")))
-    net = InferredNetwork.from_records(("a", "b", "c", "d"), ("attr",), "pearson", 0.05, 10, edges, 3)
+    net = toy_network(["a", "b", "c", "d"], [("c", "a"), ("a", "d"), ("b", "c")])
     io_mod.write_edges_csv(net, tmp_path / "edges.csv")
     assert io_mod.read_network(tmp_path / "edges.csv").node_ids == ("c", "a", "d", "b")

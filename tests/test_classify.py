@@ -1,50 +1,58 @@
 import numpy as np
 import pytest
 
-from macnet.classify import (
-    classify_edge,
-    classify_network,
-    classify_node,
-    contribution_histogram,
-    simplex_xy,
-)
+from macnet.classify import classify_network, contribution_histogram, simplex_xy
 from macnet.errors import InvalidThreshold, MissingContribution, UnnormalizedContrib
 from macnet.inference import chi2_sf
-from macnet.network import EdgeRecord, InferredNetwork
+from test_network import toy_network
 
 ATTRS = ("protein", "gene")
 
 
-def edge(contrib, t=0.25, pair=("a", "b"), attrs=ATTRS):
-    return classify_edge(pair, contrib, t, attrs)
+def star(contribs, t=0.25, attrs=ATTRS):
+    """Edge and node classes of a star around node "n": edge r joins "n" to leaf r
+    and carries ``contribs[r]``."""
+    leaves = [f"leaf{r}" for r in range(len(contribs))]
+    net = toy_network(("n", *leaves), [("n", leaf) for leaf in leaves], method="cca",
+                      attribute_names=attrs, contrib=contribs)
+    return classify_network(net, t)
+
+
+def edge(contrib, t=0.25, attrs=ATTRS):
+    """Edge classes of a one-edge network carrying ``contrib``."""
+    return star([contrib], t, attrs)[0]
+
+
+def label(classes, row=0):
+    return classes.labels[classes.code[row]]
 
 
 class TestClassifyEdge:
     def test_protein_dominated_example(self):
         out = edge((0.93, 0.07))
-        assert out.label == "protein"
-        assert out.dominant_index == 0
+        assert label(out) == "protein"
+        assert out.code[0] == 0
 
     def test_balanced_is_mixed(self):
         for t in (0.1, 0.25, 0.49):
-            assert edge((0.5, 0.5), t=t).label == "mixed"
+            assert label(edge((0.5, 0.5), t=t)) == "mixed"
 
     def test_three_attribute_rule(self):
         attrs = ("a1", "a2", "a3")
-        assert edge((0.6, 0.3, 0.1), t=0.25, attrs=attrs).label == "mixed"
-        assert edge((0.6, 0.3, 0.1), t=0.45, attrs=attrs).label == "a1"
+        assert label(edge((0.6, 0.3, 0.1), t=0.25, attrs=attrs)) == "mixed"
+        assert label(edge((0.6, 0.3, 0.1), t=0.45, attrs=attrs)) == "a1"
 
     def test_two_attribute_cuts_agree(self):
         # with two attributes the argmax rule reproduces both one-sided cuts
         for t in (0.1, 0.25, 0.4):
             for value in np.linspace(0.0, 1.0, 101):
-                label = edge((value, 1.0 - value), t=t).label
+                out = label(edge((value, 1.0 - value), t=t))
                 if value >= 1.0 - t:
-                    assert label == "protein"
+                    assert out == "protein"
                 elif value <= t:
-                    assert label == "gene"
+                    assert out == "gene"
                 else:
-                    assert label == "mixed"
+                    assert out == "mixed"
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(3)
@@ -52,7 +60,7 @@ class TestClassifyEdge:
         for _ in range(200):
             a = rng.uniform()
             contrib = (a, 1.0 - a)
-            mixed_flags = [edge(contrib, t=t).label == "mixed" for t in thresholds]
+            mixed_flags = [label(edge(contrib, t=t)) == "mixed" for t in thresholds]
             # raising the threshold can only move edges out of the mixed set
             for at_small_t, at_large_t in zip(mixed_flags[:-1], mixed_flags[1:]):
                 assert (not at_large_t) or at_small_t
@@ -61,8 +69,8 @@ class TestClassifyEdge:
         rng = np.random.default_rng(5)
         for _ in range(100):
             a = rng.uniform()
-            left = edge((a, 1.0 - a)).label
-            right = edge((1.0 - a, a)).label
+            left = label(edge((a, 1.0 - a)))
+            right = label(edge((1.0 - a, a)))
             mirror = {"protein": "gene", "gene": "protein", "mixed": "mixed"}
             assert right == mirror[left]
 
@@ -74,7 +82,7 @@ class TestClassifyEdge:
         permuted = edge(
             tuple(contrib[i] for i in perm), t=0.3, attrs=tuple(attrs[i] for i in perm)
         )
-        assert base.label == permuted.label == "a1"
+        assert label(base) == label(permuted) == "a1"
 
     def test_invalid_threshold(self):
         with pytest.raises(InvalidThreshold):
@@ -87,53 +95,51 @@ class TestClassifyEdge:
 
 class TestClassifyNode:
     def test_majority_counting(self):
-        incident = [edge((0.9, 0.1))] * 3 + [edge((0.1, 0.9))]
-        out = classify_node("n", incident, ATTRS)
-        assert out.proportions == (0.75, 0.25, 0.0)
-        assert out.label == "protein"
+        _, out = star([(0.9, 0.1)] * 3 + [(0.1, 0.9)])
+        assert tuple(out.proportions[0]) == (0.75, 0.25, 0.0)
+        assert label(out) == "protein"
 
     def test_all_mixed(self):
-        incident = [edge((0.5, 0.5))] * 4
-        out = classify_node("n", incident, ATTRS)
-        assert out.label == "mixed"
-        assert out.proportions == (0.0, 0.0, 1.0)
-        assert out.simplex_coords == (0.0, 0.0, 1.0)
+        _, out = star([(0.5, 0.5)] * 4)
+        assert label(out) == "mixed"
+        assert tuple(out.proportions[0]) == (0.0, 0.0, 1.0)
 
     def test_tie_prefers_mixed(self):
-        incident = [edge((0.9, 0.1)), edge((0.5, 0.5))]
-        assert classify_node("n", incident, ATTRS).label == "mixed"
+        assert label(star([(0.9, 0.1), (0.5, 0.5)])[1]) == "mixed"
 
     def test_attribute_tie_prefers_lowest_index(self):
-        incident = [edge((0.9, 0.1)), edge((0.1, 0.9))]
-        assert classify_node("n", incident, ATTRS).label == "protein"
+        assert label(star([(0.9, 0.1), (0.1, 0.9)])[1]) == "protein"
 
     def test_isolated_node(self):
-        out = classify_node("n", [], ATTRS)
-        assert out.label == "unclassified"
-        assert out.proportions == (0.0, 0.0, 0.0)
+        _, out = star([])
+        assert label(out) == "unclassified"
+        assert tuple(out.proportions[0]) == (0.0, 0.0, 0.0)
 
     def test_deterministic_in_multiset(self):
-        a = [edge((0.9, 0.1)), edge((0.5, 0.5)), edge((0.1, 0.9))]
-        b = list(reversed(a))
-        assert classify_node("n", a, ATTRS) == classify_node("n", b, ATTRS)
+        a = [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)]
+        _, forward = star(a)
+        _, backward = star(a[::-1])
+        assert tuple(forward.proportions[0]) == tuple(backward.proportions[0])
+        assert label(forward) == label(backward)
 
 
 class TestContributionHistogram:
     def test_point_mass_in_last_bin(self):
-        edges = [edge((1.0, 0.0)) for _ in range(7)]
+        edges, _ = star([(1.0, 0.0)] * 7)
         counts = contribution_histogram(edges, attribute_index=0)
         assert counts[-1] == 7
         assert counts[:-1].sum() == 0
 
     def test_empty(self):
-        counts = contribution_histogram([], attribute_index=0)
+        edges, _ = star([])
+        counts = contribution_histogram(edges, attribute_index=0)
         assert counts.shape == (50,)
         assert counts.sum() == 0
 
     def test_uniform_contributions_roughly_flat(self):
         rng = np.random.default_rng(7)
         values = rng.uniform(size=5000)
-        edges = [edge((v, 1.0 - v)) for v in values]
+        edges, _ = star(np.column_stack([values, 1.0 - values]))
         counts = contribution_histogram(edges, attribute_index=0)
         expected = len(values) / 50
         stat = float(((counts - expected) ** 2 / expected).sum())
@@ -142,15 +148,13 @@ class TestContributionHistogram:
 
 class TestClassifyNetwork:
     def test_end_to_end(self):
-        edges = (
-            EdgeRecord("a", "b", "cca", 0.5, 10.0, 4, 1e-4, 1e-3, contrib=(0.9, 0.1)),
-            EdgeRecord("b", "c", "cca", 0.4, 8.0, 4, 1e-3, 5e-3, contrib=(0.5, 0.5)),
-        )
-        net = InferredNetwork.from_records(("a", "b", "c", "d"), ATTRS, "cca", 0.05, 60, edges)
+        net = toy_network(("a", "b", "c", "d"), [("a", "b"), ("b", "c")], method="cca",
+                          attribute_names=ATTRS, contrib=[(0.9, 0.1), (0.5, 0.5)])
         edge_classes, node_classes = classify_network(net, 0.25)
-        labels = {nc.node_id: nc.label for nc in node_classes}
+        labels = {node_id: label(node_classes, i)
+                  for i, node_id in enumerate(node_classes.node_ids)}
         assert labels == {"a": "protein", "b": "mixed", "c": "mixed", "d": "unclassified"}
-        assert [ec.label for ec in edge_classes] == ["protein", "mixed"]
+        assert [label(edge_classes, r) for r in range(len(edge_classes))] == ["protein", "mixed"]
 
     def test_matches_rule_edge_by_edge(self):
         # exact boundary values (1 - t), balanced vectors and node-level ties included
@@ -159,29 +163,29 @@ class TestClassifyNetwork:
         pairs = sorted({tuple(sorted(rng.choice(30, size=2, replace=False))) for _ in range(120)})
         firsts = rng.choice([0.75, 0.5, 0.25, 0.9, 0.1], size=len(pairs))
         firsts[::3] = rng.uniform(size=len(firsts[::3]))
-        edges = tuple(EdgeRecord(ids[a], ids[b], "cca", 0.5, 10.0, 4, 1e-4, 1e-3,
-                                 contrib=(float(v), 1.0 - float(v)))
-                      for (a, b), v in zip(pairs, firsts))
-        net = InferredNetwork.from_records(tuple(ids), ATTRS, "cca", 0.05, 60, edges)
+        pairs = [(ids[a], ids[b]) for a, b in pairs]
+        contribs = [(float(v), 1.0 - float(v)) for v in firsts]
+        net = toy_network(ids, pairs, method="cca", attribute_names=ATTRS, contrib=contribs)
         edge_classes, node_classes = classify_network(net, 0.25)
-        expected = [ATTRS[0] if e.contrib[0] >= 0.75 else ATTRS[1] if e.contrib[1] >= 0.75
-                    else "mixed" for e in edges]
-        assert [ec.label for ec in edge_classes] == expected
-        assert [ec.pair for ec in edge_classes] == [(e.node_i, e.node_j) for e in edges]
-        for nc in node_classes:
-            labels = [lab for e, lab in zip(edges, expected) if nc.node_id in (e.node_i, e.node_j)]
+        expected = [ATTRS[0] if c[0] >= 0.75 else ATTRS[1] if c[1] >= 0.75 else "mixed"
+                    for c in contribs]
+        assert [label(edge_classes, r) for r in range(len(edge_classes))] == expected
+        ids = edge_classes.node_ids
+        assert [(ids[a], ids[b]) for a, b in edge_classes.ends.tolist()] == pairs
+        for i, node_id in enumerate(node_classes.node_ids):
+            labels = [lab for pair, lab in zip(pairs, expected) if node_id in pair]
             counts = [labels.count(ATTRS[0]), labels.count(ATTRS[1]), labels.count("mixed")]
+            proportions = tuple(node_classes.proportions[i])
             if not labels:
-                assert (nc.label, nc.proportions) == ("unclassified", (0.0, 0.0, 0.0))
+                assert (label(node_classes, i), proportions) == ("unclassified", (0.0, 0.0, 0.0))
                 continue
-            assert nc.proportions == tuple(c / len(labels) for c in counts)
+            assert proportions == tuple(c / len(labels) for c in counts)
             best = max(counts)
-            assert nc.label == ("mixed" if counts[2] == best
-                                else ATTRS[0] if counts[0] == best else ATTRS[1])
+            assert label(node_classes, i) == ("mixed" if counts[2] == best
+                                              else ATTRS[0] if counts[0] == best else ATTRS[1])
 
     def test_requires_contributions(self):
-        edges = (EdgeRecord("a", "b", "pearson", 0.5, 3.0, None, 1e-4, 1e-3),)
-        net = InferredNetwork.from_records(("a", "b"), ("x",), "pearson", 0.05, 60, edges)
+        net = toy_network(("a", "b"), [("a", "b")], attribute_names=("x",))
         with pytest.raises(MissingContribution):
             classify_network(net, 0.25)
 

@@ -1,15 +1,16 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from macnet import classify, network
 from macnet import io as io_mod
 from macnet import simulation
 from macnet.cli import main
 from macnet.errors import NonNumericCell, SchemaMismatch
-from macnet.network import EdgeRecord, InferredNetwork, infer_network
+from macnet.network import infer_network
+from test_network import toy_network
 
 
 def write_attribute_csv(path, node_ids, block):
@@ -123,7 +124,7 @@ class TestRoundTrip:
         assert back.method == net.method
         assert back.n_samples == net.n_samples
         assert back.tested_pairs == net.tested_pairs
-        assert back.edges == net.edges
+        self.assert_tables_equal(back.table, net.table)
         assert back.skipped == net.skipped
         assert back.floored == net.floored
         assert back.pvalue_mode == net.pvalue_mode
@@ -138,11 +139,12 @@ class TestRoundTrip:
     def test_quoted_ids_and_empty_cells_round_trip(self, tmp_path, method):
         ids = ("plain", "has,comma", 'has"quote', '"both", here')
         k = 1 if method == "pearson" else 2
-        edges = (EdgeRecord(ids[0], ids[1], method, 0.5, 1.25, None, 1e-3, 2e-3),
-                 EdgeRecord(ids[1], ids[3], method, -0.0, float("inf"), None, 0.0, 1 / 3),
-                 EdgeRecord(ids[2], ids[0], method, -0.75, -2.5, None, 1.0, 1.0))
-        net = InferredNetwork.from_records(ids, tuple(f"a{i}" for i in range(k)), method, 0.05,
-                                           30, edges, 6)
+        net = toy_network(ids, [(ids[0], ids[1]), (ids[1], ids[3]), (ids[2], ids[0])],
+                          [0.5, -0.0, -0.75], method=method,
+                          attribute_names=tuple(f"a{i}" for i in range(k)))
+        net = dataclasses.replace(net, table=dataclasses.replace(
+            net.table, statistic=np.array([1.25, float("inf"), -2.5]),
+            p=np.array([1e-3, 0.0, 1.0]), q=np.array([2e-3, 1 / 3, 1.0])))
         io_mod.write_edges_csv(net, tmp_path / "one" / "edges.csv")
         io_mod.write_meta_json(net, tmp_path / "one" / "meta.json")
         back = io_mod.read_network(tmp_path / "one" / "edges.csv")
@@ -151,7 +153,7 @@ class TestRoundTrip:
         assert text == (tmp_path / "two" / "edges.csv").read_bytes()
         assert f",{method},-0,inf,,0,".encode() in text and b'"has,comma"' in text
         self.assert_tables_equal(back.table, net.table)
-        assert back.node_ids == ids and back.edges == net.edges
+        assert back.node_ids == ids and back.method == method
 
     def test_column_cells_match_fmt(self):
         floats = [0.0, -0.0, 1 / 3, -1e-310, 5e-324, 1e17, 123456789.0, float("inf"),
@@ -289,12 +291,7 @@ class TestCliNetstatClassifyEnrich:
         assert rows
         assert {"class", "set", "overlap", "p", "q", "enriched"} <= set(rows[0])
 
-    def test_pipeline_builds_no_edge_rows(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-edge rows built on the CLI path")
-
-        monkeypatch.setattr(network, "EdgeRecord", refuse)
-        monkeypatch.setattr(classify, "classify_edge", refuse)
+    def test_pipeline_runs_on_cca_and_max_networks(self, tmp_path):
         protein, gene, *_ = make_dataset_files(tmp_path)
         for method in ("cca", "max"):
             assert main(["infer", str(protein), str(gene), "--method", method,

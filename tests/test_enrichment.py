@@ -22,6 +22,13 @@ from macnet.errors import EmptyInput, InvalidCounts, SchemaMismatch
 from macnet.inference import bh_fdr
 
 
+def assert_reports_equal(a, b):
+    """Every label tuple and grid array of two enrichment reports agrees."""
+    assert (a.class_labels, a.set_names) == (b.class_labels, b.set_names)
+    for field in ("class_size", "set_size", "overlap", "p", "q", "enriched"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 def exact_upper_tail(overlap, class_size, set_size, universe):
     """Exact rational upper tail by direct enumeration."""
     total = Fraction(0)
@@ -136,15 +143,13 @@ class TestEnrich:
         classes.update({x: "cold" for x in others})
         report = enrich(classes, gsc, gamma=0.05)
         assert report.annotated_nodes == 20
-        hot_target = next(
-            r for r in report.results if r.class_label == "hot" and r.set_name == "target"
-        )
-        assert hot_target.overlap == 10
-        assert hot_target.p == pytest.approx(
+        hot_target = report.class_labels.index("hot"), report.set_names.index("target")
+        assert report.overlap[hot_target] == 10
+        assert report.p[hot_target] == pytest.approx(
             float(exact_upper_tail(10, 10, 10, 100)), rel=1e-10
         )
-        assert hot_target.enriched
-        assert hot_target.q <= 0.05
+        assert report.enriched[hot_target]
+        assert report.q[hot_target] <= 0.05
 
     def test_unmatched_nodes_reported(self):
         gsc = GeneSetCollection(universe_size=50, sets={"s": ["g1", "g2"]})
@@ -155,8 +160,7 @@ class TestEnrich:
     def test_empty_class_warned_and_skipped(self):
         gsc = GeneSetCollection(universe_size=50, sets={"s": ["g1", "g2"]})
         report = enrich({"g1": "a", "zz": "ghost"}, gsc, gamma=0.05)
-        labels = {r.class_label for r in report.results}
-        assert "ghost" not in labels
+        assert "ghost" not in report.class_labels
         assert any("ghost" in w for w in report.warnings)
 
     def test_exclusion_filter(self):
@@ -164,7 +168,7 @@ class TestEnrich:
             universe_size=50, sets={"CANCER_PATH": ["g1"], "SIGNALING": ["g1", "g2"]}
         )
         report = enrich({"g1": "a", "g2": "a"}, gsc, gamma=0.05, exclude=["CANCER"])
-        assert {r.set_name for r in report.results} == {"SIGNALING"}
+        assert report.set_names == ("SIGNALING",)
 
     def test_set_order_independence(self):
         sets_fwd = {"s1": ["g1", "g2"], "s2": ["g2", "g3"], "s3": ["g1", "g3"]}
@@ -172,12 +176,12 @@ class TestEnrich:
         classes = {"g1": "a", "g2": "a", "g3": "b"}
         fwd = enrich(classes, GeneSetCollection(30, sets_fwd), gamma=0.1)
         rev = enrich(classes, GeneSetCollection(30, sets_rev), gamma=0.1)
-        assert fwd.results == rev.results
+        assert_reports_equal(fwd, rev)
 
     def test_unclassified_skipped(self):
         gsc = GeneSetCollection(universe_size=50, sets={"s": ["g1", "g2"]})
         report = enrich({"g1": "a", "g2": "unclassified"}, gsc, gamma=0.05)
-        assert {r.class_label for r in report.results} == {"a"}
+        assert report.class_labels == ("a",)
 
     def test_empty_sets_rejected(self):
         with pytest.raises(EmptyInput):
@@ -310,9 +314,9 @@ class TestEnrichBatched:
         classes = {"g1": "a", "g2": "a"}
         plain = enrich(classes, gsc, gamma=0.05, exclude=["CANCER"])
         padded = enrich(classes, gsc, gamma=0.05, exclude=["CANCER", "", "  "])
-        assert padded.results == plain.results
-        assert enrich(classes, gsc, gamma=0.05, exclude=[""]).results == enrich(
-            classes, gsc, gamma=0.05).results
+        assert_reports_equal(padded, plain)
+        assert_reports_equal(enrich(classes, gsc, gamma=0.05, exclude=[""]),
+                             enrich(classes, gsc, gamma=0.05))
 
     def test_cli_trailing_comma_in_exclude(self, tmp_path):
         (tmp_path / "node_classes.csv").write_text(
@@ -384,12 +388,16 @@ def test_enrich_matches_plain_set_reference(case):
     lines, classes, exclude, universe = case
     report = enrich(classes, GeneSetCollection(universe, *parse_gmt(lines)), 0.1, exclude=exclude)
     expected = reference_enrichment(classes, lines, exclude)
-    rows = report.results
-    assert [(r.class_label, r.set_name, r.overlap, r.class_size, r.set_size) for r in rows] == expected
+    overlap = report.overlap.tolist()
+    rows = [(label, name, overlap[i][j], class_size, set_size)
+            for i, (label, class_size) in enumerate(zip(report.class_labels,
+                                                        report.class_size.tolist()))
+            for j, (name, set_size) in enumerate(zip(report.set_names, report.set_size.tolist()))]
+    assert rows == expected
     assert len(report) == len(expected)
-    p = np.array([r.p for r in rows])
+    p = report.p.ravel()
     exact = [float(exact_hypergeom_upper(o, c, s, universe)) for _, _, o, c, s in expected]
     np.testing.assert_allclose(p, exact, rtol=1e-12, atol=0)
     decision = bh_fdr(p, 0.1)
-    assert [r.q for r in rows] == decision.qvalues.tolist()
-    assert [r.enriched for r in rows] == [x in decision.rejected for x in range(len(rows))]
+    assert report.q.ravel().tolist() == decision.qvalues.tolist()
+    assert report.enriched.ravel().tolist() == [x in decision.rejected for x in range(len(p))]

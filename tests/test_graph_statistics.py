@@ -14,19 +14,14 @@ from _oracles import brute_force_lcc
 import macnet
 from macnet import io as io_mod, network
 from macnet.cli import main
-from macnet.network import EdgeRecord, InferredNetwork
-
-
-def graph(ids, pairs):
-    edges = tuple(EdgeRecord(a, b, "pearson", 0.5, 1.0, None, 0.01, 0.01) for a, b in pairs)
-    return InferredNetwork.from_records(tuple(ids), ("attr",), "pearson", 0.05, 10, edges, len(edges))
+from test_network import id_pairs, toy_network
 
 
 def random_graph(seed, n_nodes, n_pairs):
     rng = np.random.default_rng(seed)
     ids = [f"v{i}" for i in range(n_nodes)]
     pairs = {tuple(sorted(rng.choice(n_nodes, size=2, replace=False))) for _ in range(n_pairs)}
-    return graph(ids, [(ids[a], ids[b]) for a, b in sorted(pairs)])
+    return toy_network(ids, [(ids[a], ids[b]) for a, b in sorted(pairs)])
 
 
 def read_distributions(path):
@@ -45,7 +40,7 @@ def test_betweenness_does_not_depend_on_source_chunk(monkeypatch):
 
 
 def test_pair_listed_twice_is_one_edge():
-    net = graph(["a", "b", "c", "d"], [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")])
+    net = toy_network(["a", "b", "c", "d"], [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")])
     np.testing.assert_array_equal(network.degree_values(net), [2, 2, 2, 0])
     np.testing.assert_array_equal(network.clustering_values(net), [1, 1, 1, 0])
     assert network.largest_connected_component(net) == 3
@@ -56,11 +51,11 @@ def test_largest_component_matches_brute_force():
     nets = [random_graph(seed, int(rng.integers(2, 40)), int(rng.integers(0, 50)))
             for seed in range(200)]
     path_ids = [f"p{i}" for i in range(1000)]
-    nets.append(graph(path_ids[::-1], zip(path_ids[:-1], path_ids[1:])))
-    nets.append(graph(["a", "b", "c"], []))
+    nets.append(toy_network(path_ids[::-1], zip(path_ids[:-1], path_ids[1:])))
+    nets.append(toy_network(["a", "b", "c"], []))
     for net in nets:
-        pairs = [(e.node_i, e.node_j) for e in net.edges]
-        assert network.largest_connected_component(net) == brute_force_lcc(net.node_ids, pairs)
+        assert network.largest_connected_component(net) == brute_force_lcc(net.node_ids,
+                                                                           id_pairs(net))
 
 
 def test_netstat_leaves_csgraph_unloaded(tmp_path):
@@ -105,7 +100,7 @@ def test_netstat_gives_same_stem_inputs_their_own_distribution_files(tmp_path):
 
 
 def test_netstat_on_header_only_edges_file(tmp_path):
-    empty = graph(["a", "b"], [])
+    empty = toy_network(["a", "b"], [])
     io_mod.write_edges_csv(empty, tmp_path / "run" / "edges.csv")
     assert io_mod.read_network(tmp_path / "run" / "edges.csv").n_nodes == 0
     out = tmp_path / "stats"

@@ -9,7 +9,7 @@ from macnet import network, simulation
 from macnet.errors import NodeSetMismatch, UsageError, ZeroVariance
 from macnet.network import (
     AttributeDataset,
-    EdgeRecord,
+    EdgeTable,
     InferredNetwork,
     _floor_supermatrix,
     betweenness_values,
@@ -22,23 +22,25 @@ from macnet.network import (
 )
 
 
-def toy_network(node_ids, pairs, similarities=None):
-    edges = []
-    for idx, (a, b) in enumerate(pairs):
-        sim = similarities[idx] if similarities is not None else 0.5
-        edges.append(
-            EdgeRecord(node_i=a, node_j=b, method="pearson", similarity=sim,
-                       statistic=1.0, df=None, p=0.01, q=0.01)
-        )
-    return InferredNetwork.from_records(
-        node_ids=tuple(node_ids),
-        attribute_names=("attr",),
-        method="pearson",
-        gamma=0.05,
-        n_samples=10,
-        records=tuple(edges),
-        tested_pairs=len(node_ids) * (len(node_ids) - 1) // 2,
+def toy_network(node_ids, pairs, similarities=None, *, method="pearson",
+                attribute_names=("attr",), contrib=None):
+    """A hand-built network over ``node_ids`` with one edge per (id, id) pair:
+    statistic 1, p = q = 0.01, no df, and the (m, k) ``contrib`` rows or NaN."""
+    index = {v: x for x, v in enumerate(node_ids)}
+    ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+    m, k = len(ends), len(attribute_names)
+    contrib = np.full((m, k), np.nan) if contrib is None else contrib
+    table = EdgeTable(
+        ends=ends,
+        similarity=np.full(m, 0.5) if similarities is None else np.array(similarities, dtype=float),
+        statistic=np.ones(m),
+        df=np.full(m, np.nan),
+        p=np.full(m, 0.01),
+        q=np.full(m, 0.01),
+        contrib=np.array(contrib, dtype=float).reshape(m, k),
     )
+    return InferredNetwork(tuple(node_ids), tuple(attribute_names), method, 0.05, 10, table,
+                           tested_pairs=len(node_ids) * (len(node_ids) - 1) // 2)
 
 
 def planted_pair_dataset(seed, n_nodes=3, n=100, rho=0.9, planted=((0, 1),)):
@@ -67,6 +69,16 @@ def random_toy_graph(rng, max_nodes=8):
     return toy_network(ids, pairs)
 
 
+def id_pairs(net):
+    """Each edge's (node id, node id) pair, in table order."""
+    return [(net.node_ids[a], net.node_ids[b]) for a, b in net.table.ends.tolist()]
+
+
+def p_by_pair(net):
+    """Edge p-values in the order of their (node id, node id) pairs."""
+    return [p for _, p in sorted(zip(id_pairs(net), net.table.p.tolist()))]
+
+
 class TestInferNetwork:
     def test_planted_edge_recovered(self):
         hits = 0
@@ -88,9 +100,8 @@ class TestInferNetwork:
     def test_q_bounded_by_gamma_and_p(self):
         data = planted_pair_dataset(5, n_nodes=6)
         net = infer_network(data, "pearson", 0.1)
-        for edge in net.edges:
-            assert edge.q <= 0.1
-            assert edge.p <= edge.q
+        assert (net.table.q <= 0.1).all()
+        assert (net.table.p <= net.table.q).all()
 
     def test_k1_cca_matches_pearson_ranking(self):
         rng = simulation.substream(77, 0)
@@ -101,20 +112,16 @@ class TestInferNetwork:
         chi_net = infer_network(data, "cca", gamma)
         # near-unit FDR level keeps every pair, so the p-value rankings align
         assert z_net.n_edges == chi_net.n_edges == 28
-        key = lambda e: (e.node_i, e.node_j)
-        p_z = [e.p for e in sorted(z_net.edges, key=key)]
-        p_chi = [e.p for e in sorted(chi_net.edges, key=key)]
-        rho, _ = spearmanr(p_z, p_chi)
+        rho, _ = spearmanr(p_by_pair(z_net), p_by_pair(chi_net))
         assert rho == pytest.approx(1.0, abs=1e-12)
 
     def test_cca_edges_carry_contributions(self):
         data = planted_two_attribute_dataset(3)
         net = infer_network(data, "cca", 0.05)
         assert net.n_edges >= 1
-        for edge in net.edges:
-            assert edge.df == 4
-            assert edge.contrib is not None
-            assert sum(edge.contrib) == pytest.approx(1.0, abs=1e-9)
+        assert (net.table.df == 4).all()
+        assert not np.isnan(net.table.contrib).any()
+        assert net.table.contrib.sum(axis=1) == pytest.approx(np.ones(net.n_edges), abs=1e-9)
         assert net.homogeneity_reject_fraction is not None
 
     def test_max_min_methods_run(self):
@@ -128,7 +135,7 @@ class TestInferNetwork:
         net = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
         assert frozenset(("v0", "v1")) in net.edge_pairs()
         again = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
-        assert [e.p for e in net.edges] == [e.p for e in again.edges]
+        assert net.table.p.tolist() == again.table.p.tolist()
 
     def test_permutation_equivariance(self):
         data = planted_pair_dataset(11, n_nodes=5)
@@ -146,18 +153,9 @@ class TestInferNetwork:
         data = planted_two_attribute_dataset(13)
         a = infer_network(data, "cca", 0.05)
         b = infer_network(data, "cca", 0.05)
-        assert [(e.node_i, e.node_j, e.p, e.q) for e in a.edges] == [
-            (e.node_i, e.node_j, e.p, e.q) for e in b.edges
-        ]
-
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        data = planted_two_attribute_dataset(17)
-        base = infer_network(data, "cca", 0.05)
-        monkeypatch.setenv("MACNET_THREADS", "3")
-        threaded = infer_network(data, "cca", 0.05)
-        assert [(e.node_i, e.node_j, e.p, e.q) for e in base.edges] == [
-            (e.node_i, e.node_j, e.p, e.q) for e in threaded.edges
-        ]
+        assert a.node_ids == b.node_ids
+        for field in ("ends", "p", "q"):
+            assert getattr(a.table, field).tolist() == getattr(b.table, field).tolist(), field
 
     def test_zero_variance_reports_node_and_attribute(self):
         rng = simulation.substream(19, 0)

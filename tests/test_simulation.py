@@ -135,14 +135,11 @@ class TestPowerStudy:
         spec = PowerStudySpec(grid=((0.0, 0.0),), n=5, reps=20, seed=2, scenarios=(1, 2, 3, 4))
         assert len(power_study(spec).cells) == 4
 
-    def test_deterministic_and_thread_independent(self, monkeypatch):
+    def test_deterministic(self):
         spec = PowerStudySpec(grid=((0.0, 0.0), (0.1, 0.5)), reps=200, seed=11)
         base = power_study(spec)
         again = power_study(spec)
         assert base.cells == again.cells
-        monkeypatch.setenv("MACNET_THREADS", "4")
-        threaded = power_study(spec)
-        assert base.cells == threaded.cells
 
     def test_max_power_dominates_min_power(self):
         spec = PowerStudySpec(
