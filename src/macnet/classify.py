@@ -125,11 +125,10 @@ def classify_network(net, t: float = DEFAULT_THRESHOLD):
             NodeClasses(net.node_ids, proportions, node_code, labels))
 
 
-def contribution_histogram(edge_classes: EdgeClasses, attribute_index: int = 0) -> np.ndarray:
-    """Counts of one attribute's contribution across edges in ``HISTOGRAM_BINS``
+def contribution_histogram(edge_classes: EdgeClasses) -> np.ndarray:
+    """Counts of the first attribute's contribution across edges in ``HISTOGRAM_BINS``
     bins over [0, 1]."""
-    counts, _ = np.histogram(edge_classes.contrib[:, attribute_index],
-                             bins=HISTOGRAM_BINS, range=(0.0, 1.0))
+    counts, _ = np.histogram(edge_classes.contrib[:, 0], bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return counts
 
 

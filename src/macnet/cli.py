@@ -159,7 +159,7 @@ def _cmd_classify(args) -> int:
     io_mod.write_edge_classes_csv(edge_classes, net.attribute_names, out / "edge_classes.csv")
     io_mod.write_node_classes_csv(node_classes, net.attribute_names, out / "node_classes.csv")
     io_mod.write_simplex_csv(node_classes, net.attribute_names, out / "simplex.csv")
-    counts = classify_mod.contribution_histogram(edge_classes, attribute_index=0)
+    counts = classify_mod.contribution_histogram(edge_classes)
     io_mod.write_histogram_csv(counts, out / "contrib_histogram.csv")
     print(f"{len(edge_classes)} edges / {len(node_classes)} nodes classified -> {out}")
     return 0
@@ -237,7 +237,7 @@ def _cmd_simulate(args) -> int:
     result = simulation_mod.power_study(spec)
     out = Path(args.out)
     io_mod.write_power_csv(result, out / "power.csv")
-    print(f"{len(result.cells)} power cells -> {out / 'power.csv'}")
+    print(f"{result.rejections.size} power cells -> {out / 'power.csv'}")
     return 0
 
 

@@ -52,11 +52,6 @@ def _cells(values, blank=None) -> list:
     return cells
 
 
-def _field_cells(records, name: str, dtype) -> list:
-    """Cells of one field across records, formatted as a column."""
-    return _cells(np.array([getattr(r, name) for r in records], dtype=dtype))
-
-
 def atomic_write_text(path, text: str):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -295,15 +290,43 @@ def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
         raise
 
 
-def read_network(edges_path) -> InferredNetwork:
-    """Re-build an inferred network from its CSV (and sibling metadata, if present).
+def _read_meta(path) -> dict:
+    """The ``InferredNetwork`` fields that a meta.json written by ``infer`` holds; a file
+    that is not JSON, or lacks or mistypes a field, is rejected with its path."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        homogeneity = meta.get("homogeneity", {})
+        return {
+            "node_ids": tuple(meta["node_ids"]),
+            "attribute_names": tuple(meta["attribute_names"]),
+            "method": meta["method"],
+            "gamma": float(meta["gamma"]),
+            "n_samples": int(meta["n_samples"]),
+            "tested_pairs": int(meta.get("tested_pairs", 0)),
+            "skipped": tuple(SkippedPair(s["node_i"], s["node_j"], s["reason"])
+                             for s in meta.get("skipped_pairs", [])),
+            "floored": tuple(tuple(pair) for pair in meta.get("floored_pairs", [])),
+            "homogeneity_reject_fraction": homogeneity.get("reject_fraction"),
+            "homogeneity_singular_pairs": int(homogeneity.get("singular_pairs", 0)),
+            "pvalue_mode": meta.get("pvalue_mode", "formula"),
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
+        raise SchemaMismatch(f"{path}: not network metadata ({type(exc).__name__}: {exc})",
+                             path=str(path)) from None
 
-    An edge whose endpoint is missing from the metadata's node ids, a self-loop,
-    and an edge whose method is not the network's are rejected with their line.
+
+def read_network(edges_path) -> InferredNetwork:
+    """Re-build an inferred network from its CSV and sibling meta.json.
+
+    Without a meta.json the nodes are those seen on edges, in first-seen order, the
+    method is the first edge's, every edge counts as a tested pair, and the attributes
+    are named attr_1, attr_2, ... after the contribution columns.  An edge whose
+    endpoint is missing from the node ids, a self-loop, and an edge whose method is
+    not the network's are rejected with their line.
     """
     edges_path = Path(edges_path)
     meta_path = edges_path.parent / META_FILENAME
-    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else None
+    meta = _read_meta(meta_path) if meta_path.exists() else None
 
     with edges_path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -325,59 +348,24 @@ def read_network(edges_path) -> InferredNetwork:
             rows.append(row)
             lines.append(lineno)
 
-    if meta is not None:
-        node_ids = tuple(meta["node_ids"])
-        method = meta["method"]
-    else:
-        # no metadata: fall back to the nodes seen on edges, in first-seen order
-        node_ids = tuple(dict.fromkeys(v for row in rows for v in row[:2]))
-        method = rows[0][2] if rows else "unknown"
+    if meta is None:
+        meta = {"node_ids": tuple(dict.fromkeys(v for row in rows for v in row[:2])),
+                "method": rows[0][2] if rows else "unknown", "gamma": float("nan"),
+                "n_samples": 0, "tested_pairs": len(rows)}
     for row, lineno in zip(rows, lines):
-        if row[2] != method:
+        if row[2] != meta["method"]:
             raise SchemaMismatch(f"{edges_path}:{lineno}: method {row[2]!r} is not the "
-                                 f"network's {method!r}", path=str(edges_path), line=lineno,
-                                 column=3)
-    table = _edge_table(rows, len(header), {v: x for x, v in enumerate(node_ids)},
+                                 f"network's {meta['method']!r}", path=str(edges_path),
+                                 line=lineno, column=3)
+    table = _edge_table(rows, len(header), {v: x for x, v in enumerate(meta["node_ids"])},
                         edges_path, lines)
     no_contrib = np.isnan(table.contrib).all()
-    if meta is not None:
-        attribute_names = tuple(meta["attribute_names"])
-    else:
-        count = 1 if no_contrib else table.contrib.shape[1]
-        attribute_names = tuple(f"attr_{i + 1}" for i in range(count))
+    count = 1 if no_contrib else table.contrib.shape[1]
+    meta.setdefault("attribute_names", tuple(f"attr_{i + 1}" for i in range(count)))
     if no_contrib:
         # one empty contribution cell per attribute, as infer writes them
-        table = replace(table, contrib=np.full((len(table), len(attribute_names)), np.nan))
-
-    if meta is not None:
-        skipped = tuple(
-            SkippedPair(s["node_i"], s["node_j"], s["reason"]) for s in meta.get("skipped_pairs", [])
-        )
-        homogeneity = meta.get("homogeneity", {})
-        return InferredNetwork(
-            node_ids=node_ids,
-            attribute_names=attribute_names,
-            method=method,
-            gamma=float(meta["gamma"]),
-            n_samples=int(meta["n_samples"]),
-            table=table,
-            tested_pairs=int(meta.get("tested_pairs", 0)),
-            skipped=skipped,
-            floored=tuple(tuple(pair) for pair in meta.get("floored_pairs", [])),
-            homogeneity_reject_fraction=homogeneity.get("reject_fraction"),
-            homogeneity_singular_pairs=int(homogeneity.get("singular_pairs", 0)),
-            pvalue_mode=meta.get("pvalue_mode", "formula"),
-        )
-
-    return InferredNetwork(
-        node_ids=node_ids,
-        attribute_names=attribute_names,
-        method=method,
-        gamma=float("nan"),
-        n_samples=0,
-        table=table,
-        tested_pairs=len(table),
-    )
+        table = replace(table, contrib=np.full((len(table), len(meta["attribute_names"])), np.nan))
+    return InferredNetwork(table=table, **meta)
 
 
 # --- summaries, classification, enrichment, power -------------------------------
@@ -481,10 +469,13 @@ def write_enrichment_csv(report: EnrichmentReport, path):
 
 
 def write_power_csv(result: PowerResult, path):
-    spec, cells = result.spec, result.cells
-    constants = [[fmt(value)] * len(cells)
+    """One row per (grid point, scenario), grid point major."""
+    spec, rows = result.spec, result.rejections.size
+    scenarios = len(spec.scenarios)
+    r, b = np.array(spec.grid).T
+    constants = [[fmt(value)] * rows
                  for value in (spec.rho1, spec.rho2, spec.n, spec.reps, spec.alpha)]
     _write_columns(path, ["r", "b", "rho1", "rho2", "n", "reps", "alpha", "scenario", "power", "mc_se"],
-                   [_field_cells(cells, "r", float), _field_cells(cells, "b", float), *constants,
-                    _field_cells(cells, "scenario", int), _field_cells(cells, "power", float),
-                    _field_cells(cells, "mc_se", float)])
+                   [_cells(np.repeat(r, scenarios)), _cells(np.repeat(b, scenarios)), *constants,
+                    _cells(np.tile(spec.scenarios, len(spec.grid))), _cells(result.power.ravel()),
+                    _cells(result.mc_se.ravel())])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -187,7 +186,6 @@ class PowerStudySpec:
     scenarios: tuple = SCENARIOS
     one_sided: bool = True
     pvalue_mode: str = "formula"
-    rho_z_override: Optional[float] = None
 
     def __post_init__(self):
         if not self.grid:
@@ -206,6 +204,9 @@ class PowerStudySpec:
             raise OutOfDomain(f"scenarios must be distinct values drawn from {SCENARIOS}, "
                               f"got {scenarios}")
         inference._require_fisher_n(self.n)
+        if self.reps < 3 and (3 in scenarios or 4 in scenarios):
+            # the max/min scenarios estimate rho_z from the replicates' (z1, z2)
+            raise InsufficientSamples(f"scenarios 3-4 need at least 3 replicates, got {self.reps}")
         if 5 in scenarios:
             try:
                 inference._require_bartlett_n(self.n, 2)
@@ -223,26 +224,23 @@ class PowerStudySpec:
         return K2Params(r=r, b=b, rho1=self.rho1, rho2=self.rho2)
 
 
-@dataclass(frozen=True)
-class PowerCell:
-    r: float
-    b: float
-    scenario: int
-    rejections: int
-    power: float
-    mc_se: float
-
-
 @dataclass(frozen=True, eq=False)
 class PowerResult:
-    spec: PowerStudySpec
-    cells: tuple
+    """Rejection counts of a power study: ``rejections[g, s]`` of ``spec.reps``
+    replicates at grid point ``spec.grid[g]`` under scenario ``spec.scenarios[s]``."""
 
-    def cell(self, r: float, b: float, scenario: int) -> PowerCell:
-        for c in self.cells:
-            if c.scenario == scenario and np.isclose(c.r, r) and np.isclose(c.b, b):
-                return c
-        raise KeyError(f"no cell for (r={r}, b={b}, scenario={scenario})")
+    spec: PowerStudySpec
+    rejections: np.ndarray
+
+    @property
+    def power(self) -> np.ndarray:
+        return self.rejections / self.spec.reps
+
+    @property
+    def mc_se(self) -> np.ndarray:
+        """Monte Carlo standard error of each power estimate."""
+        power = self.power
+        return np.sqrt(power * (1.0 - power) / self.spec.reps)
 
 
 def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarray, reps):
@@ -265,7 +263,8 @@ def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarr
     return z1, z2, inference.bartlett_chi2(roots, spec.n, 2).p
 
 
-def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: float) -> dict:
+def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: float) -> list:
+    """Rejection count of each scenario at one grid point, in ``spec.scenarios`` order."""
     lower = numkernel.cholesky(build_sigma(spec.params(r, b)))
     chunks = [
         _replicate_statistics(spec, grid_index, lower,
@@ -276,17 +275,11 @@ def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: f
 
     rho_z = sampler = None
     if 3 in spec.scenarios or 4 in spec.scenarios:  # only the max/min scenarios read rho_z
-        if spec.rho_z_override is not None:
-            rho_z = float(spec.rho_z_override)
-        elif spec.reps >= 3:
-            rho_z = float(np.corrcoef(z1, z2)[0, 1])
-        else:
-            raise InsufficientSamples("need rho_z_override or at least 3 replicates for scenarios 3-4")
-        rho_z = min(1.0, max(-1.0, rho_z))
+        rho_z = min(1.0, max(-1.0, float(np.corrcoef(z1, z2)[0, 1])))
         if spec.pvalue_mode == "montecarlo":
             sampler = inference.ExtremeTailSampler(seed=spec.seed * 1_000_003 + grid_index)
 
-    rejections = {}
+    rejections = []
     for scenario in spec.scenarios:
         if scenario in (1, 2):
             z = z1 if scenario == 1 else z2
@@ -303,19 +296,12 @@ def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: f
         else:
             # the chi-squared test is upper-tailed in both settings
             p = bartlett_p[0]
-        rejections[scenario] = int(np.sum(np.asarray(p) < spec.alpha))
+        rejections.append(int(np.sum(np.asarray(p) < spec.alpha)))
     return rejections
 
 
 def power_study(spec: PowerStudySpec) -> PowerResult:
-    """Rejection rate of each scenario at every grid point."""
-    cells = []
-    for grid_index, (r, b) in enumerate(spec.grid):
-        rejections = _grid_point_rejections(spec, grid_index, r, b)
-        for scenario in spec.scenarios:
-            count = rejections[scenario]
-            power = count / spec.reps
-            mc_se = float(np.sqrt(power * (1.0 - power) / spec.reps))
-            cells.append(PowerCell(r=r, b=b, scenario=scenario, rejections=count,
-                                   power=power, mc_se=mc_se))
-    return PowerResult(spec=spec, cells=tuple(cells))
+    """Rejection count of each scenario at every grid point."""
+    return PowerResult(spec, np.array([_grid_point_rejections(spec, grid_index, r, b)
+                                       for grid_index, (r, b) in enumerate(spec.grid)],
+                                      dtype=np.int64))

@@ -204,32 +204,32 @@ def test_criterion_08_power_study_reproduction():
     spec = PowerStudySpec(grid=grid, rho1=0.3, rho2=0.1, n=50, reps=1000,
                           alpha=0.05, seed=808, scenarios=(1, 2, 5))
     result = power_study(spec)
+    # rows follow b_values, columns the scenarios (1, 2, 5)
+    power, mc_se = result.power, result.mc_se
 
-    cell_1_origin = result.cell(0.0, 0.0, 1)
-    assert cell_1_origin.power == pytest.approx(0.683, abs=0.045), (
-        f"scenario 1 power {cell_1_origin.power}"
-    )
+    s1_origin = power[0, 0]
+    assert s1_origin == pytest.approx(0.683, abs=0.045), f"scenario 1 power {s1_origin}"
 
-    s5 = [result.cell(0.2 * b, b, 5) for b in b_values]
-    for prev, cur in zip(s5[:-1], s5[1:]):
-        slack = 2.0 * math.hypot(prev.mc_se, cur.mc_se)
-        assert cur.power >= prev.power - slack, (
-            f"scenario 5 power dropped: {prev.power} -> {cur.power} at b={cur.b}"
+    for row in range(1, len(b_values)):
+        slack = 2.0 * math.hypot(mc_se[row - 1, 2], mc_se[row, 2])
+        assert power[row, 2] >= power[row - 1, 2] - slack, (
+            f"scenario 5 power dropped: {power[row - 1, 2]} -> {power[row, 2]} "
+            f"at b={b_values[row]}"
         )
-    assert max(c.power for c in s5) >= 0.99, "scenario 5 never reached 0.99"
+    assert power[:, 2].max() >= 0.99, "scenario 5 never reached 0.99"
 
-    for b in [0.5, 0.6, 0.7, 0.8, 0.9]:
-        c5 = result.cell(0.2 * b, b, 5)
-        for scenario in (1, 2):
-            other = result.cell(0.2 * b, b, scenario)
-            slack = 2.0 * math.hypot(c5.mc_se, other.mc_se)
-            assert c5.power >= other.power - slack, (
+    for row, b in enumerate(b_values):
+        if b < 0.5:
+            continue
+        for col, scenario in ((0, 1), (1, 2)):
+            slack = 2.0 * math.hypot(mc_se[row, 2], mc_se[row, col])
+            assert power[row, 2] >= power[row, col] - slack, (
                 f"scenario 5 below scenario {scenario} at b={b}"
             )
     elapsed = time.perf_counter() - started
     assert elapsed < 180.0, f"took {elapsed:.1f}s"
-    report(8, f"power curves reproduce: s1(0,0)={cell_1_origin.power:.3f} (~0.683), "
-              f"s5 monotone to {max(c.power for c in s5):.3f}, "
+    report(8, f"power curves reproduce: s1(0,0)={s1_origin:.3f} (~0.683), "
+              f"s5 monotone to {power[:, 2].max():.3f}, "
               f"s5 dominates s1/s2 for b>=0.5; {elapsed:.1f}s")
 
 

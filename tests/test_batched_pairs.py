@@ -75,7 +75,7 @@ def reference_network(data, method, gamma, sampler=None):
     rows, skipped, floored, flags, singular = [], [], [], [], 0
     for vi in range(data.n_nodes):
         for vj in range(vi + 1, data.n_nodes):
-            block_i, block_j = data.node_matrix(vi), data.node_matrix(vj)
+            block_i, block_j = data.samples[vi].T, data.samples[vj].T
             pair = (data.node_ids[vi], data.node_ids[vj])
             joint = numkernel.corr_matrices(np.hstack([block_i, block_j]))
             if method == "pearson":
@@ -216,7 +216,7 @@ def test_roots_screen_passes_the_collinear_pair_on(monkeypatch):
     data = collinear_dataset()
     seen = count_floor_calls(monkeypatch)
     net = infer_network(data, "cca", 0.05)
-    joint = numkernel.corr_matrices(np.hstack([data.node_matrix(0), data.node_matrix(1)]))
+    joint = numkernel.corr_matrices(np.hstack([data.samples[0].T, data.samples[1].T]))
     assert any(np.allclose(m, joint, rtol=0, atol=1e-12) for m in seen)
     assert len(seen) < 2 * data.n_nodes
     assert ("v0", "v1") in net.floored
@@ -330,7 +330,7 @@ def test_every_field_is_bit_identical_across_tile_shapes(k, method, make, monkey
 
 def reference_power_counts(spec):
     """Per-replicate loop over the public functions, one replicate per call: rejections
-    by cell."""
+    by grid point, then scenario."""
     counts = []
     for grid_index, (r, b) in enumerate(spec.grid):
         sigma = simulation.build_sigma(spec.params(r, b))
@@ -377,15 +377,15 @@ def reference_power_counts(spec):
 def test_power_study_matches_per_replicate_reference(one_sided, mode, reps):
     spec = simulation.PowerStudySpec(grid=((0.0, 0.0), (0.2, 0.04)), reps=reps, seed=9,
                                      one_sided=one_sided, pvalue_mode=mode)
-    cells = simulation.power_study(spec).cells
-    assert [c.rejections for c in cells] == reference_power_counts(spec)
+    rejections = simulation.power_study(spec).rejections
+    assert rejections.ravel().tolist() == reference_power_counts(spec)
 
 
 def test_power_study_does_not_depend_on_chunk_size(monkeypatch):
     spec = simulation.PowerStudySpec(grid=((0.1, 0.02),), reps=50, seed=3)
-    base = simulation.power_study(spec).cells
+    base = simulation.power_study(spec).rejections
     monkeypatch.setattr(simulation, "REPLICATE_CHUNK", 7)
-    assert simulation.power_study(spec).cells == base
+    np.testing.assert_array_equal(simulation.power_study(spec).rejections, base)
 
 
 def iterative_homogeneity_statistic(samples_i, samples_j):

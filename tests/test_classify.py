@@ -126,13 +126,13 @@ class TestClassifyNode:
 class TestContributionHistogram:
     def test_point_mass_in_last_bin(self):
         edges, _ = star([(1.0, 0.0)] * 7)
-        counts = contribution_histogram(edges, attribute_index=0)
+        counts = contribution_histogram(edges)
         assert counts[-1] == 7
         assert counts[:-1].sum() == 0
 
     def test_empty(self):
         edges, _ = star([])
-        counts = contribution_histogram(edges, attribute_index=0)
+        counts = contribution_histogram(edges)
         assert counts.shape == (50,)
         assert counts.sum() == 0
 
@@ -140,7 +140,7 @@ class TestContributionHistogram:
         rng = np.random.default_rng(7)
         values = rng.uniform(size=5000)
         edges, _ = star(np.column_stack([values, 1.0 - values]))
-        counts = contribution_histogram(edges, attribute_index=0)
+        counts = contribution_histogram(edges)
         expected = len(values) / 50
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert chi2_sf(stat, 49) > 0.01

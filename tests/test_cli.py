@@ -237,6 +237,15 @@ class TestCliInfer:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "UsageError" and "'protein'" in err["message"]
 
+    def test_empty_attribute_selection_is_data_error(self, tmp_path, capsys):
+        protein, gene, *_ = make_dataset_files(tmp_path)
+        code = main(["infer", str(protein), str(gene), "--attributes", " , ",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "LengthMismatch" and "empty" in err["message"]
+        assert not (tmp_path / "run" / "edges.csv").exists()
+
     def test_bad_fdr_is_usage_error(self, tmp_path):
         protein, gene, *_ = make_dataset_files(tmp_path)
         code = main(["infer", str(protein), str(gene), "--fdr", "1.5"])
@@ -364,6 +373,19 @@ class TestMalformedEdgeAndClassFiles:
                            + "a,c,max,0.8,25.3,,0.002,0.003,,\n")
         assert (err["error"], err["line"], err["column"]) == ("SchemaMismatch", 3, 3)
 
+    @pytest.mark.parametrize("command", ["netstat", "classify"])
+    @pytest.mark.parametrize("meta", ["{}", '{"method": "cca", "node_ids": ["a", "b"'],
+                             ids=["empty", "truncated"])
+    def test_unreadable_meta(self, tmp_path, capsys, command, meta):
+        # an empty object used to end in a KeyError, a truncated file in a JSONDecodeError
+        (tmp_path / "meta.json").write_text(meta)
+        (tmp_path / "edges.csv").write_text(self.EDGE_HEADER
+                                            + "a,b,cca,0.9,30.1,4,0.001,0.002,0.5,0.5\n")
+        err = self.run(capsys, [command, str(tmp_path / "edges.csv"),
+                                "--out", str(tmp_path / "out")])
+        assert (err["error"], err["path"]) == ("SchemaMismatch", str(tmp_path / "meta.json"))
+        assert not (tmp_path / "out").exists()
+
     def test_node_class_row_with_one_cell(self, tmp_path, capsys):
         err = self.enrich(tmp_path, capsys, "node_id,label\nv0,protein\nv1\n")
         assert (err["error"], err["path"], err["line"]) == (
@@ -482,6 +504,10 @@ class TestCliSimulateRejectsBadArguments:
     def test_too_few_samples_for_bartlett(self, tmp_path, capsys, n):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--n", n], 2)
         assert err["error"] == "InsufficientSamples" and "scenario 5" in err["message"]
+
+    def test_too_few_replicates_for_max_min(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--grid", "0:0", "--reps", "2", "--scenarios", "3"], 2)
+        assert err["error"] == "InsufficientSamples" and "scenarios 3-4" in err["message"]
 
     def test_too_few_samples_for_fisher_z(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--n", "3", "--scenarios", "1,2"], 2)

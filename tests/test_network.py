@@ -6,7 +6,7 @@ from scipy.stats import spearmanr
 
 from _oracles import brute_force_betweenness
 from macnet import network, simulation
-from macnet.errors import NodeSetMismatch, UsageError, ZeroVariance
+from macnet.errors import LengthMismatch, NodeSetMismatch, UsageError, ZeroVariance
 from macnet.network import (
     AttributeDataset,
     EdgeTable,
@@ -317,10 +317,18 @@ class TestJaccard:
 class TestAttributeDataset:
     def test_selection_by_name(self):
         rng = np.random.default_rng(1)
-        data = AttributeDataset(("a", "b"), ("x", "y", "z"), rng.normal(size=(2, 3, 5)))
+        samples = rng.normal(size=(2, 3, 5))
+        data = AttributeDataset(("a", "b"), ("x", "y", "z"), samples)
         selected = data.select(["z", "x"])
-        assert selected.selected_names == ("z", "x")
-        np.testing.assert_array_equal(selected.node_matrix(0)[:, 0], data.samples[0, 2])
+        built = AttributeDataset(("a", "b"), ("z", "x"), samples[:, [2, 0], :])
+        assert selected.attribute_names == built.attribute_names == ("z", "x")
+        assert selected.k == 2
+        np.testing.assert_array_equal(selected.samples, built.samples)
+
+    def test_empty_selection(self):
+        data = AttributeDataset(("a", "b"), ("x", "y"), np.ones((2, 2, 4)))
+        with pytest.raises(LengthMismatch, match="empty"):
+            data.select([])
 
     def test_rejects_nan(self):
         samples = np.zeros((2, 1, 4))

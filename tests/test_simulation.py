@@ -126,6 +126,10 @@ class TestPowerStudy:
         with pytest.raises(InsufficientSamples):
             PowerStudySpec(grid=((0.0, 0.0),), n=n, scenarios=scenarios)
 
+    def test_replicate_count_checked_before_drawing(self):
+        with pytest.raises(InsufficientSamples, match="scenarios 3-4"):
+            PowerStudySpec(grid=((0.0, 0.0),), reps=2, scenarios=(1, 4))
+
     def test_canonical_roots_only_for_scenario_five(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("Bartlett step run without scenario 5")
@@ -133,24 +137,23 @@ class TestPowerStudy:
         monkeypatch.setattr(simulation, "canonical_roots", refuse)
         monkeypatch.setattr(inference, "bartlett_chi2", refuse)
         spec = PowerStudySpec(grid=((0.0, 0.0),), n=5, reps=20, seed=2, scenarios=(1, 2, 3, 4))
-        assert len(power_study(spec).cells) == 4
+        assert power_study(spec).rejections.shape == (1, 4)
 
     def test_deterministic(self):
         spec = PowerStudySpec(grid=((0.0, 0.0), (0.1, 0.5)), reps=200, seed=11)
         base = power_study(spec)
         again = power_study(spec)
-        assert base.cells == again.cells
+        assert base.rejections.dtype == np.int64
+        np.testing.assert_array_equal(base.rejections, again.rejections)
 
     def test_max_power_dominates_min_power(self):
         spec = PowerStudySpec(
             grid=((0.0, 0.0), (0.2, 0.1), (0.1, 0.4)), reps=500, seed=5, scenarios=(3, 4)
         )
         result = power_study(spec)
-        for r, b in spec.grid:
-            p_max = result.cell(r, b, 3)
-            p_min = result.cell(r, b, 4)
-            slack = 2.0 * np.hypot(p_max.mc_se, p_min.mc_se)
-            assert p_max.power >= p_min.power - slack
+        p_max, p_min = result.power.T
+        slack = 2.0 * np.hypot(*result.mc_se.T)
+        assert np.all(p_max >= p_min - slack)
 
     def test_pure_null_two_sided_calibration(self):
         # all five rejection rates sit at the test level; scenarios 3-4 are
@@ -166,21 +169,22 @@ class TestPowerStudy:
             pvalue_mode="montecarlo",
         )
         result = power_study(spec)
-        for scenario in (1, 2, 3, 4, 5):
-            rate = result.cell(0.0, 0.0, scenario).power
+        for scenario, rate in zip(spec.scenarios, result.power[0]):
             assert abs(rate - 0.05) <= 0.03, f"scenario {scenario} rate {rate}"
 
     def test_scenario_one_tracks_analytic_power(self):
         spec = PowerStudySpec(grid=((0.0, 0.0),), reps=1000, seed=3, scenarios=(1,))
         result = power_study(spec)
-        assert result.cell(0.0, 0.0, 1).power == pytest.approx(0.683, abs=0.045)
+        assert result.power[0, 0] == pytest.approx(0.683, abs=0.045)
 
-    def test_rho_z_override_accepted(self):
-        spec = PowerStudySpec(
-            grid=((0.0, 0.0),), reps=50, seed=1, scenarios=(3,), rho_z_override=0.0
-        )
-        result = power_study(spec)
-        assert 0.0 <= result.cell(0.0, 0.0, 3).power <= 1.0
+    def test_columns_follow_the_scenario_order(self):
+        grid = ((0.0, 0.0), (0.1, 0.5))
+        forward = power_study(PowerStudySpec(grid=grid, reps=80, seed=4, scenarios=(1, 5)))
+        backward = power_study(PowerStudySpec(grid=grid, reps=80, seed=4, scenarios=(5, 1)))
+        np.testing.assert_array_equal(backward.rejections, forward.rejections[:, ::-1])
+        power = backward.rejections / 80
+        np.testing.assert_array_equal(backward.power, power)
+        np.testing.assert_array_equal(backward.mc_se, np.sqrt(power * (1.0 - power) / 80))
 
 
 class TestSliceGrid:
