@@ -199,6 +199,19 @@ def _parse_grid(text: str):
     return tuple(points)
 
 
+def _slice_sweep(name: str, points: int, rho1: float, rho2: float) -> tuple:
+    """``points`` grid points along slice ``name``, its free parameter swept from 0 up
+    to 95% of the largest of 500 candidates in [0, 0.99] that is valid at (rho1, rho2)."""
+    if points < 1:
+        raise UsageError(f"--points must be positive, got {points}")
+    params = simulation_mod.K2Params(r=0.0, b=0.0, rho1=rho1, rho2=rho2)
+    candidates = np.linspace(0.0, 0.99, 500)
+    valid = candidates[params.valid_at(*simulation_mod.SLICES[name](candidates))]
+    if not valid.size:
+        raise UsageError(f"no point of slice {name} is valid at rho1={rho1}, rho2={rho2}")
+    return simulation_mod.slice_grid(name, np.linspace(0.0, 0.95 * valid[-1], points))
+
+
 def _cmd_simulate(args) -> int:
     try:
         scenarios = tuple(int(s) for s in args.scenarios.split(",") if s.strip())
@@ -208,20 +221,7 @@ def _cmd_simulate(args) -> int:
     if args.grid:
         grid = _parse_grid(args.grid)
     else:
-        if args.points < 1:
-            raise UsageError(f"--points must be positive, got {args.points}")
-        # sweep the slice's free parameter from 0 up to just inside the domain
-        candidates = np.linspace(0.0, 0.99, 500)
-        valid = []
-        for t in candidates:
-            r, b = simulation_mod.SLICES[args.slice](float(t))
-            if simulation_mod.K2Params(r=r, b=b, rho1=args.rho1, rho2=args.rho2).valid():
-                valid.append(float(t))
-        if not valid:
-            raise UsageError(f"no point of slice {args.slice} is valid at "
-                             f"rho1={args.rho1}, rho2={args.rho2}")
-        top = max(valid)
-        grid = simulation_mod.slice_grid(args.slice, np.linspace(0.0, 0.95 * top, args.points))
+        grid = _slice_sweep(args.slice, args.points, args.rho1, args.rho2)
     spec = simulation_mod.PowerStudySpec(
         grid=grid,
         rho1=args.rho1,

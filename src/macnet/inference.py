@@ -126,11 +126,17 @@ def bartlett_chi2(roots, n: int, k: int) -> BartlettTest:
         raise LengthMismatch(f"expected {k} canonical roots, got {roots.size}")
     if np.any(roots < 0.0) or np.any(roots > 1.0) or not np.all(np.isfinite(roots)):
         raise RootOutOfRange(f"canonical roots outside [0, 1]: {roots}")
-    _require_bartlett_n(n, k)
-    factor = (n - 1) - (k + 0.5)
     with np.errstate(divide="ignore"):
         log_terms = np.log1p(-(roots * roots))
-    statistic = _float_or_array(-factor * np.sum(log_terms, axis=-1))
+    return _bartlett_from_log_lambda(np.sum(log_terms, axis=-1), n, k)
+
+
+def _bartlett_from_log_lambda(log_lambda, n: int, k: int) -> BartlettTest:
+    """Bartlett's test of k canonical roots from log Wilks' Lambda, the sum of
+    log(1 - root^2) (or a stack of them): the statistic -[(n-1) - (k+0.5)] log Lambda
+    on k^2 degrees of freedom."""
+    _require_bartlett_n(n, k)
+    statistic = _float_or_array(-((n - 1) - (k + 0.5)) * np.asarray(log_lambda))
     if np.any(np.isnan(statistic)):
         raise InternalNumericalError("Bartlett statistic is NaN")
     return BartlettTest(statistic=statistic, df=k * k, p=chi2_sf(statistic, k * k))
@@ -411,13 +417,11 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
 
     C is singular when C scaled to unit diagonal, R = D^-1/2 C D^-1/2 with D the
     diagonal of C, fails ``numkernel.pd_mask``'s rule, so the verdict does not
-    depend on attribute units.  A pair whose blocks pass that rule is certainly
-    not singular when log det R > log(2 PD_TOLERANCE) + 2k log 2k, with
-    log det R = log det C - sum log D, since then
-    lambda_min(R) >= det R / (tr R)^(2k-1) clears the rule's bound on
-    lambda_max(R) <= tr R = 2k, with a factor 2 for rounding; every other pair
-    is decided by ``pd_mask`` on its assembled 2k-by-2k R.  The k-by-k determinants
-    are taken in closed form for k <= 2 (``numkernel.slogdet``).
+    depend on attribute units.  A pair whose blocks pass that rule and whose
+    Schur complement has a positive determinant is certainly not singular when
+    ``numkernel.pd_by_determinant`` clears log det R = log det C - sum log D;
+    every other pair is decided by ``pd_mask`` on its assembled 2k-by-2k R.  The
+    k-by-k determinants are taken in closed form for k <= 2 (``numkernel.slogdet``).
     """
     c_ii, inv_ii, logdet_ii, pd_i = facts_i
     c_jj, _, _, pd_j = facts_j
@@ -429,8 +433,7 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
         log_diagonal = (np.log(np.diagonal(c_ii, axis1=-2, axis2=-1)).sum(axis=-1)
                         + np.log(np.diagonal(c_jj, axis1=-2, axis2=-1)).sum(axis=-1))
         clean = (pd_i & pd_j & (schur_sign > 0.0)
-                 & (logdet_free - log_diagonal
-                    > math.log(2.0 * numkernel.PD_TOLERANCE) + 2 * k * math.log(2 * k)))
+                 & numkernel.pd_by_determinant(logdet_free - log_diagonal, 2 * k))
     marginal = (c_ii + c_jj) / 2.0
     sym = (cross + cross_t) / 2.0
     logdet_model = numkernel.slogdet(marginal + sym)[1] + numkernel.slogdet(marginal - sym)[1]

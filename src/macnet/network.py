@@ -56,6 +56,10 @@ class AttributeDataset:
         node_ids = tuple(str(v) for v in self.node_ids)
         attribute_names = tuple(str(a) for a in self.attribute_names)
         samples = np.asarray(self.samples, dtype=float)
+        if not attribute_names:
+            raise LengthMismatch("attribute list is empty")
+        if len(set(attribute_names)) != len(attribute_names):
+            raise LengthMismatch("attribute names are not unique")
         if samples.ndim != 3:
             raise LengthMismatch(f"samples must be 3-d (nodes, attributes, samples), got {samples.shape}")
         if samples.shape[0] != len(node_ids) or samples.shape[1] != len(attribute_names):
@@ -95,8 +99,6 @@ class AttributeDataset:
             if index in indices:
                 raise UsageError(f"attribute {name!r} is selected twice")
             indices.append(index)
-        if not indices:
-            raise LengthMismatch("attribute selection is empty")
         return AttributeDataset(self.node_ids, tuple(self.attribute_names[i] for i in indices),
                                 self.samples[:, indices, :])
 

@@ -9,6 +9,8 @@ numpy/LAPACK call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -90,6 +92,16 @@ def pd_from_eigenvalues(values: np.ndarray) -> np.ndarray:
     return (values[..., -1] > 0.0) & (values[..., 0] > PD_TOLERANCE * values[..., -1])
 
 
+def pd_by_determinant(logdet, d: int) -> np.ndarray:
+    """Which positive-definite d-by-d matrices with unit diagonal certainly pass
+    ``pd_from_eigenvalues``'s rule, given their log determinants: those with
+    det > 2 PD_TOLERANCE d^d.  There lambda_max <= tr = d and
+    lambda_min >= det / lambda_max^(d-1) >= det / d^(d-1), so lambda_min clears
+    PD_TOLERANCE lambda_max with a factor 2 for rounding.  Every other matrix is
+    decided by ``pd_mask``."""
+    return logdet > math.log(2.0 * PD_TOLERANCE) + d * math.log(d)
+
+
 def unit_diagonal(a) -> np.ndarray:
     """Each matrix of a stack (..., d, d) scaled to unit diagonal, D^-1/2 A D^-1/2 with
     D its diagonal.  The row and column of a diagonal entry that is not positive
@@ -143,6 +155,16 @@ def eigvalsh_descending(a):
     if routed.any():
         out[routed] = np.linalg.eigvalsh(a[routed])[..., ::-1]
     return out
+
+
+def inv_2x2(a) -> np.ndarray:
+    """Inverse of each matrix of a stack (..., 2, 2), as its adjugate over its
+    determinant; 0 where the determinant is not positive."""
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    adjugate = np.stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]],
+                        axis=-1).reshape(a.shape)
+    scale = np.divide(1.0, det, out=np.zeros_like(det), where=det > 0.0)
+    return adjugate * scale[..., None, None]
 
 
 def pd_mask(a) -> np.ndarray:

@@ -66,7 +66,11 @@ class K2Params:
         )
 
     def valid(self) -> bool:
-        return abs(self.b - self.r) < self.a1 and abs(self.b + self.r) < self.a2
+        return bool(self.valid_at(self.r, self.b))
+
+    def valid_at(self, r, b):
+        """``valid()`` with this rho1 and rho2 at other (r, b), elementwise over arrays."""
+        return (np.abs(b - r) < self.a1) & (np.abs(b + r) < self.a2)
 
     @property
     def sigma_m(self) -> np.ndarray:

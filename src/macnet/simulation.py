@@ -19,7 +19,7 @@ import numpy as np
 
 from . import inference, numkernel
 from .errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain, UsageError
-from .similarity import K2Params, canonical_roots
+from .similarity import K2Params
 
 SCENARIOS = (1, 2, 3, 4, 5)
 
@@ -243,6 +243,37 @@ class PowerResult:
         return np.sqrt(power * (1.0 - power) / self.spec.reps)
 
 
+def _log_wilks_lambda(joint: np.ndarray) -> np.ndarray:
+    """log Wilks' Lambda = log det R - log det R11 - log det R22, the sum of
+    log(1 - root^2) over the canonical roots, of each correlation matrix R of a
+    stack (m, 4, 4) with 2-by-2 blocks R11, R12, R22.
+
+    Since det R = det R11 det S with S = R22 - R12' R11^-1 R12, it is
+    log det S - log det R22, from 2-by-2 determinants only (``numkernel.slogdet``).
+    An R whose R11 and S are positive-definite and whose det R11 det S clears
+    ``numkernel.pd_by_determinant`` certainly passes ``numkernel.pd_mask``'s rule;
+    ``pd_mask`` decides every other R, and LAPACK gives its three determinants.
+    Raises ``NotPositiveDefinite`` if an R fails the rule.
+    """
+    r11, r12, r22 = joint[:, :2, :2], joint[:, :2, 2:], joint[:, 2:, 2:]
+    sign11, logdet11 = numkernel.slogdet(r11)
+    schur = r22 - np.swapaxes(r12, -1, -2) @ numkernel.inv_2x2(r11) @ r12
+    sign_schur, logdet_schur = numkernel.slogdet(schur)
+    with np.errstate(invalid="ignore"):  # a singular block fails the screen below
+        log_lambda = logdet_schur - numkernel.slogdet(r22)[1]
+    # a unit-diagonal 2-by-2 block with a positive determinant is positive-definite
+    clean = ((sign11 > 0.0) & (sign_schur > 0.0) & (schur[:, 0, 0] > 0.0)
+             & numkernel.pd_by_determinant(logdet11 + logdet_schur, 4))
+    undecided = np.flatnonzero(~clean)
+    if undecided.size:
+        if not np.all(numkernel.pd_mask(joint[undecided])):
+            raise NotPositiveDefinite("joint correlation matrix is not positive-definite")
+        log_lambda[undecided] = (np.linalg.slogdet(joint[undecided])[1]
+                                 - np.linalg.slogdet(r11[undecided])[1]
+                                 - np.linalg.slogdet(r22[undecided])[1])
+    return log_lambda
+
+
 def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarray, reps):
     """z1 and z2 of the replicates ``reps`` of one grid point, then their Bartlett
     p-values if scenario 5 is requested."""
@@ -254,13 +285,7 @@ def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarr
         return z1, z2
     # unrestricted block estimates: the k^2-df chi-squared reference assumes a
     # freely estimated cross block even though the generator is homogeneous
-    if not np.all(numkernel.pd_mask(joint)):
-        raise NotPositiveDefinite("joint correlation matrix is not positive-definite")
-    roots = canonical_roots(
-        numkernel.inv_sqrt_spd_stack(joint[:, :2, :2]) @ joint[:, :2, 2:]
-        @ numkernel.inv_sqrt_spd_stack(joint[:, 2:, 2:])
-    )
-    return z1, z2, inference.bartlett_chi2(roots, spec.n, 2).p
+    return z1, z2, inference._bartlett_from_log_lambda(_log_wilks_lambda(joint), spec.n, 2).p
 
 
 def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: float) -> list:

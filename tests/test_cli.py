@@ -7,7 +7,7 @@ import pytest
 
 from macnet import io as io_mod
 from macnet import simulation
-from macnet.cli import main
+from macnet.cli import _slice_sweep, main
 from macnet.errors import NonNumericCell, SchemaMismatch
 from macnet.network import infer_network
 from test_network import toy_network
@@ -460,6 +460,17 @@ class TestCliSimulate:
         with open(out / "power.csv", newline="") as handle:
             assert [row["scenario"] for row in csv.DictReader(handle)] == ["1", "5"]
 
+    @pytest.mark.parametrize("name", sorted(simulation.SLICES))
+    @pytest.mark.parametrize("rho1,rho2", [(0.3, 0.1), (0.0, 0.0), (0.9, -0.5), (-0.7, 0.95)])
+    def test_slice_sweep_matches_the_candidate_loop(self, name, rho1, rho2):
+        valid = []
+        for t in np.linspace(0.0, 0.99, 500):
+            r, b = simulation.SLICES[name](float(t))
+            if simulation.K2Params(r=r, b=b, rho1=rho1, rho2=rho2).valid():
+                valid.append(float(t))
+        expected = simulation.slice_grid(name, np.linspace(0.0, 0.95 * max(valid), 9))
+        assert _slice_sweep(name, 9, rho1, rho2) == expected
+
     def test_invalid_grid_point_is_data_error(self, tmp_path, capsys):
         code = main(["simulate", "--grid", "0.9:0", "--reps", "10",
                      "--out", str(tmp_path)])
@@ -487,6 +498,11 @@ class TestCliSimulateRejectsBadArguments:
     def test_slice_without_a_valid_point(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--slice", "b=0.2r", "--rho1", "1"], 1)
         assert err["error"] == "UsageError" and "b=0.2r" in err["message"]
+
+    @pytest.mark.parametrize("option", ["--rho1", "--rho2"])
+    def test_slice_at_a_correlation_outside_minus_one_one(self, tmp_path, capsys, option):
+        err = self.run(tmp_path, capsys, ["--slice", "b=0.2r", option, "1.5"], 2)
+        assert err["error"] == "OutOfDomain" and "1.5" in err["message"]
 
     def test_empty_scenario_list(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--scenarios", ""], 2)

@@ -330,6 +330,14 @@ class TestAttributeDataset:
         with pytest.raises(LengthMismatch, match="empty"):
             data.select([])
 
+    def test_rejects_an_empty_attribute_list(self):
+        with pytest.raises(LengthMismatch, match="empty"):
+            AttributeDataset(("a", "b", "c"), (), np.empty((3, 0, 20)))
+
+    def test_rejects_repeated_attribute_names(self):
+        with pytest.raises(LengthMismatch, match="not unique"):
+            AttributeDataset(("a", "b"), ("x", "x"), np.ones((2, 2, 4)))
+
     def test_rejects_nan(self):
         samples = np.zeros((2, 1, 4))
         samples[0, 0, 0] = np.nan

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macnet import inference, numkernel, simulation
+from macnet.cli import main
 from macnet.errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain
-from macnet.similarity import K2Params
+from macnet.similarity import K2Params, canonical_roots
 from macnet.simulation import (
     REPLICATE_CHUNK,
     PowerStudySpec,
@@ -130,14 +133,39 @@ class TestPowerStudy:
         with pytest.raises(InsufficientSamples, match="scenarios 3-4"):
             PowerStudySpec(grid=((0.0, 0.0),), reps=2, scenarios=(1, 4))
 
-    def test_canonical_roots_only_for_scenario_five(self, monkeypatch):
+    def test_wilks_lambda_only_for_scenario_five(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("Bartlett step run without scenario 5")
 
-        monkeypatch.setattr(simulation, "canonical_roots", refuse)
-        monkeypatch.setattr(inference, "bartlett_chi2", refuse)
+        monkeypatch.setattr(simulation, "_log_wilks_lambda", refuse)
+        monkeypatch.setattr(inference, "_bartlett_from_log_lambda", refuse)
         spec = PowerStudySpec(grid=((0.0, 0.0),), n=5, reps=20, seed=2, scenarios=(1, 2, 3, 4))
         assert power_study(spec).rejections.shape == (1, 4)
+
+    def test_benchmark_command_runs_no_eigensolver(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert main(["simulate", "--slice", "b=0.2r", "--points", "9", "--reps", "1000",
+                     "--n", "50", "--seed", "7", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("replicate", [0, REPLICATE_CHUNK + 3])
+    def test_singular_replicate_raises(self, monkeypatch, replicate):
+        draw = simulation._replicate_normals
+
+        def with_a_singular_replicate(seed, point, reps, n):
+            normals = draw(seed, point, reps, n)
+            if replicate in reps:
+                row = normals[list(reps).index(replicate)]
+                row[:, 3] = row[:, 1]
+            return normals
+
+        monkeypatch.setattr(simulation, "_replicate_normals", with_a_singular_replicate)
+        spec = PowerStudySpec(grid=((0.1, 0.2),), reps=REPLICATE_CHUNK + 10, seed=3)
+        with pytest.raises(NotPositiveDefinite):
+            power_study(spec)
 
     def test_deterministic(self):
         spec = PowerStudySpec(grid=((0.0, 0.0), (0.1, 0.5)), reps=200, seed=11)
@@ -193,3 +221,96 @@ class TestSliceGrid:
         assert forward == ((0.0, 0.0), (0.5, 0.1))
         backward = slice_grid("r=0.2b", [0.5])
         assert backward == ((0.1, 0.5),)
+
+
+def _sqrt_unit_2x2(r):
+    """Symmetric square root of [[1, r], [r, 1]]."""
+    plus, minus = np.sqrt(1.0 + r), np.sqrt(1.0 - r)
+    return np.array([[plus + minus, plus - minus], [plus - minus, plus + minus]]) / 2.0
+
+
+def _rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def _correlation(r11, r22, roots, angles):
+    """4x4 matrix with unit diagonal, within-block correlations r11 and r22, and a
+    cross block R11^1/2 U diag(roots) V' R22^1/2 (U, V rotations), so that its
+    canonical roots are ``roots``; positive-definite iff both roots are below 1."""
+    cross = (_sqrt_unit_2x2(r11) @ _rotation(angles[0]) @ np.diag(roots)
+             @ _rotation(angles[1]).T @ _sqrt_unit_2x2(r22))
+    joint = np.eye(4)
+    joint[0, 1] = joint[1, 0] = r11
+    joint[2, 3] = joint[3, 2] = r22
+    joint[:2, 2:], joint[2:, :2] = cross, cross.T
+    return joint
+
+
+def _near_one(smallest_gap):
+    """Values in [0, 1 - smallest_gap], dense near both ends."""
+    return st.one_of(st.floats(0.0, 0.9),
+                     st.floats(1.0, -np.log10(smallest_gap)).map(lambda e: 1.0 - 10.0 ** -e))
+
+
+@st.composite
+def correlation_stacks(draw, block_gap, root_gap, size=8):
+    """Stacks of 4x4 correlation matrices whose within-block correlations reach
+    1 - block_gap in magnitude and whose leading canonical root reaches 1 - root_gap."""
+    stack = []
+    for _ in range(draw(st.integers(1, size))):
+        blocks = [draw(st.sampled_from([-1.0, 1.0])) * draw(_near_one(block_gap)) for _ in "ab"]
+        leading = draw(_near_one(root_gap))
+        roots = [leading, draw(st.floats(0.0, 1.0)) * leading]
+        angles = [draw(st.floats(0.0, 2.0 * np.pi)) for _ in "uv"]
+        stack.append(_correlation(*blocks, roots, angles))
+    return np.array(stack)
+
+
+def _roots_path_statistic(joint, n):
+    """Bartlett's statistic from the canonical roots of T = R11^-1/2 R12 R22^-1/2."""
+    t = (numkernel.inv_sqrt_spd_stack(joint[:, :2, :2]) @ joint[:, :2, 2:]
+         @ numkernel.inv_sqrt_spd_stack(joint[:, 2:, 2:]))
+    return inference.bartlett_chi2(canonical_roots(t), n, 2).statistic
+
+
+@settings(max_examples=300, deadline=None)
+@given(joint=correlation_stacks(block_gap=10.0 ** -1.5, root_gap=1e-3))
+def test_wilks_lambda_matches_the_roots_path(joint):
+    # with 1 - r^2 and 1 - root^2 down to about 0.06 and 2e-3, both paths carry a
+    # relative error near 1e-16 / ((1 - r^2)(1 - root^2)), a few 1e-13; a statistic
+    # below 1 (p above 0.9) is compared to within 1e-12 absolute
+    expected = _roots_path_statistic(joint, 50)
+    got = inference._bartlett_from_log_lambda(simulation._log_wilks_lambda(joint), 50, 2)
+    assert got.df == 4
+    assert np.all(np.abs(got.statistic - expected) <= 1e-12 * np.maximum(np.abs(expected), 1.0))
+
+
+def _indefinite_or_near_singular():
+    """Unit-diagonal symmetric 4x4 matrices near and past the positive-definite edge."""
+    past_one = st.floats(-16.0, -1.0).map(lambda e: 1.0 + 10.0 ** e)
+    # a leading root 1 - 1e-9 to 1 - 1e-11 puts lambda_min near pd_mask's 1e-10 lambda_max
+    at_the_tolerance = st.floats(9.0, 11.0).map(lambda e: 1.0 - 10.0 ** -e)
+    structured = st.builds(
+        lambda r11, r22, leading, share, u, v: _correlation(r11, r22, [leading, share * leading],
+                                                            [u, v]),
+        _near_one(1e-16), _near_one(1e-16),
+        st.one_of(_near_one(1e-16), past_one, at_the_tolerance),
+        st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi))
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+
+    def from_entries(values):
+        joint = np.eye(4)
+        joint[np.triu_indices(4, 1)] = values
+        return np.triu(joint) + np.triu(joint, 1).T
+
+    return st.one_of(structured, entries.map(from_entries))
+
+
+@settings(max_examples=500, deadline=None)
+@given(joint=_indefinite_or_near_singular())
+def test_determinant_screen_clears_no_matrix_that_pd_mask_rejects(joint):
+    if numkernel.pd_mask(joint):
+        assert np.isfinite(simulation._log_wilks_lambda(joint[None])).all()
+    else:
+        with pytest.raises(NotPositiveDefinite):
+            simulation._log_wilks_lambda(joint[None])
