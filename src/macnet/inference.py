@@ -410,30 +410,30 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
     unconstrained Gaussian fit.  Under block-swap invariance the MLE is the group
     average M of C and its block swap, positive-definite whenever C is; since
     tr(M^-1 C) = 2k the statistic is n (log det M - log det C), with
-    log det C = log det C_ii + log det(C_jj - C_ij' C_ii^-1 C_ij) and
+    log det C = log det C_ii + log det S, S = C_jj - C_ij' C_ii^-1 C_ij, and
     log det M = log det(A + B) + log det(A - B), A = (C_ii + C_jj)/2,
-    B = (C_ij + C_ij')/2.  Returns the test over the non-singular pairs and the
-    mask of singular ones, which get no verdict.
+    B = (C_ij + C_ij')/2.  Returns the test over the non-singular pairs, the mask of
+    singular ones, which get no verdict, and log Wilks' Lambda, the sum of
+    log(1 - root^2), as log det S - log det C_jj where the screen below clears the
+    pair (NaN elsewhere).
 
     C is singular when C scaled to unit diagonal, R = D^-1/2 C D^-1/2 with D the
     diagonal of C, fails ``numkernel.pd_mask``'s rule, so the verdict does not
-    depend on attribute units.  A pair whose blocks pass that rule and whose
-    Schur complement has a positive determinant is certainly not singular when
-    ``numkernel.pd_by_determinant`` clears log det R = log det C - sum log D;
-    every other pair is decided by ``pd_mask`` on its assembled 2k-by-2k R.  The
-    k-by-k determinants are taken in closed form for k <= 2 (``numkernel.slogdet``).
+    depend on attribute units.  ``numkernel.schur_screen`` clears most pairs from
+    log det R = log det C - sum log D; every other pair is decided by ``pd_mask`` on
+    its assembled 2k-by-2k R.
     """
     c_ii, inv_ii, logdet_ii, pd_i = facts_i
-    c_jj, _, _, pd_j = facts_j
+    c_jj, _, logdet_jj, pd_j = facts_j
     k = cross.shape[-1]
     cross_t = np.swapaxes(cross, -1, -2)
-    schur_sign, logdet_schur = numkernel.slogdet(c_jj - cross_t @ inv_ii @ cross)
-    logdet_free = logdet_ii + logdet_schur
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero stack fails the PD rule
         log_diagonal = (np.log(np.diagonal(c_ii, axis1=-2, axis2=-1)).sum(axis=-1)
                         + np.log(np.diagonal(c_jj, axis1=-2, axis2=-1)).sum(axis=-1))
-        clean = (pd_i & pd_j & (schur_sign > 0.0)
-                 & numkernel.pd_by_determinant(logdet_free - log_diagonal, 2 * k))
+        logdet_schur, clean = numkernel.schur_screen(pd_i & pd_j, inv_ii, logdet_ii, c_jj,
+                                                     cross, log_diagonal)
+    logdet_free = logdet_ii + logdet_schur
+    log_lambda = np.where(clean, logdet_schur - logdet_jj, np.nan)
     marginal = (c_ii + c_jj) / 2.0
     sym = (cross + cross_t) / 2.0
     logdet_model = numkernel.slogdet(marginal + sym)[1] + numkernel.slogdet(marginal - sym)[1]
@@ -448,7 +448,8 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
         logdet_free[undecided] = np.linalg.slogdet(free)[1]
     statistic = np.maximum(0.0, n * (logdet_model[~singular] - logdet_free[~singular]))
     df = k * (k + 1) // 2 + k * (k - 1) // 2
-    return HomogeneityTest(statistic=statistic, df=df, p=chi2_sf(statistic, df)), singular
+    test = HomogeneityTest(statistic=statistic, df=df, p=chi2_sf(statistic, df))
+    return test, singular, log_lambda
 
 
 def homogeneity_test_from_cov(sample_cov, n: int):
@@ -458,4 +459,4 @@ def homogeneity_test_from_cov(sample_cov, n: int):
     k = sample_cov.shape[-1] // 2
     return homogeneity_test_from_blocks(covariance_block_facts(sample_cov[:, :k, :k]),
                                         covariance_block_facts(sample_cov[:, k:, k:]),
-                                        sample_cov[:, :k, k:], n)
+                                        sample_cov[:, :k, k:], n)[:2]

@@ -228,8 +228,7 @@ def _check_preconditions(data: AttributeDataset, method: str):
 class _NodeFacts:
     """Per-node data, computed once: samples (n-by-k), centred rows (k-by-n), Gram
     and correlation blocks, the homogeneity test's covariance block facts, and for
-    cca each correlation block's PD verdict, (smallest, largest) eigenvalue and
-    inverse root (NaN if not PD)."""
+    cca each correlation block's PD verdict and inverse root (NaN if not PD)."""
 
     def __init__(self, data: AttributeDataset, method: str):
         self.k, self.n = data.k, data.n_samples
@@ -246,7 +245,6 @@ class _NodeFacts:
         if method == "cca":
             values, vectors = np.linalg.eigh(self.sigma)
             self.pd = numkernel.pd_from_eigenvalues(values)
-            self.extremes = values[:, [0, -1]]
             self.inv_sqrt = np.full_like(self.sigma, np.nan)
             self.inv_sqrt[self.pd] = numkernel.inv_sqrt_from_eigh(values[self.pd], vectors[self.pd])
 
@@ -271,38 +269,21 @@ class _NodeFacts:
         return i, j, gram, self._correlation(gram, self._sq[i], self._sq[j])
 
 
-def _clean_by_roots(rho, extremes_i, extremes_j):
-    """Pairs whose joint correlation matrix certainly passes ``pd_from_eigenvalues``'s
-    rule, from the leading canonical root rho (NaN: undecided) and each block's
-    (smallest, largest) eigenvalue.  With D = blockdiag(S_ii^1/2, S_jj^1/2) the joint
-    matrix is D [[I, T], [T', I]] D, whose middle factor has eigenvalues 1 +- rho_i,
-    so its eigenvalues lie in [(1 - rho) min lambda_min, (1 + rho) max lambda_max];
-    a factor 2 on the rule's tolerance covers rounding."""
-    lower = (1.0 - rho) * np.minimum(extremes_i[:, 0], extremes_j[:, 0])
-    upper = (1.0 + rho) * np.maximum(extremes_i[:, 1], extremes_j[:, 1])
-    return lower > 2.0 * numkernel.PD_TOLERANCE * upper
-
-
-def _test_cca(facts: _NodeFacts, i, j, sigma_ij, gamma: float):
-    """Canonical-correlation tests of the pairs (i[p], j[p]): similarity, statistic
-    and p (NaN where skipped), floored flags, repair changes, and a contribution
-    vector per pair, NaN unless p <= gamma (BH can reject no other pair).
-
-    T and the roots come first, from the per-node inverse roots; a pair whose roots
-    show its joint matrix to be positive-definite (``_clean_by_roots``) needs no
-    2k-by-2k decomposition.  Only the other pairs are assembled and checked."""
+def _test_cca(facts: _NodeFacts, i, j, sigma_ij, log_lambda, gamma: float):
+    """Canonical-correlation tests of the pairs (i[p], j[p]), given their log Wilks'
+    Lambda from the homogeneity step (NaN where its screen left a pair undecided):
+    similarity, statistic and p (NaN where skipped), floored flags, repair changes, and
+    contributions.  Similarity and contributions are NaN unless p <= gamma, as BH can
+    reject no other pair, so T, the roots and the weights are formed for the candidates
+    only.  Undecided pairs, and pairs on a node without an inverse root, are assembled,
+    checked, floored or re-estimated, and take log Lambda from their roots."""
     k = facts.k
     inv_i, inv_j = facts.inv_sqrt[i], facts.inv_sqrt[j]
     cross = sigma_ij.copy()
     both = facts.pd[i] & facts.pd[j]
-    t = np.full_like(cross, np.nan)
-    squared = np.full((i.size, k), np.nan)
-    t[both] = inv_i[both] @ cross[both] @ inv_j[both]
-    squared[both] = similarity.squared_roots(t[both])
-    clean = _clean_by_roots(np.sqrt(np.maximum(squared[:, 0], 0.0)),
-                            facts.extremes[i], facts.extremes[j])
+    log_lambda = log_lambda.copy()
     floored, change = np.zeros(i.size, dtype=bool), np.zeros(i.size)
-    undecided = np.flatnonzero(~clean)
+    undecided = np.flatnonzero(np.isnan(log_lambda) | ~both)
     if undecided.size:
         iu, ju = i[undecided], j[undecided]
         joint = np.block([[facts.sigma[iu], cross[undecided]],
@@ -320,18 +301,19 @@ def _test_cca(facts: _NodeFacts, i, j, sigma_ij, gamma: float):
         inv_i[redo] = numkernel.inv_sqrt_spd_stack(joint[own, :k, :k])
         inv_j[redo] = numkernel.inv_sqrt_spd_stack(joint[own, k:, k:])
         cross[redo] = joint[own, :k, k:]
-        t[redo] = inv_i[redo] @ cross[redo] @ inv_j[redo]
-        squared[redo] = similarity.squared_roots(t[redo])
+        kept = undecided[change[undecided] <= FLOOR_SKIP_DELTA]
+        roots = similarity.canonical_roots(inv_i[kept] @ cross[kept] @ inv_j[kept])
+        log_lambda[kept] = np.log1p(-(roots * roots)).sum(axis=-1)
     ok = change <= FLOOR_SKIP_DELTA
-    roots = np.sqrt(similarity._clamp_squared_roots(squared[ok]))
-    test = inference.bartlett_chi2(roots, facts.n, k)
+    test = inference._bartlett_from_log_lambda(log_lambda[ok], facts.n, k)
     out = np.full((3, i.size), np.nan)
-    out[:, ok] = roots[:, 0], test.statistic, test.p
+    out[1:, ok] = test.statistic, test.p
     # p <= gamma keeps rho_c > 0, so every candidate's weights are well defined
     cand = np.flatnonzero(ok)[test.p <= gamma]
+    t = inv_i[cand] @ cross[cand] @ inv_j[cand]
+    out[0, cand] = similarity.canonical_roots(t)[:, 0]
     contrib = np.full((i.size, k), np.nan)
-    _, _, contrib[cand] = similarity._leading_weights(t[cand], inv_i[cand], inv_j[cand],
-                                                      cross[cand])
+    _, _, contrib[cand] = similarity._leading_weights(t, inv_i[cand], inv_j[cand], cross[cand])
     return (*out, floored, change, contrib)
 
 
@@ -371,6 +353,9 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     for start in range(0, last, step):
         i, j, gram, sigma_ij = facts.tile(np.arange(start, min(start + step, last)))
         ok, contrib = np.ones(i.size, dtype=bool), np.full((i.size, k), np.nan)
+        if n >= 2 * k + 2:  # always so for cca, whose test reads log Wilks' Lambda from it
+            hom, pair_singular, log_lambda = inference.homogeneity_test_from_blocks(
+                [fact[i] for fact in facts.cov], [fact[j] for fact in facts.cov], gram / n, n)
         if method == "pearson":
             sims = sigma_ij[:, 0, 0]
             statistic = inference.fisher_z(sims, n)
@@ -391,7 +376,7 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
                 ])
         else:
             sims, statistic, pvalues, was_floored, change, contrib = _test_cca(
-                facts, i, j, sigma_ij, gamma)
+                facts, i, j, sigma_ij, log_lambda, gamma)
             ok = change <= FLOOR_SKIP_DELTA
             skipped += [
                 SkippedPair(ids[i[x]], ids[j[x]],
@@ -402,8 +387,6 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
             floored += [(ids[i[x]], ids[j[x]]) for x in np.flatnonzero(was_floored & ok)]
         tested += int(ok.sum())
         if n >= 2 * k + 2:
-            hom, pair_singular = inference.homogeneity_test_from_blocks(
-                [fact[i] for fact in facts.cov], [fact[j] for fact in facts.cov], gram / n, n)
             verdict_p = hom.p[ok[~pair_singular]]
             verdicts += verdict_p.size
             rejects += int(np.sum(verdict_p < HOMOGENEITY_ALPHA))

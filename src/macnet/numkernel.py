@@ -102,6 +102,23 @@ def pd_by_determinant(logdet, d: int) -> np.ndarray:
     return logdet > math.log(2.0 * PD_TOLERANCE) + d * math.log(d)
 
 
+def schur_screen(a_pd, inv_a, logdet_a, b, x, log_diagonal=0.0):
+    """log det S of the Schur complement S = B - X' A^-1 X of each block matrix
+    M = [[A, X], [X', B]] of a stack, given A's inverse, log determinant and PD mask,
+    and the mask of the M that certainly pass ``pd_from_eigenvalues``'s rule once
+    scaled to unit diagonal (``log_diagonal``: the sum of the logs of M's diagonal).
+    Those are the M with A and S positive-definite, S by its leading principal minors,
+    whose log det M - log_diagonal = log det A + log det S - log_diagonal clears
+    ``pd_by_determinant``.  Every other M is left to ``pd_mask``."""
+    s = b - np.swapaxes(x, -1, -2) @ inv_a @ x
+    sign, logdet = slogdet(s)
+    clean = a_pd & (sign > 0.0)
+    for d in range(1, s.shape[-1]):
+        clean &= slogdet(s[:, :d, :d])[0] > 0.0
+    return logdet, clean & pd_by_determinant(logdet_a + logdet - log_diagonal,
+                                             inv_a.shape[-1] + s.shape[-1])
+
+
 def unit_diagonal(a) -> np.ndarray:
     """Each matrix of a stack (..., d, d) scaled to unit diagonal, D^-1/2 A D^-1/2 with
     D its diagonal.  The row and column of a diagonal entry that is not positive

@@ -250,21 +250,18 @@ def _log_wilks_lambda(joint: np.ndarray) -> np.ndarray:
 
     Since det R = det R11 det S with S = R22 - R12' R11^-1 R12, it is
     log det S - log det R22, from 2-by-2 determinants only (``numkernel.slogdet``).
-    An R whose R11 and S are positive-definite and whose det R11 det S clears
-    ``numkernel.pd_by_determinant`` certainly passes ``numkernel.pd_mask``'s rule;
-    ``pd_mask`` decides every other R, and LAPACK gives its log det R.
-    Raises ``NotPositiveDefinite`` if an R fails the rule.
+    An R that ``numkernel.schur_screen`` clears certainly passes
+    ``numkernel.pd_mask``'s rule; ``pd_mask`` decides every other R, and LAPACK gives
+    its log det R.  Raises ``NotPositiveDefinite`` if an R fails the rule.
     """
     r11, r12, r22 = joint[:, :2, :2], joint[:, :2, 2:], joint[:, 2:, 2:]
     sign11, logdet11 = numkernel.slogdet(r11)
-    schur = r22 - np.swapaxes(r12, -1, -2) @ numkernel.inv_2x2(r11) @ r12
-    sign_schur, logdet_schur = numkernel.slogdet(schur)
-    logdet22 = numkernel.slogdet(r22)[1]
-    with np.errstate(invalid="ignore"):  # a singular block fails the screen below
-        log_lambda = logdet_schur - logdet22
     # a unit-diagonal 2-by-2 block with a positive determinant is positive-definite
-    clean = ((sign11 > 0.0) & (sign_schur > 0.0) & (schur[:, 0, 0] > 0.0)
-             & numkernel.pd_by_determinant(logdet11 + logdet_schur, 4))
+    logdet_schur, clean = numkernel.schur_screen(sign11 > 0.0, numkernel.inv_2x2(r11),
+                                                 logdet11, r22, r12)
+    logdet22 = numkernel.slogdet(r22)[1]
+    with np.errstate(invalid="ignore"):  # a singular block fails the screen
+        log_lambda = logdet_schur - logdet22
     undecided = np.flatnonzero(~clean)
     if undecided.size:
         if not np.all(numkernel.pd_mask(joint[undecided])):

@@ -206,13 +206,13 @@ def count_floor_calls(monkeypatch):
 
 @pytest.mark.parametrize("make", [lambda: planted_dataset(6, 30, 2),
                                   lambda: planted_dataset(7, 20, 3, n=40)])
-def test_roots_screen_clears_noise_pairs(make, monkeypatch):
+def test_schur_screen_clears_noise_pairs(make, monkeypatch):
     seen = count_floor_calls(monkeypatch)
     infer_network(make(), "cca", 0.05)
     assert seen == []
 
 
-def test_roots_screen_passes_the_collinear_pair_on(monkeypatch):
+def test_schur_screen_passes_the_collinear_pair_on(monkeypatch):
     data = collinear_dataset()
     seen = count_floor_calls(monkeypatch)
     net = infer_network(data, "cca", 0.05)
@@ -220,6 +220,27 @@ def test_roots_screen_passes_the_collinear_pair_on(monkeypatch):
     assert any(np.allclose(m, joint, rtol=0, atol=1e-12) for m in seen)
     assert len(seen) < 2 * data.n_nodes
     assert ("v0", "v1") in net.floored
+
+
+def test_cca_forms_roots_only_for_candidates_and_repaired_pairs(monkeypatch):
+    """Bartlett's statistic comes from the homogeneity step's log Wilks' Lambda, so only
+    the candidates (p <= gamma) and the floored pairs reach the roots."""
+    rows, candidates = [], []
+    squared_roots, bh_fdr_candidates = similarity.squared_roots, inference.bh_fdr_candidates
+
+    def recording_roots(t):
+        rows.append(len(t))
+        return squared_roots(t)
+
+    def recording_bh(pvalues, m, gamma):
+        candidates.append(len(pvalues))
+        return bh_fdr_candidates(pvalues, m, gamma)
+
+    monkeypatch.setattr(similarity, "squared_roots", recording_roots)
+    monkeypatch.setattr(inference, "bh_fdr_candidates", recording_bh)
+    net = infer_network(planted_dataset(6, 30, 2), "cca", 0.05)
+    assert net.tested_pairs == 435 and net.n_edges > 0
+    assert sum(rows) <= candidates[0] + len(net.floored)
 
 
 def random_blocks(rng, m, k):
@@ -235,15 +256,15 @@ def random_blocks(rng, m, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("rho1", [None, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
-def test_roots_screen_accepts_only_clean_pairs(k, rho1):
-    """Every pair ``_clean_by_roots`` accepts is clean under ``pd_from_eigenvalues``
-    of its assembled joint matrix; the screen sees the pairs as ``_test_cca`` does."""
+def test_schur_screen_accepts_only_clean_pairs(k, rho1):
+    """Every pair whose log Wilks' Lambda the homogeneity step takes from its Schur
+    complement (``numkernel.schur_screen``) is clean under ``pd_from_eigenvalues`` of its
+    assembled joint matrix; the screen sees the pairs as ``_test_cca`` reads them."""
     rng = np.random.default_rng(int(1e3 * k + (0 if rho1 is None else -np.log10(1 - rho1))))
     m = 4000
     blocks = random_blocks(rng, 2 * m, k)
     values, vectors = np.linalg.eigh(blocks)
     assert numkernel.pd_from_eigenvalues(values).all()
-    inv = numkernel.inv_sqrt_from_eigh(values, vectors)
     root = (vectors * np.sqrt(values)[:, None, :]) @ np.swapaxes(vectors, 1, 2)
     roots = rng.uniform(0.0, 1.0, size=(m, k)) ** 0.2
     if rho1 is not None:
@@ -252,14 +273,16 @@ def test_roots_screen_accepts_only_clean_pairs(k, rho1):
     u = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
     v = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
     cross = root[:m] @ (u * roots[:, None, :]) @ np.swapaxes(v, 1, 2) @ root[m:]
-    t = inv[:m] @ cross @ inv[m:]
-    rho = np.sqrt(np.maximum(similarity.squared_roots(t)[:, 0], 0.0))
-    accepted = network._clean_by_roots(rho, values[:m, [0, -1]], values[m:, [0, -1]])
+    _, _, log_lambda = inference.homogeneity_test_from_blocks(
+        inference.covariance_block_facts(blocks[:m]), inference.covariance_block_facts(blocks[m:]),
+        cross, 50)
+    accepted = ~np.isnan(log_lambda)
     joint = np.block([[blocks[:m], cross], [np.swapaxes(cross, 1, 2), blocks[m:]]])
     clean = numkernel.pd_from_eigenvalues(np.linalg.eigh(joint)[0])
     assert not (accepted & ~clean).any()
-    # the bound cannot clear the rule's tolerance once 1 - rho1 falls below it
-    assert accepted.any() == (rho1 != 1 - 1e-12)
+    # det R <= 1 - rho1^2 cannot clear the bound 2 PD_TOLERANCE (2k)^(2k) below it
+    reachable = rho1 is None or 1 - rho1**2 > 2 * numkernel.PD_TOLERANCE * (2 * k) ** (2 * k)
+    assert accepted.any() == reachable
     assert (~clean).any() or rho1 is None
 
 
@@ -463,6 +486,11 @@ def test_homogeneity_verdict_does_not_depend_on_attribute_units(method, monkeypa
     # clear the same pairs without assembling them
     same = infer_network(rescaled(data, [1e-3, 1e4]), method, 0.05)
     assert same.homogeneity_singular_pairs == plain.homogeneity_singular_pairs
+    # cca's log Wilks' Lambda comes from covariance-scale determinants, which must not
+    # move the edges or their tests either
+    assert id_pairs(same) == id_pairs(plain)
+    np.testing.assert_allclose(same.table.statistic, plain.table.statistic, rtol=REL, atol=0)
+    np.testing.assert_allclose(same.table.p, plain.table.p, rtol=REL, atol=0)
     assert same.homogeneity_reject_fraction == plain.homogeneity_reject_fraction
     assert sum(assembled) == plain_assembled
     # a1 x 1e4 and every third node's a0 x 1e-3: those nodes' marginal blocks no longer

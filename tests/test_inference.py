@@ -441,6 +441,16 @@ class TestHomogeneityLrt:
         unit = numkernel.unit_diagonal(edge)
         assert (~numkernel.pd_mask(unit)).any() and numkernel.pd_mask(unit).any()
 
+    @pytest.mark.parametrize("cross", [1.2 * np.eye(2), np.diag([1.2, 1.2, 0.5])])
+    def test_negative_definite_schur_complement_is_singular(self, cross):
+        # positive-definite blocks, but S = I - B'B has two negative eigenvalues, so its
+        # determinant is positive and only its leading minors show that C is indefinite
+        k = len(cross)
+        cov = np.block([[np.eye(k), cross], [cross.T, np.eye(k)]])[None]
+        assert not numkernel.pd_mask(cov).any()
+        _, singular = homogeneity_test_from_cov(cov, 30)
+        assert singular.tolist() == [True]
+
     def test_insufficient_samples(self):
         # with n <= 2k samples the stacked covariance is singular, so no verdict
         assert pair_homogeneity(np.zeros((4, 2)), np.zeros((4, 2))) is None
