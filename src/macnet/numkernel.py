@@ -112,8 +112,8 @@ def schur_screen(a_pd, inv_a, logdet_a, b, x, log_diagonal=0.0):
     ``pd_by_determinant``.  Every other M is left to ``pd_mask``."""
     s = b - np.swapaxes(x, -1, -2) @ inv_a @ x
     sign, logdet = slogdet(s)
-    clean = a_pd & (sign > 0.0)
-    for d in range(1, s.shape[-1]):
+    clean = a_pd & (sign > 0.0) & (s[:, 0, 0] > 0.0)
+    for d in range(2, s.shape[-1]):
         clean &= slogdet(s[:, :d, :d])[0] > 0.0
     return logdet, clean & pd_by_determinant(logdet_a + logdet - log_diagonal,
                                              inv_a.shape[-1] + s.shape[-1])
