@@ -140,19 +140,20 @@ def _closed_form_2x2(a):
 
 def slogdet(a):
     """``np.linalg.slogdet`` of each symmetric matrix in a stack (m, d, d): in closed form
-    for d = 1, and for d = 2 where ``CLOSED_FORM_RATIO`` allows; the rest by LAPACK."""
+    for d = 1, and for d = 2 where ``CLOSED_FORM_RATIO`` allows; the rest by LAPACK.  An
+    exactly singular matrix gives sign 0 and log determinant -inf, with no warning."""
     a = np.asarray(a, dtype=float)
-    if a.shape[-1] == 1:
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        if a.shape[-1] == 1:
             return np.sign(a[:, 0, 0]), np.log(np.abs(a[:, 0, 0]))
-    if a.shape[-1] != 2:
-        return np.linalg.slogdet(a)
-    det, _, closed = _closed_form_2x2(a)
-    sign = np.ones(det.shape)
-    logdet = np.log(np.where(closed, det, 1.0))
-    routed = np.flatnonzero(~closed)
-    if routed.size:
-        sign[routed], logdet[routed] = np.linalg.slogdet(a[routed])
+        if a.shape[-1] != 2:
+            return np.linalg.slogdet(a)
+        det, _, closed = _closed_form_2x2(a)
+        sign = np.ones(det.shape)
+        logdet = np.log(np.where(closed, det, 1.0))
+        routed = np.flatnonzero(~closed)
+        if routed.size:
+            sign[routed], logdet[routed] = np.linalg.slogdet(a[routed])
     return sign, logdet
 
 
