@@ -8,6 +8,7 @@ family.  Set collections are read from tab-separated GMT-style files.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -57,6 +58,11 @@ class GeneSetCollection:
         return self._annotated
 
 
+#: whitespace other than the tab that separates cells; a line without it has no member
+#: cell to strip
+_NON_TAB_SPACE = re.compile(r"[^\S\t]")
+
+
 def parse_gmt(source) -> tuple:
     """Read ``name<TAB>description<TAB>member...`` lines into (sets, descriptions).
 
@@ -87,7 +93,8 @@ def parse_gmt(source) -> tuple:
             raise SchemaMismatch(f"{origin}:{lineno}: set name is blank", path=origin, line=lineno)
         if name in sets:
             raise SchemaMismatch(f"{origin}:{lineno}: duplicate set {name!r}", path=origin, line=lineno)
-        members = frozenset(map(str.strip, fields[2:]))
+        members = frozenset(map(str.strip, fields[2:]) if _NON_TAB_SPACE.search(line)
+                            else fields[2:])
         if "" in members:
             members -= {""}
         if not members:

@@ -3,7 +3,9 @@
 One CSV per attribute on the way in (``node_id,s1,...,sn``); edge lists,
 run metadata, summaries and simulation output on the way out.  Floats are
 written with 17 significant digits so every file re-parses to the exact
-values, and files are written atomically (temp file + rename).
+values, and files are written atomically (temp file + rename).  A CSV is
+formatted and written ``BLOCK_ROWS`` rows at a time, so writing one holds a
+block's cell strings, not the whole file's.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +29,13 @@ from .network import AttributeDataset, EdgeTable, InferredNetwork, NetworkSummar
 from .simulation import PowerResult
 
 META_FILENAME = "meta.json"
+
+#: rows of a CSV formatted and written at a time
+BLOCK_ROWS = 65536
+
+#: a text cell holding one of these characters may need quoting, and goes through the
+#: csv module, which decides whether and how
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 def fmt(value) -> str:
@@ -40,25 +51,52 @@ def fmt(value) -> str:
 
 def _cells(values, blank=None) -> list:
     """One column's cells by the rule of ``fmt``, formatted in one pass; cells where
-    ``blank`` is true are left empty."""
+    ``blank`` is true are left empty and are not formatted."""
     values = np.asarray(values)
     if values.dtype.kind in "iu":
-        cells = list(map(str, values.tolist()))
+        text = str
     else:
-        cells = list(map("%.17g".__mod__, values.astype(float).tolist()))
-    if blank is not None:
-        for x in np.flatnonzero(blank):
-            cells[x] = ""
-    return cells
+        text, values = "%.17g".__mod__, values.astype(float)
+    if blank is None:
+        return list(map(text, values.tolist()))
+    cells = np.full(len(values), "", dtype=object)
+    keep = ~np.asarray(blank, dtype=bool)
+    cells[keep] = list(map(text, values[keep].tolist()))
+    return cells.tolist()
 
 
-def atomic_write_text(path, text: str):
+def _csv_cell(cell: str) -> str:
+    """One text cell as ``csv.writer(lineterminator="\\n")`` writes it within a row."""
+    buffer = StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([cell])
+    return buffer.getvalue()[:-1]
+
+
+def _text_cells(cells: list) -> list:
+    """Text cells quoted as csv.writer quotes them; a block with no special character
+    is returned as it is."""
+    if not _CSV_SPECIAL.search("".join(cells)):
+        return cells
+    return [_csv_cell(c) if _CSV_SPECIAL.search(c) else c for c in cells]
+
+
+def _block_cells(part) -> list:
+    """The cells of one block of a column: a numeric array is formatted by ``_cells``,
+    with its masked cells (``np.ma``) left empty; any other sequence holds text."""
+    if isinstance(part, np.ndarray) and part.dtype.kind in "iuf":
+        return _cells(np.ma.getdata(part), np.ma.getmask(part) if np.ma.is_masked(part) else None)
+    return _text_cells(part.tolist() if isinstance(part, np.ndarray) else list(part))
+
+
+def atomic_write_text(path, blocks: Iterable[str]):
+    """Write the strings of ``blocks``, in order, to a temp file beside ``path``, then
+    rename it over ``path``; a failed write leaves ``path`` as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,15 +104,21 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def _write_columns(path, header, columns):
-    """A CSV of one header row and equal-length columns of cells."""
-    import io as _io
+def _csv_blocks(header, columns):
+    """The text of a CSV, one block of rows at a time; the rows are the bytes that
+    ``csv.writer(lineterminator="\\n")`` writes for them."""
+    yield ",".join(_text_cells(list(header))) + "\n"
+    rows = len(columns[0])
+    for lo in range(0, rows, BLOCK_ROWS):
+        cells = [_block_cells(c[lo:lo + BLOCK_ROWS]) for c in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    atomic_write_text(path, buffer.getvalue())
+
+def _write_columns(path, header, columns):
+    """A CSV of one header row and two or more equal-length columns.  A column is a
+    numeric array, whose cells are written as ``fmt`` writes them and whose masked
+    cells (``np.ma``) are left empty, or a sequence of text cells."""
+    atomic_write_text(path, _csv_blocks(header, columns))
 
 
 def _number(cell: str, path, lineno: int, col: int, convert=float):
@@ -207,9 +251,9 @@ def write_edges_csv(net: InferredNetwork, path):
     names = np.array(net.node_ids, dtype=object)
     no_contrib = np.isnan(table.contrib).all(axis=1)
     columns = [names[table.ends[:, 0]], names[table.ends[:, 1]], [net.method] * len(table),
-               _cells(table.similarity), _cells(table.statistic),
-               _cells(table.df, blank=np.isnan(table.df)), _cells(table.p), _cells(table.q)]
-    columns += [_cells(c, blank=no_contrib) for c in table.contrib.T]
+               table.similarity, table.statistic, np.ma.masked_array(table.df, np.isnan(table.df)),
+               table.p, table.q]
+    columns += [np.ma.masked_array(c, no_contrib) for c in table.contrib.T]
     _write_columns(path, header, columns)
 
 
@@ -240,7 +284,7 @@ def network_meta(net: InferredNetwork) -> dict:
 
 
 def write_meta_json(net: InferredNetwork, path):
-    atomic_write_text(path, json.dumps(network_meta(net), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, [json.dumps(network_meta(net), indent=2, sort_keys=True) + "\n"])
 
 
 def _optional_column(columns, m: int, dtype) -> np.ndarray:
@@ -296,8 +340,11 @@ def _read_meta(path) -> dict:
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
         homogeneity = meta.get("homogeneity", {})
+        node_ids = tuple(meta["node_ids"])
+        if not all(isinstance(v, str) for v in node_ids):
+            raise TypeError("node_ids holds a value that is not a string")
         return {
-            "node_ids": tuple(meta["node_ids"]),
+            "node_ids": node_ids,
             "attribute_names": tuple(meta["attribute_names"]),
             "method": meta["method"],
             "gamma": float(meta["gamma"]),
@@ -385,18 +432,19 @@ def summary_dict(s: NetworkSummary) -> dict:
 
 
 def write_summary_json(summaries: dict, path):
-    atomic_write_text(path, json.dumps(summaries, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, [json.dumps(summaries, indent=2, sort_keys=True) + "\n"])
 
 
 def write_jaccard_csv(rows, path):
     a, b, value, shared = zip(*rows) if rows else ((),) * 4
     _write_columns(path, ["network_a", "network_b", "jaccard", "shared_edges"],
-                   [a, b, _cells(np.array(value, dtype=float)), _cells(np.array(shared, dtype=int))])
+                   [a, b, np.array(value, dtype=float), np.array(shared, dtype=int)])
 
 
 def write_distribution_csv(net: InferredNetwork, degrees, clustering, betweenness, path):
     _write_columns(path, ["node_id", "degree", "clustering", "betweenness"],
-                   [net.node_ids, _cells(degrees), _cells(clustering), _cells(betweenness)])
+                   [net.node_ids, np.asarray(degrees), np.asarray(clustering),
+                    np.asarray(betweenness)])
 
 
 def write_edge_classes_csv(edge_classes: EdgeClasses, attribute_names, path):
@@ -406,7 +454,7 @@ def write_edge_classes_csv(edge_classes: EdgeClasses, attribute_names, path):
                    [names[edge_classes.ends[:, 0]], names[edge_classes.ends[:, 1]],
                     np.array(edge_classes.labels, dtype=object)[edge_classes.code],
                     [fmt(edge_classes.threshold)] * len(edge_classes),
-                    *(_cells(c) for c in edge_classes.contrib.T)])
+                    *edge_classes.contrib.T])
 
 
 def read_node_classes(path) -> dict:
@@ -436,7 +484,7 @@ def _node_class_columns(node_classes: NodeClasses, attribute_names):
     header = ["node_id", "label"] + [f"p_{a}" for a in attribute_names] + ["p_mixed"]
     return header, [node_classes.node_ids,
                     np.array(node_classes.labels, dtype=object)[node_classes.code],
-                    *(_cells(p) for p in node_classes.proportions.T)]
+                    *node_classes.proportions.T]
 
 
 def write_node_classes_csv(node_classes: NodeClasses, attribute_names, path):
@@ -448,24 +496,23 @@ def write_simplex_csv(node_classes: NodeClasses, attribute_names, path):
     header, columns = _node_class_columns(node_classes, attribute_names)
     if len(attribute_names) == 2:
         header += ["x", "y"]
-        columns += [_cells(c) for c in simplex_xy(node_classes.proportions)]
+        columns += list(simplex_xy(node_classes.proportions))
     _write_columns(path, header, columns)
 
 
 def write_histogram_csv(counts, path):
     edges = np.linspace(0.0, 1.0, len(counts) + 1)
     _write_columns(path, ["bin_low", "bin_high", "count"],
-                   [_cells(edges[:-1]), _cells(edges[1:]), _cells(np.asarray(counts, dtype=int))])
+                   [edges[:-1], edges[1:], np.asarray(counts, dtype=int)])
 
 
 def write_enrichment_csv(report: EnrichmentReport, path):
     classes, sets = len(report.class_labels), len(report.set_names)
     _write_columns(path, ["class", "set", "overlap", "set_size", "class_size", "p", "q", "enriched"],
                    [[label for label in report.class_labels for _ in range(sets)],
-                    report.set_names * classes, _cells(report.overlap.ravel()),
-                    _cells(np.tile(report.set_size, classes)),
-                    _cells(np.repeat(report.class_size, sets)), _cells(report.p.ravel()),
-                    _cells(report.q.ravel()), _cells(report.enriched.ravel().astype(int))])
+                    report.set_names * classes, report.overlap.ravel(),
+                    np.tile(report.set_size, classes), np.repeat(report.class_size, sets),
+                    report.p.ravel(), report.q.ravel(), report.enriched.ravel().astype(int)])
 
 
 def write_power_csv(result: PowerResult, path):
@@ -476,6 +523,6 @@ def write_power_csv(result: PowerResult, path):
     constants = [[fmt(value)] * rows
                  for value in (spec.rho1, spec.rho2, spec.n, spec.reps, spec.alpha)]
     _write_columns(path, ["r", "b", "rho1", "rho2", "n", "reps", "alpha", "scenario", "power", "mc_se"],
-                   [_cells(np.repeat(r, scenarios)), _cells(np.repeat(b, scenarios)), *constants,
-                    _cells(np.tile(spec.scenarios, len(spec.grid))), _cells(result.power.ravel()),
-                    _cells(result.mc_se.ravel())])
+                   [np.repeat(r, scenarios), np.repeat(b, scenarios), *constants,
+                    np.tile(spec.scenarios, len(spec.grid)), result.power.ravel(),
+                    result.mc_se.ravel()])

@@ -126,6 +126,12 @@ class TestGmtParsing:
         with pytest.raises(SchemaMismatch):
             parse_gmt(["s\td\tg1", "s\td\tg2"])
 
+    @pytest.mark.parametrize("space", [" ", "\x1c", "\xa0", "\u2003", "\r"])
+    def test_members_stripped_of_any_whitespace(self, space):
+        lines = [f"s\td\tg1\t{space}g2{space}\t{space}\tg3", "t\td\tg1\tg4\t", "u\td\t\tg5"]
+        sets, _ = parse_gmt(lines)
+        assert sets == {"s": {"g1", "g2", "g3"}, "t": {"g1", "g4"}, "u": {"g5"}}
+
     def test_members_deduplicated(self):
         gsc = GeneSetCollection(universe_size=10, sets={"s": ["g1", "g1", "g2"]})
         assert gsc.sets["s"] == frozenset({"g1", "g2"})
