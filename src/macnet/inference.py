@@ -414,42 +414,31 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
     log det M = log det(A + B) + log det(A - B), A = (C_ii + C_jj)/2,
     B = (C_ij + C_ij')/2.  Returns the test over the non-singular pairs, the mask of
     singular ones, which get no verdict, and log Wilks' Lambda, the sum of
-    log(1 - root^2), as log det S - log det C_jj where the screen below clears the
-    pair (NaN elsewhere).
+    log(1 - root^2), as log det S - log det C_jj for every non-singular pair (NaN for
+    the singular).
 
     C is singular when C scaled to unit diagonal, R = D^-1/2 C D^-1/2 with D the
     diagonal of C, fails ``numkernel.pd_mask``'s rule, so the verdict does not
-    depend on attribute units.  ``numkernel.schur_screen`` clears most pairs from
-    log det R = log det C - sum log D; every other pair is decided by ``pd_mask`` on
-    its assembled 2k-by-2k R.
+    depend on attribute units.  ``numkernel.schur_logdet`` gives the verdict and
+    log det S of every pair.
     """
     c_ii, inv_ii, logdet_ii, pd_i = facts_i
     c_jj, _, logdet_jj, pd_j = facts_j
     k = cross.shape[-1]
-    cross_t = np.swapaxes(cross, -1, -2)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero stack fails the PD rule
         log_diagonal = (np.log(np.diagonal(c_ii, axis1=-2, axis2=-1)).sum(axis=-1)
                         + np.log(np.diagonal(c_jj, axis1=-2, axis2=-1)).sum(axis=-1))
-        logdet_schur, clean = numkernel.schur_screen(pd_i & pd_j, inv_ii, logdet_ii, c_jj,
-                                                     cross, log_diagonal)
+        logdet_schur, pd = numkernel.schur_logdet(c_ii, pd_i & pd_j, inv_ii, logdet_ii, c_jj,
+                                                  cross, log_diagonal)
     logdet_free = logdet_ii + logdet_schur
-    log_lambda = np.where(clean, logdet_schur - logdet_jj, np.nan)
+    log_lambda = np.where(pd, logdet_schur - logdet_jj, np.nan)
     marginal = (c_ii + c_jj) / 2.0
-    sym = (cross + cross_t) / 2.0
+    sym = (cross + np.swapaxes(cross, -1, -2)) / 2.0
     logdet_model = numkernel.slogdet(marginal + sym)[1] + numkernel.slogdet(marginal - sym)[1]
-
-    singular = np.zeros(clean.shape, dtype=bool)
-    undecided = np.flatnonzero(~clean)
-    if undecided.size:
-        free = np.block([[c_ii[undecided], cross[undecided]],
-                         [cross_t[undecided], c_jj[undecided]]])
-        singular[undecided] = ~numkernel.pd_mask(numkernel.unit_diagonal(free))
-        # the Schur form needs C_ii^-1, which a block that fails the rule lacks
-        logdet_free[undecided] = np.linalg.slogdet(free)[1]
-    statistic = np.maximum(0.0, n * (logdet_model[~singular] - logdet_free[~singular]))
+    statistic = np.maximum(0.0, n * (logdet_model[pd] - logdet_free[pd]))
     df = k * (k + 1) // 2 + k * (k - 1) // 2
     test = HomogeneityTest(statistic=statistic, df=df, p=chi2_sf(statistic, df))
-    return test, singular, log_lambda
+    return test, ~pd, log_lambda
 
 
 def homogeneity_test_from_cov(sample_cov, n: int):

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from io import StringIO
 from pathlib import Path
@@ -90,13 +91,17 @@ def _block_cells(part) -> list:
 
 def atomic_write_text(path, blocks: Iterable[str]):
     """Write the strings of ``blocks``, in order, to a temp file beside ``path``, then
-    rename it over ``path``; a failed write leaves ``path`` as it was."""
+    rename it over ``path``; a failed write leaves ``path`` as it was.  The file gets
+    the mode ``open`` would give it, 0o666 less the umask, not mkstemp's 0o600."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(blocks)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -336,13 +341,17 @@ def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
 
 def _read_meta(path) -> dict:
     """The ``InferredNetwork`` fields that a meta.json written by ``infer`` holds; a file
-    that is not JSON, or lacks or mistypes a field, is rejected with its path."""
+    that is not JSON, lacks or mistypes a field, or repeats a node id, is rejected with
+    its path."""
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
         homogeneity = meta.get("homogeneity", {})
         node_ids = tuple(meta["node_ids"])
         if not all(isinstance(v, str) for v in node_ids):
             raise TypeError("node_ids holds a value that is not a string")
+        repeated = [v for v, count in Counter(node_ids).items() if count > 1]
+        if repeated:
+            raise ValueError(f"node_ids repeats {repeated[0]!r}")
         return {
             "node_ids": node_ids,
             "attribute_names": tuple(meta["attribute_names"]),

@@ -271,39 +271,32 @@ class _NodeFacts:
 
 def _test_cca(facts: _NodeFacts, i, j, sigma_ij, log_lambda, gamma: float):
     """Canonical-correlation tests of the pairs (i[p], j[p]), given their log Wilks'
-    Lambda from the homogeneity step (NaN where its screen left a pair undecided):
+    Lambda from the homogeneity step (NaN where it found the pair singular):
     similarity, statistic and p (NaN where skipped), floored flags, repair changes, and
     contributions.  Similarity and contributions are NaN unless p <= gamma, as BH can
     reject no other pair, so T, the roots and the weights are formed for the candidates
-    only.  Undecided pairs, and pairs on a node without an inverse root, are assembled,
-    checked, floored or re-estimated, and take log Lambda from their roots."""
+    only.  Singular pairs, and pairs on a node without an inverse root, are re-estimated
+    from their stacked samples, floored or skipped, and take log Lambda from their roots."""
     k = facts.k
     inv_i, inv_j = facts.inv_sqrt[i], facts.inv_sqrt[j]
     cross = sigma_ij.copy()
-    both = facts.pd[i] & facts.pd[j]
     log_lambda = log_lambda.copy()
     floored, change = np.zeros(i.size, dtype=bool), np.zeros(i.size)
-    undecided = np.flatnonzero(np.isnan(log_lambda) | ~both)
-    if undecided.size:
-        iu, ju = i[undecided], j[undecided]
-        joint = np.block([[facts.sigma[iu], cross[undecided]],
-                          [np.swapaxes(cross[undecided], 1, 2), facts.sigma[ju]]])
-        joint, floored[undecided], change[undecided] = _floor_supermatrix(joint)
-        # pairs that need repair or touch a node without an inverse root are re-estimated
-        # from their stacked samples, as the repair magnifies last-bit differences in its input
-        own = floored[undecided] | ~both[undecided]
-        stacked = np.concatenate([facts.samples[iu[own]], facts.samples[ju[own]]], axis=2)
-        joint[own], floored[undecided[own]], change[undecided[own]] = _floor_supermatrix(
+    repair = np.flatnonzero(np.isnan(log_lambda) | ~(facts.pd[i] & facts.pd[j]))
+    if repair.size:
+        # from the samples, not the node facts, as the repair magnifies last-bit
+        # differences in its input
+        stacked = np.concatenate([facts.samples[i[repair]], facts.samples[j[repair]]], axis=2)
+        joint, floored[repair], change[repair] = _floor_supermatrix(
             numkernel.corr_matrices(stacked))
-        own &= change[undecided] <= FLOOR_SKIP_DELTA
+        kept = change[repair] <= FLOOR_SKIP_DELTA
+        joint, redo = joint[kept], repair[kept]
         # a clean or repaired joint matrix is positive-definite, and so are its blocks
-        redo = undecided[own]
-        inv_i[redo] = numkernel.inv_sqrt_spd_stack(joint[own, :k, :k])
-        inv_j[redo] = numkernel.inv_sqrt_spd_stack(joint[own, k:, k:])
-        cross[redo] = joint[own, :k, k:]
-        kept = undecided[change[undecided] <= FLOOR_SKIP_DELTA]
-        roots = similarity.canonical_roots(inv_i[kept] @ cross[kept] @ inv_j[kept])
-        log_lambda[kept] = np.log1p(-(roots * roots)).sum(axis=-1)
+        inv_i[redo] = numkernel.inv_sqrt_spd_stack(joint[:, :k, :k])
+        inv_j[redo] = numkernel.inv_sqrt_spd_stack(joint[:, k:, k:])
+        cross[redo] = joint[:, :k, k:]
+        roots = similarity.canonical_roots(inv_i[redo] @ cross[redo] @ inv_j[redo])
+        log_lambda[redo] = np.log1p(-(roots * roots)).sum(axis=-1)
     ok = change <= FLOOR_SKIP_DELTA
     test = inference._bartlett_from_log_lambda(log_lambda[ok], facts.n, k)
     out = np.full((3, i.size), np.nan)

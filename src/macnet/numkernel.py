@@ -92,31 +92,32 @@ def pd_from_eigenvalues(values: np.ndarray) -> np.ndarray:
     return (values[..., -1] > 0.0) & (values[..., 0] > PD_TOLERANCE * values[..., -1])
 
 
-def pd_by_determinant(logdet, d: int) -> np.ndarray:
-    """Which positive-definite d-by-d matrices with unit diagonal certainly pass
-    ``pd_from_eigenvalues``'s rule, given their log determinants: those with
-    det > 2 PD_TOLERANCE d^d.  There lambda_max <= tr = d and
-    lambda_min >= det / lambda_max^(d-1) >= det / d^(d-1), so lambda_min clears
-    PD_TOLERANCE lambda_max with a factor 2 for rounding.  Every other matrix is
-    decided by ``pd_mask``."""
-    return logdet > math.log(2.0 * PD_TOLERANCE) + d * math.log(d)
-
-
-def schur_screen(a_pd, inv_a, logdet_a, b, x, log_diagonal=0.0):
+def schur_logdet(a, a_pd, inv_a, logdet_a, b, x, log_diagonal=0.0):
     """log det S of the Schur complement S = B - X' A^-1 X of each block matrix
-    M = [[A, X], [X', B]] of a stack, given A's inverse, log determinant and PD mask,
-    and the mask of the M that certainly pass ``pd_from_eigenvalues``'s rule once
-    scaled to unit diagonal (``log_diagonal``: the sum of the logs of M's diagonal).
-    Those are the M with A and S positive-definite, S by its leading principal minors,
-    whose log det M - log_diagonal = log det A + log det S - log_diagonal clears
-    ``pd_by_determinant``.  Every other M is left to ``pd_mask``."""
+    M = [[A, X], [X', B]] of a stack, and whether M passes ``pd_mask``'s rule once
+    scaled to unit diagonal, given A with its PD mask, inverse and log determinant
+    (``log_diagonal``: the sum of the logs of M's diagonal).
+
+    Most M are cleared without assembly: A and S positive-definite, S by its leading
+    principal minors, and log det M - log_diagonal above log(2 PD_TOLERANCE d^d),
+    d = dim M.  The scaled M has lambda_max <= tr = d and
+    lambda_min >= det / lambda_max^(d-1) >= det / d^(d-1), so lambda_min clears
+    PD_TOLERANCE lambda_max with a factor 2 for rounding.  Every other M is assembled,
+    decided by ``pd_mask`` and given log det S = log det M - log det A."""
     s = b - np.swapaxes(x, -1, -2) @ inv_a @ x
     sign, logdet = slogdet(s)
-    clean = a_pd & (sign > 0.0) & (s[:, 0, 0] > 0.0)
+    pd = a_pd & (sign > 0.0) & (s[:, 0, 0] > 0.0)
     for d in range(2, s.shape[-1]):
-        clean &= slogdet(s[:, :d, :d])[0] > 0.0
-    return logdet, clean & pd_by_determinant(logdet_a + logdet - log_diagonal,
-                                             inv_a.shape[-1] + s.shape[-1])
+        pd &= slogdet(s[:, :d, :d])[0] > 0.0
+    d = a.shape[-1] + b.shape[-1]
+    pd &= logdet_a + logdet - log_diagonal > math.log(2.0 * PD_TOLERANCE) + d * math.log(d)
+    rest = np.flatnonzero(~pd)
+    if rest.size:
+        m = np.block([[a[rest], x[rest]], [np.swapaxes(x[rest], -1, -2), b[rest]]])
+        pd[rest] = a_pd[rest] & pd_mask(unit_diagonal(m))
+        with np.errstate(invalid="ignore"):  # an A without a log determinant fails
+            logdet[rest] = slogdet(m)[1] - logdet_a[rest]
+    return logdet, pd
 
 
 def unit_diagonal(a) -> np.ndarray:

@@ -249,26 +249,18 @@ def _log_wilks_lambda(joint: np.ndarray) -> np.ndarray:
     stack (m, 4, 4) with 2-by-2 blocks R11, R12, R22.
 
     Since det R = det R11 det S with S = R22 - R12' R11^-1 R12, it is
-    log det S - log det R22, from 2-by-2 determinants only (``numkernel.slogdet``).
-    An R that ``numkernel.schur_screen`` clears certainly passes
-    ``numkernel.pd_mask``'s rule; ``pd_mask`` decides every other R, and LAPACK gives
-    its log det R.  Raises ``NotPositiveDefinite`` if an R fails the rule.
+    log det S - log det R22, with log det S and the PD verdict from
+    ``numkernel.schur_logdet``.  Raises ``NotPositiveDefinite`` if an R fails
+    ``numkernel.pd_mask``'s rule.
     """
     r11, r12, r22 = joint[:, :2, :2], joint[:, :2, 2:], joint[:, 2:, 2:]
     sign11, logdet11 = numkernel.slogdet(r11)
     # a unit-diagonal 2-by-2 block with a positive determinant is positive-definite
-    logdet_schur, clean = numkernel.schur_screen(sign11 > 0.0, numkernel.inv_2x2(r11),
-                                                 logdet11, r22, r12)
-    logdet22 = numkernel.slogdet(r22)[1]
-    with np.errstate(invalid="ignore"):  # a singular block fails the screen
-        log_lambda = logdet_schur - logdet22
-    undecided = np.flatnonzero(~clean)
-    if undecided.size:
-        if not np.all(numkernel.pd_mask(joint[undecided])):
-            raise NotPositiveDefinite("joint correlation matrix is not positive-definite")
-        log_lambda[undecided] = (np.linalg.slogdet(joint[undecided])[1]
-                                 - logdet11[undecided] - logdet22[undecided])
-    return log_lambda
+    logdet_schur, pd = numkernel.schur_logdet(r11, sign11 > 0.0, numkernel.inv_2x2(r11),
+                                              logdet11, r22, r12)
+    if not np.all(pd):
+        raise NotPositiveDefinite("joint correlation matrix is not positive-definite")
+    return logdet_schur - numkernel.slogdet(r22)[1]
 
 
 def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarray, reps):

@@ -256,10 +256,11 @@ def random_blocks(rng, m, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("rho1", [None, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
-def test_schur_screen_accepts_only_clean_pairs(k, rho1):
-    """Every pair whose log Wilks' Lambda the homogeneity step takes from its Schur
-    complement (``numkernel.schur_screen``) is clean under ``pd_from_eigenvalues`` of its
-    assembled joint matrix; the screen sees the pairs as ``_test_cca`` reads them."""
+def test_schur_screen_accepts_only_clean_pairs(k, rho1, monkeypatch):
+    """The homogeneity step (``numkernel.schur_logdet``) calls a pair non-singular, and
+    gives it a log Wilks' Lambda, exactly where ``pd_from_eigenvalues`` of its assembled
+    joint matrix is clean; its determinant screen clears some pairs without assembling
+    them exactly where the bound is reachable.  The pairs are as ``_test_cca`` reads them."""
     rng = np.random.default_rng(int(1e3 * k + (0 if rho1 is None else -np.log10(1 - rho1))))
     m = 4000
     blocks = random_blocks(rng, 2 * m, k)
@@ -273,16 +274,24 @@ def test_schur_screen_accepts_only_clean_pairs(k, rho1):
     u = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
     v = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
     cross = root[:m] @ (u * roots[:, None, :]) @ np.swapaxes(v, 1, 2) @ root[m:]
-    _, _, log_lambda = inference.homogeneity_test_from_blocks(
+    assembled = []
+    pd_mask = numkernel.pd_mask
+
+    def recording(a):
+        assembled.append(len(a) if a.shape[-1] == 2 * k else 0)
+        return pd_mask(a)
+
+    monkeypatch.setattr(numkernel, "pd_mask", recording)
+    _, singular, log_lambda = inference.homogeneity_test_from_blocks(
         inference.covariance_block_facts(blocks[:m]), inference.covariance_block_facts(blocks[m:]),
         cross, 50)
-    accepted = ~np.isnan(log_lambda)
     joint = np.block([[blocks[:m], cross], [np.swapaxes(cross, 1, 2), blocks[m:]]])
     clean = numkernel.pd_from_eigenvalues(np.linalg.eigh(joint)[0])
-    assert not (accepted & ~clean).any()
+    np.testing.assert_array_equal(singular, ~clean)
+    np.testing.assert_array_equal(np.isnan(log_lambda), ~clean)
     # det R <= 1 - rho1^2 cannot clear the bound 2 PD_TOLERANCE (2k)^(2k) below it
     reachable = rho1 is None or 1 - rho1**2 > 2 * numkernel.PD_TOLERANCE * (2 * k) ** (2 * k)
-    assert accepted.any() == reachable
+    assert (sum(assembled) < m) == reachable
     assert (~clean).any() or rho1 is None
 
 

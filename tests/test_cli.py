@@ -376,8 +376,10 @@ class TestMalformedEdgeAndClassFiles:
     @pytest.mark.parametrize("command", ["netstat", "classify"])
     @pytest.mark.parametrize("meta", ["{}", '{"method": "cca", "node_ids": ["a", "b"',
                                       '{"method": "cca", "gamma": 0.05, "n_samples": 60, '
-                                      '"node_ids": ["a", 7], "attribute_names": ["p", "g"]}'],
-                             ids=["empty", "truncated", "numeric_id"])
+                                      '"node_ids": ["a", 7], "attribute_names": ["p", "g"]}',
+                                      '{"method": "cca", "gamma": 0.05, "n_samples": 60, '
+                                      '"node_ids": ["a", "b", "a"], "attribute_names": ["p", "g"]}'],
+                             ids=["empty", "truncated", "numeric_id", "repeated_id"])
     def test_unreadable_meta(self, tmp_path, capsys, command, meta):
         # an empty object used to end in a KeyError, a truncated file in a JSONDecodeError
         (tmp_path / "meta.json").write_text(meta)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +451,63 @@ class TestHomogeneityLrt:
         assert not numkernel.pd_mask(cov).any()
         _, singular = homogeneity_test_from_cov(cov, 30)
         assert singular.tolist() == [True]
+
+    @staticmethod
+    def exact_det(a):
+        """Determinant of a float matrix in exact rational arithmetic."""
+        m = [[Fraction(float(v)) for v in row] for row in a]
+        det = Fraction(1)
+        for c in range(len(m)):
+            pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+            if pivot is None:
+                return Fraction(0)
+            if pivot != c:
+                m[c], m[pivot], det = m[pivot], m[c], -det
+            det *= m[c][c]
+            for r in range(c + 1, len(m)):
+                f = m[r][c] / m[c][c]
+                m[r][c:] = [x - f * y for x, y in zip(m[r][c:], m[c][c:])]
+        return det
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_log_wilks_lambda_is_accurate_on_ill_conditioned_pairs(self, seed, monkeypatch):
+        # each node's second attribute is its first plus noise 3e-2 down to 1e-3, and
+        # node 1 is node 0 plus noise, so some pairs clear the determinant screen and
+        # some reach the assembled fallback
+        n_nodes, n, k = 30, 40, 2
+        rng = np.random.default_rng(seed)
+        first = rng.standard_normal((n_nodes, n))
+        noise = np.resize([3e-2, 1e-2, 3e-3, 1e-3], n_nodes)[:, None]
+        samples = np.stack([first, first + noise * rng.standard_normal((n_nodes, n))], axis=1)
+        samples[1] = samples[0] + 0.3 * rng.standard_normal((k, n))
+        centred = samples - samples.mean(axis=2, keepdims=True)
+        i, j = np.triu_indices(n_nodes, 1)
+        cov = np.einsum("van,vbn->vab", centred, centred) / n
+        cross = np.einsum("pan,pbn->pab", centred[i], centred[j]) / n
+        assembled = []
+        unit_diagonal = numkernel.unit_diagonal
+
+        def recording(a):
+            if a.shape[-1] == 2 * k:
+                assembled.extend(m.tobytes() for m in a)
+            return unit_diagonal(a)
+
+        monkeypatch.setattr(numkernel, "unit_diagonal", recording)
+        facts = inference.covariance_block_facts(cov)
+        _, singular, log_lambda = inference.homogeneity_test_from_blocks(
+            [f[i] for f in facts], [f[j] for f in facts], cross, n)
+        joint = np.block([[cov[i], cross], [np.swapaxes(cross, 1, 2), cov[j]]])
+        assembled = set(assembled)
+        fallback = np.array([m.tobytes() in assembled for m in joint])
+        values = np.linalg.eigvalsh(unit_diagonal(joint))
+        kappa = values[:, -1] / values[:, 0]
+        ratio = np.full(len(joint), np.nan)
+        for p in np.flatnonzero(~singular):
+            exact = math.log(self.exact_det(joint[p]) / (self.exact_det(joint[p, :k, :k])
+                                                         * self.exact_det(joint[p, k:, k:])))
+            ratio[p] = abs(log_lambda[p] - exact) / (np.finfo(float).eps * kappa[p])
+        assert (fallback & ~singular).any() and (~fallback & ~singular).any()
+        assert np.all(ratio[~singular] <= 4.0)
 
     def test_insufficient_samples(self):
         # with n <= 2k samples the stacked covariance is singular, so no verdict

@@ -2,6 +2,8 @@
 
 import csv
 import io
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -82,3 +84,19 @@ def test_edges_and_node_classes_round_trip_awkward_names(tmp_path):
     with open(tmp_path / "node_classes.csv", newline="", encoding="utf-8") as handle:
         header = next(csv.reader(handle))
     assert header == ["node_id", "label", "p_a,b", 'p_x"y', "p_mixed"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_written_file_takes_the_umask_mode(tmp_path, umask, mode):
+    # mkstemp creates the temp file 0o600, which the rename used to carry over
+    old = os.umask(umask)
+    try:
+        io_mod.atomic_write_text(tmp_path / "out.csv", ["a\n"])
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w") as handle:
+            handle.write("a\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == mode
+    assert stat.S_IMODE(reference.stat().st_mode) == mode
