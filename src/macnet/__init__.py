@@ -30,9 +30,7 @@ from .inference import (
     bartlett_chi2,
     bh_fdr,
     chi2_sf,
-    extreme_corr_mc_pvalue,
     extreme_corr_pvalue,
-    extreme_corr_pvalue_two_sided,
     fisher_z,
     normal_sf,
 )

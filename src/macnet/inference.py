@@ -108,6 +108,14 @@ def _require_fisher_n(n: int) -> None:
         raise InsufficientSamples(f"need at least 4 samples, got {n}")
 
 
+def correlation_test(r, n: int, *, two_sided: bool = True):
+    """Test of sample correlations r at n samples: (z, p), with z the Fisher
+    statistic and p its normal tail, both tails or the upper one."""
+    z = fisher_z(r, n)
+    p = 2.0 * normal_sf(np.abs(z)) if two_sided else normal_sf(z)
+    return z, p
+
+
 @dataclass(frozen=True)
 class BartlettTest:
     statistic: float
@@ -155,8 +163,8 @@ def _w_formula(c, arc, mode: str):
 
     ``arc`` is the angle arccos of the correlation between the two
     statistics.  The correction term is an approximation of uncertain
-    accuracy at low correlation; see :func:`extreme_corr_mc_pvalue` for the
-    calibrated alternative.  Output is clamped to [0, 1].
+    accuracy at low correlation; ``extreme_corr_pvalue`` with a sampler gives
+    the calibrated alternative.  Output is clamped to [0, 1].
     """
     c = np.asarray(c, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,33 +188,31 @@ def _check_extreme_inputs(z1, z2, rho_z, mode: str):
     return np.clip(rho_z, -1.0, 1.0)
 
 
-def extreme_corr_pvalue(z1, z2, rho_z, mode: str):
-    """One-sided tail probability for max(z1, z2) or min(z1, z2)."""
-    rho_z = _check_extreme_inputs(z1, z2, rho_z, mode)
-    arc = np.arccos(rho_z)
-    c = np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2)
-    return _float_or_array(_w_formula(c, arc, mode))
+def extreme_corr_pvalue(z1, z2, rho_z, mode: str, *, two_sided: bool = False,
+                        sampler: Optional[ExtremeTailSampler] = None):
+    """Tail probability for max(z1, z2) or min(z1, z2), or with ``two_sided`` for the
+    extreme of |z1| and |z2|, where the two statistics have correlation ``rho_z``
+    (one value, or one per pair).
 
-
-def extreme_corr_pvalue_two_sided(z1, z2, rho_z, mode: str):
-    """Two-sided tail probability for the extreme of two z statistics.
-
-    Built from the one-sided approximation by quadrant decomposition: for the
-    max, P(max|Z| > c) = 2 P(max Z > c) - 2 P(Z1 > c, Z2 < -c); for the min,
-    P(min|Z| > c) sums the two same-sign and two opposite-sign quadrants.
-    Opposite-sign quadrants reuse the one-sided form at the negated
-    correlation.
+    Without a sampler it is the analytic approximation; the two-sided form comes
+    from the one-sided one by quadrant decomposition: for the max,
+    P(max|Z| > c) = 2 P(max Z > c) - 2 P(Z1 > c, Z2 < -c); for the min,
+    P(min|Z| > c) sums the two same-sign and two opposite-sign quadrants, and the
+    opposite-sign quadrants reuse the one-sided form at the negated correlation.
+    With a sampler it is the sampler's Monte Carlo estimate.
     """
     rho_z = _check_extreme_inputs(z1, z2, rho_z, mode)
-    arc = np.arccos(rho_z)
-    arc_neg = np.arccos(-rho_z)
-    if mode == "max":
-        c = np.maximum(np.abs(z1), np.abs(z2))
-        value = 2.0 * _w_formula(c, arc, "max") - 2.0 * _w_formula(c, arc_neg, "min")
-    else:
-        c = np.minimum(np.abs(z1), np.abs(z2))
-        value = 2.0 * _w_formula(c, arc, "min") + 2.0 * _w_formula(c, arc_neg, "min")
-    return _float_or_array(np.clip(value, 0.0, 1.0))
+    if two_sided:
+        z1, z2 = np.abs(z1), np.abs(z2)
+    c = np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2)
+    if sampler is not None:
+        return sampler.pvalue(c, rho_z, mode, two_sided)
+    value = _w_formula(c, np.arccos(rho_z), mode)
+    if two_sided:
+        opposite = 2.0 * _w_formula(c, np.arccos(-rho_z), "min")
+        value = np.clip(2.0 * value - opposite if mode == "max" else 2.0 * value + opposite,
+                        0.0, 1.0)
+    return _float_or_array(value)
 
 
 class ExtremeTailSampler:
@@ -214,49 +220,32 @@ class ExtremeTailSampler:
 
     Draws a fixed panel of standard-normal pairs once; each query correlates
     the panel to the requested level, so estimates are deterministic for a
-    given seed and smooth in the correlation.  Only the latest sorted table
-    is kept, since callers query in runs of one key.
+    given seed and smooth in the correlation.
     """
 
     def __init__(self, draws: int = 1_000_000, seed: int = 1905):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         self._u1 = rng.standard_normal(draws)
         self._u2 = rng.standard_normal(draws)
-        self._tables = {}
         self.draws = draws
 
-    def _pair(self, rho_z: float):
-        rho_z = min(1.0, max(-1.0, rho_z))
-        z2 = rho_z * self._u1 + math.sqrt(max(0.0, 1.0 - rho_z * rho_z)) * self._u2
-        return self._u1, z2
-
-    def sorted_extremes(self, rho_z: float, mode: str, two_sided: bool = False) -> np.ndarray:
-        key = (float(rho_z), mode, two_sided)
-        table = self._tables.get(key)
-        if table is None:
-            z1, z2 = self._pair(rho_z)
+    def pvalue(self, c, rho_z, mode: str, two_sided: bool = False):
+        """Share of the panel's extremes (of |z1| and |z2| with ``two_sided``) above
+        each c, at one ``rho_z`` or one per c; one sorted table per distinct rho_z."""
+        c, rho_z = np.broadcast_arrays(np.asarray(c, dtype=float), rho_z)
+        levels, which = np.unique(rho_z, return_inverse=True)
+        which = which.reshape(c.shape)
+        above = np.empty(c.shape)
+        for index, level in enumerate(levels.tolist()):
+            level = min(1.0, max(-1.0, level))
+            z1 = self._u1
+            z2 = level * z1 + math.sqrt(max(0.0, 1.0 - level * level)) * self._u2
             if two_sided:
                 z1, z2 = np.abs(z1), np.abs(z2)
-            extreme = np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2)
-            table = np.sort(extreme)
-            self._tables = {key: table}
-        return table
-
-    def pvalue(self, c, rho_z: float, mode: str, two_sided: bool = False):
-        table = self.sorted_extremes(rho_z, mode, two_sided)
-        idx = np.searchsorted(table, c, side="right")
-        return _float_or_array((table.size - idx) / table.size)
-
-
-def extreme_corr_mc_pvalue(z1, z2, rho_z: float, mode: str, *, two_sided: bool = False,
-                           sampler: Optional[ExtremeTailSampler] = None):
-    """Monte Carlo p-value for the extreme of two z statistics with correlation ``rho_z``."""
-    rho_z = float(_check_extreme_inputs(z1, z2, rho_z, mode))
-    sampler = sampler or ExtremeTailSampler()
-    if two_sided:
-        z1, z2 = np.abs(z1), np.abs(z2)
-    c = np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2)
-    return sampler.pvalue(c, rho_z, mode, two_sided)
+            table = np.sort(np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2))
+            at = which == index
+            above[at] = table.size - np.searchsorted(table, c[at], side="right")
+        return _float_or_array(above / self.draws)
 
 
 def w_formula_calibration_table(rho_values=(0.0, 0.3, 0.6), c_values=(1.5, 2.0, 2.5),
@@ -271,9 +260,9 @@ def w_formula_calibration_table(rho_values=(0.0, 0.3, 0.6), c_values=(1.5, 2.0, 
     rows = []
     for mode in ("max", "min"):
         for rho_z in rho_values:
-            for c in c_values:
+            estimates = sampler.pvalue(np.asarray(c_values, dtype=float), rho_z, mode)
+            for c, mc in zip(c_values, estimates.tolist()):
                 formula = extreme_corr_pvalue(c, c, rho_z, mode)
-                mc = extreme_corr_mc_pvalue(c, c, rho_z, mode, sampler=sampler)
                 se = math.sqrt(max(mc * (1.0 - mc), 1.0 / draws) / draws)
                 rows.append(
                     {"mode": mode, "rho_z": rho_z, "c": c, "formula": formula,

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import replace
 from io import StringIO
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -199,23 +199,17 @@ def _read_attribute_csv(path):
     return ids, block
 
 
-def ingest(paths: Sequence, attribute_names: Optional[Sequence[str]] = None) -> AttributeDataset:
+def ingest(paths: Sequence) -> AttributeDataset:
     """Build a dataset from one CSV per attribute, aligned by node id.
 
     All files must cover the same node ids with the same sample count; rows
     are aligned to the first file's order.  Attribute order follows file
-    order, named after the file stems unless names are supplied; two files
-    with one name are rejected.
+    order, named after the file stems; two files with one stem are rejected.
     """
     paths = [Path(p) for p in paths]
     if not paths:
         raise SchemaMismatch("no attribute files supplied")
-    if attribute_names is None:
-        attribute_names = [p.stem for p in paths]
-    if len(attribute_names) != len(paths):
-        raise SchemaMismatch(
-            f"{len(attribute_names)} attribute names for {len(paths)} files"
-        )
+    attribute_names = [p.stem for p in paths]
     first_path = {}
     for path, name in zip(paths, attribute_names):
         if name in first_path:
@@ -346,6 +340,9 @@ def _read_meta(path) -> dict:
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
         homogeneity = meta.get("homogeneity", {})
+        for field in ("node_ids", "attribute_names"):
+            if not isinstance(meta[field], list):
+                raise TypeError(f"{field} is not a list")
         node_ids = tuple(meta["node_ids"])
         if not all(isinstance(v, str) for v in node_ids):
             raise TypeError("node_ids holds a value that is not a string")

@@ -351,22 +351,15 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
                 [fact[i] for fact in facts.cov], [fact[j] for fact in facts.cov], gram / n, n)
         if method == "pearson":
             sims = sigma_ij[:, 0, 0]
-            statistic = inference.fisher_z(sims, n)
-            pvalues = np.minimum(1.0, 2.0 * inference.normal_sf(np.abs(statistic)))
+            statistic, pvalues = inference.correlation_test(sims, n)
         elif method in ("max", "min"):
             rhos = np.diagonal(sigma_ij, axis1=1, axis2=2)
-            zs = inference.fisher_z(rhos, n)
+            zs = inference.correlation_test(rhos, n)[0]
             rho_z = inference.fisher_z_correlation(facts.sigma[i], facts.sigma[j], sigma_ij)
             sims = similarity.aggregate_extreme(rhos, method)
             statistic = similarity.aggregate_extreme(zs, method)
-            if sampler is None:
-                pvalues = inference.extreme_corr_pvalue_two_sided(*zs.T, rho_z, method)
-            else:
-                pvalues = np.array([
-                    inference.extreme_corr_mc_pvalue(a, b, r, method, two_sided=True,
-                                                     sampler=sampler)
-                    for a, b, r in zip(*zs.T, rho_z)
-                ])
+            pvalues = inference.extreme_corr_pvalue(*zs.T, rho_z, method, two_sided=True,
+                                                    sampler=sampler)
         else:
             sims, statistic, pvalues, was_floored, change, contrib = _test_cca(
                 facts, i, j, sigma_ij, log_lambda, gamma)

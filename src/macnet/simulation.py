@@ -264,17 +264,20 @@ def _log_wilks_lambda(joint: np.ndarray) -> np.ndarray:
 
 
 def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarray, reps):
-    """z1 and z2 of the replicates ``reps`` of one grid point, then their Bartlett
-    p-values if scenario 5 is requested."""
+    """z1 and z2 of the replicates ``reps`` of one grid point, the p-values of
+    scenarios 1 and 2, then scenario 5's Bartlett p-values if it is requested."""
     normals = _replicate_normals(spec.seed, grid_index, reps, spec.n)
     joint = numkernel.corr_matrices(normals @ lower.T)
-    z1 = inference.fisher_z(joint[:, 0, 2], spec.n)
-    z2 = inference.fisher_z(joint[:, 1, 3], spec.n)
+    two_sided = not spec.one_sided
+    z1, p1 = inference.correlation_test(joint[:, 0, 2], spec.n, two_sided=two_sided)
+    z2, p2 = inference.correlation_test(joint[:, 1, 3], spec.n, two_sided=two_sided)
     if 5 not in spec.scenarios:
-        return z1, z2
+        return z1, z2, p1, p2
     # unrestricted block estimates: the k^2-df chi-squared reference assumes a
     # freely estimated cross block even though the generator is homogeneous
-    return z1, z2, inference._bartlett_from_log_lambda(_log_wilks_lambda(joint), spec.n, 2).p
+    # (the chi-squared test is upper-tailed in both settings)
+    bartlett = inference._bartlett_from_log_lambda(_log_wilks_lambda(joint), spec.n, 2)
+    return z1, z2, p1, p2, bartlett.p
 
 
 def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: float) -> list:
@@ -285,33 +288,18 @@ def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: f
                               range(start, min(start + REPLICATE_CHUNK, spec.reps)))
         for start in range(0, spec.reps, REPLICATE_CHUNK)
     ]
-    z1, z2, *bartlett_p = (np.concatenate(parts) for parts in zip(*chunks))
-
-    rho_z = sampler = None
-    if 3 in spec.scenarios or 4 in spec.scenarios:  # only the max/min scenarios read rho_z
+    z1, z2, *columns = (np.concatenate(parts) for parts in zip(*chunks))
+    pvalues = dict(zip((1, 2, 5), columns))
+    extremes = [(s, mode) for s, mode in ((3, "max"), (4, "min")) if s in spec.scenarios]
+    if extremes:  # only the max/min scenarios read rho_z
         rho_z = min(1.0, max(-1.0, float(np.corrcoef(z1, z2)[0, 1])))
+        sampler = None
         if spec.pvalue_mode == "montecarlo":
             sampler = inference.ExtremeTailSampler(seed=spec.seed * 1_000_003 + grid_index)
-
-    rejections = []
-    for scenario in spec.scenarios:
-        if scenario in (1, 2):
-            z = z1 if scenario == 1 else z2
-            p = inference.normal_sf(z) if spec.one_sided else 2.0 * inference.normal_sf(np.abs(z))
-        elif scenario in (3, 4):
-            mode = "max" if scenario == 3 else "min"
-            if sampler is not None:
-                p = inference.extreme_corr_mc_pvalue(z1, z2, rho_z, mode,
-                                                     two_sided=not spec.one_sided, sampler=sampler)
-            elif spec.one_sided:
-                p = inference.extreme_corr_pvalue(z1, z2, rho_z, mode)
-            else:
-                p = inference.extreme_corr_pvalue_two_sided(z1, z2, rho_z, mode)
-        else:
-            # the chi-squared test is upper-tailed in both settings
-            p = bartlett_p[0]
-        rejections.append(int(np.sum(np.asarray(p) < spec.alpha)))
-    return rejections
+        for scenario, mode in extremes:
+            pvalues[scenario] = inference.extreme_corr_pvalue(
+                z1, z2, rho_z, mode, two_sided=not spec.one_sided, sampler=sampler)
+    return [int(np.sum(pvalues[scenario] < spec.alpha)) for scenario in spec.scenarios]
 
 
 def power_study(spec: PowerStudySpec) -> PowerResult:

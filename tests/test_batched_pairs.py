@@ -86,11 +86,8 @@ def reference_network(data, method, gamma, sampler=None):
                 rhos = [joint[0, 2], joint[1, 3]]
                 zs = [inference.fisher_z(r, n) for r in rhos]
                 rho_z = inference.fisher_z_correlation(joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
-                if sampler is None:
-                    p = inference.extreme_corr_pvalue_two_sided(zs[0], zs[1], rho_z, method)
-                else:
-                    p = inference.extreme_corr_mc_pvalue(zs[0], zs[1], rho_z, method,
-                                                         two_sided=True, sampler=sampler)
+                p = inference.extreme_corr_pvalue(zs[0], zs[1], rho_z, method, two_sided=True,
+                                                  sampler=sampler)
                 row = (similarity.aggregate_extreme(rhos, method),
                        similarity.aggregate_extreme(zs, method), None, p, None)
             else:
@@ -178,6 +175,22 @@ def test_monte_carlo_mode_matches_per_pair_reference():
     net = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
     reference = reference_network(data, "max", 0.05, sampler=inference.ExtremeTailSampler())
     assert_matches_reference(net, reference)
+
+
+def test_monte_carlo_mode_makes_one_tail_call_per_tile(monkeypatch):
+    calls = []
+    pvalue = inference.ExtremeTailSampler.pvalue
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return pvalue(self, *args, **kwargs)
+
+    monkeypatch.setattr(inference.ExtremeTailSampler, "pvalue", counting)
+    data = planted_dataset(8, 8, 2)
+    assert network.PAIR_CHUNK >= data.n_nodes - 1  # the 28 pairs make one tile
+    net = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
+    assert net.tested_pairs == 28
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("method", ["max", "min", "cca"])
@@ -385,16 +398,9 @@ def reference_power_counts(spec):
                      else min(1.0, 2.0 * inference.normal_sf(abs(v))) for v in zs]
             elif scenario in (3, 4):
                 mode = "max" if scenario == 3 else "min"
-                if sampler is not None:
-                    p = [inference.extreme_corr_mc_pvalue(a, c, rho_z, mode,
-                                                          two_sided=not spec.one_sided,
-                                                          sampler=sampler)
-                         for a, c in zip(z1, z2)]
-                elif spec.one_sided:
-                    p = [inference.extreme_corr_pvalue(a, c, rho_z, mode) for a, c in zip(z1, z2)]
-                else:
-                    p = [inference.extreme_corr_pvalue_two_sided(a, c, rho_z, mode)
-                         for a, c in zip(z1, z2)]
+                p = [inference.extreme_corr_pvalue(a, c, rho_z, mode, two_sided=not spec.one_sided,
+                                                   sampler=sampler)
+                     for a, c in zip(z1, z2)]
             else:
                 p = bartlett
             counts.append(sum(value < spec.alpha for value in p))

@@ -378,8 +378,13 @@ class TestMalformedEdgeAndClassFiles:
                                       '{"method": "cca", "gamma": 0.05, "n_samples": 60, '
                                       '"node_ids": ["a", 7], "attribute_names": ["p", "g"]}',
                                       '{"method": "cca", "gamma": 0.05, "n_samples": 60, '
-                                      '"node_ids": ["a", "b", "a"], "attribute_names": ["p", "g"]}'],
-                             ids=["empty", "truncated", "numeric_id", "repeated_id"])
+                                      '"node_ids": ["a", "b", "a"], "attribute_names": ["p", "g"]}',
+                                      '{"method": "cca", "gamma": 0.05, "n_samples": 60, '
+                                      '"node_ids": "abc", "attribute_names": ["p", "g"]}',
+                                      '{"method": "cca", "gamma": 0.05, "n_samples": 60, '
+                                      '"node_ids": ["a", "b"], "attribute_names": "xy"}'],
+                             ids=["empty", "truncated", "numeric_id", "repeated_id",
+                                  "string_ids", "string_attributes"])
     def test_unreadable_meta(self, tmp_path, capsys, command, meta):
         # an empty object used to end in a KeyError, a truncated file in a JSONDecodeError
         (tmp_path / "meta.json").write_text(meta)

@@ -25,9 +25,7 @@ from macnet.inference import (
     bh_fdr,
     bh_fdr_candidates,
     chi2_sf,
-    extreme_corr_mc_pvalue,
     extreme_corr_pvalue,
-    extreme_corr_pvalue_two_sided,
     fisher_z,
     fisher_z_correlation,
     homogeneity_test_from_cov,
@@ -212,7 +210,7 @@ class TestExtremePvalue:
             rho = rng.uniform(-0.99, 0.99)
             for mode in ("max", "min"):
                 assert 0.0 <= extreme_corr_pvalue(z1, z2, rho, mode) <= 1.0
-                assert 0.0 <= extreme_corr_pvalue_two_sided(z1, z2, rho, mode) <= 1.0
+                assert 0.0 <= extreme_corr_pvalue(z1, z2, rho, mode, two_sided=True) <= 1.0
 
     def test_non_finite_input(self):
         with pytest.raises(NonFiniteInput):
@@ -223,14 +221,14 @@ class TestExtremePvalue:
     def test_monte_carlo_matches_independence_oracle(self):
         sampler = ExtremeTailSampler(draws=200_000, seed=4)
         for c in (1.5, 2.0):
-            estimate = extreme_corr_mc_pvalue(c, c - 1.0, 0.0, "max", sampler=sampler)
+            estimate = extreme_corr_pvalue(c, c - 1.0, 0.0, "max", sampler=sampler)
             oracle = 1.0 - (1.0 - normal_sf(c)) ** 2
             se = math.sqrt(oracle * (1.0 - oracle) / sampler.draws)
             assert abs(estimate - oracle) < 4.0 * se
 
     def test_monte_carlo_deterministic(self):
-        a = extreme_corr_mc_pvalue(1.7, 0.4, 0.3, "max", sampler=ExtremeTailSampler(10_000, seed=8))
-        b = extreme_corr_mc_pvalue(1.7, 0.4, 0.3, "max", sampler=ExtremeTailSampler(10_000, seed=8))
+        a = extreme_corr_pvalue(1.7, 0.4, 0.3, "max", sampler=ExtremeTailSampler(10_000, seed=8))
+        b = extreme_corr_pvalue(1.7, 0.4, 0.3, "max", sampler=ExtremeTailSampler(10_000, seed=8))
         assert a == b
 
 
