@@ -335,17 +335,17 @@ def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
 
 def _read_meta(path) -> dict:
     """The ``InferredNetwork`` fields that a meta.json written by ``infer`` holds; a file
-    that is not JSON, lacks or mistypes a field, or repeats a node id, is rejected with
-    its path."""
+    that is not JSON, lacks or mistypes a field (node ids and attribute names must be
+    lists of strings), or repeats a node id, is rejected with its path."""
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
         homogeneity = meta.get("homogeneity", {})
         for field in ("node_ids", "attribute_names"):
             if not isinstance(meta[field], list):
                 raise TypeError(f"{field} is not a list")
+            if not all(isinstance(v, str) for v in meta[field]):
+                raise TypeError(f"{field} holds a value that is not a string")
         node_ids = tuple(meta["node_ids"])
-        if not all(isinstance(v, str) for v in node_ids):
-            raise TypeError("node_ids holds a value that is not a string")
         repeated = [v for v, count in Counter(node_ids).items() if count > 1]
         if repeated:
             raise ValueError(f"node_ids repeats {repeated[0]!r}")
@@ -373,9 +373,10 @@ def read_network(edges_path) -> InferredNetwork:
 
     Without a meta.json the nodes are those seen on edges, in first-seen order, the
     method is the first edge's, every edge counts as a tested pair, and the attributes
-    are named attr_1, attr_2, ... after the contribution columns.  An edge whose
-    endpoint is missing from the node ids, a self-loop, and an edge whose method is
-    not the network's are rejected with their line.
+    are named attr_1, attr_2, ... after the contribution columns.  A header whose
+    contribution columns do not match the meta.json's attribute count is rejected with
+    line 1; an edge whose endpoint is missing from the node ids, a self-loop, and an
+    edge whose method is not the network's are rejected with their line.
     """
     edges_path = Path(edges_path)
     meta_path = edges_path.parent / META_FILENAME
@@ -387,6 +388,12 @@ def read_network(edges_path) -> InferredNetwork:
         if header[: len(EDGE_FIELDS)] != list(EDGE_FIELDS):
             raise SchemaMismatch(
                 f"{edges_path}: unexpected edge header {header[:8]}", path=str(edges_path), line=1
+            )
+        contrib_columns = len(header) - len(EDGE_FIELDS)
+        if meta is not None and contrib_columns != len(meta["attribute_names"]):
+            raise SchemaMismatch(
+                f"{edges_path}:1: {contrib_columns} contribution columns, but {META_FILENAME} "
+                f"names {len(meta['attribute_names'])} attributes", path=str(edges_path), line=1
             )
         rows, lines = [], []
         for lineno, row in enumerate(reader, start=2):

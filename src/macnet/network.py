@@ -180,6 +180,22 @@ class InferredNetwork:
         adj.data[:] = 1.0  # a pair listed twice is still one edge
         return adj
 
+    @cached_property
+    def component_labels(self) -> np.ndarray:
+        """Connected-component label per node: the smallest node index in its component,
+        by min-label hooking and pointer jumping (Shiloach & Vishkin 1982) until no edge
+        joins two labels."""
+        adj = self.adjacency_matrix.tocoo()
+        label = np.arange(self.n_nodes)
+        while True:
+            hooked = label.copy()
+            np.minimum.at(hooked, label[adj.row], label[adj.col])
+            while not np.array_equal(hooked[hooked], hooked):
+                hooked = hooked[hooked]
+            if np.array_equal(hooked, label):
+                return label
+            label = hooked
+
 
 def _floor_supermatrix(joint: np.ndarray):
     """Repair non-positive-definite joint correlation estimates.
@@ -437,12 +453,16 @@ def betweenness_values(net: InferredNetwork) -> np.ndarray:
     (N_v - 1)(N_v - 2) / 2.  Sources are taken ``SOURCE_CHUNK`` at a time and
     walked one breadth-first level per sparse product, forwards for the path
     counts and backwards for the dependencies (Brandes 2001; Kepner & Gilbert
-    2011), so working memory is O(SOURCE_CHUNK N_v).
+    2011), so working memory is O(SOURCE_CHUNK N_v).  Around each product the
+    levels are kept by whole-array arithmetic (masks multiply, never select),
+    and the forward walk stops once every source has reached its component.
     """
     n = net.n_nodes
     if n < 3:
         return np.zeros(n)
     adj = net.adjacency_matrix
+    labels = net.component_labels
+    component_size = np.bincount(labels)
     centrality = np.zeros(n)
     for start in range(0, n, SOURCE_CHUNK):
         sources = np.arange(start, min(start + SOURCE_CHUNK, n))
@@ -450,41 +470,40 @@ def betweenness_values(net: InferredNetwork) -> np.ndarray:
         # column s: shortest-path count and depth of every node, seen from source s
         sigma = np.zeros((n, sources.size))
         sigma[sources, column] = 1.0
-        depth = np.full(sigma.shape, -1)
-        depth[sources, column] = 0
+        unseen = np.ones(sigma.shape, dtype=bool)
+        unseen[sources, column] = False
+        depth = np.zeros(sigma.shape, dtype=np.int32)
+        to_reach = int((component_size[labels[sources]] - 1).sum())
         frontier, level = sigma.copy(), 0
-        while True:
+        while to_reach:
             paths = adj @ frontier
-            reached = (paths > 0) & (depth < 0)
-            if not reached.any():
-                break
             level += 1
-            depth[reached] = level
-            frontier = np.where(reached, paths, 0.0)
+            depth += unseen  # an entry stops counting levels once reached
+            reached = (paths > 0) & unseen
+            unseen ^= reached
+            to_reach -= np.count_nonzero(reached)
+            frontier = paths * reached
             sigma += frontier
+        depth[unseen] = -1
+        # sigma >= 1 wherever a share is read, so dividing by the clamp changes no value
+        divisor = np.maximum(sigma, 1.0)
         dependency = np.zeros_like(sigma)
-        for d in range(level, 0, -1):
-            share = np.divide(1.0 + dependency, sigma, out=np.zeros_like(sigma), where=depth == d)
-            dependency += np.where(depth == d - 1, sigma * (adj @ share), 0.0)
-        centrality += np.where(depth > 0, dependency, 0.0).sum(axis=1)
+        at_level = depth == level
+        for d in range(level, 1, -1):
+            share = (1.0 + dependency) / divisor * at_level
+            at_level = depth == d - 1
+            dependency += (adj @ share) * sigma * at_level
+        # sources and unreached entries keep dependency 0 (the level-1 step, which
+        # would fill in only the sources' own, is skipped)
+        centrality += dependency.sum(axis=1)
     norm = (n - 1) * (n - 2) / 2.0
     # halve: the accumulation visits each unordered pair from both endpoints
     return centrality / 2.0 / norm
 
 
 def largest_connected_component(net: InferredNetwork) -> int:
-    """Size of the largest connected component (0 for a 0-node network), labelled by min-label
-    hooking and pointer jumping (Shiloach & Vishkin 1982) until no edge joins two labels."""
-    adj = net.adjacency_matrix.tocoo()
-    label = np.arange(net.n_nodes)
-    while True:
-        hooked = label.copy()
-        np.minimum.at(hooked, label[adj.row], label[adj.col])
-        while not np.array_equal(hooked[hooked], hooked):
-            hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            return int(np.bincount(label, minlength=1).max())
-        label = hooked
+    """Size of the largest connected component (0 for a 0-node network)."""
+    return int(np.bincount(net.component_labels, minlength=1).max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@ Everything here deliberately avoids the implementations under test: paths
 are enumerated explicitly, tail sums use exact rational arithmetic, the
 step-up rule is spelled out naively, canonical weights are scored by the
 correlation they achieve, and eigenvalues come from a general (not symmetric)
-eigensolver.
+eigensolver.  One reference is an earlier form of the code under test: betweenness
+by masked level-by-level accumulation, which the current form must match bit for bit.
 """
 
 import itertools
@@ -56,6 +57,46 @@ def brute_force_betweenness(node_ids, adjacency):
         return np.zeros(n)
     norm = (n - 1) * (n - 2) / 2.0
     return np.array([scores[v] / norm for v in nodes])
+
+
+def masked_betweenness(net, source_chunk):
+    """Normalized betweenness by level-by-level Brandes accumulation with masked selects.
+
+    Sources are taken ``source_chunk`` at a time, each level selects with ``np.where``
+    and divides under a ``where=`` mask, and the forward walk runs until a level
+    reaches nothing.  ``network.betweenness_values`` must match it bit for bit.
+    """
+    n = net.n_nodes
+    if n < 3:
+        return np.zeros(n)
+    adj = net.adjacency_matrix
+    centrality = np.zeros(n)
+    for start in range(0, n, source_chunk):
+        sources = np.arange(start, min(start + source_chunk, n))
+        column = np.arange(sources.size)
+        # column s: shortest-path count and depth of every node, seen from source s
+        sigma = np.zeros((n, sources.size))
+        sigma[sources, column] = 1.0
+        depth = np.full(sigma.shape, -1)
+        depth[sources, column] = 0
+        frontier, level = sigma.copy(), 0
+        while True:
+            paths = adj @ frontier
+            reached = (paths > 0) & (depth < 0)
+            if not reached.any():
+                break
+            level += 1
+            depth[reached] = level
+            frontier = np.where(reached, paths, 0.0)
+            sigma += frontier
+        dependency = np.zeros_like(sigma)
+        for d in range(level, 0, -1):
+            share = np.divide(1.0 + dependency, sigma, out=np.zeros_like(sigma), where=depth == d)
+            dependency += np.where(depth == d - 1, sigma * (adj @ share), 0.0)
+        centrality += np.where(depth > 0, dependency, 0.0).sum(axis=1)
+    norm = (n - 1) * (n - 2) / 2.0
+    # halve: the accumulation visits each unordered pair from both endpoints
+    return centrality / 2.0 / norm
 
 
 def brute_force_clustering(node_ids, adjacency):

@@ -382,9 +382,11 @@ class TestMalformedEdgeAndClassFiles:
                                       '{"method": "cca", "gamma": 0.05, "n_samples": 60, '
                                       '"node_ids": "abc", "attribute_names": ["p", "g"]}',
                                       '{"method": "cca", "gamma": 0.05, "n_samples": 60, '
-                                      '"node_ids": ["a", "b"], "attribute_names": "xy"}'],
+                                      '"node_ids": ["a", "b"], "attribute_names": "xy"}',
+                                      '{"method": "cca", "gamma": 0.05, "n_samples": 60, '
+                                      '"node_ids": ["a", "b"], "attribute_names": [1, 2]}'],
                              ids=["empty", "truncated", "numeric_id", "repeated_id",
-                                  "string_ids", "string_attributes"])
+                                  "string_ids", "string_attributes", "numeric_attributes"])
     def test_unreadable_meta(self, tmp_path, capsys, command, meta):
         # an empty object used to end in a KeyError, a truncated file in a JSONDecodeError
         (tmp_path / "meta.json").write_text(meta)
@@ -393,6 +395,21 @@ class TestMalformedEdgeAndClassFiles:
         err = self.run(capsys, [command, str(tmp_path / "edges.csv"),
                                 "--out", str(tmp_path / "out")])
         assert (err["error"], err["path"]) == ("SchemaMismatch", str(tmp_path / "meta.json"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["netstat", "classify"])
+    def test_attribute_count_differs_from_contribution_columns(self, tmp_path, capsys,
+                                                               command):
+        # used to end in an UnnormalizedContrib that named no file
+        (tmp_path / "meta.json").write_text(json.dumps({
+            "method": "cca", "gamma": 0.05, "n_samples": 60, "node_ids": ["a", "b"],
+            "attribute_names": ["p"]}))
+        (tmp_path / "edges.csv").write_text(self.EDGE_HEADER
+                                            + "a,b,cca,0.9,30.1,4,0.001,0.002,0.5,0.5\n")
+        err = self.run(capsys, [command, str(tmp_path / "edges.csv"),
+                                "--out", str(tmp_path / "out")])
+        assert (err["error"], err["path"], err["line"]) == (
+            "SchemaMismatch", str(tmp_path / "edges.csv"), 1)
         assert not (tmp_path / "out").exists()
 
     def test_node_class_row_with_one_cell(self, tmp_path, capsys):

@@ -9,7 +9,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from _oracles import brute_force_lcc
+import pytest
+from _oracles import brute_force_lcc, masked_betweenness
 
 import macnet
 from macnet import io as io_mod, network
@@ -37,6 +38,53 @@ def test_betweenness_does_not_depend_on_source_chunk(monkeypatch):
     assert network.SOURCE_CHUNK < net.n_nodes and np.count_nonzero(reference) > 20
     monkeypatch.setattr(network, "SOURCE_CHUNK", 7)
     np.testing.assert_allclose(network.betweenness_values(net), reference, rtol=1e-12, atol=0)
+
+
+def preferential_attachment(seed, n_nodes, attach):
+    """Each new node links to ``attach`` distinct earlier nodes, drawn by degree."""
+    rng = np.random.default_rng(seed)
+    ids = [f"v{i}" for i in range(n_nodes)]
+    pairs, endpoints = [], list(range(attach))
+    for v in range(attach, n_nodes):
+        chosen = set()
+        while len(chosen) < attach:
+            chosen.add(endpoints[rng.integers(len(endpoints))])
+        pairs += [(ids[u], ids[v]) for u in sorted(chosen)]
+        endpoints += sorted(chosen) + [v] * attach
+    return toy_network(ids, pairs)
+
+
+def isolated_last_chunk():
+    """70 nodes: a random graph on the first 64, and 6 isolated nodes after them."""
+    net = random_graph(9, 64, 150)
+    ids = list(net.node_ids) + [f"iso{i}" for i in range(6)]
+    return toy_network(ids, id_pairs(net))
+
+
+def complete_graph(n_nodes):
+    ids = [f"k{i}" for i in range(n_nodes)]
+    return toy_network(ids, [(ids[a], ids[b]) for a in range(n_nodes)
+                             for b in range(a + 1, n_nodes)])
+
+
+def path_graph(n_nodes):
+    ids = [f"p{i}" for i in range(n_nodes)]
+    return toy_network(ids, list(zip(ids[:-1], ids[1:])))
+
+
+@pytest.mark.parametrize(("make", "chunk"), [
+    (lambda: preferential_attachment(3, 600, 5), 64),
+    (lambda: random_graph(4, 150, 180), 64),
+    (lambda: random_graph(4, 150, 180), 7),
+    (isolated_last_chunk, 64),
+    (lambda: complete_graph(40), 64),
+    (lambda: path_graph(200), 64),
+], ids=["preferential600", "random150-chunk64", "random150-chunk7", "isolated_last_chunk",
+        "complete40", "path200"])
+def test_betweenness_matches_masked_reference_bit_for_bit(monkeypatch, make, chunk):
+    net = make()
+    monkeypatch.setattr(network, "SOURCE_CHUNK", chunk)
+    np.testing.assert_array_equal(network.betweenness_values(net), masked_betweenness(net, chunk))
 
 
 def test_pair_listed_twice_is_one_edge():
