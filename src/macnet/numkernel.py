@@ -54,13 +54,20 @@ def corr_matrices(samples) -> np.ndarray:
     if n < 3:
         raise InsufficientSamples(f"need at least 3 samples, got {n}")
     xc = samples - samples.mean(axis=-2, keepdims=True)
-    cross = np.swapaxes(xc, -1, -2) @ xc
+    return corr_from_cross(np.swapaxes(xc, -1, -2) @ xc)
+
+
+def corr_from_cross(cross) -> np.ndarray:
+    """Correlation matrix of each centred cross-product matrix in a stack (..., d, d):
+    each entry over the root of its two diagonal entries, then a unit diagonal and
+    entries clipped to [-1, 1].  Raises ``ZeroVariance`` naming the first column
+    whose diagonal entry is not positive in some matrix."""
     diag = np.diagonal(cross, axis1=-2, axis2=-1)
     bad = np.flatnonzero(np.any(diag <= 0.0, axis=tuple(range(diag.ndim - 1))))
     if bad.size:
         raise ZeroVariance(f"column {bad[0]} is constant", index=int(bad[0]))
     r = cross / np.sqrt(diag[..., :, None] * diag[..., None, :])
-    d = np.arange(samples.shape[-1])
+    d = np.arange(cross.shape[-1])
     r[..., d, d] = 1.0
     return np.clip(r, -1.0, 1.0)
 

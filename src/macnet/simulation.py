@@ -7,7 +7,9 @@ draw from a counter-based generator keyed per (seed, grid point,
 replicate), so results are bit-reproducible regardless of execution order.
 Replicates are drawn, stacked and tested in chunks: a chunk derives all its
 generator keys in one array pass and replays each replicate's stream on one
-reused generator.
+reused generator.  Each replicate's correlation matrix comes from one pass over
+its standard-normal draws, their column sums and Gram matrix, so the draws are
+a chunk's only array that grows with n.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .similarity import K2Params
 SCENARIOS = (1, 2, 3, 4, 5)
 
 #: replicates drawn and tested per batched step
-REPLICATE_CHUNK = 256
+REPLICATE_CHUNK = 1024
 
 SLICES = {
     "b=0.2r": lambda t: (t, 0.2 * t),
@@ -190,9 +192,13 @@ class PowerStudySpec:
     def __post_init__(self):
         if not self.grid:
             raise OutOfDomain("empty simulation grid")
+        for name in ("seed", "reps", "n"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise OutOfDomain(f"{name} must be an integer, got {value!r}")
         if self.reps < 1:
             raise OutOfDomain(f"reps must be positive, got {self.reps}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise OutOfDomain(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (0.0 < self.alpha < 1.0):
             raise OutOfDomain(f"alpha must lie in (0, 1), got {self.alpha}")
@@ -218,7 +224,8 @@ class PowerStudySpec:
                 raise OutOfDomain(f"grid point (r={r}, b={b}) is outside the valid domain")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "scenarios", scenarios)
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("seed", "reps", "n"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def params(self, r: float, b: float) -> K2Params:
         return K2Params(r=r, b=b, rho1=self.rho1, rho2=self.rho2)
@@ -263,11 +270,28 @@ def _log_wilks_lambda(joint: np.ndarray) -> np.ndarray:
     return logdet_schur - numkernel.slogdet(r22)[1]
 
 
+def _replicate_correlations(normals: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Sample correlation matrix of each replicate's draws X = Z L' from its standard
+    normals Z, a stack (m, n, 4), without forming X.
+
+    One pass over Z gives each replicate's column sums s and Gram Z'Z; X's centred
+    cross products are then L (Z'Z - s s'/n) L', a 4-by-4 product per replicate,
+    scaled as ``numkernel.corr_matrices`` scales them.  Centring after summing
+    loses relative accuracy in proportion to mean^2 / variance of each column
+    (Chan, Golub and LeVeque 1983), about 1/n for standard-normal draws, so the
+    result agrees with the two-pass ``corr_matrices(Z @ L.T)`` to rounding.
+    """
+    n = normals.shape[1]
+    sums = np.einsum("mni->mi", normals)
+    centred = np.swapaxes(normals, 1, 2) @ normals - sums[:, :, None] * sums[:, None, :] / n
+    return numkernel.corr_from_cross(lower @ centred @ lower.T)
+
+
 def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarray, reps):
     """z1 and z2 of the replicates ``reps`` of one grid point, the p-values of
     scenarios 1 and 2, then scenario 5's Bartlett p-values if it is requested."""
-    normals = _replicate_normals(spec.seed, grid_index, reps, spec.n)
-    joint = numkernel.corr_matrices(normals @ lower.T)
+    joint = _replicate_correlations(_replicate_normals(spec.seed, grid_index, reps, spec.n),
+                                    lower)
     two_sided = not spec.one_sided
     z1, p1 = inference.correlation_test(joint[:, 0, 2], spec.n, two_sided=two_sided)
     z2, p2 = inference.correlation_test(joint[:, 1, 3], spec.n, two_sided=two_sided)

@@ -4,8 +4,9 @@ Everything here deliberately avoids the implementations under test: paths
 are enumerated explicitly, tail sums use exact rational arithmetic, the
 step-up rule is spelled out naively, canonical weights are scored by the
 correlation they achieve, and eigenvalues come from a general (not symmetric)
-eigensolver.  One reference is an earlier form of the code under test: betweenness
-by masked level-by-level accumulation, which the current form must match bit for bit.
+eigensolver.  Two references are earlier forms of the code under test, which the
+current forms must match bit for bit: betweenness by masked level-by-level
+accumulation, and sample correlation matrices scaled inline after two passes.
 """
 
 import itertools
@@ -13,6 +14,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from macnet.errors import InsufficientSamples, ZeroVariance
 
 
 def brute_force_betweenness(node_ids, adjacency):
@@ -198,3 +201,23 @@ def general_eigen(a):
     order = np.argsort(-np.abs(values), kind="stable")
     vectors = vectors[:, order]
     return values[order], vectors / np.linalg.norm(vectors, axis=0)
+
+
+def two_pass_corr_matrices(samples):
+    """Sample correlation matrix of each n-by-d block in a stack (..., n, d): the
+    centred cross products scaled inline.  ``numkernel.corr_matrices`` must match it
+    bit for bit."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-2]
+    if n < 3:
+        raise InsufficientSamples(f"need at least 3 samples, got {n}")
+    xc = samples - samples.mean(axis=-2, keepdims=True)
+    cross = np.swapaxes(xc, -1, -2) @ xc
+    diag = np.diagonal(cross, axis1=-2, axis2=-1)
+    bad = np.flatnonzero(np.any(diag <= 0.0, axis=tuple(range(diag.ndim - 1))))
+    if bad.size:
+        raise ZeroVariance(f"column {bad[0]} is constant", index=int(bad[0]))
+    r = cross / np.sqrt(diag[..., :, None] * diag[..., None, :])
+    d = np.arange(samples.shape[-1])
+    r[..., d, d] = 1.0
+    return np.clip(r, -1.0, 1.0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import general_eigen
+from _oracles import general_eigen, two_pass_corr_matrices
 from macnet import numkernel
 from macnet.errors import (
     InsufficientSamples,
@@ -103,6 +103,27 @@ class TestCorrMatrix:
         with pytest.raises(ZeroVariance) as err:
             numkernel.corr_matrices(block)
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("shape", [(3, 1), (40, 3), (7, 50, 4), (2, 5, 9, 6), (300, 1000, 4)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_matches_two_pass_reference_bit_for_bit(self, shape):
+        # offsets and near-collinear columns exercise the centring, the scaling and the clip
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        samples = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[-1])
+        samples += rng.normal(scale=50.0, size=shape[:-2] + (1, shape[-1]))
+        if shape[-1] > 1:
+            samples[..., -1] = samples[..., 0] + 1e-9 * samples[..., -1]
+        np.testing.assert_array_equal(numkernel.corr_matrices(samples),
+                                      two_pass_corr_matrices(samples))
+
+    def test_constant_column_reported_like_the_two_pass_reference(self):
+        block = np.random.default_rng(2).normal(size=(4, 6, 3))
+        block[2, :, 1] = 5.0
+        with pytest.raises(ZeroVariance) as expected:
+            two_pass_corr_matrices(block)
+        with pytest.raises(ZeroVariance) as err:
+            numkernel.corr_matrices(block)
+        assert (err.value.index, str(err.value)) == (expected.value.index, str(expected.value))
 
 
 class TestSymEigen:

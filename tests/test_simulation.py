@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from macnet import inference, numkernel, simulation
+from macnet import cli, inference, numkernel, simulation
 from macnet.cli import main
 from macnet.errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain
 from macnet.similarity import K2Params, canonical_roots
@@ -124,6 +124,20 @@ class TestPowerStudy:
         with pytest.raises(OutOfDomain, match="seed"):
             PowerStudySpec(grid=((0.0, 0.0),), seed=seed)
 
+    @pytest.mark.parametrize("field,value", [("reps", 100.0), ("reps", True), ("n", 50.0),
+                                             ("n", False), ("n", np.float64(50.0)), ("seed", True)],
+                             ids=["reps-float", "reps-bool", "n-float", "n-bool", "n-numpy-float",
+                                  "seed-bool"])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(OutOfDomain, match=field):
+            PowerStudySpec(grid=((0.0, 0.0),), **{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        spec = PowerStudySpec(grid=((0.0, 0.0),), n=np.int32(8), reps=np.int64(5), seed=1,
+                              scenarios=(1,))
+        assert (type(spec.n), type(spec.reps)) == (int, int)
+        assert power_study(spec).rejections.shape == (1, 1)
+
     @pytest.mark.parametrize("n,scenarios", [(3, (1, 2)), (6, (1, 5))])
     def test_sample_size_checked_before_drawing(self, n, scenarios):
         with pytest.raises(InsufficientSamples):
@@ -166,6 +180,19 @@ class TestPowerStudy:
         spec = PowerStudySpec(grid=((0.1, 0.2),), reps=REPLICATE_CHUNK + 10, seed=3)
         with pytest.raises(NotPositiveDefinite):
             power_study(spec)
+
+    def test_cli_defaults_draw_one_chunk_per_grid_point(self, monkeypatch, tmp_path):
+        calls = []
+        draw = simulation._replicate_normals
+
+        def recording(seed, point, reps, n):
+            calls.append((point, len(reps)))
+            return draw(seed, point, reps, n)
+
+        monkeypatch.setattr(simulation, "_replicate_normals", recording)
+        assert main(["simulate", "--slice", "b=0.2r", "--points", "9", "--reps", "1000",
+                     "--n", "50", "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert calls == [(point, 1000) for point in range(9)]
 
     def test_deterministic(self):
         spec = PowerStudySpec(grid=((0.0, 0.0), (0.1, 0.5)), reps=200, seed=11)
@@ -213,6 +240,23 @@ class TestPowerStudy:
         power = backward.rejections / 80
         np.testing.assert_array_equal(backward.power, power)
         np.testing.assert_array_equal(backward.mc_se, np.sqrt(power * (1.0 - power) / 80))
+
+
+@pytest.mark.parametrize("n", [4, 7, 50, 1000])
+def test_gram_path_matches_two_pass_correlations(n):
+    # the first, middle and last points of the CLI's b=0.2r sweep, and the slice's
+    # largest valid candidate, the point nearest the positive-definite boundary
+    params = K2Params(r=0.0, b=0.0, rho1=0.3, rho2=0.1)
+    candidates = np.linspace(0.0, 0.99, 500)
+    edge = candidates[params.valid_at(*simulation.SLICES["b=0.2r"](candidates))][-1]
+    sweep = cli._slice_sweep("b=0.2r", 9, 0.3, 0.1)
+    grid = (sweep[0], sweep[4], sweep[-1]) + slice_grid("b=0.2r", [edge])
+    for point, (r, b) in enumerate(grid):
+        lower = numkernel.cholesky(build_sigma(K2Params(r=r, b=b, rho1=0.3, rho2=0.1)))
+        normals = simulation._replicate_normals(9, point, range(300), n)
+        joint = simulation._replicate_correlations(normals, lower)
+        expected = numkernel.corr_matrices(normals @ lower.T)
+        np.testing.assert_allclose(joint, expected, rtol=0.0, atol=1e-12)
 
 
 class TestSliceGrid:
