@@ -106,8 +106,6 @@ def _cmd_infer(args) -> int:
     io_mod.write_edges_csv(net, out / "edges.csv")
     io_mod.write_meta_json(net, out / io_mod.META_FILENAME)
     print(f"{net.n_edges} edges over {net.n_nodes} nodes -> {out / 'edges.csv'}")
-    if net.skipped:
-        print(f"warning: {len(net.skipped)} pair(s) skipped; see meta.json", file=sys.stderr)
     return 0
 
 

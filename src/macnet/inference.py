@@ -380,14 +380,16 @@ class HomogeneityTest:
 def covariance_block_facts(cov):
     """What the homogeneity test needs of each k-by-k covariance block of a stack
     (m, k, k), computed once per node: (blocks, inverses, log determinants, verdict
-    of the PD rule on the block scaled to unit diagonal).  Inverse and log
-    determinant are 0 where the rule fails."""
+    of the PD rule on the block scaled to unit diagonal, sum of the logs of the
+    diagonal).  Inverse and log determinant are 0 where the rule fails."""
     pd = numkernel.pd_mask(numkernel.unit_diagonal(cov))
     inverse = np.zeros_like(cov)
     logdet = np.zeros(cov.shape[0])
     inverse[pd] = np.linalg.inv(cov[pd])
     logdet[pd] = np.linalg.slogdet(cov[pd])[1]
-    return cov, inverse, logdet, pd
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero block fails the PD rule
+        log_diagonal = np.log(np.diagonal(cov, axis1=-2, axis2=-1)).sum(axis=-1)
+    return cov, inverse, logdet, pd, log_diagonal
 
 
 def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
@@ -411,14 +413,12 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
     depend on attribute units.  ``numkernel.schur_logdet`` gives the verdict and
     log det S of every pair.
     """
-    c_ii, inv_ii, logdet_ii, pd_i = facts_i
-    c_jj, _, logdet_jj, pd_j = facts_j
+    c_ii, inv_ii, logdet_ii, pd_i, log_diagonal_i = facts_i
+    c_jj, _, logdet_jj, pd_j, log_diagonal_j = facts_j
     k = cross.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero stack fails the PD rule
-        log_diagonal = (np.log(np.diagonal(c_ii, axis1=-2, axis2=-1)).sum(axis=-1)
-                        + np.log(np.diagonal(c_jj, axis1=-2, axis2=-1)).sum(axis=-1))
         logdet_schur, pd = numkernel.schur_logdet(c_ii, pd_i & pd_j, inv_ii, logdet_ii, c_jj,
-                                                  cross, log_diagonal)
+                                                  cross, log_diagonal_i + log_diagonal_j)
     logdet_free = logdet_ii + logdet_schur
     log_lambda = np.where(pd, logdet_schur - logdet_jj, np.nan)
     marginal = (c_ii + c_jj) / 2.0

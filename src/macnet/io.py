@@ -26,7 +26,7 @@ import numpy as np
 from .classify import EdgeClasses, NodeClasses, simplex_xy
 from .enrichment import EnrichmentReport
 from .errors import DuplicateNodeId, NonNumericCell, SchemaMismatch
-from .network import AttributeDataset, EdgeTable, InferredNetwork, NetworkSummary, SkippedPair
+from .network import AttributeDataset, EdgeTable, InferredNetwork, NetworkSummary
 from .simulation import PowerResult
 
 META_FILENAME = "meta.json"
@@ -269,9 +269,8 @@ def network_meta(net: InferredNetwork) -> dict:
         "attribute_names": list(net.attribute_names),
         "tested_pairs": net.tested_pairs,
         "n_edges": net.n_edges,
-        "skipped_pairs": [
-            {"node_i": s.node_i, "node_j": s.node_j, "reason": s.reason} for s in net.skipped
-        ],
+        # infer tests every pair, so none is skipped; the key stays for readers that look it up
+        "skipped_pairs": [],
         "floored_pairs": [list(pair) for pair in net.floored],
         "homogeneity": {
             "reject_fraction": net.homogeneity_reject_fraction,
@@ -356,8 +355,6 @@ def _read_meta(path) -> dict:
             "gamma": float(meta["gamma"]),
             "n_samples": int(meta["n_samples"]),
             "tested_pairs": int(meta.get("tested_pairs", 0)),
-            "skipped": tuple(SkippedPair(s["node_i"], s["node_j"], s["reason"])
-                             for s in meta.get("skipped_pairs", [])),
             "floored": tuple(tuple(pair) for pair in meta.get("floored_pairs", [])),
             "homogeneity_reject_fraction": homogeneity.get("reject_fraction"),
             "homogeneity_singular_pairs": int(homogeneity.get("singular_pairs", 0)),

@@ -21,6 +21,7 @@ from .errors import (
     InsufficientSamples,
     LengthMismatch,
     NodeSetMismatch,
+    NonFiniteInput,
     OutOfDomain,
     UsageError,
     ZeroVariance,
@@ -28,9 +29,6 @@ from .errors import (
 
 METHODS = ("pearson", "max", "min", "cca")
 
-#: a pair is skipped outright when repairing its estimated joint correlation
-#: matrix moves any eigenvalue by more than this
-FLOOR_SKIP_DELTA = 0.01
 _EIG_FLOOR = 1e-8
 
 #: per-pair homogeneity check is reported against this level
@@ -103,13 +101,6 @@ class AttributeDataset:
                                 self.samples[:, indices, :])
 
 
-@dataclass(frozen=True)
-class SkippedPair:
-    node_i: str
-    node_j: str
-    reason: str
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
     """Declared edges as columns, one row per edge.
@@ -144,7 +135,6 @@ class InferredNetwork:
     n_samples: int
     table: EdgeTable
     tested_pairs: int = 0
-    skipped: tuple = ()
     floored: tuple = ()
     homogeneity_reject_fraction: Optional[float] = None
     homogeneity_singular_pairs: int = 0
@@ -201,21 +191,21 @@ def _floor_supermatrix(joint: np.ndarray):
     """Repair non-positive-definite joint correlation estimates.
 
     Floors eigenvalues at a small positive level and restores the unit
-    diagonal.  Returns (matrix, floored, max_change), one of each per matrix
-    of a stack (..., 2k, 2k); callers skip the pair when max_change exceeds
-    ``FLOOR_SKIP_DELTA``.
+    diagonal.  Returns (matrix, floored), one of each per matrix of a stack
+    (..., 2k, 2k).  A sample correlation matrix is positive semi-definite up to
+    the rounding of its Gram sums, so the floor moves an eigenvalue by little
+    more than ``_EIG_FLOOR``.
     """
     values, vectors = np.linalg.eigh(joint)
     clean = numkernel.pd_from_eigenvalues(values)
     floored_values = np.maximum(values, _EIG_FLOOR)
-    max_change = np.where(clean, 0.0, np.max(np.abs(floored_values - values), axis=-1))
     repaired = (vectors * floored_values[..., None, :]) @ np.swapaxes(vectors, -1, -2)
     scale = np.sqrt(np.diagonal(repaired, axis1=-2, axis2=-1))
     repaired = repaired / (scale[..., :, None] * scale[..., None, :])
     diag = np.arange(joint.shape[-1])
     repaired[..., diag, diag] = 1.0
     repaired = (repaired + np.swapaxes(repaired, -1, -2)) / 2.0
-    return np.where(clean[..., None, None], joint, repaired), ~clean, max_change
+    return np.where(clean[..., None, None], joint, repaired), ~clean
 
 
 def _check_preconditions(data: AttributeDataset, method: str):
@@ -231,13 +221,27 @@ def _check_preconditions(data: AttributeDataset, method: str):
         inference._require_bartlett_n(n, k)
     else:
         inference._require_fisher_n(n)
-    bad = np.argwhere(data.samples.var(axis=2) <= 0.0)
+    bad = np.argwhere(np.ptp(data.samples, axis=2) == 0.0)
     if bad.size:
         vi, ai = bad[0]
         raise ZeroVariance(
             f"node {data.node_ids[vi]!r} attribute "
             f"{data.attribute_names[ai]!r} is constant",
             index=int(ai),
+        )
+    # a correlation divides by the root of the product of two attributes' sums of squared
+    # deviations, which over- or underflows unless each sum lies within the square root
+    # of float64's normal range
+    with np.errstate(over="ignore"):
+        squares = data.samples.var(axis=2) * n
+    low, high = np.sqrt([np.finfo(float).tiny, np.finfo(float).max])
+    bad = np.argwhere(~((squares >= low) & (squares <= high)))
+    if bad.size:
+        vi, ai = bad[0]
+        raise NonFiniteInput(
+            f"node {data.node_ids[vi]!r} attribute {data.attribute_names[ai]!r}: its sum of "
+            f"squared deviations, {squares[vi, ai]:.3g}, lies outside [{low:.3g}, {high:.3g}], "
+            f"where its correlations are representable; rescale the attribute"
         )
 
 
@@ -288,42 +292,37 @@ class _NodeFacts:
 def _test_cca(facts: _NodeFacts, i, j, sigma_ij, log_lambda, gamma: float):
     """Canonical-correlation tests of the pairs (i[p], j[p]), given their log Wilks'
     Lambda from the homogeneity step (NaN where it found the pair singular):
-    similarity, statistic and p (NaN where skipped), floored flags, repair changes, and
-    contributions.  Similarity and contributions are NaN unless p <= gamma, as BH can
-    reject no other pair, so T, the roots and the weights are formed for the candidates
-    only.  Singular pairs, and pairs on a node without an inverse root, are re-estimated
-    from their stacked samples, floored or skipped, and take log Lambda from their roots."""
+    similarity, statistic, p, floored flags and contributions.  Similarity and
+    contributions are NaN unless p <= gamma, as BH can reject no other pair, so T, the
+    roots and the weights are formed for the candidates only.  Singular pairs, and pairs
+    on a node without an inverse root, are re-estimated from their stacked samples,
+    floored where not positive-definite, and take log Lambda from their roots."""
     k = facts.k
     inv_i, inv_j = facts.inv_sqrt[i], facts.inv_sqrt[j]
     cross = sigma_ij.copy()
     log_lambda = log_lambda.copy()
-    floored, change = np.zeros(i.size, dtype=bool), np.zeros(i.size)
+    floored = np.zeros(i.size, dtype=bool)
     repair = np.flatnonzero(np.isnan(log_lambda) | ~(facts.pd[i] & facts.pd[j]))
     if repair.size:
         # from the samples, not the node facts, as the repair magnifies last-bit
         # differences in its input
         stacked = np.concatenate([facts.samples[i[repair]], facts.samples[j[repair]]], axis=2)
-        joint, floored[repair], change[repair] = _floor_supermatrix(
-            numkernel.corr_matrices(stacked))
-        kept = change[repair] <= FLOOR_SKIP_DELTA
-        joint, redo = joint[kept], repair[kept]
+        joint, floored[repair] = _floor_supermatrix(numkernel.corr_matrices(stacked))
         # a clean or repaired joint matrix is positive-definite, and so are its blocks
-        inv_i[redo] = numkernel.inv_sqrt_spd_stack(joint[:, :k, :k])
-        inv_j[redo] = numkernel.inv_sqrt_spd_stack(joint[:, k:, k:])
-        cross[redo] = joint[:, :k, k:]
-        roots = similarity.canonical_roots(inv_i[redo] @ cross[redo] @ inv_j[redo])
-        log_lambda[redo] = np.log1p(-(roots * roots)).sum(axis=-1)
-    ok = change <= FLOOR_SKIP_DELTA
-    test = inference._bartlett_from_log_lambda(log_lambda[ok], facts.n, k)
-    out = np.full((3, i.size), np.nan)
-    out[1:, ok] = test.statistic, test.p
+        inv_i[repair] = numkernel.inv_sqrt_spd_stack(joint[:, :k, :k])
+        inv_j[repair] = numkernel.inv_sqrt_spd_stack(joint[:, k:, k:])
+        cross[repair] = joint[:, :k, k:]
+        roots = similarity.canonical_roots(inv_i[repair] @ cross[repair] @ inv_j[repair])
+        log_lambda[repair] = np.log1p(-(roots * roots)).sum(axis=-1)
+    test = inference._bartlett_from_log_lambda(log_lambda, facts.n, k)
     # p <= gamma keeps rho_c > 0, so every candidate's weights are well defined
-    cand = np.flatnonzero(ok)[test.p <= gamma]
+    cand = np.flatnonzero(test.p <= gamma)
     t = inv_i[cand] @ cross[cand] @ inv_j[cand]
-    out[0, cand] = similarity.canonical_roots(t)[:, 0]
+    sims = np.full(i.size, np.nan)
+    sims[cand] = similarity.canonical_roots(t)[:, 0]
     contrib = np.full((i.size, k), np.nan)
     _, _, contrib[cand] = similarity._leading_weights(t, inv_i[cand], inv_j[cand], cross[cand])
-    return (*out, floored, change, contrib)
+    return sims, test.statistic, test.p, floored, contrib
 
 
 def infer_network(data: AttributeDataset, method: str, gamma: float, *,
@@ -333,13 +332,14 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     Edges are declared two-sidedly.  ``pvalue_mode`` selects the analytic
     tail approximation or the Monte Carlo alternative for the max/min
     methods (the Monte Carlo panel uses a fixed internal seed, so inference
-    stays deterministic).  Pairs whose estimated joint correlation matrix
-    cannot be repaired are skipped and reported, never silently dropped.
+    stays deterministic).  Every pair is tested: for cca, a pair whose estimated
+    joint correlation matrix is not positive-definite is repaired by flooring its
+    eigenvalues, and reported in ``floored``.
 
     Per-node facts are computed once; the pair triangle is then streamed in tiles
-    of whole rows (``PAIR_CHUNK``).  Only running counts, the skipped and floored
-    pairs and the candidates (p <= gamma) outlive a tile, and Benjamini-Hochberg
-    runs over the candidates and the count of tested pairs
+    of whole rows (``PAIR_CHUNK``).  Only running counts, the floored pairs and the
+    candidates (p <= gamma) outlive a tile, and Benjamini-Hochberg runs over the
+    candidates and the count of tested pairs
     (``inference.bh_fdr_candidates``), so memory does not grow with the number of
     pairs beyond the candidates.  No result depends on the tile size.
     """
@@ -356,15 +356,18 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     facts = _NodeFacts(data, method)
     n, k, ids = facts.n, facts.k, data.node_ids
     last = data.n_nodes - 1
-    tested = verdicts = rejects = singular = 0
-    skipped, floored, candidates = [], [], []
+    verdicts = rejects = singular = 0
+    floored, candidates = [], []
     step = max(1, PAIR_CHUNK // last)
+    cov, _, logdet, pd, log_diagonal = facts.cov
     for start in range(0, last, step):
         i, j, gram, sigma_ij = facts.tile(np.arange(start, min(start + step, last)))
-        ok, contrib = np.ones(i.size, dtype=bool), np.full((i.size, k), np.nan)
+        contrib = np.full((i.size, k), np.nan)
         if n >= 2 * k + 2:  # always so for cca, whose test reads log Wilks' Lambda from it
+            # the test reads no inverse of the second block
             hom, pair_singular, log_lambda = inference.homogeneity_test_from_blocks(
-                [fact[i] for fact in facts.cov], [fact[j] for fact in facts.cov], gram / n, n)
+                [fact[i] for fact in facts.cov], (cov[j], None, logdet[j], pd[j], log_diagonal[j]),
+                gram / n, n)
         if method == "pearson":
             sims = sigma_ij[:, 0, 0]
             statistic, pvalues = inference.correlation_test(sims, n)
@@ -377,28 +380,20 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
             pvalues = inference.extreme_corr_pvalue(*zs.T, rho_z, method, two_sided=True,
                                                     sampler=sampler)
         else:
-            sims, statistic, pvalues, was_floored, change, contrib = _test_cca(
+            sims, statistic, pvalues, was_floored, contrib = _test_cca(
                 facts, i, j, sigma_ij, log_lambda, gamma)
-            ok = change <= FLOOR_SKIP_DELTA
-            skipped += [
-                SkippedPair(ids[i[x]], ids[j[x]],
-                            f"joint correlation estimate not positive-definite; repair moved an "
-                            f"eigenvalue by {change[x]:.3g}")
-                for x in np.flatnonzero(~ok)
-            ]
-            floored += [(ids[i[x]], ids[j[x]]) for x in np.flatnonzero(was_floored & ok)]
-        tested += int(ok.sum())
+            floored += [(ids[i[x]], ids[j[x]]) for x in np.flatnonzero(was_floored)]
         if n >= 2 * k + 2:
-            verdict_p = hom.p[ok[~pair_singular]]
-            verdicts += verdict_p.size
-            rejects += int(np.sum(verdict_p < HOMOGENEITY_ALPHA))
-            singular += int(np.sum(pair_singular & ok))
-        keep = np.flatnonzero(ok & (pvalues <= gamma))
+            verdicts += hom.p.size
+            rejects += int(np.sum(hom.p < HOMOGENEITY_ALPHA))
+            singular += int(np.sum(pair_singular))
+        keep = np.flatnonzero(pvalues <= gamma)
         candidates.append((i[keep], j[keep], sims[keep], statistic[keep], pvalues[keep],
                            contrib[keep]))
 
     ends_i, ends_j, sims, statistic, pvalues, contrib = (
         np.concatenate(column) for column in zip(*candidates))
+    tested = data.n_nodes * last // 2
     rejected, qvalues = inference.bh_fdr_candidates(pvalues, tested, gamma)
     table = EdgeTable(
         ends=np.stack([ends_i[rejected], ends_j[rejected]], axis=1),
@@ -417,7 +412,6 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
         n_samples=data.n_samples,
         table=table,
         tested_pairs=tested,
-        skipped=tuple(skipped),
         floored=tuple(floored),
         homogeneity_reject_fraction=rejects / verdicts if verdicts else None,
         homogeneity_singular_pairs=singular,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -192,10 +193,14 @@ class PowerStudySpec:
     def __post_init__(self):
         if not self.grid:
             raise OutOfDomain("empty simulation grid")
-        for name in ("seed", "reps", "n"):
+        for name, kind, what in (("seed", Integral, "an integer"), ("reps", Integral, "an integer"),
+                                 ("n", Integral, "an integer"), ("rho1", Real, "a real number"),
+                                 ("rho2", Real, "a real number"), ("alpha", Real, "a real number")):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise OutOfDomain(f"{name} must be an integer, got {value!r}")
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise OutOfDomain(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.one_sided, (bool, np.bool_)):
+            raise OutOfDomain(f"one_sided must be a bool, got {self.one_sided!r}")
         if self.reps < 1:
             raise OutOfDomain(f"reps must be positive, got {self.reps}")
         if self.seed < 0:
@@ -204,6 +209,8 @@ class PowerStudySpec:
             raise OutOfDomain(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.pvalue_mode not in inference.PVALUE_MODES:
             raise UsageError(f"pvalue_mode must be one of {inference.PVALUE_MODES}, got {self.pvalue_mode!r}")
+        if any(not isinstance(s, Integral) or isinstance(s, bool) for s in self.scenarios):
+            raise OutOfDomain(f"scenarios must be integers, got {tuple(self.scenarios)!r}")
         scenarios = tuple(int(s) for s in self.scenarios)
         if not scenarios or len(set(scenarios)) < len(scenarios) or any(
                 s not in SCENARIOS for s in scenarios):

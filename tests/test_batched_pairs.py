@@ -68,11 +68,11 @@ def exactly_singular_node_dataset(seed=3, n_nodes=7, n=64):
 def reference_network(data, method, gamma, sampler=None):
     """Per-pair loop over the public functions, one pair per call.
 
-    Returns (edges by pair, skipped pairs, floored pairs, homogeneity reject
-    fraction, singular homogeneity count).
+    Returns (edges by pair, floored pairs, homogeneity reject fraction, singular
+    homogeneity count).
     """
     n, k = data.n_samples, data.k
-    rows, skipped, floored, flags, singular = [], [], [], [], 0
+    rows, floored, flags, singular = [], [], [], 0
     for vi in range(data.n_nodes):
         for vj in range(vi + 1, data.n_nodes):
             block_i, block_j = data.samples[vi].T, data.samples[vj].T
@@ -91,10 +91,7 @@ def reference_network(data, method, gamma, sampler=None):
                 row = (similarity.aggregate_extreme(rhos, method),
                        similarity.aggregate_extreme(zs, method), None, p, None)
             else:
-                repaired, was_floored, change = network._floor_supermatrix(joint)
-                if change > network.FLOOR_SKIP_DELTA:
-                    skipped.append(pair)
-                    continue
+                repaired, was_floored = network._floor_supermatrix(joint)
                 if was_floored:
                     floored.append(pair)
                     joint = repaired
@@ -112,14 +109,13 @@ def reference_network(data, method, gamma, sampler=None):
     edges = {pair: row + (float(decision.qvalues[idx]),)
              for idx, (pair, row) in enumerate(rows) if idx in rejected}
     fraction = float(np.mean(flags)) if flags else None
-    return edges, skipped, floored, fraction, singular
+    return edges, floored, fraction, singular
 
 
 def assert_matches_reference(net, reference):
-    edges, skipped, floored, fraction, singular = reference
+    edges, floored, fraction, singular = reference
     pairs, t = id_pairs(net), net.table
     assert set(pairs) == set(edges)
-    assert [(s.node_i, s.node_j) for s in net.skipped] == skipped
     assert list(net.floored) == floored
     assert net.homogeneity_reject_fraction == fraction
     assert net.homogeneity_singular_pairs == singular
@@ -311,6 +307,7 @@ def test_schur_screen_accepts_only_clean_pairs(k, rho1, monkeypatch):
 def test_collinear_pair_is_floored_not_fatal():
     net = infer_network(collinear_dataset(), "cca", 0.05)
     assert ("v0", "v1") in net.floored
+    assert net.tested_pairs == 8 * 7 // 2
     assert net.homogeneity_singular_pairs >= 1
     edge = id_pairs(net).index(("v0", "v1"))
     assert net.table.similarity[edge] == pytest.approx(1.0, abs=1e-6)
@@ -332,7 +329,7 @@ def network_fields(net):
     t = net.table
     return ([column.tobytes() for column in (t.ends, t.similarity, t.statistic, t.df, t.p, t.q,
                                              t.contrib)],
-            net.tested_pairs, net.skipped, net.floored, net.homogeneity_reject_fraction,
+            net.tested_pairs, net.floored, net.homogeneity_reject_fraction,
             net.homogeneity_singular_pairs)
 
 

@@ -125,7 +125,6 @@ class TestRoundTrip:
         assert back.n_samples == net.n_samples
         assert back.tested_pairs == net.tested_pairs
         self.assert_tables_equal(back.table, net.table)
-        assert back.skipped == net.skipped
         assert back.floored == net.floored
         assert back.pvalue_mode == net.pvalue_mode
         assert back.homogeneity_reject_fraction == net.homogeneity_reject_fraction
@@ -244,6 +243,21 @@ class TestCliInfer:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "LengthMismatch" and "empty" in err["message"]
+        assert not (tmp_path / "run" / "edges.csv").exists()
+
+    @pytest.mark.parametrize("method", ["cca", "max", "pearson"])
+    def test_attribute_whose_squares_overflow_is_data_error(self, tmp_path, capsys, method):
+        rng = np.random.default_rng(4)
+        ids = [f"v{i}" for i in range(6)]
+        for name in ("a", "b"):
+            write_attribute_csv(tmp_path / f"{name}.csv", ids, 1e200 * rng.standard_normal((6, 20)))
+        code = main(["infer", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--method", method,
+                     *(["--attributes", "b"] if method == "pearson" else []),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "NonFiniteInput"
+        assert f"node 'v0' attribute '{'b' if method == 'pearson' else 'a'}'" in err["message"]
         assert not (tmp_path / "run" / "edges.csv").exists()
 
     def test_bad_fdr_is_usage_error(self, tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from scipy.stats import spearmanr
 
 from _oracles import brute_force_betweenness
-from macnet import network, simulation
-from macnet.errors import LengthMismatch, NodeSetMismatch, UsageError, ZeroVariance
+from macnet import simulation
+from macnet.errors import LengthMismatch, NodeSetMismatch, NonFiniteInput, UsageError, ZeroVariance
 from macnet.network import (
     AttributeDataset,
     EdgeTable,
@@ -166,6 +166,37 @@ class TestInferNetwork:
             infer_network(data, "cca", 0.05)
         assert "b" in str(err.value) and "y" in str(err.value)
 
+    def test_constant_attribute_with_an_inexact_mean_is_zero_variance(self):
+        # the mean of twenty 0.1s is not 0.1 in float64, so the computed variance is not 0
+        data = planted_two_attribute_dataset(19, n=20)
+        samples = data.samples.copy()
+        samples[1, 1, :] = 0.1
+        with pytest.raises(ZeroVariance, match="node 'v1' attribute 'y' is constant"):
+            infer_network(AttributeDataset(data.node_ids, data.attribute_names, samples), "cca", 0.05)
+
+    @pytest.mark.parametrize("method", ["pearson", "max", "cca"])
+    @pytest.mark.parametrize("scale", [1e200, 1e100, 1e-100, 1e-170])
+    def test_attribute_scale_outside_float_range_is_rejected(self, scale, method):
+        # squares overflow (1e200), a product of two sums of squares over- or underflows
+        # (1e100, 1e-100), squares underflow to 0 (1e-170)
+        data = planted_two_attribute_dataset(5, n=20)
+        data = AttributeDataset(data.node_ids, data.attribute_names, data.samples * scale)
+        if method == "pearson":
+            data = data.select(["y"])
+        with pytest.raises(NonFiniteInput, match=f"node 'v0' attribute '{data.attribute_names[0]}'"):
+            infer_network(data, method, 0.05)
+
+    @pytest.mark.parametrize("method", ["pearson", "max", "cca"])
+    @pytest.mark.parametrize("scale", [2.0**230, 2.0**-230])
+    def test_attribute_scale_inside_float_range_is_tested(self, scale, method):
+        data = planted_two_attribute_dataset(5)
+        scaled = AttributeDataset(data.node_ids, data.attribute_names, data.samples * scale)
+        if method == "pearson":
+            data, scaled = data.select(["y"]), scaled.select(["y"])
+        base, net = infer_network(data, method, 0.05), infer_network(scaled, method, 0.05)
+        assert net.edge_pairs() == base.edge_pairs() and base.n_edges
+        np.testing.assert_allclose(net.table.p, base.table.p, rtol=1e-9)
+
     def test_method_preconditions(self):
         data = planted_two_attribute_dataset(23)
         with pytest.raises(UsageError):
@@ -190,24 +221,19 @@ def planted_two_attribute_dataset(seed, n_nodes=6, n=60):
 class TestFlooring:
     def test_clean_matrix_untouched(self):
         joint = np.eye(4)
-        repaired, floored, change = _floor_supermatrix(joint)
-        assert not floored and change == 0.0
+        repaired, floored = _floor_supermatrix(joint)
+        assert not floored
         np.testing.assert_array_equal(repaired, joint)
 
     def test_small_defect_repaired(self):
         base = np.eye(4)
         base[0, 1] = base[1, 0] = 1.0 + 1e-6  # slightly indefinite
-        repaired, floored, change = _floor_supermatrix(base)
+        repaired, floored = _floor_supermatrix(base)
         assert floored
-        assert change < 0.01
+        np.testing.assert_allclose(np.linalg.eigvalsh(repaired), np.linalg.eigvalsh(base),
+                                   atol=0.01)
         assert np.linalg.eigvalsh(repaired)[0] > 0
         np.testing.assert_allclose(np.diag(repaired), 1.0, atol=1e-12)
-
-    def test_large_defect_flagged_for_skip(self):
-        bad = np.eye(4)
-        bad[0, 1] = bad[1, 0] = 1.1
-        _, _, change = _floor_supermatrix(bad)
-        assert change > network.FLOOR_SKIP_DELTA
 
 
 class TestGraphStatistics:

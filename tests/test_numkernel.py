@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from _oracles import general_eigen, two_pass_corr_matrices
 from macnet import numkernel
@@ -115,6 +117,33 @@ class TestCorrMatrix:
             samples[..., -1] = samples[..., 0] + 1e-9 * samples[..., -1]
         np.testing.assert_array_equal(numkernel.corr_matrices(samples),
                                       two_pass_corr_matrices(samples))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 3), extra=st.integers(0, 40), m=st.integers(1, 4),
+           log_offset=st.lists(st.floats(-3.0, 9.0), min_size=6, max_size=6),
+           log_scale=st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6),
+           copies=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.booleans()),
+                           max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_computed_matrices_are_semidefinite_up_to_rounding(self, k, extra, m, log_offset,
+                                                               log_scale, copies, seed):
+        # a computed sample correlation matrix is a scaled Gram matrix, so rounding moves
+        # its eigenvalues by about 2k n 2^-53 at most, far less than 1e-12 at n <= 49:
+        # a pair's joint matrix needs only the eigenvalue floor, never more
+        d, n = 2 * k, 2 * k + 3 + extra
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal((m, n, d))
+        for source, target, exact in copies:
+            source, target = source % d, target % d
+            if source != target:
+                noise = 0.0 if exact else 1e-9 * rng.standard_normal((m, n))
+                samples[..., target] = samples[..., source] + noise
+        sign = rng.choice([-1.0, 1.0], size=d)
+        samples = (samples * 10.0 ** np.array(log_scale[:d])
+                   + sign * 10.0 ** np.array(log_offset[:d]))
+        assume((np.ptp(samples, axis=1) > 0.0).all())  # an offset can swamp a tiny scale
+        values = np.linalg.eigvalsh(numkernel.corr_matrices(samples))
+        assert values.min() >= -1e-12
 
     def test_constant_column_reported_like_the_two_pass_reference(self):
         block = np.random.default_rng(2).normal(size=(4, 6, 3))

@@ -132,6 +132,15 @@ class TestPowerStudy:
         with pytest.raises(OutOfDomain, match=field):
             PowerStudySpec(grid=((0.0, 0.0),), **{field: value})
 
+    @pytest.mark.parametrize("field,value", [("rho1", "0.3"), ("rho2", None), ("alpha", "0.05"),
+                                             ("scenarios", (1.5,)), ("scenarios", (True,)),
+                                             ("one_sided", "no"), ("one_sided", 1)],
+                             ids=["rho1-str", "rho2-none", "alpha-str", "scenarios-float",
+                                  "scenarios-bool", "one_sided-str", "one_sided-int"])
+    def test_real_scenario_and_flag_fields_are_type_checked(self, field, value):
+        with pytest.raises(OutOfDomain, match=field):
+            PowerStudySpec(grid=((0.0, 0.0),), **{field: value})
+
     def test_numpy_integer_counts_are_accepted(self):
         spec = PowerStudySpec(grid=((0.0, 0.0),), n=np.int32(8), reps=np.int64(5), seed=1,
                               scenarios=(1,))
