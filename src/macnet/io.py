@@ -468,8 +468,10 @@ def write_edge_classes_csv(edge_classes: EdgeClasses, attribute_names, path):
 
 
 def read_node_classes(path) -> dict:
-    """Node id -> class label from a node class CSV written by ``classify``; a node id
-    given twice is rejected with its line."""
+    """Node id -> class label from a node class CSV written by ``classify``.
+
+    Node ids are stripped, as attribute CSVs' and GMT members' are; a blank node id,
+    or one given twice, is rejected with its line."""
     classes = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -482,10 +484,14 @@ def read_node_classes(path) -> dict:
             if len(row) < 2:
                 raise SchemaMismatch(f"{path}:{lineno}: expected at least 2 cells, found {len(row)}",
                                      path=str(path), line=lineno)
-            if row[0] in classes:
-                raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {row[0]!r}",
+            node_id = row[0].strip()
+            if not node_id:
+                raise SchemaMismatch(f"{path}:{lineno}: empty node id", path=str(path), line=lineno,
+                                     column=1)
+            if node_id in classes:
+                raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {node_id!r}",
                                       path=str(path), line=lineno, column=1)
-            classes[row[0]] = row[1]
+            classes[node_id] = row[1]
     return classes
 
 

@@ -2,19 +2,19 @@
 
 Five tests of a single planted edge are compared over a grid of
 two-attribute correlation structures: each attribute's correlation alone,
-max and min aggregation of the two, and canonical correlation.  Replicates
-draw from a counter-based generator keyed per (seed, grid point,
-replicate), so results are bit-reproducible regardless of execution order.
-Replicates are drawn, stacked and tested in chunks: a chunk derives all its
-generator keys in one array pass and replays each replicate's stream on one
-reused generator.  Each replicate's correlation matrix comes from one pass over
-its standard-normal draws, their column sums and Gram matrix, so the draws are
-a chunk's only array that grows with n.
+max and min aggregation of the two, and canonical correlation.  Each grid
+point draws its replicates in order from one counter-based generator keyed by
+(seed, grid point), so grid points are independent of each other and results
+are bit-reproducible regardless of the order points run in.  Replicates are
+drawn, stacked and tested in chunks, each drawn by one generator call; since
+the chunks consume the point's stream in order, results do not depend on the
+chunk size.  Each replicate's correlation matrix comes from one pass over its
+standard-normal draws, their column sums and Gram matrix, so the draws are a
+chunk's only array that grows with n, and a chunk's draw rows are capped.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -26,8 +26,11 @@ from .similarity import K2Params
 
 SCENARIOS = (1, 2, 3, 4, 5)
 
-#: replicates drawn and tested per batched step
+#: replicates drawn and tested per batched step, at most
 REPLICATE_CHUNK = 1024
+
+#: draw rows (n per replicate, 4 doubles each) per batched step, at most: 2 MiB
+CHUNK_DRAW_ROWS = 2**16
 
 SLICES = {
     "b=0.2r": lambda t: (t, 0.2 * t),
@@ -60,101 +63,20 @@ def substream(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _seed_words(value) -> list:
-    """``value`` as SeedSequence splits it: little-endian 32-bit words, at least one."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = []
-    while True:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-        if not value:
-            return words
+def _grid_point_normals(seed: int, point: int, reps: int, n: int):
+    """Standard normals of grid point ``point``'s replicates 0..reps-1, yielded in
+    chunks, each a stack (count, n, 4).
 
-
-def _pooled_keys(entropy: list) -> np.ndarray:
-    """Philox keys that SeedSequence derives from entropy words, one row per array element.
-
-    ``entropy`` holds equal-length uint32 arrays, one per entropy word.  This is
-    numpy's ``mix_entropy`` into a 4-word pool followed by
-    ``generate_state(2, np.uint64)``, in wrapping uint32 arithmetic; the
-    constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B and MULT_B.
+    Replicate r is row r of ``substream(seed, point).standard_normal((reps, n, 4))``.
+    The chunks consume that one stream in order, so the draws depend neither on the
+    chunk size nor, for the first replicates, on ``reps``.  A chunk holds at most
+    REPLICATE_CHUNK replicates and CHUNK_DRAW_ROWS rows of n draws, but at least one
+    replicate.
     """
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * 0x931E8875 & 0xFFFFFFFF
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = 0xCA01F9DD * x - 0x4973F715 * y
-        return result ^ (result >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = 0x8B51F9DD
-    state = np.empty((zero.size, 4), dtype=np.uint32)
-    for i in range(4):
-        value = pool[i] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & 0xFFFFFFFF
-        value = value * hash_const
-        state[:, i] = value ^ (value >> 16)
-    # numpy reads word pairs little-endian whatever the platform's byte order
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _substream_keys(seed: int, point: int, reps) -> np.ndarray:
-    """Philox keys of ``substream(seed, point, rep)`` for each rep, shape (len(reps), 2).
-
-    Row i equals ``np.random.SeedSequence([seed, point, reps[i]]).generate_state(2,
-    np.uint64)``, computed for all reps at once.  Like SeedSequence, it rejects
-    negative values (ValueError) and non-integers (TypeError).
-    """
-    prefix = _seed_words(seed) + _seed_words(point)
-    reps = np.asarray(reps, dtype=np.int64)
-    if np.any(reps < 0):
-        raise ValueError("expected non-negative integer")
-    low = (reps & 0xFFFFFFFF).astype(np.uint32)
-    high = (reps >> 32).astype(np.uint32)
-    keys = np.empty((reps.size, 2), dtype=np.uint64)
-    # a rep below 2**32 is one entropy word, a larger one two
-    for rows, rep_words in ((high == 0, (low,)), (high > 0, (low, high))):
-        if rows.any():
-            count = int(rows.sum())
-            words = [np.full(count, w, dtype=np.uint32) for w in prefix]
-            keys[rows] = _pooled_keys(words + [w[rows] for w in rep_words])
-    return keys
-
-
-def _replicate_normals(seed: int, point: int, reps, n: int) -> np.ndarray:
-    """(len(reps), n, 4) standard normals; row i equals
-    ``substream(seed, point, reps[i]).standard_normal((n, 4))``.
-
-    Philox is counter-based, so a fresh generator's stream depends only on its
-    key: one generator, reset to counter 0 with an empty buffer and each
-    replicate's key in turn, replays every replicate's stream.
-    """
-    bit_generator = np.random.Philox(key=0)
-    generator = np.random.Generator(bit_generator)
-    fresh = bit_generator.state  # counter 0, empty buffer
-    normals = np.empty((len(reps), n, 4))
-    for key, out in zip(_substream_keys(seed, point, reps), normals):
-        fresh["state"]["key"] = key
-        bit_generator.state = fresh
-        generator.standard_normal((n, 4), out=out)
-    return normals
+    generator = substream(seed, point)
+    step = max(1, min(REPLICATE_CHUNK, CHUNK_DRAW_ROWS // n))
+    for start in range(0, reps, step):
+        yield generator.standard_normal((min(step, reps - start), n, 4))
 
 
 def sample_mvn(sigma, n: int, seed) -> np.ndarray:
@@ -294,11 +216,11 @@ def _replicate_correlations(normals: np.ndarray, lower: np.ndarray) -> np.ndarra
     return numkernel.corr_from_cross(lower @ centred @ lower.T)
 
 
-def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarray, reps):
-    """z1 and z2 of the replicates ``reps`` of one grid point, the p-values of
-    scenarios 1 and 2, then scenario 5's Bartlett p-values if it is requested."""
-    joint = _replicate_correlations(_replicate_normals(spec.seed, grid_index, reps, spec.n),
-                                    lower)
+def _replicate_statistics(spec: PowerStudySpec, lower: np.ndarray, normals: np.ndarray):
+    """z1 and z2 of a chunk of replicates drawn as X = Z L' from their standard normals
+    Z, the p-values of scenarios 1 and 2, then scenario 5's Bartlett p-values if it is
+    requested."""
+    joint = _replicate_correlations(normals, lower)
     two_sided = not spec.one_sided
     z1, p1 = inference.correlation_test(joint[:, 0, 2], spec.n, two_sided=two_sided)
     z2, p2 = inference.correlation_test(joint[:, 1, 3], spec.n, two_sided=two_sided)
@@ -314,11 +236,8 @@ def _replicate_statistics(spec: PowerStudySpec, grid_index: int, lower: np.ndarr
 def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: float) -> list:
     """Rejection count of each scenario at one grid point, in ``spec.scenarios`` order."""
     lower = numkernel.cholesky(build_sigma(spec.params(r, b)))
-    chunks = [
-        _replicate_statistics(spec, grid_index, lower,
-                              range(start, min(start + REPLICATE_CHUNK, spec.reps)))
-        for start in range(0, spec.reps, REPLICATE_CHUNK)
-    ]
+    chunks = [_replicate_statistics(spec, lower, normals)
+              for normals in _grid_point_normals(spec.seed, grid_index, spec.reps, spec.n)]
     z1, z2, *columns = (np.concatenate(parts) for parts in zip(*chunks))
     pvalues = dict(zip((1, 2, 5), columns))
     extremes = [(s, mode) for s, mode in ((3, "max"), (4, "min")) if s in spec.scenarios]

@@ -371,14 +371,15 @@ def test_every_field_is_bit_identical_across_tile_shapes(k, method, make, monkey
 
 
 def reference_power_counts(spec):
-    """Per-replicate loop over the public functions, one replicate per call: rejections
-    by grid point, then scenario."""
+    """Per-replicate loop over the public functions, one replicate per call, each grid
+    point's replicates drawn in turn from its one generator: rejections by grid point,
+    then scenario."""
     counts = []
     for grid_index, (r, b) in enumerate(spec.grid):
         sigma = simulation.build_sigma(spec.params(r, b))
         z1, z2, bartlett = [], [], []
-        for rep in range(spec.reps):
-            rng = simulation.substream(spec.seed, grid_index, rep)
+        rng = simulation.substream(spec.seed, grid_index)
+        for _ in range(spec.reps):
             joint = numkernel.corr_matrices(simulation.sample_mvn(sigma, spec.n, rng))
             z1.append(inference.fisher_z(joint[0, 2], spec.n))
             z2.append(inference.fisher_z(joint[1, 3], spec.n))

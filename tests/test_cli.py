@@ -314,6 +314,17 @@ class TestCliNetstatClassifyEnrich:
         assert rows
         assert {"class", "set", "overlap", "p", "q", "enriched"} <= set(rows[0])
 
+    def test_enrich_strips_node_ids_as_gmt_members_are(self, tmp_path, capsys):
+        # ' v1 ' used to miss the GMT member 'v1', so the gene class was skipped with a warning
+        (tmp_path / "node_classes.csv").write_text("node_id,label\nv0,protein\n v1 ,gene\n")
+        (tmp_path / "sets.gmt").write_text("set_one\tdesc\tv0\tv1\n")
+        assert main(["enrich", str(tmp_path / "node_classes.csv"), str(tmp_path / "sets.gmt"),
+                     "--universe", "50", "--out", str(tmp_path / "out")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        with open(tmp_path / "out" / "enrichment.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert {(row["class"], row["overlap"]) for row in rows} == {("protein", "1"), ("gene", "1")}
+
     def test_pipeline_runs_on_cca_and_max_networks(self, tmp_path):
         protein, gene, *_ = make_dataset_files(tmp_path)
         for method in ("cca", "max"):
@@ -441,6 +452,19 @@ class TestMalformedEdgeAndClassFiles:
         assert (err["error"], err["path"], err["line"], err["column"]) == (
             "DuplicateNodeId", str(tmp_path / "node_classes.csv"), 4, 1)
         assert "'G1'" in err["message"]
+        assert not (tmp_path / "out" / "enrichment.csv").exists()
+
+    def test_node_class_file_repeating_a_node_after_stripping(self, tmp_path, capsys):
+        err = self.enrich(tmp_path, capsys, "node_id,label\nG1,gene\n G1 ,protein\n")
+        assert (err["error"], err["line"], err["column"]) == ("DuplicateNodeId", 3, 1)
+        assert "'G1'" in err["message"]
+
+    @pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "spaces"])
+    def test_node_class_row_with_a_blank_node_id(self, tmp_path, capsys, blank):
+        # a blank id used to be read as a node named '' that no set contains, so it vanished
+        err = self.enrich(tmp_path, capsys, f"node_id,label\nv0,protein\n{blank},gene\n")
+        assert (err["error"], err["path"], err["line"], err["column"]) == (
+            "SchemaMismatch", str(tmp_path / "node_classes.csv"), 3, 1)
         assert not (tmp_path / "out" / "enrichment.csv").exists()
 
 

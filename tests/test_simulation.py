@@ -81,37 +81,19 @@ class TestSampleMvn:
             np.testing.assert_array_equal(forward[rep], backward[4 - rep])
 
 
-class TestChunkDraw:
-    """The chunk-level draw replays exactly the streams that ``substream`` builds."""
+class TestReplicateStream:
+    """Each grid point's replicates are consecutive rows of one ``substream`` draw."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
-    @pytest.mark.parametrize("point", [0, 8])
-    def test_keys_match_seed_sequence(self, seed, point):
-        keys = simulation._substream_keys(seed, point, range(601))
-        expected = np.stack([np.random.SeedSequence([seed, point, rep]).generate_state(2, np.uint64)
-                             for rep in range(601)])
-        assert keys.dtype == np.uint64
-        np.testing.assert_array_equal(keys, expected)
-
-    def test_keys_of_multi_word_replicates(self):
-        reps = [3, 2**32, 2**40 + 7, 0]
-        expected = np.stack([np.random.SeedSequence([5, 1, rep]).generate_state(2, np.uint64)
-                             for rep in reps])
-        np.testing.assert_array_equal(simulation._substream_keys(5, 1, reps), expected)
-
-    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, 2.0])
-    def test_keys_reject_what_seed_sequence_rejects(self, seed):
-        with pytest.raises(Exception) as expected:
-            np.random.SeedSequence([seed, 0, 0])
-        with pytest.raises(expected.type):
-            simulation._substream_keys(seed, 0, range(3))
-
-    def test_normals_match_substream_across_a_chunk_boundary(self):
-        reps = range(REPLICATE_CHUNK + 5)
-        chunks = [simulation._replicate_normals(17, 3, reps[start:start + REPLICATE_CHUNK], 50)
-                  for start in range(0, len(reps), REPLICATE_CHUNK)]
-        expected = np.stack([substream(17, 3, rep).standard_normal((50, 4)) for rep in reps])
+    @pytest.mark.parametrize("n,reps,sizes", [(50, REPLICATE_CHUNK + 5, [REPLICATE_CHUNK, 5]),
+                                              (20_000, 5, [3, 2]), (2**16 + 1, 2, [1, 1])],
+                             ids=["replicate-chunk-boundary", "draw-row-cap", "one-replicate"])
+    def test_chunks_are_one_stream_and_fewer_reps_its_prefix(self, n, reps, sizes):
+        chunks = list(simulation._grid_point_normals(17, 3, reps, n))
+        assert [len(chunk) for chunk in chunks] == sizes
+        expected = substream(17, 3).standard_normal((reps, n, 4))
         np.testing.assert_array_equal(np.concatenate(chunks), expected)
+        prefix = np.concatenate(list(simulation._grid_point_normals(17, 3, reps - 1, n)))
+        np.testing.assert_array_equal(prefix, expected[:-1])
 
 
 class TestPowerStudy:
@@ -176,29 +158,32 @@ class TestPowerStudy:
 
     @pytest.mark.parametrize("replicate", [0, REPLICATE_CHUNK + 3])
     def test_singular_replicate_raises(self, monkeypatch, replicate):
-        draw = simulation._replicate_normals
+        draw = simulation._grid_point_normals
 
         def with_a_singular_replicate(seed, point, reps, n):
-            normals = draw(seed, point, reps, n)
-            if replicate in reps:
-                row = normals[list(reps).index(replicate)]
-                row[:, 3] = row[:, 1]
-            return normals
+            start = 0
+            for normals in draw(seed, point, reps, n):
+                if start <= replicate < start + len(normals):
+                    row = normals[replicate - start]
+                    row[:, 3] = row[:, 1]
+                start += len(normals)
+                yield normals
 
-        monkeypatch.setattr(simulation, "_replicate_normals", with_a_singular_replicate)
+        monkeypatch.setattr(simulation, "_grid_point_normals", with_a_singular_replicate)
         spec = PowerStudySpec(grid=((0.1, 0.2),), reps=REPLICATE_CHUNK + 10, seed=3)
         with pytest.raises(NotPositiveDefinite):
             power_study(spec)
 
     def test_cli_defaults_draw_one_chunk_per_grid_point(self, monkeypatch, tmp_path):
         calls = []
-        draw = simulation._replicate_normals
+        draw = simulation._grid_point_normals
 
         def recording(seed, point, reps, n):
-            calls.append((point, len(reps)))
-            return draw(seed, point, reps, n)
+            for normals in draw(seed, point, reps, n):
+                calls.append((point, len(normals)))
+                yield normals
 
-        monkeypatch.setattr(simulation, "_replicate_normals", recording)
+        monkeypatch.setattr(simulation, "_grid_point_normals", recording)
         assert main(["simulate", "--slice", "b=0.2r", "--points", "9", "--reps", "1000",
                      "--n", "50", "--seed", "7", "--out", str(tmp_path)]) == 0
         assert calls == [(point, 1000) for point in range(9)]
@@ -262,7 +247,7 @@ def test_gram_path_matches_two_pass_correlations(n):
     grid = (sweep[0], sweep[4], sweep[-1]) + slice_grid("b=0.2r", [edge])
     for point, (r, b) in enumerate(grid):
         lower = numkernel.cholesky(build_sigma(K2Params(r=r, b=b, rho1=0.3, rho2=0.1)))
-        normals = simulation._replicate_normals(9, point, range(300), n)
+        normals = np.concatenate(list(simulation._grid_point_normals(9, point, 300, n)))
         joint = simulation._replicate_correlations(normals, lower)
         expected = numkernel.corr_matrices(normals @ lower.T)
         np.testing.assert_allclose(joint, expected, rtol=0.0, atol=1e-12)
