@@ -58,9 +58,12 @@ def _resolve_rng(seed) -> np.random.Generator:
 
 
 def substream(seed: int, *key) -> np.random.Generator:
-    """Independent generator keyed by (seed, *key); order-independent by construction."""
-    entropy = [int(seed)] + [int(k) for k in key]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    """Independent generator keyed by (seed, *key); order-independent by construction.
+
+    The key words go to SeedSequence as given, so a negative or non-integer one is
+    rejected there rather than truncated.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *key])))
 
 
 def _grid_point_normals(seed: int, point: int, reps: int, n: int):

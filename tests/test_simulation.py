@@ -81,19 +81,32 @@ class TestSampleMvn:
             np.testing.assert_array_equal(forward[rep], backward[4 - rep])
 
 
-class TestReplicateStream:
+class TestChunkDraw:
     """Each grid point's replicates are consecutive rows of one ``substream`` draw."""
 
-    @pytest.mark.parametrize("n,reps,sizes", [(50, REPLICATE_CHUNK + 5, [REPLICATE_CHUNK, 5]),
-                                              (20_000, 5, [3, 2]), (2**16 + 1, 2, [1, 1])],
-                             ids=["replicate-chunk-boundary", "draw-row-cap", "one-replicate"])
-    def test_chunks_are_one_stream_and_fewer_reps_its_prefix(self, n, reps, sizes):
+    @staticmethod
+    def assert_one_stream(n, reps, sizes):
         chunks = list(simulation._grid_point_normals(17, 3, reps, n))
         assert [len(chunk) for chunk in chunks] == sizes
         expected = substream(17, 3).standard_normal((reps, n, 4))
         np.testing.assert_array_equal(np.concatenate(chunks), expected)
         prefix = np.concatenate(list(simulation._grid_point_normals(17, 3, reps - 1, n)))
         np.testing.assert_array_equal(prefix, expected[:-1])
+
+    def test_normals_match_substream_across_a_chunk_boundary(self):
+        self.assert_one_stream(50, REPLICATE_CHUNK + 5, [REPLICATE_CHUNK, 5])
+
+    @pytest.mark.parametrize("n,reps,sizes", [(20_000, 5, [3, 2]), (2**16 + 1, 2, [1, 1])],
+                             ids=["draw-row-cap", "one-replicate"])
+    def test_draw_rows_cap_a_chunk(self, n, reps, sizes):
+        self.assert_one_stream(n, reps, sizes)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, 2.0])
+    def test_keys_reject_what_seed_sequence_rejects(self, seed):
+        with pytest.raises(Exception) as expected:
+            np.random.SeedSequence([seed, 0])
+        with pytest.raises(expected.type):
+            next(simulation._grid_point_normals(seed, 0, 3, 5))
 
 
 class TestPowerStudy:
