@@ -2,15 +2,17 @@
 
 Five tests of a single planted edge are compared over a grid of
 two-attribute correlation structures: each attribute's correlation alone,
-max and min aggregation of the two, and canonical correlation.  Each grid
-point draws its replicates in order from one counter-based generator keyed by
-(seed, grid point), so grid points are independent of each other and results
-are bit-reproducible regardless of the order points run in.  Replicates are
-drawn, stacked and tested in chunks, each drawn by one generator call; since
-the chunks consume the point's stream in order, results do not depend on the
-chunk size.  Each replicate's correlation matrix comes from one pass over its
-standard-normal draws, their column sums and Gram matrix, so the draws are a
-chunk's only array that grows with n, and a chunk's draw rows are capped.
+max and min aggregation of the two, and canonical correlation.  Every test
+reads only a replicate's 4x4 sample correlation matrix, so no replicate's data
+is drawn: for n Gaussian draws the centred scatter matrix is Wishart(n - 1,
+Sigma), and each replicate draws its Bartlett factor instead, six normals and
+four chi-squared variates whatever n is.  Each grid point draws its factors in
+order from two counter-based generators keyed by (seed, grid point), so grid
+points are independent of each other and results are bit-reproducible
+regardless of the order points run in.  Replicates are drawn, stacked and
+tested in chunks, one call per generator each; since the chunks consume the
+streams in order, results do not depend on the chunk size, and no array grows
+with n.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ SCENARIOS = (1, 2, 3, 4, 5)
 #: replicates drawn and tested per batched step, at most
 REPLICATE_CHUNK = 1024
 
-#: draw rows (n per replicate, 4 doubles each) per batched step, at most: 2 MiB
-CHUNK_DRAW_ROWS = 2**16
-
 SLICES = {
     "b=0.2r": lambda t: (t, 0.2 * t),
     "r=0.2b": lambda t: (0.2 * t, t),
@@ -49,14 +48,6 @@ def build_sigma(p: K2Params) -> np.ndarray:
     return sigma
 
 
-def _resolve_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-
-
 def substream(seed: int, *key) -> np.random.Generator:
     """Independent generator keyed by (seed, *key); order-independent by construction.
 
@@ -66,29 +57,43 @@ def substream(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *key])))
 
 
-def _grid_point_normals(seed: int, point: int, reps: int, n: int):
-    """Standard normals of grid point ``point``'s replicates 0..reps-1, yielded in
-    chunks, each a stack (count, n, 4).
+def _grid_point_factors(seed: int, point: int, reps: int, n: int):
+    """Bartlett factors of grid point ``point``'s replicates 0..reps-1, yielded in
+    chunks of at most REPLICATE_CHUNK, each a stack (count, 4, 4).
 
-    Replicate r is row r of ``substream(seed, point).standard_normal((reps, n, 4))``.
-    The chunks consume that one stream in order, so the draws depend neither on the
-    chunk size nor, for the first replicates, on ``reps``.  A chunk holds at most
-    REPLICATE_CHUNK replicates and CHUNK_DRAW_ROWS rows of n draws, but at least one
-    replicate.
+    Replicate r's factor T is lower triangular.  Its entries below the diagonal are
+    row r of ``substream(seed, point, 0).standard_normal((reps, 6))``, in
+    ``np.tril_indices(4, -1)`` order, and T[i, i] is the root of twice entry (r, i) of
+    ``substream(seed, point, 1).standard_gamma((n - 1 - arange(4)) / 2, (reps, 4))``,
+    a chi-squared variate on n - 1 - i degrees of freedom.  T T' is then distributed
+    as the centred scatter matrix of n standard-normal draws, Wishart(n - 1, I)
+    (Bartlett 1933); at n = 4 the last shape is 0, T[3, 3] = 0 and T T' has rank 3.
+    Each chunk is one call per stream and consumes it in order, so the factors
+    depend neither on the chunk size nor, for the first replicates, on ``reps``.
     """
-    generator = substream(seed, point)
-    step = max(1, min(REPLICATE_CHUNK, CHUNK_DRAW_ROWS // n))
-    for start in range(0, reps, step):
-        yield generator.standard_normal((min(step, reps - start), n, 4))
+    normals, gammas = substream(seed, point, 0), substream(seed, point, 1)
+    shapes = (n - 1 - np.arange(4)) / 2.0
+    rows, cols = np.tril_indices(4, -1)
+    diag = np.arange(4)
+    for start in range(0, reps, REPLICATE_CHUNK):
+        count = min(REPLICATE_CHUNK, reps - start)
+        factors = np.zeros((count, 4, 4))
+        factors[:, rows, cols] = normals.standard_normal((count, 6))
+        factors[:, diag, diag] = np.sqrt(2.0 * gammas.standard_gamma(shapes, (count, 4)))
+        yield factors
 
 
 def sample_mvn(sigma, n: int, seed) -> np.ndarray:
-    """n draws from a centered multivariate normal with the given SPD covariance."""
+    """n draws from a centered multivariate normal with the given SPD covariance.
+
+    ``seed`` is a Generator, or a seed for ``substream(seed)``, so a negative or
+    non-integer one is rejected rather than truncated.
+    """
     sigma = numkernel.require_symmetric(sigma, tol=1e-10)
     if n < 1:
         raise InsufficientSamples(f"need at least 1 draw, got {n}")
     lower = numkernel.cholesky(sigma)
-    rng = _resolve_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     z = rng.standard_normal((n, sigma.shape[0]))
     return z @ lower.T
 
@@ -202,28 +207,19 @@ def _log_wilks_lambda(joint: np.ndarray) -> np.ndarray:
     return logdet_schur - numkernel.slogdet(r22)[1]
 
 
-def _replicate_correlations(normals: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Sample correlation matrix of each replicate's draws X = Z L' from its standard
-    normals Z, a stack (m, n, 4), without forming X.
-
-    One pass over Z gives each replicate's column sums s and Gram Z'Z; X's centred
-    cross products are then L (Z'Z - s s'/n) L', a 4-by-4 product per replicate,
-    scaled as ``numkernel.corr_matrices`` scales them.  Centring after summing
-    loses relative accuracy in proportion to mean^2 / variance of each column
-    (Chan, Golub and LeVeque 1983), about 1/n for standard-normal draws, so the
-    result agrees with the two-pass ``corr_matrices(Z @ L.T)`` to rounding.
-    """
-    n = normals.shape[1]
-    sums = np.einsum("mni->mi", normals)
-    centred = np.swapaxes(normals, 1, 2) @ normals - sums[:, :, None] * sums[:, None, :] / n
-    return numkernel.corr_from_cross(lower @ centred @ lower.T)
+def _replicate_correlations(factors: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Sample correlation matrix of each replicate from its Bartlett factor T, a stack
+    (m, 4, 4): X = L T gives X X' = L T T' L', distributed as the centred cross
+    products of n draws from N(0, L L'), scaled as ``numkernel.corr_matrices``
+    scales them."""
+    x = lower @ factors
+    return numkernel.corr_from_cross(x @ np.swapaxes(x, 1, 2))
 
 
-def _replicate_statistics(spec: PowerStudySpec, lower: np.ndarray, normals: np.ndarray):
-    """z1 and z2 of a chunk of replicates drawn as X = Z L' from their standard normals
-    Z, the p-values of scenarios 1 and 2, then scenario 5's Bartlett p-values if it is
-    requested."""
-    joint = _replicate_correlations(normals, lower)
+def _replicate_statistics(spec: PowerStudySpec, lower: np.ndarray, factors: np.ndarray):
+    """z1 and z2 of a chunk of replicates from their Bartlett factors, the p-values of
+    scenarios 1 and 2, then scenario 5's Bartlett p-values if it is requested."""
+    joint = _replicate_correlations(factors, lower)
     two_sided = not spec.one_sided
     z1, p1 = inference.correlation_test(joint[:, 0, 2], spec.n, two_sided=two_sided)
     z2, p2 = inference.correlation_test(joint[:, 1, 3], spec.n, two_sided=two_sided)
@@ -239,8 +235,8 @@ def _replicate_statistics(spec: PowerStudySpec, lower: np.ndarray, normals: np.n
 def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: float) -> list:
     """Rejection count of each scenario at one grid point, in ``spec.scenarios`` order."""
     lower = numkernel.cholesky(build_sigma(spec.params(r, b)))
-    chunks = [_replicate_statistics(spec, lower, normals)
-              for normals in _grid_point_normals(spec.seed, grid_index, spec.reps, spec.n)]
+    chunks = [_replicate_statistics(spec, lower, factors)
+              for factors in _grid_point_factors(spec.seed, grid_index, spec.reps, spec.n)]
     z1, z2, *columns = (np.concatenate(parts) for parts in zip(*chunks))
     pvalues = dict(zip((1, 2, 5), columns))
     extremes = [(s, mode) for s, mode in ((3, "max"), (4, "min")) if s in spec.scenarios]

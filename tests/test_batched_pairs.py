@@ -372,15 +372,22 @@ def test_every_field_is_bit_identical_across_tile_shapes(k, method, make, monkey
 
 def reference_power_counts(spec):
     """Per-replicate loop over the public functions, one replicate per call, each grid
-    point's replicates drawn in turn from its one generator: rejections by grid point,
-    then scenario."""
+    point's Bartlett factors drawn in turn from its two generators: rejections by grid
+    point, then scenario."""
     counts = []
+    shapes = (spec.n - 1 - np.arange(4)) / 2.0
     for grid_index, (r, b) in enumerate(spec.grid):
-        sigma = simulation.build_sigma(spec.params(r, b))
+        lower = np.linalg.cholesky(simulation.build_sigma(spec.params(r, b)))
         z1, z2, bartlett = [], [], []
-        rng = simulation.substream(spec.seed, grid_index)
+        normals = simulation.substream(spec.seed, grid_index, 0)
+        gammas = simulation.substream(spec.seed, grid_index, 1)
         for _ in range(spec.reps):
-            joint = numkernel.corr_matrices(simulation.sample_mvn(sigma, spec.n, rng))
+            factor = np.zeros((4, 4))
+            factor[np.tril_indices(4, -1)] = normals.standard_normal(6)
+            factor[np.diag_indices(4)] = np.sqrt(2.0 * gammas.standard_gamma(shapes))
+            x = lower @ factor
+            scatter = x @ x.T
+            joint = scatter / np.sqrt(np.outer(np.diag(scatter), np.diag(scatter)))
             z1.append(inference.fisher_z(joint[0, 2], spec.n))
             z2.append(inference.fisher_z(joint[1, 3], spec.n))
             roots = similarity.canonical_corr(joint[:2, :2], joint[2:, 2:], joint[:2, 2:]).roots

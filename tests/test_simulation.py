@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from macnet import cli, inference, numkernel, simulation
+from macnet import inference, numkernel, simulation
 from macnet.cli import main
 from macnet.errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain
 from macnet.similarity import K2Params, canonical_roots
@@ -74,6 +77,19 @@ class TestSampleMvn:
         with pytest.raises(NotPositiveDefinite):
             sample_mvn(np.array([[1.0, 2.0], [2.0, 1.0]]), 10, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, None])
+    def test_seed_goes_to_seed_sequence_as_given(self, seed):
+        with pytest.raises(Exception) as expected:
+            np.random.SeedSequence([seed])
+        with pytest.raises(expected.type):
+            sample_mvn(np.eye(2), 3, seed)
+
+    def test_integer_seed_draws_from_its_substream(self):
+        expected = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
+        np.testing.assert_array_equal(sample_mvn(np.eye(2), 3, 1), expected.standard_normal((3, 2)))
+        np.testing.assert_array_equal(sample_mvn(np.eye(2), 3, 1),
+                                      substream(1).standard_normal((3, 2)))
+
     def test_substream_order_independence(self):
         forward = [substream(3, 0, rep).standard_normal(4) for rep in range(5)]
         backward = [substream(3, 0, rep).standard_normal(4) for rep in reversed(range(5))]
@@ -82,31 +98,74 @@ class TestSampleMvn:
 
 
 class TestChunkDraw:
-    """Each grid point's replicates are consecutive rows of one ``substream`` draw."""
+    """Each grid point's Bartlett factors are consecutive rows of one draw from each of
+    its two ``substream``s."""
 
     @staticmethod
-    def assert_one_stream(n, reps, sizes):
-        chunks = list(simulation._grid_point_normals(17, 3, reps, n))
-        assert [len(chunk) for chunk in chunks] == sizes
-        expected = substream(17, 3).standard_normal((reps, n, 4))
+    def whole_stream_factors(seed, point, reps, n):
+        factors = np.zeros((reps, 4, 4))
+        rows, cols = np.tril_indices(4, -1)
+        factors[:, rows, cols] = substream(seed, point, 0).standard_normal((reps, 6))
+        shapes = (n - 1 - np.arange(4)) / 2.0
+        diagonal = np.sqrt(2.0 * substream(seed, point, 1).standard_gamma(shapes, (reps, 4)))
+        factors[:, range(4), range(4)] = diagonal
+        return factors
+
+    def test_factors_match_substreams_across_a_chunk_boundary(self):
+        reps = REPLICATE_CHUNK + 5
+        chunks = list(simulation._grid_point_factors(17, 3, reps, 50))
+        assert [len(chunk) for chunk in chunks] == [REPLICATE_CHUNK, 5]
+        expected = self.whole_stream_factors(17, 3, reps, 50)
         np.testing.assert_array_equal(np.concatenate(chunks), expected)
-        prefix = np.concatenate(list(simulation._grid_point_normals(17, 3, reps - 1, n)))
+        prefix = np.concatenate(list(simulation._grid_point_factors(17, 3, reps - 1, 50)))
         np.testing.assert_array_equal(prefix, expected[:-1])
 
-    def test_normals_match_substream_across_a_chunk_boundary(self):
-        self.assert_one_stream(50, REPLICATE_CHUNK + 5, [REPLICATE_CHUNK, 5])
-
-    @pytest.mark.parametrize("n,reps,sizes", [(20_000, 5, [3, 2]), (2**16 + 1, 2, [1, 1])],
-                             ids=["draw-row-cap", "one-replicate"])
-    def test_draw_rows_cap_a_chunk(self, n, reps, sizes):
-        self.assert_one_stream(n, reps, sizes)
+    def test_factors_have_rank_three_at_four_samples(self):
+        factors = next(simulation._grid_point_factors(17, 3, 200, 4))
+        np.testing.assert_array_equal(factors, self.whole_stream_factors(17, 3, 200, 4))
+        assert not np.any(np.triu(factors, 1))
+        assert np.all(np.diagonal(factors, axis1=1, axis2=2)[:, :3] > 0.0)
+        np.testing.assert_array_equal(factors[:, 3, 3], 0.0)
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, 2.0])
     def test_keys_reject_what_seed_sequence_rejects(self, seed):
         with pytest.raises(Exception) as expected:
             np.random.SeedSequence([seed, 0])
         with pytest.raises(expected.type):
-            next(simulation._grid_point_normals(seed, 0, 3, 5))
+            next(simulation._grid_point_factors(seed, 0, 3, 5))
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 50])
+def test_wishart_draw_matches_sampled_data(n):
+    # a point of the b=0.2r slice: every correlation of sigma is non-zero
+    sigma = build_sigma(K2Params(r=0.4, b=0.08, rho1=0.3, rho2=0.1))
+    lower = numkernel.cholesky(sigma)
+    reps = 4000
+    factors = np.concatenate(list(simulation._grid_point_factors(2525, 0, reps, n)))
+    joint = simulation._replicate_correlations(factors, lower)
+    data = sample_mvn(sigma, reps * n, substream(2525, 1)).reshape(reps, n, 4)
+    sampled = numkernel.corr_matrices(data)
+    pairs = [(joint[:, i, j], sampled[:, i, j]) for i, j in ((0, 2), (1, 3), (0, 1), (0, 3))]
+    if n >= 7:  # log Lambda is -inf on a rank-deficient matrix
+        pairs.append((simulation._log_wilks_lambda(joint), simulation._log_wilks_lambda(sampled)))
+    for wishart, sampled_values in pairs:
+        assert stats.ks_2samp(wishart, sampled_values).pvalue > 1e-3
+    x = lower @ factors
+    scatter = x @ np.swapaxes(x, 1, 2)
+    se = scatter.std(axis=0, ddof=1) / np.sqrt(reps)
+    assert np.all(np.abs(scatter.mean(axis=0) - (n - 1) * sigma) <= 4.0 * se)
+
+
+def test_sample_size_sets_no_array_size():
+    # one replicate's data at n = 10**9 would be 32 GB
+    tracemalloc.start()
+    try:
+        result = power_study(PowerStudySpec(grid=((0.0, 0.0),), n=10**9, reps=50, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.rejections.shape == (1, 5)
+    assert peak < 2**20
 
 
 class TestPowerStudy:
@@ -171,32 +230,32 @@ class TestPowerStudy:
 
     @pytest.mark.parametrize("replicate", [0, REPLICATE_CHUNK + 3])
     def test_singular_replicate_raises(self, monkeypatch, replicate):
-        draw = simulation._grid_point_normals
+        draw = simulation._grid_point_factors
 
         def with_a_singular_replicate(seed, point, reps, n):
             start = 0
-            for normals in draw(seed, point, reps, n):
-                if start <= replicate < start + len(normals):
-                    row = normals[replicate - start]
-                    row[:, 3] = row[:, 1]
-                start += len(normals)
-                yield normals
+            for factors in draw(seed, point, reps, n):
+                if start <= replicate < start + len(factors):
+                    factor = factors[replicate - start]
+                    factor[3] = factor[1]
+                start += len(factors)
+                yield factors
 
-        monkeypatch.setattr(simulation, "_grid_point_normals", with_a_singular_replicate)
+        monkeypatch.setattr(simulation, "_grid_point_factors", with_a_singular_replicate)
         spec = PowerStudySpec(grid=((0.1, 0.2),), reps=REPLICATE_CHUNK + 10, seed=3)
         with pytest.raises(NotPositiveDefinite):
             power_study(spec)
 
     def test_cli_defaults_draw_one_chunk_per_grid_point(self, monkeypatch, tmp_path):
         calls = []
-        draw = simulation._grid_point_normals
+        draw = simulation._grid_point_factors
 
         def recording(seed, point, reps, n):
-            for normals in draw(seed, point, reps, n):
-                calls.append((point, len(normals)))
-                yield normals
+            for factors in draw(seed, point, reps, n):
+                calls.append((point, len(factors)))
+                yield factors
 
-        monkeypatch.setattr(simulation, "_grid_point_normals", recording)
+        monkeypatch.setattr(simulation, "_grid_point_factors", recording)
         assert main(["simulate", "--slice", "b=0.2r", "--points", "9", "--reps", "1000",
                      "--n", "50", "--seed", "7", "--out", str(tmp_path)]) == 0
         assert calls == [(point, 1000) for point in range(9)]
@@ -247,23 +306,6 @@ class TestPowerStudy:
         power = backward.rejections / 80
         np.testing.assert_array_equal(backward.power, power)
         np.testing.assert_array_equal(backward.mc_se, np.sqrt(power * (1.0 - power) / 80))
-
-
-@pytest.mark.parametrize("n", [4, 7, 50, 1000])
-def test_gram_path_matches_two_pass_correlations(n):
-    # the first, middle and last points of the CLI's b=0.2r sweep, and the slice's
-    # largest valid candidate, the point nearest the positive-definite boundary
-    params = K2Params(r=0.0, b=0.0, rho1=0.3, rho2=0.1)
-    candidates = np.linspace(0.0, 0.99, 500)
-    edge = candidates[params.valid_at(*simulation.SLICES["b=0.2r"](candidates))][-1]
-    sweep = cli._slice_sweep("b=0.2r", 9, 0.3, 0.1)
-    grid = (sweep[0], sweep[4], sweep[-1]) + slice_grid("b=0.2r", [edge])
-    for point, (r, b) in enumerate(grid):
-        lower = numkernel.cholesky(build_sigma(K2Params(r=r, b=b, rho1=0.3, rho2=0.1)))
-        normals = np.concatenate(list(simulation._grid_point_normals(9, point, 300, n)))
-        joint = simulation._replicate_correlations(normals, lower)
-        expected = numkernel.corr_matrices(normals @ lower.T)
-        np.testing.assert_allclose(joint, expected, rtol=0.0, atol=1e-12)
 
 
 class TestSliceGrid:
