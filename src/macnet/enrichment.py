@@ -58,8 +58,8 @@ class GeneSetCollection:
         return self._annotated
 
 
-#: whitespace other than the tab that separates cells; a line without it has no member
-#: cell to strip
+#: whitespace other than the tab that separates cells; a line without it past its
+#: description has no member cell to strip
 _NON_TAB_SPACE = re.compile(r"[^\S\t]")
 
 
@@ -93,8 +93,8 @@ def parse_gmt(source) -> tuple:
             raise SchemaMismatch(f"{origin}:{lineno}: set name is blank", path=origin, line=lineno)
         if name in sets:
             raise SchemaMismatch(f"{origin}:{lineno}: duplicate set {name!r}", path=origin, line=lineno)
-        members = frozenset(map(str.strip, fields[2:]) if _NON_TAB_SPACE.search(line)
-                            else fields[2:])
+        padded = _NON_TAB_SPACE.search(line, len(fields[0]) + len(fields[1]) + 2)
+        members = frozenset(map(str.strip, fields[2:]) if padded else fields[2:])
         if "" in members:
             members -= {""}
         if not members:

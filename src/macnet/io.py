@@ -269,9 +269,11 @@ def network_meta(net: InferredNetwork) -> dict:
         "attribute_names": list(net.attribute_names),
         "tested_pairs": net.tested_pairs,
         "n_edges": net.n_edges,
-        # infer tests every pair, so none is skipped; the key stays for readers that look it up
+        # infer tests every pair and floors no eigenvalue, so none is skipped or floored;
+        # the keys stay for readers that look them up
         "skipped_pairs": [],
-        "floored_pairs": [list(pair) for pair in net.floored],
+        "floored_pairs": [],
+        "singular_pairs": [list(pair) for pair in net.singular_pairs],
         "homogeneity": {
             "reject_fraction": net.homogeneity_reject_fraction,
             "singular_pairs": net.homogeneity_singular_pairs,
@@ -355,7 +357,7 @@ def _read_meta(path) -> dict:
             "gamma": float(meta["gamma"]),
             "n_samples": int(meta["n_samples"]),
             "tested_pairs": int(meta.get("tested_pairs", 0)),
-            "floored": tuple(tuple(pair) for pair in meta.get("floored_pairs", [])),
+            "singular_pairs": tuple(tuple(pair) for pair in meta.get("singular_pairs", [])),
             "homogeneity_reject_fraction": homogeneity.get("reject_fraction"),
             "homogeneity_singular_pairs": int(homogeneity.get("singular_pairs", 0)),
             "pvalue_mode": meta.get("pvalue_mode", "formula"),

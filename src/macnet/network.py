@@ -18,6 +18,7 @@ import numpy as np
 
 from . import inference, numkernel, similarity
 from .errors import (
+    DegenerateR,
     InsufficientSamples,
     LengthMismatch,
     NodeSetMismatch,
@@ -28,8 +29,6 @@ from .errors import (
 )
 
 METHODS = ("pearson", "max", "min", "cca")
-
-_EIG_FLOOR = 1e-8
 
 #: per-pair homogeneity check is reported against this level
 HOMOGENEITY_ALPHA = 0.05
@@ -135,7 +134,7 @@ class InferredNetwork:
     n_samples: int
     table: EdgeTable
     tested_pairs: int = 0
-    floored: tuple = ()
+    singular_pairs: tuple = ()
     homogeneity_reject_fraction: Optional[float] = None
     homogeneity_singular_pairs: int = 0
     pvalue_mode: str = "formula"
@@ -187,27 +186,6 @@ class InferredNetwork:
             label = hooked
 
 
-def _floor_supermatrix(joint: np.ndarray):
-    """Repair non-positive-definite joint correlation estimates.
-
-    Floors eigenvalues at a small positive level and restores the unit
-    diagonal.  Returns (matrix, floored), one of each per matrix of a stack
-    (..., 2k, 2k).  A sample correlation matrix is positive semi-definite up to
-    the rounding of its Gram sums, so the floor moves an eigenvalue by little
-    more than ``_EIG_FLOOR``.
-    """
-    values, vectors = np.linalg.eigh(joint)
-    clean = numkernel.pd_from_eigenvalues(values)
-    floored_values = np.maximum(values, _EIG_FLOOR)
-    repaired = (vectors * floored_values[..., None, :]) @ np.swapaxes(vectors, -1, -2)
-    scale = np.sqrt(np.diagonal(repaired, axis1=-2, axis2=-1))
-    repaired = repaired / (scale[..., :, None] * scale[..., None, :])
-    diag = np.arange(joint.shape[-1])
-    repaired[..., diag, diag] = 1.0
-    repaired = (repaired + np.swapaxes(repaired, -1, -2)) / 2.0
-    return np.where(clean[..., None, None], joint, repaired), ~clean
-
-
 def _check_preconditions(data: AttributeDataset, method: str):
     k = data.k
     n = data.n_samples
@@ -246,13 +224,13 @@ def _check_preconditions(data: AttributeDataset, method: str):
 
 
 class _NodeFacts:
-    """Per-node data, computed once: samples (n-by-k), centred rows (k-by-n), Gram
-    and correlation blocks, the homogeneity test's covariance block facts, and for
-    cca each correlation block's PD verdict and inverse root (NaN if not PD)."""
+    """Per-node data, computed once: centred rows (k-by-n), Gram and correlation
+    blocks, the homogeneity test's covariance block facts, and for cca each
+    correlation block's inverse root.  cca raises ``DegenerateR`` naming the first
+    node whose correlation block fails the PD rule."""
 
     def __init__(self, data: AttributeDataset, method: str):
         self.k, self.n = data.k, data.n_samples
-        self.samples = data.samples.transpose(0, 2, 1)
         # stored attribute-major, (k, N_v, n), so each attribute's rows of the later nodes
         # are one contiguous block for the tile's einsum: 10-20% faster in infer at N_v=120
         self.centred = np.empty((self.k, data.n_nodes, self.n)).transpose(1, 0, 2)
@@ -264,9 +242,13 @@ class _NodeFacts:
         self.cov = inference.covariance_block_facts(self.gram / self.n)
         if method == "cca":
             values, vectors = np.linalg.eigh(self.sigma)
-            self.pd = numkernel.pd_from_eigenvalues(values)
-            self.inv_sqrt = np.full_like(self.sigma, np.nan)
-            self.inv_sqrt[self.pd] = numkernel.inv_sqrt_from_eigh(values[self.pd], vectors[self.pd])
+            bad = np.flatnonzero(~numkernel.pd_from_eigenvalues(values))
+            if bad.size:
+                raise DegenerateR(
+                    f"node {data.node_ids[bad[0]]!r}: the correlation matrix of its attributes "
+                    f"is singular (smallest eigenvalue {values[bad[0], 0]:.3g}), so cca has no "
+                    f"canonical roots for its pairs; drop or combine the collinear attributes")
+            self.inv_sqrt = numkernel.inv_sqrt_from_eigh(values, vectors)
 
     @staticmethod
     def _correlation(gram, sq_i, sq_j):
@@ -292,37 +274,31 @@ class _NodeFacts:
 def _test_cca(facts: _NodeFacts, i, j, sigma_ij, log_lambda, gamma: float):
     """Canonical-correlation tests of the pairs (i[p], j[p]), given their log Wilks'
     Lambda from the homogeneity step (NaN where it found the pair singular):
-    similarity, statistic, p, floored flags and contributions.  Similarity and
-    contributions are NaN unless p <= gamma, as BH can reject no other pair, so T, the
-    roots and the weights are formed for the candidates only.  Singular pairs, and pairs
-    on a node without an inverse root, are re-estimated from their stacked samples,
-    floored where not positive-definite, and take log Lambda from their roots."""
-    k = facts.k
-    inv_i, inv_j = facts.inv_sqrt[i], facts.inv_sqrt[j]
-    cross = sigma_ij.copy()
-    log_lambda = log_lambda.copy()
-    floored = np.zeros(i.size, dtype=bool)
-    repair = np.flatnonzero(np.isnan(log_lambda) | ~(facts.pd[i] & facts.pd[j]))
-    if repair.size:
-        # from the samples, not the node facts, as the repair magnifies last-bit
-        # differences in its input
-        stacked = np.concatenate([facts.samples[i[repair]], facts.samples[j[repair]]], axis=2)
-        joint, floored[repair] = _floor_supermatrix(numkernel.corr_matrices(stacked))
-        # a clean or repaired joint matrix is positive-definite, and so are its blocks
-        inv_i[repair] = numkernel.inv_sqrt_spd_stack(joint[:, :k, :k])
-        inv_j[repair] = numkernel.inv_sqrt_spd_stack(joint[:, k:, k:])
-        cross[repair] = joint[:, :k, k:]
-        roots = similarity.canonical_roots(inv_i[repair] @ cross[repair] @ inv_j[repair])
-        log_lambda[repair] = np.log1p(-(roots * roots)).sum(axis=-1)
-    test = inference._bartlett_from_log_lambda(log_lambda, facts.n, k)
+    similarity, statistic, p and contributions.  Every pair's
+    T = inv_sqrt(S_ii) S_ij inv_sqrt(S_jj) comes from the node facts and its tile
+    block, and is formed only where it is read: for a singular pair, whose log Lambda
+    is the sum of log(1 - root^2) over its roots clipped to [0, 1] (-inf once a root
+    reaches 1), and for each candidate (p <= gamma), whose similarity and
+    contributions are set, as BH can reject no other pair (NaN elsewhere)."""
+    def t_of(x):
+        return facts.inv_sqrt[i[x]] @ sigma_ij[x] @ facts.inv_sqrt[j[x]]
+
+    singular = np.flatnonzero(np.isnan(log_lambda))
+    if singular.size:
+        squared = np.clip(similarity.squared_roots(t_of(singular)), 0.0, 1.0)
+        log_lambda = log_lambda.copy()
+        with np.errstate(divide="ignore"):
+            log_lambda[singular] = np.log1p(-squared).sum(axis=-1)
+    test = inference._bartlett_from_log_lambda(log_lambda, facts.n, facts.k)
     # p <= gamma keeps rho_c > 0, so every candidate's weights are well defined
     cand = np.flatnonzero(test.p <= gamma)
-    t = inv_i[cand] @ cross[cand] @ inv_j[cand]
+    t = t_of(cand)
     sims = np.full(i.size, np.nan)
-    sims[cand] = similarity.canonical_roots(t)[:, 0]
-    contrib = np.full((i.size, k), np.nan)
-    _, _, contrib[cand] = similarity._leading_weights(t, inv_i[cand], inv_j[cand], cross[cand])
-    return sims, test.statistic, test.p, floored, contrib
+    sims[cand] = np.sqrt(np.clip(similarity.squared_roots(t)[:, 0], 0.0, 1.0))
+    contrib = np.full((i.size, facts.k), np.nan)
+    _, _, contrib[cand] = similarity._leading_weights(t, facts.inv_sqrt[i[cand]],
+                                                      facts.inv_sqrt[j[cand]], sigma_ij[cand])
+    return sims, test.statistic, test.p, contrib
 
 
 def infer_network(data: AttributeDataset, method: str, gamma: float, *,
@@ -332,12 +308,13 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     Edges are declared two-sidedly.  ``pvalue_mode`` selects the analytic
     tail approximation or the Monte Carlo alternative for the max/min
     methods (the Monte Carlo panel uses a fixed internal seed, so inference
-    stays deterministic).  Every pair is tested: for cca, a pair whose estimated
-    joint correlation matrix is not positive-definite is repaired by flooring its
-    eigenvalues, and reported in ``floored``.
+    stays deterministic).  Every pair is tested.  cca needs each node's own
+    correlation block positive-definite (``DegenerateR`` otherwise); a pair whose
+    joint correlation matrix is not takes its roots from its node blocks like every
+    other pair, and is reported in ``singular_pairs``.
 
     Per-node facts are computed once; the pair triangle is then streamed in tiles
-    of whole rows (``PAIR_CHUNK``).  Only running counts, the floored pairs and the
+    of whole rows (``PAIR_CHUNK``).  Only running counts, the singular pairs and the
     candidates (p <= gamma) outlive a tile, and Benjamini-Hochberg runs over the
     candidates and the count of tested pairs
     (``inference.bh_fdr_candidates``), so memory does not grow with the number of
@@ -357,7 +334,7 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     n, k, ids = facts.n, facts.k, data.node_ids
     last = data.n_nodes - 1
     verdicts = rejects = singular = 0
-    floored, candidates = [], []
+    singular_pairs, candidates = [], []
     step = max(1, PAIR_CHUNK // last)
     cov, _, logdet, pd, log_diagonal = facts.cov
     for start in range(0, last, step):
@@ -373,16 +350,15 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
             statistic, pvalues = inference.correlation_test(sims, n)
         elif method in ("max", "min"):
             rhos = np.diagonal(sigma_ij, axis1=1, axis2=2)
-            zs = inference.correlation_test(rhos, n)[0]
+            zs = inference.fisher_z(rhos, n)
             rho_z = inference.fisher_z_correlation(facts.sigma[i], facts.sigma[j], sigma_ij)
             sims = similarity.aggregate_extreme(rhos, method)
             statistic = similarity.aggregate_extreme(zs, method)
             pvalues = inference.extreme_corr_pvalue(*zs.T, rho_z, method, two_sided=True,
                                                     sampler=sampler)
         else:
-            sims, statistic, pvalues, was_floored, contrib = _test_cca(
-                facts, i, j, sigma_ij, log_lambda, gamma)
-            floored += [(ids[i[x]], ids[j[x]]) for x in np.flatnonzero(was_floored)]
+            sims, statistic, pvalues, contrib = _test_cca(facts, i, j, sigma_ij, log_lambda, gamma)
+            singular_pairs += [(ids[a], ids[b]) for a, b in zip(i[pair_singular], j[pair_singular])]
         if n >= 2 * k + 2:
             verdicts += hom.p.size
             rejects += int(np.sum(hom.p < HOMOGENEITY_ALPHA))
@@ -412,7 +388,7 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
         n_samples=data.n_samples,
         table=table,
         tested_pairs=tested,
-        floored=tuple(floored),
+        singular_pairs=tuple(singular_pairs),
         homogeneity_reject_fraction=rejects / verdicts if verdicts else None,
         homogeneity_singular_pairs=singular,
         pvalue_mode=pvalue_mode,

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .errors import (
-    InsufficientSamples,
     LengthMismatch,
     NotPositiveDefinite,
     NotSymmetric,
@@ -45,16 +44,6 @@ def require_symmetric(a, tol: float = _SYMMETRY_TOL) -> np.ndarray:
     if dev > tol:
         raise NotSymmetric(f"matrix is not symmetric (max deviation {dev:.3e})")
     return a
-
-
-def corr_matrices(samples) -> np.ndarray:
-    """Sample correlation matrix of each n-by-d block in a stack (..., n, d)."""
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[-2]
-    if n < 3:
-        raise InsufficientSamples(f"need at least 3 samples, got {n}")
-    xc = samples - samples.mean(axis=-2, keepdims=True)
-    return corr_from_cross(np.swapaxes(xc, -1, -2) @ xc)
 
 
 def corr_from_cross(cross) -> np.ndarray:

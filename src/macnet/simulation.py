@@ -210,8 +210,7 @@ def _log_wilks_lambda(joint: np.ndarray) -> np.ndarray:
 def _replicate_correlations(factors: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Sample correlation matrix of each replicate from its Bartlett factor T, a stack
     (m, 4, 4): X = L T gives X X' = L T T' L', distributed as the centred cross
-    products of n draws from N(0, L L'), scaled as ``numkernel.corr_matrices``
-    scales them."""
+    products of n draws from N(0, L L'), scaled as for sampled data."""
     x = lower @ factors
     return numkernel.corr_from_cross(x @ np.swapaxes(x, 1, 2))
 

@@ -7,6 +7,8 @@ correlation they achieve, and eigenvalues come from a general (not symmetric)
 eigensolver.  Two references are earlier forms of the code under test, which the
 current forms must match bit for bit: betweenness by masked level-by-level
 accumulation, and sample correlation matrices scaled inline after two passes.
+``corr_matrices`` is the sample correlation step of drawn samples, which the tests
+use to build their inputs and references.
 """
 
 import itertools
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from macnet import numkernel
 from macnet.errors import InsufficientSamples, ZeroVariance
 
 
@@ -203,10 +206,21 @@ def general_eigen(a):
     return values[order], vectors / np.linalg.norm(vectors, axis=0)
 
 
+def corr_matrices(samples) -> np.ndarray:
+    """Sample correlation matrix of each n-by-d block in a stack (..., n, d): its
+    centred cross products scaled by ``numkernel.corr_from_cross``."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-2]
+    if n < 3:
+        raise InsufficientSamples(f"need at least 3 samples, got {n}")
+    xc = samples - samples.mean(axis=-2, keepdims=True)
+    return numkernel.corr_from_cross(np.swapaxes(xc, -1, -2) @ xc)
+
+
 def two_pass_corr_matrices(samples):
     """Sample correlation matrix of each n-by-d block in a stack (..., n, d): the
-    centred cross products scaled inline.  ``numkernel.corr_matrices`` must match it
-    bit for bit."""
+    centred cross products scaled inline.  ``corr_matrices``, and with it
+    ``numkernel.corr_from_cross``, must match it bit for bit."""
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[-2]
     if n < 3:

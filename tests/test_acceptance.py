@@ -20,6 +20,7 @@ from _oracles import (
     brute_force_betweenness,
     brute_force_clustering,
     brute_force_lcc,
+    corr_matrices,
     exact_hypergeom_upper,
     naive_step_up,
 )
@@ -158,7 +159,7 @@ def test_criterion_05_bartlett_null_calibration():
     sigma_m = np.array([[1.0, 0.2], [0.2, 1.0]])
     sigma = np.block([[sigma_m, np.zeros((2, 2))], [np.zeros((2, 2)), sigma_m]])
     draws = np.stack([sample_mvn(sigma, n, substream(505, rep)) for rep in range(reps)])
-    joint = numkernel.corr_matrices(draws)
+    joint = corr_matrices(draws)
     solution = canonical_corr(joint[:, :2, :2], joint[:, 2:, 2:], joint[:, :2, 2:])
     statistics = bartlett_chi2(solution.roots, n, 2).statistic
     ks = kstest(statistics, scipy_chi2(4).cdf)
@@ -175,7 +176,7 @@ def test_criterion_06_fisher_null_calibration():
     for rep in range(reps):
         rng = substream(606, rep)
         draws = rng.standard_normal((n, 2))
-        rho = numkernel.corr_matrices(draws)[0, 1]
+        rho = corr_matrices(draws)[0, 1]
         z = fisher_z(rho, n)
         rejections += 2.0 * normal_sf(abs(z)) < alpha
     rate = rejections / reps

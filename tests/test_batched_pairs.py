@@ -8,6 +8,7 @@ it was batched.
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,8 +18,10 @@ import numpy as np
 import pytest
 
 import macnet
+from _oracles import corr_matrices
 from macnet import inference, io as io_mod, network, numkernel, similarity, simulation
 from macnet.cli import main
+from macnet.errors import DegenerateR
 from macnet.network import AttributeDataset, infer_network
 from test_inference import pair_homogeneity
 from test_network import id_pairs, toy_network
@@ -46,6 +49,15 @@ def collinear_dataset(seed=0, n_nodes=8, n=60):
     return AttributeDataset(data.node_ids, data.attribute_names, samples)
 
 
+def collinear_copy_dataset(noise, n_nodes=8, n=30):
+    """Node v1's attributes are 2 * v0's + 1, plus noise of the given scale."""
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal((2, n_nodes, n))
+    samples[:, 1] = 2.0 * samples[:, 0] + 1.0 + noise * rng.standard_normal((2, n))
+    ids = tuple(f"v{i}" for i in range(n_nodes))
+    return AttributeDataset(ids, ("a", "b"), samples.transpose(1, 0, 2))
+
+
 def singular_node_dataset(seed=1, n_nodes=7, n=50):
     """Node v2's second attribute is a rescaled copy of its first."""
     data = planted_dataset(seed, n_nodes, 2, n=n)
@@ -65,19 +77,40 @@ def exactly_singular_node_dataset(seed=3, n_nodes=7, n=64):
     return AttributeDataset(data.node_ids, data.attribute_names, samples)
 
 
+def qr_svd_canonical(block_i, block_j):
+    """Canonical roots, clipped to [0, 1], and the leading pair's contributions of two
+    sample blocks (n, k), from the singular value decomposition of Q_i'Q_j, Q the QR
+    factor of each block's centred, unit-length columns (Bjorck & Golub 1973).  No
+    correlation matrix is formed, so a collinear pair keeps its roots of 1."""
+    def qr(block):
+        centred = block - block.mean(axis=0)
+        return np.linalg.qr(centred / np.linalg.norm(centred, axis=0))
+
+    (q_i, r_i), (q_j, r_j) = qr(block_i), qr(block_j)
+    u, roots, vt = np.linalg.svd(q_i.T @ q_j)
+    squared = np.stack([np.linalg.solve(r_i, u[:, 0]), np.linalg.solve(r_j, vt[0])]) ** 2
+    return np.clip(roots, 0.0, 1.0), (squared / squared.sum(axis=1, keepdims=True)).mean(axis=0)
+
+
 def reference_network(data, method, gamma, sampler=None):
     """Per-pair loop over the public functions, one pair per call.
 
-    Returns (edges by pair, floored pairs, homogeneity reject fraction, singular
-    homogeneity count).
+    Returns (edges by pair, singular cca pairs, homogeneity reject fraction, singular
+    homogeneity count).  cca raises ``DegenerateR`` on a node whose own correlation
+    block fails the PD rule, and tests a pair that the homogeneity step finds
+    singular on its QR/SVD roots.
     """
     n, k = data.n_samples, data.k
-    rows, floored, flags, singular = [], [], [], 0
+    if method == "cca":
+        for v, node in enumerate(data.node_ids):
+            if not numkernel.pd_mask(corr_matrices(data.samples[v].T)):
+                raise DegenerateR(f"node {node!r}")
+    rows, singular_pairs, flags, singular = [], [], [], 0
     for vi in range(data.n_nodes):
         for vj in range(vi + 1, data.n_nodes):
             block_i, block_j = data.samples[vi].T, data.samples[vj].T
             pair = (data.node_ids[vi], data.node_ids[vj])
-            joint = numkernel.corr_matrices(np.hstack([block_i, block_j]))
+            joint = corr_matrices(np.hstack([block_i, block_j]))
             if method == "pearson":
                 rho = float(joint[0, 1])
                 z = inference.fisher_z(rho, n)
@@ -90,11 +123,12 @@ def reference_network(data, method, gamma, sampler=None):
                                                   sampler=sampler)
                 row = (similarity.aggregate_extreme(rhos, method),
                        similarity.aggregate_extreme(zs, method), None, p, None)
+            elif pair_homogeneity(block_i, block_j) is None:
+                singular_pairs.append(pair)
+                roots, contrib = qr_svd_canonical(block_i, block_j)
+                test = inference.bartlett_chi2(roots, n, k)
+                row = (roots[0], test.statistic, test.df, test.p, tuple(contrib))
             else:
-                repaired, was_floored = network._floor_supermatrix(joint)
-                if was_floored:
-                    floored.append(pair)
-                    joint = repaired
                 solution = similarity.canonical_corr(joint[:k, :k], joint[k:, k:], joint[:k, k:])
                 test = inference.bartlett_chi2(solution.roots, n, k)
                 row = (solution.rho_c, test.statistic, test.df, test.p, tuple(solution.contrib))
@@ -109,27 +143,52 @@ def reference_network(data, method, gamma, sampler=None):
     edges = {pair: row + (float(decision.qvalues[idx]),)
              for idx, (pair, row) in enumerate(rows) if idx in rejected}
     fraction = float(np.mean(flags)) if flags else None
-    return edges, floored, fraction, singular
+    return edges, singular_pairs, fraction, singular
 
 
 def assert_matches_reference(net, reference):
-    edges, floored, fraction, singular = reference
+    """The batched network against ``reference_network``.  A singular pair's roots
+    come from its node blocks, rounded where the QR/SVD roots are not: its
+    similarity must lie within 1e-9 and its statistic within 1e-3 relative, where
+    the QR/SVD roots give a finite one."""
+    edges, singular_pairs, fraction, singular = reference
     pairs, t = id_pairs(net), net.table
     assert set(pairs) == set(edges)
-    assert list(net.floored) == floored
+    assert list(net.singular_pairs) == singular_pairs
     assert net.homogeneity_reject_fraction == fraction
     assert net.homogeneity_singular_pairs == singular
     for r, pair in enumerate(pairs):
         similarity_, statistic, df, p, contrib, q = edges[pair]
         assert (None if np.isnan(t.df[r]) else t.df[r]) == df
+        assert t.q[r] == pytest.approx(q, rel=REL, abs=0)
+        if pair in singular_pairs:
+            assert t.similarity[r] == pytest.approx(similarity_, rel=0, abs=1e-9)
+            if np.isfinite(statistic):
+                assert t.statistic[r] == pytest.approx(statistic, rel=1e-3, abs=0)
+            assert t.p[r] == p == 0.0
+            assert t.contrib[r] == pytest.approx(contrib, rel=1e-6, abs=0)
+            continue
         assert t.similarity[r] == pytest.approx(similarity_, rel=REL, abs=0)
         assert t.statistic[r] == pytest.approx(statistic, rel=REL, abs=0)
         assert t.p[r] == pytest.approx(p, rel=REL, abs=0)
-        assert t.q[r] == pytest.approx(q, rel=REL, abs=0)
         if contrib is None:
             assert np.isnan(t.contrib[r]).all()
         else:
             assert t.contrib[r] == pytest.approx(contrib, rel=REL, abs=0)
+
+
+def check_against_reference(data, method, gamma=0.05):
+    """``infer_network`` against ``reference_network``, the reference's ``DegenerateR``
+    included: the network, or None where both raise it for the same node."""
+    try:
+        reference = reference_network(data, method, gamma)
+    except DegenerateR as expected:
+        with pytest.raises(DegenerateR, match=re.escape(str(expected))):
+            infer_network(data, method, gamma)
+        return None
+    net = infer_network(data, method, gamma)
+    assert_matches_reference(net, reference)
+    return net
 
 
 CASES = [
@@ -150,12 +209,11 @@ CASES = [
 
 @pytest.mark.parametrize("method,make", CASES)
 def test_batched_path_matches_per_pair_reference(method, make):
-    data = make()
-    net = infer_network(data, method, 0.05)
-    assert_matches_reference(net, reference_network(data, method, 0.05))
+    check_against_reference(make(), method)
 
 
-@pytest.mark.parametrize("make", [make for method, make in CASES if method == "cca"])
+@pytest.mark.parametrize("make", [make for method, make in CASES
+                                  if method == "cca" and make is not singular_node_dataset])
 def test_cca_runs_no_per_pair_solver(make, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-pair canonical solver called on the batched path")
@@ -195,45 +253,54 @@ def test_exactly_singular_node_matches_per_pair_reference(method):
     gram = data.samples[2] - data.samples[2].mean(axis=1, keepdims=True)
     gram = gram @ gram.T
     assert gram[0, 0] * gram[1, 1] == gram[0, 1] ** 2
-    net = infer_network(data, method, 0.05)
-    assert_matches_reference(net, reference_network(data, method, 0.05))
-    assert net.homogeneity_singular_pairs == data.n_nodes - 1
+    net = check_against_reference(data, method)
+    if method == "cca":
+        assert net is None  # node v2's own correlation block is singular
+    else:
+        assert net.homogeneity_singular_pairs == data.n_nodes - 1
 
 
-def count_floor_calls(monkeypatch):
-    """Record every joint matrix that reaches ``network._floor_supermatrix``."""
-    seen = []
-    floor = network._floor_supermatrix
-
-    def recording(joint):
-        seen.extend(joint)
-        return floor(joint)
-
-    monkeypatch.setattr(network, "_floor_supermatrix", recording)
-    return seen
+@pytest.mark.parametrize("make", [singular_node_dataset, exactly_singular_node_dataset])
+def test_cca_rejects_a_singular_node(make, tmp_path, capsys):
+    inputs = write_attribute_csvs(tmp_path, make())
+    assert main(["infer", *inputs, "--method", "cca", "--out", str(tmp_path / "cca")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "DegenerateR" and error["message"].startswith("node 'v2':")
+    assert not (tmp_path / "cca").exists()
+    assert main(["infer", *inputs, "--method", "max", "--out", str(tmp_path / "max")]) == 0
 
 
 @pytest.mark.parametrize("make", [lambda: planted_dataset(6, 30, 2),
                                   lambda: planted_dataset(7, 20, 3, n=40)])
-def test_schur_screen_clears_noise_pairs(make, monkeypatch):
-    seen = count_floor_calls(monkeypatch)
-    infer_network(make(), "cca", 0.05)
-    assert seen == []
+def test_schur_screen_clears_noise_pairs(make):
+    net = infer_network(make(), "cca", 0.05)
+    assert net.singular_pairs == () and net.homogeneity_singular_pairs == 0
 
 
 def test_schur_screen_passes_the_collinear_pair_on(monkeypatch):
+    """The collinear pair's joint matrix fails the PD rule, so the homogeneity step
+    gives it no log Wilks' Lambda; its T, from the node facts, reaches the roots on its
+    own, and its leading root is 1 within rounding."""
     data = collinear_dataset()
-    seen = count_floor_calls(monkeypatch)
+    seen = []
+    squared_roots = similarity.squared_roots
+
+    def recording(t):
+        seen.append(t)
+        return squared_roots(t)
+
+    monkeypatch.setattr(similarity, "squared_roots", recording)
     net = infer_network(data, "cca", 0.05)
-    joint = numkernel.corr_matrices(np.hstack([data.samples[0].T, data.samples[1].T]))
-    assert any(np.allclose(m, joint, rtol=0, atol=1e-12) for m in seen)
-    assert len(seen) < 2 * data.n_nodes
-    assert ("v0", "v1") in net.floored
+    joint = corr_matrices(np.hstack([data.samples[0].T, data.samples[1].T]))
+    assert not numkernel.pd_mask(joint)
+    assert net.singular_pairs == (("v0", "v1"),)
+    assert len(seen[0]) == 1
+    assert squared_roots(seen[0])[0, 0] == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_cca_forms_roots_only_for_candidates_and_repaired_pairs(monkeypatch):
     """Bartlett's statistic comes from the homogeneity step's log Wilks' Lambda, so only
-    the candidates (p <= gamma) and the floored pairs reach the roots."""
+    the candidates (p <= gamma) and the singular pairs reach the roots."""
     rows, candidates = [], []
     squared_roots, bh_fdr_candidates = similarity.squared_roots, inference.bh_fdr_candidates
 
@@ -249,7 +316,7 @@ def test_cca_forms_roots_only_for_candidates_and_repaired_pairs(monkeypatch):
     monkeypatch.setattr(inference, "bh_fdr_candidates", recording_bh)
     net = infer_network(planted_dataset(6, 30, 2), "cca", 0.05)
     assert net.tested_pairs == 435 and net.n_edges > 0
-    assert sum(rows) <= candidates[0] + len(net.floored)
+    assert sum(rows) <= candidates[0] + len(net.singular_pairs)
 
 
 def random_blocks(rng, m, k):
@@ -304,13 +371,36 @@ def test_schur_screen_accepts_only_clean_pairs(k, rho1, monkeypatch):
     assert (~clean).any() or rho1 is None
 
 
-def test_collinear_pair_is_floored_not_fatal():
+def test_collinear_pair_is_singular_not_fatal():
     net = infer_network(collinear_dataset(), "cca", 0.05)
-    assert ("v0", "v1") in net.floored
+    assert net.singular_pairs == (("v0", "v1"),)
     assert net.tested_pairs == 8 * 7 // 2
-    assert net.homogeneity_singular_pairs >= 1
+    assert net.homogeneity_singular_pairs == 1
     edge = id_pairs(net).index(("v0", "v1"))
-    assert net.table.similarity[edge] == pytest.approx(1.0, abs=1e-6)
+    assert net.table.similarity[edge] == pytest.approx(1.0, rel=0, abs=1e-9)
+    assert net.table.p[edge] == 0.0
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-6, 1e-4, 1e-2])
+def test_collinear_copy_matches_qr_svd_roots(noise, tmp_path):
+    """The copy's joint matrix fails the PD rule up to noise 1e-6.  Its statistic lies
+    within 1e-3 relative of the QR/SVD roots' wherever theirs is finite (at noise 0
+    their leading root is exactly 1), and its p is 0."""
+    data = collinear_copy_dataset(noise)
+    inputs = write_attribute_csvs(tmp_path, data)
+    assert main(["infer", *inputs, "--method", "cca", "--out", str(tmp_path / "run")]) == 0
+    net = io_mod.read_network(tmp_path / "run" / "edges.csv")
+    assert net.singular_pairs == ((("v0", "v1"),) if noise <= 1e-6 else ())
+    edge = id_pairs(net).index(("v0", "v1"))
+    roots, _ = qr_svd_canonical(data.samples[0].T, data.samples[1].T)
+    expected = inference.bartlett_chi2(roots, data.n_samples, data.k)
+    if np.isfinite(expected.statistic):
+        assert net.table.statistic[edge] == pytest.approx(expected.statistic, rel=1e-3, abs=0)
+    if net.singular_pairs:
+        assert net.table.p[edge] == 0.0
+    if noise == 0.0:
+        assert roots[0] == 1.0 and np.isinf(expected.statistic)
+        assert net.table.similarity[edge] == pytest.approx(1.0, rel=0, abs=1e-9)
 
 
 @pytest.mark.parametrize("method", ["pearson", "max", "min", "cca"])
@@ -329,7 +419,7 @@ def network_fields(net):
     t = net.table
     return ([column.tobytes() for column in (t.ends, t.similarity, t.statistic, t.df, t.p, t.q,
                                              t.contrib)],
-            net.tested_pairs, net.floored, net.homogeneity_reject_fraction,
+            net.tested_pairs, net.singular_pairs, net.homogeneity_reject_fraction,
             net.homogeneity_singular_pairs)
 
 
@@ -555,7 +645,8 @@ def test_cli_infer_survives_collinear_pair(tmp_path):
     inputs = write_attribute_csvs(tmp_path, collinear_dataset())
     assert main(["infer", *inputs, "--method", "cca", "--out", str(tmp_path / "run")]) == 0
     meta = json.loads((tmp_path / "run" / "meta.json").read_text())
-    assert ["v0", "v1"] in meta["floored_pairs"]
+    assert meta["singular_pairs"] == [["v0", "v1"]]
+    assert meta["floored_pairs"] == []
     assert meta["homogeneity"]["singular_pairs"] >= 1
     assert meta["homogeneity"]["reject_fraction"] is not None
 

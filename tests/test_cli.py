@@ -125,7 +125,7 @@ class TestRoundTrip:
         assert back.n_samples == net.n_samples
         assert back.tested_pairs == net.tested_pairs
         self.assert_tables_equal(back.table, net.table)
-        assert back.floored == net.floored
+        assert back.singular_pairs == net.singular_pairs
         assert back.pvalue_mode == net.pvalue_mode
         assert back.homogeneity_reject_fraction == net.homogeneity_reject_fraction
 
@@ -162,6 +162,23 @@ class TestRoundTrip:
         assert io_mod._cells(np.array(ints)) == [io_mod.fmt(v) for v in ints]
         assert io_mod._cells(np.array(floats), blank=np.isnan(floats)) == [
             "" if v != v else io_mod.fmt(v) for v in floats]
+
+    def test_infinite_statistic_is_read_back_by_netstat_and_classify(self, tmp_path):
+        # a singular cca pair whose leading root reaches 1 has statistic inf and p 0
+        net = toy_network(["a", "b", "c"], [("a", "b"), ("b", "c")], method="cca",
+                          attribute_names=("x", "y"), contrib=[[0.5, 0.5], [0.9, 0.1]])
+        table = dataclasses.replace(net.table, statistic=np.array([np.inf, 3.0]),
+                                    p=np.array([0.0, 0.01]))
+        net = dataclasses.replace(net, table=table, singular_pairs=(("a", "b"),))
+        edges = tmp_path / "run" / "edges.csv"
+        io_mod.write_edges_csv(net, edges)
+        io_mod.write_meta_json(net, tmp_path / "run" / "meta.json")
+        assert edges.read_text().splitlines()[1].split(",")[4] == "inf"
+        back = io_mod.read_network(edges)
+        self.assert_tables_equal(back.table, table)
+        assert back.singular_pairs == (("a", "b"),)
+        assert main(["netstat", str(edges), "--out", str(tmp_path / "netstat")]) == 0
+        assert main(["classify", str(edges), "--out", str(tmp_path / "classify")]) == 0
 
     def test_seventeen_digit_serialization(self):
         values = [1 / 3, np.pi, 1e-17, 0.1 + 0.2]

@@ -132,6 +132,13 @@ class TestGmtParsing:
         sets, _ = parse_gmt(lines)
         assert sets == {"s": {"g1", "g2", "g3"}, "t": {"g1", "g4"}, "u": {"g5"}}
 
+    def test_spaced_description_leaves_members_alone(self):
+        plain = ["s\td\tg1\tg2", "t\td\tg3"]
+        spaced = ["s\tfirst pathway\tg1\tg2", "t\t second one \tg3"]
+        assert parse_gmt(spaced)[0] == parse_gmt(plain)[0]
+        sets, descriptions = parse_gmt(["s\tfirst pathway\tg1\t g2 "])
+        assert sets == {"s": {"g1", "g2"}} and descriptions == {"s": "first pathway"}
+
     def test_members_deduplicated(self):
         gsc = GeneSetCollection(universe_size=10, sets={"s": ["g1", "g1", "g2"]})
         assert gsc.sets["s"] == frozenset({"g1", "g2"})

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import corr_matrices
 from macnet import inference, numkernel, simulation
 from macnet.errors import (
     DegenerateCorrelation,
@@ -174,6 +175,22 @@ class TestBartlett:
         with pytest.raises(InsufficientSamples):
             bartlett_chi2([0.1, 0.1], 6, 2)
 
+    def test_cca_tail_rejects_at_the_nominal_rate_under_the_null(self):
+        """The tail every cca pair reaches, audited where BH draws its line: 10^6 null
+        pairs (k = 2, n = 50, Sigma = I) drawn as Bartlett factors, tested through the
+        shipped correlation, log Wilks' Lambda and Bartlett steps.  Each rejection
+        count lies within 4 binomial standard errors of alpha * reps."""
+        reps, n = 10**6, 50
+        pvalues = np.concatenate([
+            inference._bartlett_from_log_lambda(simulation._log_wilks_lambda(
+                numkernel.corr_from_cross(t @ np.swapaxes(t, 1, 2))), n, 2).p
+            for t in simulation._grid_point_factors(23, 0, reps, n)])
+        assert pvalues.size == reps
+        for alpha in (0.05, 1e-3):
+            expected = alpha * reps
+            assert abs(np.sum(pvalues <= alpha) - expected) <= 4.0 * math.sqrt(
+                expected * (1.0 - alpha))
+
 
 class TestExtremePvalue:
     def test_perfect_correlation_plugin(self):
@@ -248,7 +265,7 @@ class TestFisherZCorrelation:
         z1s, z2s = [], []
         for rep in range(4000):
             draws = simulation.sample_mvn(sigma, 60, simulation.substream(99, rep))
-            joint = numkernel.corr_matrices(draws)
+            joint = corr_matrices(draws)
             z1s.append(fisher_z(joint[0, 2], 60))
             z2s.append(fisher_z(joint[1, 3], 60))
         empirical = np.corrcoef(z1s, z2s)[0, 1]

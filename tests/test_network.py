@@ -11,7 +11,6 @@ from macnet.network import (
     AttributeDataset,
     EdgeTable,
     InferredNetwork,
-    _floor_supermatrix,
     betweenness_values,
     clustering_values,
     degree_values,
@@ -216,24 +215,6 @@ def planted_two_attribute_dataset(seed, n_nodes=6, n=60):
     samples[1, 0], samples[1, 1] = draws[:, 2], draws[:, 3]
     ids = tuple(f"v{i}" for i in range(n_nodes))
     return AttributeDataset(ids, ("x", "y"), samples)
-
-
-class TestFlooring:
-    def test_clean_matrix_untouched(self):
-        joint = np.eye(4)
-        repaired, floored = _floor_supermatrix(joint)
-        assert not floored
-        np.testing.assert_array_equal(repaired, joint)
-
-    def test_small_defect_repaired(self):
-        base = np.eye(4)
-        base[0, 1] = base[1, 0] = 1.0 + 1e-6  # slightly indefinite
-        repaired, floored = _floor_supermatrix(base)
-        assert floored
-        np.testing.assert_allclose(np.linalg.eigvalsh(repaired), np.linalg.eigvalsh(base),
-                                   atol=0.01)
-        assert np.linalg.eigvalsh(repaired)[0] > 0
-        np.testing.assert_allclose(np.diag(repaired), 1.0, atol=1e-12)
 
 
 class TestGraphStatistics:

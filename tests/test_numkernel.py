@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import general_eigen, two_pass_corr_matrices
+from _oracles import corr_matrices, general_eigen, two_pass_corr_matrices
 from macnet import numkernel
 from macnet.errors import (
     InsufficientSamples,
@@ -38,7 +38,7 @@ def build_sigma4(r, b, rho1, rho2):
 
 def pairwise_corr(x, y) -> float:
     """The (0, 1) entry of the correlation matrix of two sample columns."""
-    return float(numkernel.corr_matrices(np.column_stack([x, y]))[0, 1])
+    return float(corr_matrices(np.column_stack([x, y]))[0, 1])
 
 
 class TestPearsonCorr:
@@ -75,24 +75,24 @@ class TestPearsonCorr:
 
 class TestCorrMatrix:
     def test_single_column(self):
-        out = numkernel.corr_matrices(np.array([[1.0], [2.0], [4.0]]))
+        out = corr_matrices(np.array([[1.0], [2.0], [4.0]]))
         np.testing.assert_array_equal(out, [[1.0]])
 
     def test_identical_columns_all_ones(self):
         col = np.array([0.1, 2.0, -3.0, 4.0])
-        out = numkernel.corr_matrices(np.column_stack([col, col]))
+        out = corr_matrices(np.column_stack([col, col]))
         np.testing.assert_array_equal(out, np.ones((2, 2)))
 
     def test_independent_columns_near_identity(self):
         rng = np.random.default_rng(3)
-        out = numkernel.corr_matrices(rng.normal(size=(5000, 4)))
+        out = corr_matrices(rng.normal(size=(5000, 4)))
         off = out - np.eye(4)
         assert np.max(np.abs(off)) < 0.05
 
     def test_matches_pairwise_estimates(self):
         rng = np.random.default_rng(5)
         block = rng.normal(size=(40, 3))
-        out = numkernel.corr_matrices(block)
+        out = corr_matrices(block)
         for a in range(3):
             for b in range(3):
                 x = block[:, a] - block[:, a].mean()
@@ -103,7 +103,7 @@ class TestCorrMatrix:
     def test_constant_column_reports_index(self):
         block = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         with pytest.raises(ZeroVariance) as err:
-            numkernel.corr_matrices(block)
+            corr_matrices(block)
         assert err.value.index == 1
 
     @pytest.mark.parametrize("shape", [(3, 1), (40, 3), (7, 50, 4), (2, 5, 9, 6), (300, 1000, 4)],
@@ -115,7 +115,7 @@ class TestCorrMatrix:
         samples += rng.normal(scale=50.0, size=shape[:-2] + (1, shape[-1]))
         if shape[-1] > 1:
             samples[..., -1] = samples[..., 0] + 1e-9 * samples[..., -1]
-        np.testing.assert_array_equal(numkernel.corr_matrices(samples),
+        np.testing.assert_array_equal(corr_matrices(samples),
                                       two_pass_corr_matrices(samples))
 
     @settings(max_examples=300, deadline=None)
@@ -128,8 +128,7 @@ class TestCorrMatrix:
     def test_computed_matrices_are_semidefinite_up_to_rounding(self, k, extra, m, log_offset,
                                                                log_scale, copies, seed):
         # a computed sample correlation matrix is a scaled Gram matrix, so rounding moves
-        # its eigenvalues by about 2k n 2^-53 at most, far less than 1e-12 at n <= 49:
-        # a pair's joint matrix needs only the eigenvalue floor, never more
+        # its eigenvalues by about 2k n 2^-53 at most, far less than 1e-12 at n <= 49
         d, n = 2 * k, 2 * k + 3 + extra
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal((m, n, d))
@@ -142,7 +141,7 @@ class TestCorrMatrix:
         samples = (samples * 10.0 ** np.array(log_scale[:d])
                    + sign * 10.0 ** np.array(log_offset[:d]))
         assume((np.ptp(samples, axis=1) > 0.0).all())  # an offset can swamp a tiny scale
-        values = np.linalg.eigvalsh(numkernel.corr_matrices(samples))
+        values = np.linalg.eigvalsh(corr_matrices(samples))
         assert values.min() >= -1e-12
 
     def test_constant_column_reported_like_the_two_pass_reference(self):
@@ -151,7 +150,7 @@ class TestCorrMatrix:
         with pytest.raises(ZeroVariance) as expected:
             two_pass_corr_matrices(block)
         with pytest.raises(ZeroVariance) as err:
-            numkernel.corr_matrices(block)
+            corr_matrices(block)
         assert (err.value.index, str(err.value)) == (expected.value.index, str(expected.value))
 
 

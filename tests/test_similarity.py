@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import correlation_objective, general_eigen
+from _oracles import corr_matrices, correlation_objective, general_eigen
 from macnet import numkernel
 from macnet.errors import (
     DegenerateR,
@@ -301,7 +301,7 @@ class TestStructureFromSamples:
         rng = np.random.default_rng(41)
         block_i = rng.normal(size=(60, 2))
         block_j = rng.normal(size=(60, 2))
-        joint = numkernel.corr_matrices(np.hstack([block_i, block_j]))
-        expected = numkernel.corr_matrices(np.column_stack([block_i[:, 0], block_j[:, 1]]))
+        joint = corr_matrices(np.hstack([block_i, block_j]))
+        expected = corr_matrices(np.column_stack([block_i[:, 0], block_j[:, 1]]))
         assert joint[0, 3] == pytest.approx(expected[0, 1], abs=1e-12)
         assert numkernel.pd_mask(joint)

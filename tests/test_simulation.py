@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from _oracles import corr_matrices
 from macnet import inference, numkernel, simulation
 from macnet.cli import main
 from macnet.errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain
@@ -57,7 +58,7 @@ class TestBuildSigma:
 class TestSampleMvn:
     def test_identity_correlations_near_zero(self):
         draws = sample_mvn(np.eye(4), 100_000, 1)
-        joint = numkernel.corr_matrices(draws)
+        joint = corr_matrices(draws)
         assert np.max(np.abs(joint - np.eye(4))) < 0.02
 
     def test_seed_determinism(self):
@@ -69,7 +70,7 @@ class TestSampleMvn:
     def test_target_correlation_recovered(self):
         sigma = build_sigma(K2Params(0.0, 0.0, 0.3, 0.1))
         draws = sample_mvn(sigma, 100_000, 7)
-        joint = numkernel.corr_matrices(draws)
+        joint = corr_matrices(draws)
         assert joint[0, 2] == pytest.approx(0.3, abs=0.01)
         assert joint[1, 3] == pytest.approx(0.1, abs=0.01)
 
@@ -144,7 +145,7 @@ def test_wishart_draw_matches_sampled_data(n):
     factors = np.concatenate(list(simulation._grid_point_factors(2525, 0, reps, n)))
     joint = simulation._replicate_correlations(factors, lower)
     data = sample_mvn(sigma, reps * n, substream(2525, 1)).reshape(reps, n, 4)
-    sampled = numkernel.corr_matrices(data)
+    sampled = corr_matrices(data)
     pairs = [(joint[:, i, j], sampled[:, i, j]) for i, j in ((0, 2), (1, 3), (0, 1), (0, 3))]
     if n >= 7:  # scenario 5 needs n >= 7; at n = 4 every R is singular
         pairs.append((simulation._log_wilks_lambda(joint), simulation._log_wilks_lambda(sampled)))
