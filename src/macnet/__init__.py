@@ -20,14 +20,12 @@ from .enrichment import (
     EnrichmentReport,
     GeneSetCollection,
     enrich,
-    hypergeom_upper,
     load_gmt,
 )
 from .inference import (
     BartlettTest,
     FdrDecision,
     HomogeneityTest,
-    bartlett_chi2,
     bh_fdr,
     chi2_sf,
     extreme_corr_pvalue,
@@ -63,7 +61,6 @@ from .simulation import (
     PowerStudySpec,
     build_sigma,
     power_study,
-    sample_mvn,
     slice_grid,
 )
 

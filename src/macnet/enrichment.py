@@ -179,14 +179,6 @@ def _upper_tails(overlap, class_size, set_size, universe: int) -> np.ndarray:
     return p
 
 
-def hypergeom_upper(overlap: int, class_size: int, set_size: int, universe: int) -> float:
-    """P(X >= overlap) for X counting set members among class_size draws.
-
-    One test through the batched ``_upper_tails``.
-    """
-    return float(_upper_tails([overlap], [class_size], [set_size], universe)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class EnrichmentReport:
     """Every tested (class, set) pair as one cell of a classes-by-sets grid.

@@ -61,10 +61,6 @@ class DegenerateCorrelation(DataError):
     pass
 
 
-class RootOutOfRange(DataError):
-    pass
-
-
 class NonFiniteInput(DataError):
     pass
 

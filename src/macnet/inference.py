@@ -27,7 +27,6 @@ from .errors import (
     InvalidP,
     LengthMismatch,
     NonFiniteInput,
-    RootOutOfRange,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -121,22 +120,6 @@ class BartlettTest:
     statistic: float
     df: int
     p: float
-
-
-def bartlett_chi2(roots, n: int, k: int) -> BartlettTest:
-    """Joint chi-squared test that all canonical roots are zero.
-
-    The statistic is -[(n-1) - (k+0.5)] * ln prod(1 - root^2) with k^2
-    degrees of freedom.  Root vectors may be stacked (m, k).
-    """
-    roots = np.asarray(roots, dtype=float)
-    if roots.ndim == 0 or roots.shape[-1] != k:
-        raise LengthMismatch(f"expected {k} canonical roots, got {roots.size}")
-    if np.any(roots < 0.0) or np.any(roots > 1.0) or not np.all(np.isfinite(roots)):
-        raise RootOutOfRange(f"canonical roots outside [0, 1]: {roots}")
-    with np.errstate(divide="ignore"):
-        log_terms = np.log1p(-(roots * roots))
-    return _bartlett_from_log_lambda(np.sum(log_terms, axis=-1), n, k)
 
 
 def _bartlett_from_log_lambda(log_lambda, n: int, k: int) -> BartlettTest:
@@ -428,13 +411,3 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
     df = k * (k + 1) // 2 + k * (k - 1) // 2
     test = HomogeneityTest(statistic=statistic, df=df, p=chi2_sf(statistic, df))
     return test, ~pd, log_lambda
-
-
-def homogeneity_test_from_cov(sample_cov, n: int):
-    """``homogeneity_test_from_blocks`` on a stack (m, 2k, 2k) of maximum-likelihood
-    covariances C of the stacked pair vector: the test over the non-singular
-    entries and the mask of singular ones."""
-    k = sample_cov.shape[-1] // 2
-    return homogeneity_test_from_blocks(covariance_block_facts(sample_cov[:, :k, :k]),
-                                        covariance_block_facts(sample_cov[:, k:, k:]),
-                                        sample_cov[:, :k, k:], n)[:2]

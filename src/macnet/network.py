@@ -18,6 +18,7 @@ import numpy as np
 
 from . import inference, numkernel, similarity
 from .errors import (
+    DegenerateCorrelation,
     DegenerateR,
     InsufficientSamples,
     LengthMismatch,
@@ -67,8 +68,11 @@ class AttributeDataset:
             raise InsufficientSamples("need at least 2 nodes")
         if samples.shape[2] < 3:
             raise InsufficientSamples("need at least 3 samples per node")
-        if np.any(~np.isfinite(samples)):
-            raise LengthMismatch("samples contain non-finite values")
+        bad = np.argwhere(~np.isfinite(samples))
+        if bad.size:
+            vi, ai, _ = bad[0]
+            raise NonFiniteInput(f"node {node_ids[vi]!r} attribute {attribute_names[ai]!r} "
+                                 f"has a non-finite sample")
         object.__setattr__(self, "node_ids", node_ids)
         object.__setattr__(self, "attribute_names", attribute_names)
         object.__setattr__(self, "samples", samples)
@@ -147,17 +151,6 @@ class InferredNetwork:
     def n_edges(self) -> int:
         return len(self.table)
 
-    def edge_pairs(self) -> frozenset:
-        return frozenset(frozenset((self.node_ids[a], self.node_ids[b]))
-                         for a, b in self.table.ends.tolist())
-
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.node_ids}
-        for a, b in self.table.ends.tolist():
-            adj[self.node_ids[a]].add(self.node_ids[b])
-            adj[self.node_ids[b]].add(self.node_ids[a])
-        return adj
-
     @cached_property
     def adjacency_matrix(self):
         """Symmetric 0/1 adjacency in node order, as a ``scipy.sparse`` CSR matrix."""
@@ -186,11 +179,14 @@ class InferredNetwork:
             label = hooked
 
 
-def _check_preconditions(data: AttributeDataset, method: str):
+def _check_preconditions(data: AttributeDataset, method: str, pvalue_mode: str):
     k = data.k
     n = data.n_samples
     if method not in METHODS:
         raise UsageError(f"method must be one of {METHODS}, got {method!r}")
+    if pvalue_mode == "montecarlo" and method not in ("max", "min"):
+        raise UsageError(f"pvalue_mode 'montecarlo' applies to methods 'max' and 'min' only, "
+                         f"not {method!r}")
     if method == "pearson" and k != 1:
         raise UsageError(f"method 'pearson' needs exactly 1 selected attribute, got {k}")
     if method in ("max", "min") and k != 2:
@@ -308,7 +304,9 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     Edges are declared two-sidedly.  ``pvalue_mode`` selects the analytic
     tail approximation or the Monte Carlo alternative for the max/min
     methods (the Monte Carlo panel uses a fixed internal seed, so inference
-    stays deterministic).  Every pair is tested.  cca needs each node's own
+    stays deterministic); the other methods take no Monte Carlo mode.  Every pair
+    is tested.  pearson, max and min raise ``DegenerateCorrelation`` naming the
+    first pair with a per-attribute |r| of 1.  cca needs each node's own
     correlation block positive-definite (``DegenerateR`` otherwise); a pair whose
     joint correlation matrix is not takes its roots from its node blocks like every
     other pair, and is reported in ``singular_pairs``.
@@ -324,11 +322,9 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
         raise OutOfDomain(f"FDR level must lie in (0, 1), got {gamma}")
     if pvalue_mode not in inference.PVALUE_MODES:
         raise UsageError(f"pvalue_mode must be one of {inference.PVALUE_MODES}, got {pvalue_mode!r}")
-    _check_preconditions(data, method)
+    _check_preconditions(data, method, pvalue_mode)
 
-    sampler = None
-    if pvalue_mode == "montecarlo" and method in ("max", "min"):
-        sampler = inference.ExtremeTailSampler()
+    sampler = inference.ExtremeTailSampler() if pvalue_mode == "montecarlo" else None
 
     facts = _NodeFacts(data, method)
     n, k, ids = facts.n, facts.k, data.node_ids
@@ -345,20 +341,28 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
             hom, pair_singular, log_lambda = inference.homogeneity_test_from_blocks(
                 [fact[i] for fact in facts.cov], (cov[j], None, logdet[j], pd[j], log_diagonal[j]),
                 gram / n, n)
-        if method == "pearson":
-            sims = sigma_ij[:, 0, 0]
-            statistic, pvalues = inference.correlation_test(sims, n)
-        elif method in ("max", "min"):
-            rhos = np.diagonal(sigma_ij, axis1=1, axis2=2)
-            zs = inference.fisher_z(rhos, n)
-            rho_z = inference.fisher_z_correlation(facts.sigma[i], facts.sigma[j], sigma_ij)
-            sims = similarity.aggregate_extreme(rhos, method)
-            statistic = similarity.aggregate_extreme(zs, method)
-            pvalues = inference.extreme_corr_pvalue(*zs.T, rho_z, method, two_sided=True,
-                                                    sampler=sampler)
-        else:
+        if method == "cca":
             sims, statistic, pvalues, contrib = _test_cca(facts, i, j, sigma_ij, log_lambda, gamma)
             singular_pairs += [(ids[a], ids[b]) for a, b in zip(i[pair_singular], j[pair_singular])]
+        else:
+            rhos = np.diagonal(sigma_ij, axis1=1, axis2=2)
+            unit = np.argwhere(np.abs(rhos) >= 1.0)
+            if unit.size:
+                pair, a = unit[0]
+                raise DegenerateCorrelation(
+                    f"nodes {ids[i[pair]]!r} and {ids[j[pair]]!r}: attribute "
+                    f"{data.attribute_names[a]!r} has |r| = 1, which leaves no finite Fisher z "
+                    f"statistic; drop one of the two copies")
+            if method == "pearson":
+                sims = rhos[:, 0]
+                statistic, pvalues = inference.correlation_test(sims, n)
+            else:
+                zs = inference.fisher_z(rhos, n)
+                rho_z = inference.fisher_z_correlation(facts.sigma[i], facts.sigma[j], sigma_ij)
+                sims = similarity.aggregate_extreme(rhos, method)
+                statistic = similarity.aggregate_extreme(zs, method)
+                pvalues = inference.extreme_corr_pvalue(*zs.T, rho_z, method, two_sided=True,
+                                                        sampler=sampler)
         if n >= 2 * k + 2:
             verdicts += hom.p.size
             rejects += int(np.sum(hom.p < HOMOGENEITY_ALPHA))

@@ -300,12 +300,3 @@ def aggregate_extreme(rhos, mode: str):
         raise OutOfDomain(f"mode must be 'max' or 'min', got {mode!r}")
     out = values.max(axis=-1) if mode == "max" else values.min(axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def equal_corr_blocks(k: int, r: float, rho: float, b: float):
-    """Marginal and cross blocks for the equal-correlation model."""
-    sigma_m = np.full((k, k), r)
-    np.fill_diagonal(sigma_m, 1.0)
-    sigma_c = np.full((k, k), b)
-    np.fill_diagonal(sigma_c, rho)
-    return sigma_m, sigma_c

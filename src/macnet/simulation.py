@@ -1,4 +1,4 @@
-"""Structured-covariance sampling and the five-scenario edge-detection power study.
+"""Structured covariances and the five-scenario edge-detection power study.
 
 Five tests of a single planted edge are compared over a grid of
 two-attribute correlation structures: each attribute's correlation alone,
@@ -81,21 +81,6 @@ def _grid_point_factors(seed: int, point: int, reps: int, n: int):
         factors[:, rows, cols] = normals.standard_normal((count, 6))
         factors[:, diag, diag] = np.sqrt(2.0 * gammas.standard_gamma(shapes, (count, 4)))
         yield factors
-
-
-def sample_mvn(sigma, n: int, seed) -> np.ndarray:
-    """n draws from a centered multivariate normal with the given SPD covariance.
-
-    ``seed`` is a Generator, or a seed for ``substream(seed)``, so a negative or
-    non-integer one is rejected rather than truncated.
-    """
-    sigma = numkernel.require_symmetric(sigma, tol=1e-10)
-    if n < 1:
-        raise InsufficientSamples(f"need at least 1 draw, got {n}")
-    lower = numkernel.cholesky(sigma)
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    z = rng.standard_normal((n, sigma.shape[0]))
-    return z @ lower.T
 
 
 def slice_grid(name: str, values) -> tuple:

@@ -7,8 +7,14 @@ correlation they achieve, and eigenvalues come from a general (not symmetric)
 eigensolver.  Two references are earlier forms of the code under test, which the
 current forms must match bit for bit: betweenness by masked level-by-level
 accumulation, and sample correlation matrices scaled inline after two passes.
-``corr_matrices`` is the sample correlation step of drawn samples, which the tests
-use to build their inputs and references.
+
+The rest are data generators and references that no pipeline runs:
+``sample_mvn`` draws Gaussian samples and ``corr_matrices`` takes their sample
+correlation matrices; ``equal_corr_blocks`` builds the equal-correlation model's
+blocks; ``adjacency_sets`` and ``edge_pairs`` read a network's edges as node ids;
+``bartlett_from_roots`` is Bartlett's test from canonical roots, and
+``homogeneity_from_cov`` the homogeneity test of a stack of joint covariances,
+each through the function ``infer`` calls.
 """
 
 import itertools
@@ -17,8 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from macnet import numkernel
+from macnet import inference, numkernel
 from macnet.errors import InsufficientSamples, ZeroVariance
+from macnet.simulation import substream
 
 
 def brute_force_betweenness(node_ids, adjacency):
@@ -120,10 +127,10 @@ def brute_force_clustering(node_ids, adjacency):
     return np.array(values)
 
 
-def brute_force_lcc(node_ids, edge_pairs):
+def brute_force_lcc(node_ids, pairs):
     """Largest component size by repeated set merging."""
     components = [{v} for v in node_ids]
-    for a, b in edge_pairs:
+    for a, b in pairs:
         merged = {a, b}
         rest = []
         for comp in components:
@@ -235,3 +242,62 @@ def two_pass_corr_matrices(samples):
     d = np.arange(samples.shape[-1])
     r[..., d, d] = 1.0
     return np.clip(r, -1.0, 1.0)
+
+
+def sample_mvn(sigma, n: int, seed) -> np.ndarray:
+    """n draws from a centered multivariate normal with the given SPD covariance.
+
+    ``seed`` is a Generator, or a seed for ``substream(seed)``, so a negative or
+    non-integer one is rejected rather than truncated.
+    """
+    sigma = numkernel.require_symmetric(sigma, tol=1e-10)
+    if n < 1:
+        raise InsufficientSamples(f"need at least 1 draw, got {n}")
+    lower = numkernel.cholesky(sigma)
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
+    z = rng.standard_normal((n, sigma.shape[0]))
+    return z @ lower.T
+
+
+def equal_corr_blocks(k: int, r: float, rho: float, b: float):
+    """Marginal and cross blocks for the equal-correlation model."""
+    sigma_m = np.full((k, k), r)
+    np.fill_diagonal(sigma_m, 1.0)
+    sigma_c = np.full((k, k), b)
+    np.fill_diagonal(sigma_c, rho)
+    return sigma_m, sigma_c
+
+
+def adjacency_sets(net) -> dict:
+    """Each node id's set of neighbouring node ids."""
+    adj = {v: set() for v in net.node_ids}
+    for a, b in net.table.ends.tolist():
+        adj[net.node_ids[a]].add(net.node_ids[b])
+        adj[net.node_ids[b]].add(net.node_ids[a])
+    return adj
+
+
+def edge_pairs(net) -> frozenset:
+    """The edges as a set of unordered node-id pairs."""
+    return frozenset(frozenset((net.node_ids[a], net.node_ids[b]))
+                     for a, b in net.table.ends.tolist())
+
+
+def bartlett_from_roots(roots, n: int, k: int):
+    """Bartlett's test of k canonical roots (or a stack (m, k) of them), from log
+    Wilks' Lambda, the sum of log(1 - root^2); a root of 1 gives an infinite
+    statistic."""
+    roots = np.asarray(roots, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_lambda = np.log1p(-(roots * roots)).sum(-1)
+    return inference._bartlett_from_log_lambda(log_lambda, n, k)
+
+
+def homogeneity_from_cov(sample_cov, n: int):
+    """The homogeneity test of a stack (m, 2k, 2k) of maximum-likelihood covariances
+    of the stacked pair vector: the test over the non-singular entries and the mask
+    of singular ones."""
+    k = sample_cov.shape[-1] // 2
+    facts = [inference.covariance_block_facts(sample_cov[:, s, s])
+             for s in (slice(None, k), slice(k, None))]
+    return inference.homogeneity_test_from_blocks(*facts, sample_cov[:, :k, k:], n)[:2]

@@ -17,16 +17,20 @@ from scipy.stats import chi2 as scipy_chi2
 from scipy.stats import kstest
 
 from _oracles import (
+    adjacency_sets,
     brute_force_betweenness,
     brute_force_clustering,
     brute_force_lcc,
     corr_matrices,
+    edge_pairs,
     exact_hypergeom_upper,
     naive_step_up,
+    sample_mvn,
 )
-from macnet import inference, numkernel
+from macnet import inference, numkernel, simulation
 from macnet.cli import main
-from macnet.inference import bartlett_chi2, bh_fdr, fisher_z, normal_sf
+from macnet.enrichment import _upper_tails
+from macnet.inference import bh_fdr, fisher_z, normal_sf
 from macnet.network import (
     AttributeDataset,
     betweenness_values,
@@ -44,7 +48,7 @@ from macnet.similarity import (
     k2_closed_form,
     k2_domain,
 )
-from macnet.simulation import PowerStudySpec, build_sigma, power_study, sample_mvn, substream
+from macnet.simulation import PowerStudySpec, build_sigma, power_study, substream
 
 from test_network import toy_network
 
@@ -159,9 +163,9 @@ def test_criterion_05_bartlett_null_calibration():
     sigma_m = np.array([[1.0, 0.2], [0.2, 1.0]])
     sigma = np.block([[sigma_m, np.zeros((2, 2))], [np.zeros((2, 2)), sigma_m]])
     draws = np.stack([sample_mvn(sigma, n, substream(505, rep)) for rep in range(reps)])
-    joint = corr_matrices(draws)
-    solution = canonical_corr(joint[:, :2, :2], joint[:, 2:, 2:], joint[:, :2, 2:])
-    statistics = bartlett_chi2(solution.roots, n, 2).statistic
+    # the statistic simulate's scenario 5 computes, from log Wilks' Lambda
+    log_lambda = simulation._log_wilks_lambda(corr_matrices(draws))
+    statistics = inference._bartlett_from_log_lambda(log_lambda, n, 2).statistic
     ks = kstest(statistics, scipy_chi2(4).cdf)
     elapsed = time.perf_counter() - started
     assert ks.pvalue > 0.01, f"KS p-value {ks.pvalue:.4f}"
@@ -246,7 +250,7 @@ def test_criterion_09_graph_statistics_oracles():
             if rng.random() < float(rng.uniform(0.2, 0.8))
         ]
         net = toy_network(ids, pairs)
-        adjacency = net.adjacency()
+        adjacency = adjacency_sets(net)
         np.testing.assert_array_equal(
             degree_values(net), [len(adjacency[v]) for v in ids]
         )
@@ -285,25 +289,32 @@ def test_criterion_10_jaccard_arithmetic():
 
 
 def test_criterion_11_hypergeometric_enumeration():
-    from macnet.enrichment import hypergeom_upper
-
     rng = np.random.default_rng(1111)
-    worst = 0.0
+    configs = []
     for _ in range(1000):
         universe = int(rng.integers(2, 31))
         set_size = int(rng.integers(1, universe + 1))
         class_size = int(rng.integers(1, universe + 1))
         overlap = int(rng.integers(0, min(set_size, class_size) + 1))
-        computed = hypergeom_upper(overlap, class_size, set_size, universe)
-        exact = float(exact_hypergeom_upper(overlap, class_size, set_size, universe))
-        if exact > 0:
-            worst = max(worst, abs(computed - exact) / exact)
-        else:
-            assert computed == 0.0
+        configs.append((universe, overlap, class_size, set_size))
+    # one batched call per universe, as enrich makes it
+    universes = sorted({config[0] for config in configs})
+    worst = 0.0
+    for universe in universes:
+        overlap, class_size, set_size = zip(*(c[1:] for c in configs if c[0] == universe))
+        computed = _upper_tails(overlap, class_size, set_size, universe)
+        exact = [float(exact_hypergeom_upper(*args, universe))
+                 for args in zip(overlap, class_size, set_size)]
+        for value, reference in zip(computed.tolist(), exact):
+            if reference > 0:
+                worst = max(worst, abs(value - reference) / reference)
+            else:
+                assert value == 0.0
     assert worst < 1e-10, f"max relative error {worst:.3e}"
-    assert hypergeom_upper(4, 5, 4, 10) == pytest.approx(6 / 252, rel=1e-12)
-    report(11, f"log-space tail matches exact enumeration on 1000 configurations "
-               f"(max rel err {worst:.2e}); 6/252 worked example exact")
+    assert _upper_tails([4], [5], [4], 10)[0] == pytest.approx(6 / 252, rel=1e-12)
+    report(11, f"log-space tail matches exact enumeration on 1000 configurations in "
+               f"{len(universes)} batched calls (max rel err {worst:.2e}); "
+               f"6/252 worked example exact")
 
 
 def test_criterion_12_w_formula_calibration_table(tmp_path):
@@ -365,7 +376,7 @@ def test_criterion_14_end_to_end_smoke():
             samples[b, 0], samples[b, 1] = draws[:, 2], draws[:, 3]
         data = AttributeDataset(tuple(f"v{i}" for i in range(20)), ("x", "y"), samples)
         net = infer_network(data, "min", 0.05)
-        if net.edge_pairs() == planted_ids:
+        if edge_pairs(net) == planted_ids:
             exact += 1
     assert exact >= 95, f"exact recovery in only {exact} of {runs} runs"
     report(14, f"planted edges recovered exactly in {exact}/{runs} seeded runs "

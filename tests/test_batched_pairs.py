@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import macnet
-from _oracles import corr_matrices
+from _oracles import bartlett_from_roots, corr_matrices
 from macnet import inference, io as io_mod, network, numkernel, similarity, simulation
 from macnet.cli import main
 from macnet.errors import DegenerateR
@@ -126,11 +126,11 @@ def reference_network(data, method, gamma, sampler=None):
             elif pair_homogeneity(block_i, block_j) is None:
                 singular_pairs.append(pair)
                 roots, contrib = qr_svd_canonical(block_i, block_j)
-                test = inference.bartlett_chi2(roots, n, k)
+                test = bartlett_from_roots(roots, n, k)
                 row = (roots[0], test.statistic, test.df, test.p, tuple(contrib))
             else:
                 solution = similarity.canonical_corr(joint[:k, :k], joint[k:, k:], joint[:k, k:])
-                test = inference.bartlett_chi2(solution.roots, n, k)
+                test = bartlett_from_roots(solution.roots, n, k)
                 row = (solution.rho_c, test.statistic, test.df, test.p, tuple(solution.contrib))
             hom = pair_homogeneity(block_i, block_j)
             if hom is None:
@@ -393,7 +393,7 @@ def test_collinear_copy_matches_qr_svd_roots(noise, tmp_path):
     assert net.singular_pairs == ((("v0", "v1"),) if noise <= 1e-6 else ())
     edge = id_pairs(net).index(("v0", "v1"))
     roots, _ = qr_svd_canonical(data.samples[0].T, data.samples[1].T)
-    expected = inference.bartlett_chi2(roots, data.n_samples, data.k)
+    expected = bartlett_from_roots(roots, data.n_samples, data.k)
     if np.isfinite(expected.statistic):
         assert net.table.statistic[edge] == pytest.approx(expected.statistic, rel=1e-3, abs=0)
     if net.singular_pairs:
@@ -481,7 +481,7 @@ def reference_power_counts(spec):
             z1.append(inference.fisher_z(joint[0, 2], spec.n))
             z2.append(inference.fisher_z(joint[1, 3], spec.n))
             roots = similarity.canonical_corr(joint[:2, :2], joint[2:, 2:], joint[:2, 2:]).roots
-            bartlett.append(inference.bartlett_chi2(roots, spec.n, 2).p)
+            bartlett.append(bartlett_from_roots(roots, spec.n, 2).p)
         rho_z = min(1.0, max(-1.0, float(np.corrcoef(z1, z2)[0, 1])))
         sampler = None
         if spec.pvalue_mode == "montecarlo":

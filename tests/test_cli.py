@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import edge_pairs, sample_mvn
 from macnet import io as io_mod
 from macnet import simulation
 from macnet.cli import _slice_sweep, main
@@ -29,7 +30,7 @@ def make_dataset_files(tmp_path, seed=0, n_nodes=8, n=60, planted=((0, 1), (2, 3
     rng = simulation.substream(seed, 999)
     samples = rng.standard_normal((n_nodes, 2, n))
     for a, b in planted:
-        draws = simulation.sample_mvn(sigma, n, rng)
+        draws = sample_mvn(sigma, n, rng)
         samples[a, 0], samples[a, 1] = draws[:, 0], draws[:, 1]
         samples[b, 0], samples[b, 1] = draws[:, 2], draws[:, 3]
     ids = [f"v{i}" for i in range(n_nodes)]
@@ -38,6 +39,19 @@ def make_dataset_files(tmp_path, seed=0, n_nodes=8, n=60, planted=((0, 1), (2, 3
     write_attribute_csv(protein, ids, samples[:, 0, :])
     write_attribute_csv(gene, ids, samples[:, 1, :])
     return protein, gene, ids, samples
+
+
+def make_collinear_files(tmp_path):
+    """Attribute CSVs a and b of eight nodes at 30 samples, where node v1's attributes
+    are a linear copy of v0's, 2 v0 + 1 (the fixture of the CI collinear check)."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2, 8, 30))
+    x[:, 1] = 2.0 * x[:, 0] + 1.0
+    ids = [f"v{v}" for v in range(8)]
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, block in zip(paths, x):
+        write_attribute_csv(path, ids, block)
+    return paths
 
 
 class TestIngest:
@@ -201,8 +215,8 @@ class TestCliInfer:
         assert meta["tested_pairs"] == 28
         assert "reject_fraction" in meta["homogeneity"]
         net = io_mod.read_network(out / "edges.csv")
-        assert frozenset(("v0", "v1")) in net.edge_pairs()
-        assert frozenset(("v2", "v3")) in net.edge_pairs()
+        assert frozenset(("v0", "v1")) in edge_pairs(net)
+        assert frozenset(("v2", "v3")) in edge_pairs(net)
 
     def test_attribute_subset(self, tmp_path):
         protein, gene, *_ = make_dataset_files(tmp_path)
@@ -281,6 +295,30 @@ class TestCliInfer:
         protein, gene, *_ = make_dataset_files(tmp_path)
         code = main(["infer", str(protein), str(gene), "--fdr", "1.5"])
         assert code == 1
+
+    @pytest.mark.parametrize("method", ["pearson", "max", "min"])
+    def test_unit_correlation_names_the_pair(self, tmp_path, capsys, method):
+        a, b = make_collinear_files(tmp_path)
+        inputs = [a] if method == "pearson" else [a, b]
+        code = main(["infer", *map(str, inputs), "--method", method,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DegenerateCorrelation"
+        assert "nodes 'v0' and 'v1': attribute 'a' has |r| = 1" in err["message"]
+        assert not (tmp_path / "run" / "edges.csv").exists()
+
+    @pytest.mark.parametrize("method", ["pearson", "cca"])
+    def test_montecarlo_mode_is_usage_error_without_max_or_min(self, tmp_path, capsys, method):
+        protein, gene, *_ = make_dataset_files(tmp_path)
+        code = main(["infer", str(protein), str(gene), "--method", method,
+                     *(["--attributes", "protein"] if method == "pearson" else []),
+                     "--pvalue-mode", "montecarlo", "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError"
+        assert "montecarlo" in err["message"] and repr(method) in err["message"]
+        assert not (tmp_path / "run" / "meta.json").exists()
 
 
 class TestCliNetstatClassifyEnrich:

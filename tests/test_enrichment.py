@@ -8,13 +8,11 @@ from _oracles import exact_hypergeom_upper, reference_enrichment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macnet import enrichment
 from macnet.cli import main
 from macnet.enrichment import (
     GeneSetCollection,
     _upper_tails,
     enrich,
-    hypergeom_upper,
     load_gmt,
     parse_gmt,
 )
@@ -29,17 +27,9 @@ def assert_reports_equal(a, b):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
-def exact_upper_tail(overlap, class_size, set_size, universe):
-    """Exact rational upper tail by direct enumeration."""
-    total = Fraction(0)
-    denom = math.comb(universe, class_size)
-    for t in range(overlap, min(class_size, set_size) + 1):
-        if class_size - t > universe - set_size:
-            continue
-        total += Fraction(
-            math.comb(set_size, t) * math.comb(universe - set_size, class_size - t), denom
-        )
-    return total
+def hypergeom_upper(overlap, class_size, set_size, universe):
+    """One test's tail through the batched ``_upper_tails``."""
+    return float(_upper_tails([overlap], [class_size], [set_size], universe)[0])
 
 
 class TestHypergeomUpper:
@@ -65,7 +55,7 @@ class TestHypergeomUpper:
             class_size = int(rng.integers(1, universe + 1))
             overlap = int(rng.integers(0, min(set_size, class_size) + 1))
             value = hypergeom_upper(overlap, class_size, set_size, universe)
-            expected = float(exact_upper_tail(overlap, class_size, set_size, universe))
+            expected = float(exact_hypergeom_upper(overlap, class_size, set_size, universe))
             assert value == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
     def test_monotone_in_overlap(self):
@@ -159,7 +149,7 @@ class TestEnrich:
         hot_target = report.class_labels.index("hot"), report.set_names.index("target")
         assert report.overlap[hot_target] == 10
         assert report.p[hot_target] == pytest.approx(
-            float(exact_upper_tail(10, 10, 10, 100)), rel=1e-10
+            float(exact_hypergeom_upper(10, 10, 10, 100)), rel=1e-10
         )
         assert report.enriched[hot_target]
         assert report.q[hot_target] <= 0.05
@@ -246,17 +236,6 @@ class TestUpperTails:
         assert empty.shape == (0,) and empty.dtype == float
         assert _upper_tails([], 3, [], 10).shape == (0,)
 
-    def test_scalar_call_is_the_batched_value(self):
-        rng = np.random.default_rng(37)
-        universe = 400
-        set_size = rng.integers(1, universe + 1, size=200)
-        class_size = rng.integers(1, universe + 1, size=200)
-        overlap = rng.integers(0, np.minimum(set_size, class_size) + 1)
-        batched = _upper_tails(overlap, class_size, set_size, universe)
-        scalar = [hypergeom_upper(int(o), int(c), int(s), universe)
-                  for o, c, s in zip(overlap, class_size, set_size)]
-        assert batched.tolist() == scalar
-
     @staticmethod
     def full_range_tail(overlap, class_size, set_size, universe):
         """One test's log-space sum over every term of its range, added left to right,
@@ -304,13 +283,6 @@ class TestUpperTails:
 
 
 class TestEnrichBatched:
-    def test_enrich_does_not_call_scalar_tail(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("enrich called the scalar hypergeom_upper")
-
-        monkeypatch.setattr(enrichment, "hypergeom_upper", forbidden)
-        TestEnrich().test_constructed_extreme_enrichment()
-
     def test_class_larger_than_universe_raises(self):
         # the two sets fit the universe, but together they annotate six nodes; the
         # collection refuses them before any class can outgrow the universe

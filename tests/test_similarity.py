@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import corr_matrices, correlation_objective, general_eigen
+from _oracles import corr_matrices, correlation_objective, equal_corr_blocks, general_eigen
 from macnet import numkernel
 from macnet.errors import (
     DegenerateR,
@@ -15,7 +15,6 @@ from macnet.similarity import (
     aggregate_extreme,
     canonical_corr,
     canonical_corr_homogeneous,
-    equal_corr_blocks,
     equal_corr_closed_form,
     k2_closed_form,
     k2_domain,

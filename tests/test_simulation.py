@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from _oracles import corr_matrices
+from _oracles import bartlett_from_roots, corr_matrices, sample_mvn
 from macnet import inference, numkernel, simulation
 from macnet.cli import main
 from macnet.errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain
@@ -16,7 +16,6 @@ from macnet.simulation import (
     PowerStudySpec,
     build_sigma,
     power_study,
-    sample_mvn,
     slice_grid,
     substream,
 )
@@ -56,6 +55,8 @@ class TestBuildSigma:
 
 
 class TestSampleMvn:
+    """``_oracles.sample_mvn``, the Gaussian data generator the tests draw samples from."""
+
     def test_identity_correlations_near_zero(self):
         draws = sample_mvn(np.eye(4), 100_000, 1)
         joint = corr_matrices(draws)
@@ -364,7 +365,7 @@ def _roots_path_statistic(joint, n):
     """Bartlett's statistic from the canonical roots of T = R11^-1/2 R12 R22^-1/2."""
     t = (numkernel.inv_sqrt_spd_stack(joint[:, :2, :2]) @ joint[:, :2, 2:]
          @ numkernel.inv_sqrt_spd_stack(joint[:, 2:, 2:]))
-    return inference.bartlett_chi2(canonical_roots(t), n, 2).statistic
+    return bartlett_from_roots(canonical_roots(t), n, 2).statistic
 
 
 @settings(max_examples=300, deadline=None)
