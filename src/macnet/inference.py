@@ -1,8 +1,8 @@
 """Hypothesis tests for edge detection and multiple-testing control.
 
 Provides the variance-stabilized correlation test, the chi-squared test on
-all canonical roots, tail approximations for the maximum/minimum of two
-correlated test statistics (with a Monte Carlo alternative), a likelihood
+all canonical roots, tails for the maximum/minimum of two correlated test
+statistics (the paper's approximation, or exact through Owen's T), a likelihood
 ratio test for pair homogeneity, and Benjamini-Hochberg FDR control.
 The test formulas work elementwise: arrays of statistics (stacks of
 matrices) give arrays of results, scalars give floats.
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, owens_t
 
 from . import numkernel
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     InvalidP,
     LengthMismatch,
     NonFiniteInput,
+    OutOfDomain,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -37,8 +38,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: constraints on the cross block
 HOMOGENEITY_DF_FORMULA = "k(k+1)/2 + k(k-1)/2"
 
-#: max/min tail p-values: the paper's analytic approximation or a Monte Carlo panel
-PVALUE_MODES = ("formula", "montecarlo")
+#: max/min tail p-values: the paper's analytic approximation or the exact bivariate-normal tail
+PVALUE_MODES = ("formula", "exact")
 
 
 def _float_or_array(value):
@@ -141,29 +142,35 @@ def _require_bartlett_n(n: int, k: int) -> None:
         )
 
 
-def _w_formula(c, arc, mode: str):
-    """Tail approximation for the extreme of two correlated z statistics.
+def _one_sided_tail(c, arc, mode: str, exact: bool):
+    """P(max(Z1, Z2) > c) or P(min(Z1, Z2) > c) for two standard normals whose
+    correlation is cos(arc): the normal tail at c plus (max) or minus (min) a
+    correction term.
 
-    ``arc`` is the angle arccos of the correlation between the two
-    statistics.  The correction term is an approximation of uncertain
-    accuracy at low correlation; ``extreme_corr_pvalue`` with a sampler gives
-    the calibrated alternative.  Output is clamped to [0, 1].
+    The printed correction is an approximation of uncertain accuracy at low
+    correlation (``w_formula_calibration_table`` records it).  With ``exact`` the
+    term is 2 T(c, tan(arc/2)), Owen's T, and the tail is exact (Owen 1956,
+    Ann. Math. Stat. 27).  Output is clamped to [0, 1].
     """
     c = np.asarray(c, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        correction = normal_pdf(c) * (normal_pdf(c * arc / 2.0) - 0.5) / (c / 2.0)
+    if exact:
+        correction = 2.0 * owens_t(c, np.tan(arc / 2.0))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            correction = normal_pdf(c) * (normal_pdf(c * arc / 2.0) - 0.5) / (c / 2.0)
     if mode == "max":
         value = normal_sf(c) + correction
     else:
         value = normal_sf(c) - correction
-    # the correction term diverges at zero; the clamp takes over
-    value = np.where(c == 0.0, 0.0 if mode == "max" else 1.0, value)
+    if not exact:
+        # the printed correction term diverges at zero; the clamp takes over
+        value = np.where(c == 0.0, 0.0 if mode == "max" else 1.0, value)
     return np.clip(value, 0.0, 1.0)
 
 
 def _check_extreme_inputs(z1, z2, rho_z, mode: str):
     if mode not in ("max", "min"):
-        raise InvalidP(f"mode must be 'max' or 'min', got {mode!r}")
+        raise OutOfDomain(f"mode must be 'max' or 'min', got {mode!r}")
     if not (np.all(np.isfinite(z1)) and np.all(np.isfinite(z2)) and np.all(np.isfinite(rho_z))):
         raise NonFiniteInput("z statistics and their correlation must be finite")
     if np.any(np.abs(rho_z) > 1.0 + 1e-12):
@@ -172,79 +179,49 @@ def _check_extreme_inputs(z1, z2, rho_z, mode: str):
 
 
 def extreme_corr_pvalue(z1, z2, rho_z, mode: str, *, two_sided: bool = False,
-                        sampler: Optional[ExtremeTailSampler] = None):
+                        exact: bool = False):
     """Tail probability for max(z1, z2) or min(z1, z2), or with ``two_sided`` for the
     extreme of |z1| and |z2|, where the two statistics have correlation ``rho_z``
     (one value, or one per pair).
 
-    Without a sampler it is the analytic approximation; the two-sided form comes
-    from the one-sided one by quadrant decomposition: for the max,
+    The one-sided tail is the analytic approximation, or with ``exact`` the exact
+    bivariate-normal tail.  The two-sided form comes from the one-sided one by
+    quadrant decomposition: for the max,
     P(max|Z| > c) = 2 P(max Z > c) - 2 P(Z1 > c, Z2 < -c); for the min,
     P(min|Z| > c) sums the two same-sign and two opposite-sign quadrants, and the
     opposite-sign quadrants reuse the one-sided form at the negated correlation.
-    With a sampler it is the sampler's Monte Carlo estimate.
     """
     rho_z = _check_extreme_inputs(z1, z2, rho_z, mode)
     if two_sided:
         z1, z2 = np.abs(z1), np.abs(z2)
     c = np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2)
-    if sampler is not None:
-        return sampler.pvalue(c, rho_z, mode, two_sided)
-    value = _w_formula(c, np.arccos(rho_z), mode)
+    value = _one_sided_tail(c, np.arccos(rho_z), mode, exact)
     if two_sided:
-        opposite = 2.0 * _w_formula(c, np.arccos(-rho_z), "min")
+        opposite = 2.0 * _one_sided_tail(c, np.arccos(-rho_z), "min", exact)
         value = np.clip(2.0 * value - opposite if mode == "max" else 2.0 * value + opposite,
                         0.0, 1.0)
     return _float_or_array(value)
-
-
-class ExtremeTailSampler:
-    """Monte Carlo tail estimates for extremes of a correlated z pair.
-
-    Draws a fixed panel of standard-normal pairs once; each query correlates
-    the panel to the requested level, so estimates are deterministic for a
-    given seed and smooth in the correlation.
-    """
-
-    def __init__(self, draws: int = 1_000_000, seed: int = 1905):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        self._u1 = rng.standard_normal(draws)
-        self._u2 = rng.standard_normal(draws)
-        self.draws = draws
-
-    def pvalue(self, c, rho_z, mode: str, two_sided: bool = False):
-        """Share of the panel's extremes (of |z1| and |z2| with ``two_sided``) above
-        each c, at one ``rho_z`` or one per c; one sorted table per distinct rho_z."""
-        c, rho_z = np.broadcast_arrays(np.asarray(c, dtype=float), rho_z)
-        levels, which = np.unique(rho_z, return_inverse=True)
-        which = which.reshape(c.shape)
-        above = np.empty(c.shape)
-        for index, level in enumerate(levels.tolist()):
-            level = min(1.0, max(-1.0, level))
-            z1 = self._u1
-            z2 = level * z1 + math.sqrt(max(0.0, 1.0 - level * level)) * self._u2
-            if two_sided:
-                z1, z2 = np.abs(z1), np.abs(z2)
-            table = np.sort(np.maximum(z1, z2) if mode == "max" else np.minimum(z1, z2))
-            at = which == index
-            above[at] = table.size - np.searchsorted(table, c[at], side="right")
-        return _float_or_array(above / self.draws)
 
 
 def w_formula_calibration_table(rho_values=(0.0, 0.3, 0.6), c_values=(1.5, 2.0, 2.5),
                                 draws: int = 1_000_000, seed: int = 1905):
     """Analytic tail approximations next to Monte Carlo estimates.
 
-    Returns one row per (mode, rho_z, c): the formula output, the Monte
-    Carlo tail estimate, and its standard error.  This is the record of the
+    Returns one row per (mode, rho_z, c): the formula output, the share of a
+    fixed panel of ``draws`` correlated standard-normal pairs whose extreme
+    exceeds c, and its standard error.  This is the record of the
     approximation's accuracy; nothing recalibrates the formula itself.
     """
-    sampler = ExtremeTailSampler(draws=draws, seed=seed)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    u1 = rng.standard_normal(draws)
+    u2 = rng.standard_normal(draws)
     rows = []
     for mode in ("max", "min"):
         for rho_z in rho_values:
-            estimates = sampler.pvalue(np.asarray(c_values, dtype=float), rho_z, mode)
-            for c, mc in zip(c_values, estimates.tolist()):
+            z2 = rho_z * u1 + math.sqrt(1.0 - rho_z * rho_z) * u2
+            extreme = np.maximum(u1, z2) if mode == "max" else np.minimum(u1, z2)
+            for c in c_values:
+                mc = np.count_nonzero(extreme > c) / draws
                 formula = extreme_corr_pvalue(c, c, rho_z, mode)
                 se = math.sqrt(max(mc * (1.0 - mc), 1.0 / draws) / draws)
                 rows.append(

@@ -184,8 +184,8 @@ def _check_preconditions(data: AttributeDataset, method: str, pvalue_mode: str):
     n = data.n_samples
     if method not in METHODS:
         raise UsageError(f"method must be one of {METHODS}, got {method!r}")
-    if pvalue_mode == "montecarlo" and method not in ("max", "min"):
-        raise UsageError(f"pvalue_mode 'montecarlo' applies to methods 'max' and 'min' only, "
+    if pvalue_mode == "exact" and method not in ("max", "min"):
+        raise UsageError(f"pvalue_mode 'exact' applies to methods 'max' and 'min' only, "
                          f"not {method!r}")
     if method == "pearson" and k != 1:
         raise UsageError(f"method 'pearson' needs exactly 1 selected attribute, got {k}")
@@ -302,9 +302,8 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     """Test all node pairs with one similarity measure and keep FDR-passing edges.
 
     Edges are declared two-sidedly.  ``pvalue_mode`` selects the analytic
-    tail approximation or the Monte Carlo alternative for the max/min
-    methods (the Monte Carlo panel uses a fixed internal seed, so inference
-    stays deterministic); the other methods take no Monte Carlo mode.  Every pair
+    tail approximation or the exact bivariate-normal tail for the max/min
+    methods; the other methods take no exact mode.  Every pair
     is tested.  pearson, max and min raise ``DegenerateCorrelation`` naming the
     first pair with a per-attribute |r| of 1.  cca needs each node's own
     correlation block positive-definite (``DegenerateR`` otherwise); a pair whose
@@ -323,8 +322,6 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     if pvalue_mode not in inference.PVALUE_MODES:
         raise UsageError(f"pvalue_mode must be one of {inference.PVALUE_MODES}, got {pvalue_mode!r}")
     _check_preconditions(data, method, pvalue_mode)
-
-    sampler = inference.ExtremeTailSampler() if pvalue_mode == "montecarlo" else None
 
     facts = _NodeFacts(data, method)
     n, k, ids = facts.n, facts.k, data.node_ids
@@ -362,7 +359,7 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
                 sims = similarity.aggregate_extreme(rhos, method)
                 statistic = similarity.aggregate_extreme(zs, method)
                 pvalues = inference.extreme_corr_pvalue(*zs.T, rho_z, method, two_sided=True,
-                                                        sampler=sampler)
+                                                        exact=pvalue_mode == "exact")
         if n >= 2 * k + 2:
             verdicts += hom.p.size
             rejects += int(np.sum(hom.p < HOMOGENEITY_ALPHA))

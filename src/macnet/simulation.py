@@ -226,12 +226,10 @@ def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: f
     extremes = [(s, mode) for s, mode in ((3, "max"), (4, "min")) if s in spec.scenarios]
     if extremes:  # only the max/min scenarios read rho_z
         rho_z = min(1.0, max(-1.0, float(np.corrcoef(z1, z2)[0, 1])))
-        sampler = None
-        if spec.pvalue_mode == "montecarlo":
-            sampler = inference.ExtremeTailSampler(seed=spec.seed * 1_000_003 + grid_index)
         for scenario, mode in extremes:
             pvalues[scenario] = inference.extreme_corr_pvalue(
-                z1, z2, rho_z, mode, two_sided=not spec.one_sided, sampler=sampler)
+                z1, z2, rho_z, mode, two_sided=not spec.one_sided,
+                exact=spec.pvalue_mode == "exact")
     return [int(np.sum(pvalues[scenario] < spec.alpha)) for scenario in spec.scenarios]
 
 

@@ -11,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +91,7 @@ def qr_svd_canonical(block_i, block_j):
     return np.clip(roots, 0.0, 1.0), (squared / squared.sum(axis=1, keepdims=True)).mean(axis=0)
 
 
-def reference_network(data, method, gamma, sampler=None):
+def reference_network(data, method, gamma, exact=False):
     """Per-pair loop over the public functions, one pair per call.
 
     Returns (edges by pair, singular cca pairs, homogeneity reject fraction, singular
@@ -120,7 +119,7 @@ def reference_network(data, method, gamma, sampler=None):
                 zs = [inference.fisher_z(r, n) for r in rhos]
                 rho_z = inference.fisher_z_correlation(joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
                 p = inference.extreme_corr_pvalue(zs[0], zs[1], rho_z, method, two_sided=True,
-                                                  sampler=sampler)
+                                                  exact=exact)
                 row = (similarity.aggregate_extreme(rhos, method),
                        similarity.aggregate_extreme(zs, method), None, p, None)
             elif pair_homogeneity(block_i, block_j) is None:
@@ -224,27 +223,28 @@ def test_cca_runs_no_per_pair_solver(make, monkeypatch):
     assert not np.isnan(net.table.contrib).all(axis=1).any()
 
 
-def test_monte_carlo_mode_matches_per_pair_reference():
+@pytest.mark.parametrize("method", ["max", "min"])
+def test_exact_mode_matches_per_pair_reference(method):
     data = planted_dataset(8, 5, 2)
-    net = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
-    reference = reference_network(data, "max", 0.05, sampler=inference.ExtremeTailSampler())
-    assert_matches_reference(net, reference)
+    net = infer_network(data, method, 0.05, pvalue_mode="exact")
+    assert_matches_reference(net, reference_network(data, method, 0.05, exact=True))
 
 
-def test_monte_carlo_mode_makes_one_tail_call_per_tile(monkeypatch):
+def test_exact_mode_makes_one_tail_call_per_tile(monkeypatch):
     calls = []
-    pvalue = inference.ExtremeTailSampler.pvalue
+    owens_t = inference.owens_t
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return pvalue(self, *args, **kwargs)
+    def counting(h, a):
+        calls.append(np.shape(h))
+        return owens_t(h, a)
 
-    monkeypatch.setattr(inference.ExtremeTailSampler, "pvalue", counting)
+    monkeypatch.setattr(inference, "owens_t", counting)
     data = planted_dataset(8, 8, 2)
     assert network.PAIR_CHUNK >= data.n_nodes - 1  # the 28 pairs make one tile
-    net = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
+    net = infer_network(data, "max", 0.05, pvalue_mode="exact")
     assert net.tested_pairs == 28
-    assert len(calls) == 1
+    # the two-sided tail: one same-sign and one opposite-sign quadrant call
+    assert calls == [(28,), (28,)]
 
 
 @pytest.mark.parametrize("method", ["max", "min", "cca"])
@@ -483,9 +483,6 @@ def reference_power_counts(spec):
             roots = similarity.canonical_corr(joint[:2, :2], joint[2:, 2:], joint[:2, 2:]).roots
             bartlett.append(bartlett_from_roots(roots, spec.n, 2).p)
         rho_z = min(1.0, max(-1.0, float(np.corrcoef(z1, z2)[0, 1])))
-        sampler = None
-        if spec.pvalue_mode == "montecarlo":
-            sampler = inference.ExtremeTailSampler(seed=spec.seed * 1_000_003 + grid_index)
         for scenario in spec.scenarios:
             if scenario in (1, 2):
                 zs = z1 if scenario == 1 else z2
@@ -494,7 +491,7 @@ def reference_power_counts(spec):
             elif scenario in (3, 4):
                 mode = "max" if scenario == 3 else "min"
                 p = [inference.extreme_corr_pvalue(a, c, rho_z, mode, two_sided=not spec.one_sided,
-                                                   sampler=sampler)
+                                                   exact=spec.pvalue_mode == "exact")
                      for a, c in zip(z1, z2)]
             else:
                 p = bartlett
@@ -505,7 +502,8 @@ def reference_power_counts(spec):
 @pytest.mark.parametrize("one_sided,mode,reps", [
     (True, "formula", 300),
     (False, "formula", 300),
-    (False, "montecarlo", 60),
+    (True, "exact", 300),
+    (False, "exact", 300),
 ])
 def test_power_study_matches_per_replicate_reference(one_sided, mode, reps):
     spec = simulation.PowerStudySpec(grid=((0.0, 0.0), (0.2, 0.04)), reps=reps, seed=9,
@@ -609,23 +607,6 @@ def test_homogeneity_verdict_does_not_depend_on_attribute_units(method, monkeypa
     mixed = infer_network(rescaled(data, [1.0, 1e4], every_third=1e-3), method, 0.05)
     assert mixed.homogeneity_singular_pairs == 0
     assert mixed.homogeneity_reject_fraction > plain.homogeneity_reject_fraction
-
-
-def test_tail_sampler_holds_one_table():
-    rhos = np.linspace(-0.9, 0.9, 50)
-    sampler = inference.ExtremeTailSampler(draws=20_000, seed=3)
-    table_bytes = 20_000 * 8
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        values = [sampler.pvalue(1.5, rho, "max") for rho in rhos]
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held < 2 * table_bytes
-    fresh = [inference.ExtremeTailSampler(draws=20_000, seed=3).pvalue(1.5, rho, "max")
-             for rho in rhos]
-    assert values == fresh
 
 
 def write_attribute_csvs(directory, data):

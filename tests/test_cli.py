@@ -309,16 +309,33 @@ class TestCliInfer:
         assert not (tmp_path / "run" / "edges.csv").exists()
 
     @pytest.mark.parametrize("method", ["pearson", "cca"])
-    def test_montecarlo_mode_is_usage_error_without_max_or_min(self, tmp_path, capsys, method):
+    def test_exact_mode_is_usage_error_without_max_or_min(self, tmp_path, capsys, method):
         protein, gene, *_ = make_dataset_files(tmp_path)
         code = main(["infer", str(protein), str(gene), "--method", method,
                      *(["--attributes", "protein"] if method == "pearson" else []),
-                     "--pvalue-mode", "montecarlo", "--out", str(tmp_path / "run")])
+                     "--pvalue-mode", "exact", "--out", str(tmp_path / "run")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "UsageError"
-        assert "montecarlo" in err["message"] and repr(method) in err["message"]
+        assert "'exact'" in err["message"] and repr(method) in err["message"]
         assert not (tmp_path / "run" / "meta.json").exists()
+
+    @pytest.mark.parametrize("method", ["max", "min"])
+    def test_exact_mode_is_recorded(self, tmp_path, method):
+        protein, gene, *_ = make_dataset_files(tmp_path)
+        assert main(["infer", str(protein), str(gene), "--method", method,
+                     "--pvalue-mode", "exact", "--out", str(tmp_path / "run")]) == 0
+        meta = json.loads((tmp_path / "run" / io_mod.META_FILENAME).read_text())
+        assert meta["pvalue_mode"] == "exact"
+
+    def test_montecarlo_mode_is_gone(self, tmp_path, capsys):
+        protein, gene, *_ = make_dataset_files(tmp_path)
+        code = main(["infer", str(protein), str(gene), "--method", "max",
+                     "--pvalue-mode", "montecarlo", "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError" and "'montecarlo'" in err["message"]
+        assert not (tmp_path / "run").exists()
 
 
 class TestCliNetstatClassifyEnrich:
@@ -389,6 +406,19 @@ class TestCliNetstatClassifyEnrich:
                      str(tmp_path / "max" / "edges.csv"), "--out", str(tmp_path / "stats")]) == 0
         assert main(["classify", str(tmp_path / "cca" / "edges.csv"),
                      "--out", str(tmp_path / "cls")]) == 0
+
+    def test_netstat_reads_a_montecarlo_run(self, tmp_path):
+        # infer wrote pvalue_mode "montecarlo" before the exact tail replaced that mode
+        protein, gene, *_ = make_dataset_files(tmp_path)
+        out = tmp_path / "run"
+        assert main(["infer", str(protein), str(gene), "--method", "max",
+                     "--out", str(out)]) == 0
+        meta_path = out / io_mod.META_FILENAME
+        meta = json.loads(meta_path.read_text())
+        meta["pvalue_mode"] = "montecarlo"
+        meta_path.write_text(json.dumps(meta))
+        assert io_mod.read_network(out / "edges.csv").pvalue_mode == "montecarlo"
+        assert main(["netstat", str(out / "edges.csv"), "--out", str(tmp_path / "stats")]) == 0
 
     def test_classify_rejects_network_without_contributions(self, tmp_path):
         protein, gene, *_ = make_dataset_files(tmp_path)
@@ -643,6 +673,10 @@ class TestCliSimulateRejectsBadArguments:
     def test_too_few_replicates_for_max_min(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--reps", "2", "--scenarios", "3"], 2)
         assert err["error"] == "InsufficientSamples" and "scenarios 3-4" in err["message"]
+
+    def test_montecarlo_mode_is_gone(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, ["--grid", "0:0", "--pvalue-mode", "montecarlo"], 1)
+        assert err["error"] == "UsageError" and "'montecarlo'" in err["message"]
 
     def test_too_few_samples_for_fisher_z(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--n", "3", "--scenarios", "1,2"], 2)

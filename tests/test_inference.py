@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +18,9 @@ from macnet.errors import (
     InvalidP,
     LengthMismatch,
     NonFiniteInput,
+    OutOfDomain,
 )
 from macnet.inference import (
-    ExtremeTailSampler,
     HomogeneityTest,
     bh_fdr,
     bh_fdr_candidates,
@@ -228,18 +229,86 @@ class TestExtremePvalue:
         with pytest.raises(NonFiniteInput):
             extreme_corr_pvalue(1.0, 1.0, 1.5, "max")
 
+    def test_bad_mode_is_out_of_domain(self):
+        with pytest.raises(OutOfDomain, match="'median'"):
+            extreme_corr_pvalue(1.0, 2.0, 0.3, "median")
+
     def test_monte_carlo_matches_independence_oracle(self):
-        sampler = ExtremeTailSampler(draws=200_000, seed=4)
-        for c in (1.5, 2.0):
-            estimate = extreme_corr_pvalue(c, c - 1.0, 0.0, "max", sampler=sampler)
-            oracle = 1.0 - (1.0 - normal_sf(c)) ** 2
-            se = math.sqrt(oracle * (1.0 - oracle) / sampler.draws)
-            assert abs(estimate - oracle) < 4.0 * se
+        # the calibration table's panel, at rho_z = 0 where the max tail is closed-form
+        draws = 200_000
+        rows = inference.w_formula_calibration_table(rho_values=(0.0,), c_values=(1.5, 2.0),
+                                                     draws=draws, seed=4)
+        for row in rows[:2]:
+            oracle = 1.0 - (1.0 - normal_sf(row["c"])) ** 2
+            se = math.sqrt(oracle * (1.0 - oracle) / draws)
+            assert abs(row["montecarlo"] - oracle) < 4.0 * se
 
     def test_monte_carlo_deterministic(self):
-        a = extreme_corr_pvalue(1.7, 0.4, 0.3, "max", sampler=ExtremeTailSampler(10_000, seed=8))
-        b = extreme_corr_pvalue(1.7, 0.4, 0.3, "max", sampler=ExtremeTailSampler(10_000, seed=8))
+        a = inference.w_formula_calibration_table(draws=10_000, seed=8)
+        b = inference.w_formula_calibration_table(draws=10_000, seed=8)
         assert a == b
+
+
+class TestExactExtremePvalue:
+    def test_matches_independence_oracle(self):
+        for c in (1.5, 2.0):
+            exact = extreme_corr_pvalue(c, c - 1.0, 0.0, "max", exact=True)
+            assert exact == pytest.approx(1.0 - (1.0 - normal_sf(c)) ** 2, abs=1e-12)
+
+    def test_matches_bivariate_normal_cdf(self):
+        from scipy.stats import multivariate_normal
+
+        rng = np.random.default_rng(2911)
+        for rho, c in zip(rng.uniform(-0.95, 0.95, 200), rng.uniform(-3.0, 4.0, 200)):
+            mvn = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
+            # P(Z1 > c, Z2 > c) and P(|Z1| > a, |Z2| > a) by inclusion-exclusion
+            below = mvn.cdf([c, c])
+            expected = {"max": 1.0 - below, "min": below + 2.0 * normal_sf(c) - 1.0}
+            a = abs(c)
+            inside = mvn.cdf([a, a], lower_limit=[-a, -a])
+            two_sided = {"max": 1.0 - inside, "min": inside + 4.0 * normal_sf(a) - 1.0}
+            for mode in ("max", "min"):
+                one = extreme_corr_pvalue(c, c, rho, mode, exact=True)
+                both = extreme_corr_pvalue(c, c, rho, mode, two_sided=True, exact=True)
+                assert abs(one - expected[mode]) <= 1e-12
+                assert abs(both - two_sided[mode]) <= 1e-12
+
+    @pytest.mark.parametrize("c", [0.0, -0.7, -2.5, 1.3])
+    def test_perfect_correlation(self, c):
+        # rho_z = 1: both statistics are one; rho_z = -1: z2 = -z1, so max is |z1|, min -|z1|
+        expected = {
+            (1.0, "max"): normal_sf(c),
+            (1.0, "min"): normal_sf(c),
+            (-1.0, "max"): 1.0 if c < 0 else 2.0 * normal_sf(c),
+            (-1.0, "min"): 1.0 - 2.0 * normal_sf(-c) if c < 0 else 0.0,
+        }
+        for (rho, mode), value in expected.items():
+            p = extreme_corr_pvalue(c, c, rho, mode, exact=True)
+            assert math.isfinite(p) and 0.0 <= p <= 1.0
+            assert p == pytest.approx(value, abs=1e-15)
+
+    def test_min_at_independence_is_the_squared_tail(self):
+        c = np.linspace(-2.0, 4.0, 61)
+        np.testing.assert_allclose(extreme_corr_pvalue(c, c + 0.5, 0.0, "min", exact=True),
+                                   normal_sf(c) ** 2, rtol=1e-9, atol=0.0)
+
+    def test_within_three_se_of_the_calibration_panel(self):
+        rows = inference.w_formula_calibration_table()
+        for row in rows:
+            exact = extreme_corr_pvalue(row["c"], row["c"], row["rho_z"], row["mode"], exact=True)
+            assert abs(exact - row["montecarlo"]) <= 3.0 * row["mc_se"], row
+
+    def test_calibration_table_matches_its_record(self):
+        path = Path(__file__).resolve().parents[1] / "docs" / "w_formula_calibration.csv"
+        with open(path, newline="") as handle:
+            recorded = list(csv.DictReader(handle))
+        rows = inference.w_formula_calibration_table()
+        assert len(rows) == len(recorded) == 18
+        for row, record in zip(rows, recorded):
+            assert list(row) == list(record)
+            assert row["mode"] == record["mode"]
+            for field in list(row)[1:]:
+                assert row[field] == pytest.approx(float(record[field]), rel=0.0, abs=1e-15)
 
 
 class TestFisherZCorrelation:

@@ -129,12 +129,17 @@ class TestInferNetwork:
             net = infer_network(data, method, 0.05)
             assert frozenset(("v0", "v1")) in edge_pairs(net)
 
-    def test_monte_carlo_pvalue_mode(self):
+    def test_exact_pvalue_mode(self):
         data = planted_two_attribute_dataset(9)
-        net = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
+        net = infer_network(data, "max", 0.05, pvalue_mode="exact")
         assert frozenset(("v0", "v1")) in edge_pairs(net)
-        again = infer_network(data, "max", 0.05, pvalue_mode="montecarlo")
+        assert net.pvalue_mode == "exact"
+        again = infer_network(data, "max", 0.05, pvalue_mode="exact")
         assert net.table.p.tolist() == again.table.p.tolist()
+
+    def test_montecarlo_mode_is_gone(self):
+        with pytest.raises(UsageError, match=r"\('formula', 'exact'\), got 'montecarlo'"):
+            infer_network(planted_two_attribute_dataset(9), "max", 0.05, pvalue_mode="montecarlo")
 
     def test_permutation_equivariance(self):
         data = planted_pair_dataset(11, n_nodes=5)
@@ -352,7 +357,7 @@ class TestAttributeDataset:
             AttributeDataset(("a", "b"), ("x", "y"), samples)
 
 
-def null_share_with_edges(method, seeds, n_nodes=40, n=50, gamma=0.05):
+def null_share_with_edges(method, seeds, n_nodes=40, n=50, gamma=0.05, pvalue_mode="formula"):
     """Share of pure-noise datasets (i.i.d. nodes) on which ``method`` declares any edge."""
     k = 1 if method == "pearson" else 2
     ids = tuple(f"v{i}" for i in range(n_nodes))
@@ -360,7 +365,9 @@ def null_share_with_edges(method, seeds, n_nodes=40, n=50, gamma=0.05):
     hits = 0
     for seed in range(seeds):
         samples = simulation.substream(seed, n_nodes).standard_normal((n_nodes, k, n))
-        hits += infer_network(AttributeDataset(ids, names, samples), method, gamma).n_edges > 0
+        net = infer_network(AttributeDataset(ids, names, samples), method, gamma,
+                            pvalue_mode=pvalue_mode)
+        hits += net.n_edges > 0
     return hits / seeds
 
 
@@ -380,3 +387,15 @@ def test_cca_network_is_calibrated_under_the_null():
     "over 1,000) show an edge, above the 6.5% bound"))
 def test_pearson_network_is_calibrated_under_the_null():
     assert null_share_with_edges("pearson", NULL_SEEDS) <= NULL_BOUND
+
+
+def test_exact_min_network_is_calibrated_under_the_null():
+    assert null_share_with_edges("min", NULL_SEEDS, pvalue_mode="exact") <= NULL_BOUND
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the exact max tail is read at Fisher-z marginals, whose sqrt(n-3) normal tail is "
+    "anti-conservative where BH decides (ROADMAP item 17): 7.55% of 2,000 null datasets "
+    "show an edge, above the 6.46% bound"))
+def test_exact_max_network_is_calibrated_under_the_null():
+    assert null_share_with_edges("max", NULL_SEEDS, pvalue_mode="exact") <= NULL_BOUND

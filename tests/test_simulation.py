@@ -9,7 +9,7 @@ from scipy import stats
 from _oracles import bartlett_from_roots, corr_matrices, sample_mvn
 from macnet import inference, numkernel, simulation
 from macnet.cli import main
-from macnet.errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain
+from macnet.errors import InsufficientSamples, NotPositiveDefinite, OutOfDomain, UsageError
 from macnet.similarity import K2Params, canonical_roots
 from macnet.simulation import (
     REPLICATE_CHUNK,
@@ -197,6 +197,10 @@ class TestPowerStudy:
         with pytest.raises(OutOfDomain, match=field):
             PowerStudySpec(grid=((0.0, 0.0),), **{field: value})
 
+    def test_montecarlo_mode_is_gone(self):
+        with pytest.raises(UsageError, match=r"\('formula', 'exact'\), got 'montecarlo'"):
+            PowerStudySpec(grid=((0.0, 0.0),), pvalue_mode="montecarlo")
+
     def test_numpy_integer_counts_are_accepted(self):
         spec = PowerStudySpec(grid=((0.0, 0.0),), n=np.int32(8), reps=np.int64(5), seed=1,
                               scenarios=(1,))
@@ -280,7 +284,7 @@ class TestPowerStudy:
 
     def test_pure_null_two_sided_calibration(self):
         # all five rejection rates sit at the test level; scenarios 3-4 are
-        # checked in Monte Carlo mode since the analytic tail approximation
+        # checked with the exact tail since the analytic tail approximation
         # is deliberately reported as-printed rather than recalibrated
         spec = PowerStudySpec(
             grid=((0.0, 0.0),),
@@ -289,7 +293,7 @@ class TestPowerStudy:
             reps=1000,
             seed=23,
             one_sided=False,
-            pvalue_mode="montecarlo",
+            pvalue_mode="exact",
         )
         result = power_study(spec)
         for scenario, rate in zip(spec.scenarios, result.power[0]):
