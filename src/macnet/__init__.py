@@ -23,9 +23,7 @@ from .enrichment import (
     load_gmt,
 )
 from .inference import (
-    BartlettTest,
-    FdrDecision,
-    HomogeneityTest,
+    ChiSquaredTest,
     bh_fdr,
     chi2_sf,
     extreme_corr_pvalue,
@@ -45,7 +43,6 @@ from .network import (
     largest_connected_component,
     summary,
 )
-from .numkernel import cholesky
 from .similarity import (
     CanonicalSolution,
     K2Params,
@@ -54,7 +51,6 @@ from .similarity import (
     canonical_corr_homogeneous,
     equal_corr_closed_form,
     k2_closed_form,
-    k2_domain,
 )
 from .simulation import (
     PowerResult,

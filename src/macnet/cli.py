@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.subcommand](args)
     except MacnetError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        for attr in ("path", "line", "column", "index", "pivot_index"):
+        for attr in ("path", "line", "column", "index"):
             if getattr(exc, attr, None) is not None:
                 payload[attr] = getattr(exc, attr)
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)

@@ -257,9 +257,9 @@ def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
                           minlength=len(labels) * len(names)).reshape(len(labels), len(names))
 
     p = _upper_tails(overlap, class_size[:, None], set_size[None, :], gsc.universe_size)
-    decision = bh_fdr(p.ravel(), gamma)
+    rejected, q = bh_fdr(p.ravel(), gamma)
     enriched = np.zeros(p.size, dtype=bool)
-    enriched[list(decision.rejected)] = True
+    enriched[rejected] = True
     return EnrichmentReport(
         class_labels=tuple(labels),
         set_names=tuple(names),
@@ -267,7 +267,7 @@ def enrich(classes: dict, gsc: GeneSetCollection, gamma: float,
         set_size=set_size,
         overlap=overlap,
         p=p,
-        q=decision.qvalues.reshape(p.shape),
+        q=q.reshape(p.shape),
         enriched=enriched.reshape(p.shape),
         gamma=gamma,
         annotated_nodes=retained,

@@ -120,9 +120,7 @@ class NotSymmetric(NumericalError):
 
 
 class NotPositiveDefinite(NumericalError):
-    def __init__(self, message, pivot_index=None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
+    pass
 
 
 class InternalNumericalError(NumericalError):

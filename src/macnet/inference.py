@@ -117,13 +117,16 @@ def correlation_test(r, n: int, *, two_sided: bool = True):
 
 
 @dataclass(frozen=True)
-class BartlettTest:
+class ChiSquaredTest:
+    """A chi-squared test: its statistic (one value, or one per pair), degrees of
+    freedom and upper-tail p-value."""
+
     statistic: float
     df: int
     p: float
 
 
-def _bartlett_from_log_lambda(log_lambda, n: int, k: int) -> BartlettTest:
+def _bartlett_from_log_lambda(log_lambda, n: int, k: int) -> ChiSquaredTest:
     """Bartlett's test of k canonical roots from log Wilks' Lambda, the sum of
     log(1 - root^2) (or a stack of them): the statistic -[(n-1) - (k+0.5)] log Lambda
     on k^2 degrees of freedom."""
@@ -131,7 +134,7 @@ def _bartlett_from_log_lambda(log_lambda, n: int, k: int) -> BartlettTest:
     statistic = _float_or_array(-((n - 1) - (k + 0.5)) * np.asarray(log_lambda))
     if np.any(np.isnan(statistic)):
         raise InternalNumericalError("Bartlett statistic is NaN")
-    return BartlettTest(statistic=statistic, df=k * k, p=chi2_sf(statistic, k * k))
+    return ChiSquaredTest(statistic=statistic, df=k * k, p=chi2_sf(statistic, k * k))
 
 
 def _require_bartlett_n(n: int, k: int) -> None:
@@ -262,79 +265,40 @@ def fisher_z_correlation(sigma_ii, sigma_jj, sigma_ij):
     return _float_or_array(np.clip(cov / denom, -1.0, 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class FdrDecision:
-    """Outcome of the step-up false-discovery-rate procedure."""
+def bh_fdr(pvalues: Sequence[float], gamma: float, m: int | None = None):
+    """Benjamini-Hochberg step-up rule at level gamma over a family of m p-values
+    (``len(pvalues)`` by default), with monotone adjusted q-values.
 
-    gamma: float
-    cutoff_index: int
-    rejected: tuple
-    qvalues: np.ndarray
+    Returns (rejected, q): the indices into ``pvalues`` of the rejected, ascending,
+    and the q-value of every given p-value.  The rejected are the r smallest p-values,
+    r the largest rank i with p_(i) <= i gamma / m, ties ordered by index; and
+    q_(i) = min_{j >= i} m p_(j) / j, clamped to 1.
 
-
-def _checked_pvalues(pvalues, gamma: float) -> np.ndarray:
+    With a larger m the given p-values must include every p-value <= gamma of the
+    family, in family order (any others may come along).  The rejected and their
+    q-values then equal those of the whole family: the cutoff rank i has
+    p_(i) <= i gamma / m <= gamma, so it is given, and so are all smaller p-values,
+    at their family ranks; and a rejected p-value has q <= gamma, which no term
+    m p_(j) / j with p_(j) > gamma can attain.  A given p-value that is not rejected
+    may take a larger q-value than in the whole family, never a smaller one.
+    """
     p = np.asarray(pvalues, dtype=float)
     if p.size and (np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0)):
         bad = int(np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))[0])
         raise InvalidP(f"p-value at index {bad} outside [0, 1]: {p[bad]}")
     if not (0.0 < gamma < 1.0):
         raise InvalidGamma(f"FDR level must lie in (0, 1), got {gamma}")
-    return p
-
-
-def _step_up(p: np.ndarray, m: int, gamma: float):
-    """The step-up rule on the len(p) smallest p-values of a family of m: their order
-    (ties by index), the cutoff and their q-values in that order."""
+    m = p.size if m is None else m
+    if m < p.size:
+        raise LengthMismatch(f"{p.size} p-values from a family of {m}")
     order = np.lexsort((np.arange(p.size), p))
     sorted_p = p[order]
     ranks = np.arange(1, p.size + 1)
-    passed = sorted_p <= ranks * gamma / m
-    cutoff = int(np.max(np.nonzero(passed)[0]) + 1) if np.any(passed) else 0
-    q_sorted = np.minimum.accumulate((m * sorted_p / ranks)[::-1])[::-1]
-    return order, cutoff, np.minimum(q_sorted, 1.0)
-
-
-def bh_fdr(pvalues: Sequence[float], gamma: float) -> FdrDecision:
-    """Benjamini-Hochberg step-up rule with monotone adjusted q-values.
-
-    Rejects the ``cutoff_index`` smallest p-values where ``cutoff_index`` is
-    the largest i with p_(i) <= i * gamma / m; ties are ordered by original
-    index.  q-values are q_(i) = min_{j >= i} m p_(j) / j clamped to 1.
-    """
-    p = _checked_pvalues(pvalues, gamma)
-    m = p.size
-    if m == 0:
-        return FdrDecision(gamma=gamma, cutoff_index=0, rejected=(), qvalues=np.array([]))
-    order, cutoff, q_sorted = _step_up(p, m, gamma)
-    rejected = tuple(np.sort(order[:cutoff]).tolist())
-    qvalues = np.empty(m)
-    qvalues[order] = q_sorted
-    return FdrDecision(gamma=gamma, cutoff_index=cutoff, rejected=rejected, qvalues=qvalues)
-
-
-def bh_fdr_candidates(pvalues, m: int, gamma: float):
-    """``bh_fdr`` on a family of m p-values, given only its candidates: every p-value
-    <= gamma, in family order (any others may come along).  Returns the indices into
-    ``pvalues`` of the rejected, ascending, and their q-values, both equal to
-    ``bh_fdr`` on the whole family.
-
-    The cutoff rank i has p_(i) <= i gamma / m <= gamma, so it is a candidate; and a
-    rejected p-value has q <= gamma, which no term m p_(j) / j with p_(j) > gamma can
-    attain.
-    """
-    p = _checked_pvalues(pvalues, gamma)
-    if m < p.size:
-        raise LengthMismatch(f"{p.size} candidates from a family of {m}")
-    order, cutoff, q_sorted = _step_up(p, m, gamma)
-    keep = np.argsort(order[:cutoff])
-    return order[:cutoff][keep], q_sorted[:cutoff][keep]
-
-
-@dataclass(frozen=True)
-class HomogeneityTest:
-    statistic: float
-    df: int
-    p: float
+    passed = np.flatnonzero(sorted_p <= ranks * gamma / m)
+    cutoff = int(passed[-1]) + 1 if passed.size else 0
+    q = np.empty(p.size)
+    q[order] = np.minimum(np.minimum.accumulate((m * sorted_p / ranks)[::-1])[::-1], 1.0)
+    return np.sort(order[:cutoff]), q
 
 
 def covariance_block_facts(cov):
@@ -386,5 +350,5 @@ def homogeneity_test_from_blocks(facts_i, facts_j, cross, n: int):
     logdet_model = numkernel.slogdet(marginal + sym)[1] + numkernel.slogdet(marginal - sym)[1]
     statistic = np.maximum(0.0, n * (logdet_model[pd] - logdet_free[pd]))
     df = k * (k + 1) // 2 + k * (k - 1) // 2
-    test = HomogeneityTest(statistic=statistic, df=df, p=chi2_sf(statistic, df))
+    test = ChiSquaredTest(statistic=statistic, df=df, p=chi2_sf(statistic, df))
     return test, ~pd, log_lambda

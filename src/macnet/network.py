@@ -313,9 +313,9 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     Per-node facts are computed once; the pair triangle is then streamed in tiles
     of whole rows (``PAIR_CHUNK``).  Only running counts, the singular pairs and the
     candidates (p <= gamma) outlive a tile, and Benjamini-Hochberg runs over the
-    candidates and the count of tested pairs
-    (``inference.bh_fdr_candidates``), so memory does not grow with the number of
-    pairs beyond the candidates.  No result depends on the tile size.
+    candidates in a family of all tested pairs (``inference.bh_fdr`` with m), so
+    memory does not grow with the number of pairs beyond the candidates.  No result
+    depends on the tile size.
     """
     if not (0.0 < gamma < 1.0):
         raise OutOfDomain(f"FDR level must lie in (0, 1), got {gamma}")
@@ -371,14 +371,14 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     ends_i, ends_j, sims, statistic, pvalues, contrib = (
         np.concatenate(column) for column in zip(*candidates))
     tested = data.n_nodes * last // 2
-    rejected, qvalues = inference.bh_fdr_candidates(pvalues, tested, gamma)
+    rejected, q = inference.bh_fdr(pvalues, gamma, tested)
     table = EdgeTable(
         ends=np.stack([ends_i[rejected], ends_j[rejected]], axis=1),
         similarity=sims[rejected],
         statistic=statistic[rejected],
         df=np.full(rejected.size, k * k if method == "cca" else np.nan),
         p=pvalues[rejected],
-        q=qvalues,
+        q=q[rejected],
         contrib=contrib[rejected],
     )
     return InferredNetwork(

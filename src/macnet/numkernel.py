@@ -1,10 +1,9 @@
-"""Small dense matrix kernel: correlation estimation, Cholesky factorization,
+"""Small dense matrix kernel: correlation estimation, determinants, eigenvalues,
 inverse square roots and positive-definiteness checks.
 
 The matrices are tiny (a few rows per attribute block) and come in stacks
-(..., d, d), one matrix per node, pair or replicate; apart from the
-pivot-reporting Cholesky factor, each routine takes a whole stack in one
-numpy/LAPACK call.
+(..., d, d), one matrix per node, pair or replicate; each routine takes a whole
+stack in one numpy/LAPACK call.
 """
 
 from __future__ import annotations
@@ -59,28 +58,6 @@ def corr_from_cross(cross) -> np.ndarray:
     d = np.arange(cross.shape[-1])
     r[..., d, d] = 1.0
     return np.clip(r, -1.0, 1.0)
-
-
-def cholesky(a) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == a.
-
-    Implemented directly so a failed pivot can be reported by index.
-    """
-    a = require_symmetric(a)
-    n = a.shape[0]
-    lower = np.zeros_like(a)
-    scale = max(float(np.max(np.abs(np.diag(a)))), np.finfo(float).tiny)
-    tol = 1e-12 * scale
-    for j in range(n):
-        pivot = a[j, j] - float(lower[j, :j] @ lower[j, :j])
-        if pivot <= tol:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at index {j} is not positive", pivot_index=j
-            )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
 
 
 def pd_from_eigenvalues(values: np.ndarray) -> np.ndarray:

@@ -265,11 +265,6 @@ def k2_closed_form(p: K2Params) -> float:
     return max(abs((base - root) / denom), abs((base + root) / denom))
 
 
-def k2_domain(p: K2Params) -> bool:
-    """True iff the two-attribute parameterization gives a positive-definite model."""
-    return p.valid()
-
-
 def equal_corr_closed_form(k: int, r: float, rho: float, b: float) -> float:
     """Leading canonical root when all attributes share one correlation pattern.
 

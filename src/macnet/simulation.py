@@ -118,6 +118,9 @@ class PowerStudySpec:
             raise OutOfDomain(f"one_sided must be a bool, got {self.one_sided!r}")
         if self.reps < 1:
             raise OutOfDomain(f"reps must be positive, got {self.reps}")
+        if self.n > np.iinfo(np.int64).max:
+            # the chi-squared shapes of the Bartlett factor are drawn from int64 degrees of freedom
+            raise OutOfDomain(f"n must be at most 2**63 - 1, got {self.n}")
         if self.seed < 0:
             raise OutOfDomain(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (0.0 < self.alpha < 1.0):
@@ -218,7 +221,14 @@ def _replicate_statistics(spec: PowerStudySpec, lower: np.ndarray, factors: np.n
 
 def _grid_point_rejections(spec: PowerStudySpec, grid_index: int, r: float, b: float) -> list:
     """Rejection count of each scenario at one grid point, in ``spec.scenarios`` order."""
-    lower = numkernel.cholesky(build_sigma(spec.params(r, b)))
+    sigma = build_sigma(spec.params(r, b))
+    try:
+        lower = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        # a point that passes K2Params.valid() a few ulps inside the domain boundary
+        raise NotPositiveDefinite(
+            f"grid point {grid_index} (r={r}, b={b}): the joint correlation matrix has no "
+            f"Cholesky factor") from None
     chunks = [_replicate_statistics(spec, lower, factors)
               for factors in _grid_point_factors(spec.seed, grid_index, spec.reps, spec.n)]
     z1, z2, *columns = (np.concatenate(parts) for parts in zip(*chunks))

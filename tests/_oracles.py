@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from macnet import inference, numkernel
-from macnet.errors import InsufficientSamples, ZeroVariance
+from macnet.errors import InsufficientSamples, NotPositiveDefinite, ZeroVariance
 from macnet.simulation import substream
 
 
@@ -253,7 +253,10 @@ def sample_mvn(sigma, n: int, seed) -> np.ndarray:
     sigma = numkernel.require_symmetric(sigma, tol=1e-10)
     if n < 1:
         raise InsufficientSamples(f"need at least 1 draw, got {n}")
-    lower = numkernel.cholesky(sigma)
+    try:
+        lower = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("covariance is not positive-definite") from None
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     z = rng.standard_normal((n, sigma.shape[0]))
     return z @ lower.T

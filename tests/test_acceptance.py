@@ -46,7 +46,6 @@ from macnet.similarity import (
     canonical_corr,
     canonical_corr_homogeneous,
     k2_closed_form,
-    k2_domain,
 )
 from macnet.simulation import PowerStudySpec, build_sigma, power_study, substream
 
@@ -110,7 +109,7 @@ def test_criterion_02_domain_equivalence():
                 np.block([[params.sigma_m, params.sigma_c],
                           [params.sigma_c, params.sigma_m]])
             )
-            disagreements += k2_domain(params) != direct
+            disagreements += params.valid() != direct
     assert disagreements == 0, f"{disagreements} grid disagreements"
     report(2, f"domain conditions match direct positive-definiteness on "
               f"{checked} of 32761 grid points (boundary band excluded)")
@@ -198,7 +197,7 @@ def test_criterion_07_bh_step_up_enumeration():
         p = [float(rng.choice(grid)) for _ in range(m)]
         gamma = float(rng.choice([0.01, 0.05, 0.1, 0.25]))
         cases += 1
-        assert bh_fdr(p, gamma).rejected == naive_step_up(p, gamma)
+        assert tuple(bh_fdr(p, gamma)[0].tolist()) == naive_step_up(p, gamma)
     report(7, f"step-up rule matches naive enumeration on {cases} random lists")
 
 

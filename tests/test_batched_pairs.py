@@ -137,9 +137,9 @@ def reference_network(data, method, gamma, exact=False):
             else:
                 flags.append(hom.p < network.HOMOGENEITY_ALPHA)
             rows.append((pair, row))
-    decision = inference.bh_fdr([row[3] for _, row in rows], gamma)
-    rejected = set(decision.rejected)
-    edges = {pair: row + (float(decision.qvalues[idx]),)
+    rejected, q = inference.bh_fdr([row[3] for _, row in rows], gamma)
+    rejected = set(rejected.tolist())
+    edges = {pair: row + (float(q[idx]),)
              for idx, (pair, row) in enumerate(rows) if idx in rejected}
     fraction = float(np.mean(flags)) if flags else None
     return edges, singular_pairs, fraction, singular
@@ -302,18 +302,18 @@ def test_cca_forms_roots_only_for_candidates_and_repaired_pairs(monkeypatch):
     """Bartlett's statistic comes from the homogeneity step's log Wilks' Lambda, so only
     the candidates (p <= gamma) and the singular pairs reach the roots."""
     rows, candidates = [], []
-    squared_roots, bh_fdr_candidates = similarity.squared_roots, inference.bh_fdr_candidates
+    squared_roots, bh_fdr = similarity.squared_roots, inference.bh_fdr
 
     def recording_roots(t):
         rows.append(len(t))
         return squared_roots(t)
 
-    def recording_bh(pvalues, m, gamma):
+    def recording_bh(pvalues, gamma, m):
         candidates.append(len(pvalues))
-        return bh_fdr_candidates(pvalues, m, gamma)
+        return bh_fdr(pvalues, gamma, m)
 
     monkeypatch.setattr(similarity, "squared_roots", recording_roots)
-    monkeypatch.setattr(inference, "bh_fdr_candidates", recording_bh)
+    monkeypatch.setattr(inference, "bh_fdr", recording_bh)
     net = infer_network(planted_dataset(6, 30, 2), "cca", 0.05)
     assert net.tested_pairs == 435 and net.n_edges > 0
     assert sum(rows) <= candidates[0] + len(net.singular_pairs)

@@ -620,6 +620,23 @@ class TestCliSimulate:
         expected = simulation.slice_grid(name, np.linspace(0.0, 0.95 * max(valid), 9))
         assert _slice_sweep(name, 9, rho1, rho2) == expected
 
+    def test_sample_size_of_ten_to_the_eighteen_runs(self, tmp_path):
+        assert main(["simulate", "--grid", "0:0", "--n", str(10**18), "--reps", "5",
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "power.csv").read_text().splitlines()
+        assert rows[1:] == [f"0,0,0.29999999999999999,0.10000000000000001,{10**18},5,"
+                            f"0.050000000000000003,{s},1,0" for s in range(1, 6)]
+
+    @pytest.mark.parametrize("scenarios", ["1,2", "5"])
+    def test_grid_point_a_few_ulps_inside_the_boundary(self, tmp_path, capsys, scenarios):
+        """The point passes the domain check, but LAPACK finds no Cholesky factor of its
+        joint matrix: exit 3 with one line of JSON on stderr, no uncaught exception."""
+        assert main(["simulate", "--grid=-0.5:0.29372539331937714", "--scenarios", scenarios,
+                     "--reps", "10", "--out", str(tmp_path)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "NotPositiveDefinite"
+        assert not (tmp_path / "power.csv").exists()
+
     def test_invalid_grid_point_is_data_error(self, tmp_path, capsys):
         code = main(["simulate", "--grid", "0.9:0", "--reps", "10",
                      "--out", str(tmp_path)])
@@ -677,6 +694,11 @@ class TestCliSimulateRejectsBadArguments:
     def test_montecarlo_mode_is_gone(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--pvalue-mode", "montecarlo"], 1)
         assert err["error"] == "UsageError" and "'montecarlo'" in err["message"]
+
+    @pytest.mark.parametrize("n", [str(10**21), str(2**63)])
+    def test_sample_size_past_int64(self, tmp_path, capsys, n):
+        err = self.run(tmp_path, capsys, ["--grid", "0:0", "--n", n, "--reps", "5"], 2)
+        assert err["error"] == "OutOfDomain" and n in err["message"]
 
     def test_too_few_samples_for_fisher_z(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--n", "3", "--scenarios", "1,2"], 2)

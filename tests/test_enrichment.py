@@ -383,6 +383,6 @@ def test_enrich_matches_plain_set_reference(case):
     p = report.p.ravel()
     exact = [float(exact_hypergeom_upper(o, c, s, universe)) for _, _, o, c, s in expected]
     np.testing.assert_allclose(p, exact, rtol=1e-12, atol=0)
-    decision = bh_fdr(p, 0.1)
-    assert report.q.ravel().tolist() == decision.qvalues.tolist()
-    assert report.enriched.ravel().tolist() == [x in decision.rejected for x in range(len(p))]
+    rejected, q = bh_fdr(p, 0.1)
+    assert report.q.ravel().tolist() == q.tolist()
+    assert report.enriched.ravel().tolist() == [x in rejected for x in range(len(p))]

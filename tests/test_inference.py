@@ -21,9 +21,8 @@ from macnet.errors import (
     OutOfDomain,
 )
 from macnet.inference import (
-    HomogeneityTest,
+    ChiSquaredTest,
     bh_fdr,
-    bh_fdr_candidates,
     chi2_sf,
     extreme_corr_pvalue,
     fisher_z,
@@ -35,14 +34,14 @@ from macnet.inference import (
 
 def pair_homogeneity(samples_i, samples_j):
     """The closed-form homogeneity test of one pair, as ``infer`` runs it on a stack:
-    (HomogeneityTest of floats, or None where the stacked covariance is singular)."""
+    (ChiSquaredTest of floats, or None where the stacked covariance is singular)."""
     stacked = np.hstack([samples_i, samples_j])
     n = stacked.shape[0]
     centered = stacked - stacked.mean(axis=0)
     test, singular = homogeneity_from_cov((centered.T @ centered / n)[None], n)
     if singular[0]:
         return None
-    return HomogeneityTest(statistic=float(test.statistic[0]), df=test.df, p=float(test.p[0]))
+    return ChiSquaredTest(statistic=float(test.statistic[0]), df=test.df, p=float(test.p[0]))
 
 
 # high-precision references (40-digit evaluation of the defining integrals)
@@ -337,48 +336,45 @@ class TestFisherZCorrelation:
 
 class TestBhFdr:
     def test_worked_example(self):
-        out = bh_fdr([0.01, 0.02, 0.04, 0.5], 0.05)
-        assert out.rejected == (0, 1)
-        assert out.cutoff_index == 2
+        rejected, q = bh_fdr([0.01, 0.02, 0.04, 0.5], 0.05)
+        assert rejected.tolist() == [0, 1]
+        assert q.tolist() == [0.04, 0.04, 0.05333333333333334, 0.5]
 
     def test_all_ones(self):
-        assert bh_fdr([1.0, 1.0, 1.0], 0.05).rejected == ()
+        assert bh_fdr([1.0, 1.0, 1.0], 0.05)[0].size == 0
 
     def test_single_test_reduces_to_plain_level(self):
-        assert bh_fdr([0.04], 0.05).rejected == (0,)
-        assert bh_fdr([0.06], 0.05).rejected == ()
+        assert bh_fdr([0.04], 0.05)[0].tolist() == [0]
+        assert bh_fdr([0.06], 0.05)[0].size == 0
 
     def test_q_dominates_p_and_is_monotone(self):
         rng = np.random.default_rng(15)
         p = rng.uniform(size=200)
-        out = bh_fdr(p, 0.1)
-        assert np.all(out.qvalues >= p)
+        _, q = bh_fdr(p, 0.1)
+        assert np.all(q >= p)
         order = np.argsort(p, kind="stable")
-        assert np.all(np.diff(out.qvalues[order]) >= -1e-15)
+        assert np.all(np.diff(q[order]) >= -1e-15)
 
     def test_rejection_equals_q_threshold(self):
         rng = np.random.default_rng(21)
         p = rng.uniform(size=100) ** 2
-        out = bh_fdr(p, 0.08)
-        by_q = tuple(sorted(int(i) for i in np.flatnonzero(out.qvalues <= 0.08)))
-        assert by_q == out.rejected
+        rejected, q = bh_fdr(p, 0.08)
+        assert np.flatnonzero(q <= 0.08).tolist() == rejected.tolist()
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(27)
         p = rng.uniform(size=50)
-        base = bh_fdr(p, 0.1)
+        base, _ = bh_fdr(p, 0.1)
         perm = rng.permutation(50)
-        shuffled = bh_fdr(p[perm], 0.1)
-        mapped = tuple(sorted(int(perm[i]) for i in shuffled.rejected))
-        assert mapped == base.rejected
+        shuffled, _ = bh_fdr(p[perm], 0.1)
+        assert np.sort(perm[shuffled]).tolist() == base.tolist()
 
     def test_array_input_matches_list(self):
         p = np.random.default_rng(33).uniform(size=300) ** 3
-        from_array, from_list = bh_fdr(p, 0.1), bh_fdr(p.tolist(), 0.1)
-        assert from_array.rejected == from_list.rejected
-        assert all(type(i) is int for i in from_array.rejected)
-        assert from_array.cutoff_index == from_list.cutoff_index > 0
-        np.testing.assert_array_equal(from_array.qvalues, from_list.qvalues)
+        (from_array, q_array), (from_list, q_list) = bh_fdr(p, 0.1), bh_fdr(p.tolist(), 0.1)
+        assert from_array.size > 0
+        np.testing.assert_array_equal(from_array, from_list)
+        np.testing.assert_array_equal(q_array, q_list)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidP):
@@ -408,11 +404,49 @@ def bh_families(draw):
 @given(family=bh_families())
 def test_bh_over_candidates_matches_whole_family(family):
     p, gamma = family
-    whole = bh_fdr(p, gamma)
+    whole, whole_q = bh_fdr(p, gamma)
     candidates = np.flatnonzero(p <= gamma)
-    rejected, q = bh_fdr_candidates(p[candidates], p.size, gamma)
-    assert tuple(candidates[rejected].tolist()) == whole.rejected
-    assert q.tobytes() == whole.qvalues[list(whole.rejected)].tobytes()
+    rejected, q = bh_fdr(p[candidates], gamma, p.size)
+    assert candidates[rejected].tolist() == whole.tolist()
+    assert q[rejected].tobytes() == whole_q[whole].tobytes()
+
+
+def _seeded_family(seed, m, gamma, signal, decimals=None):
+    """A ``bh_families`` family drawn from fixed arguments."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(size=m)
+    planted = rng.uniform(size=m) < signal
+    p[planted] = gamma * rng.uniform(size=int(planted.sum())) ** 3
+    if decimals is not None:
+        p = np.round(p, decimals)
+    p[rng.uniform(size=m) < 0.01] = gamma
+    return p
+
+
+@pytest.mark.parametrize("p,gamma", [
+    pytest.param([0.01, 0.02, 0.04, 0.5], 0.05, id="worked-example"),
+    pytest.param([0.05, 0.01, 0.05, 0.2, 0.01, 0.9, 0.05], 0.05, id="ties-at-gamma"),
+    pytest.param([1.0, 1.0, 1.0], 0.05, id="all-ones"),
+    pytest.param([0.3, 0.02, 0.6], 0.01, id="no-candidate"),
+    pytest.param(_seeded_family(3, 3000, 0.05, 0.2), 0.05, id="signal"),
+    pytest.param(_seeded_family(5, 1000, 0.2, 0.5, 2), 0.2, id="rounded"),
+    pytest.param(_seeded_family(8, 500, 0.01, 0.0), 0.01, id="null"),
+])
+def test_bh_fdr_over_candidates_contract(p, gamma):
+    p = np.asarray(p, dtype=float)
+    whole, whole_q = bh_fdr(p, gamma)
+    # every candidate (p <= gamma) and, coming along, every third other p-value
+    given = np.flatnonzero((p <= gamma) | (np.arange(p.size) % 3 == 2))
+    assert given.size < p.size
+    rejected, q = bh_fdr(p[given], gamma, p.size)
+    assert given[rejected].tolist() == whole.tolist()
+    assert q[rejected].tobytes() == whole_q[whole].tobytes()
+    kept = np.setdiff1d(np.arange(given.size), rejected)
+    assert np.all(q[kept] >= whole_q[given[kept]])
+    with pytest.raises(LengthMismatch):
+        bh_fdr(p[given], gamma, given.size - 1)
+    rejected, q = bh_fdr([], gamma, p.size)
+    assert rejected.size == q.size == 0
 
 
 @pytest.mark.parametrize("p,gamma,error", [
@@ -426,13 +460,13 @@ def test_bh_over_candidates_raises_bh_fdr_errors(p, gamma, error):
     with pytest.raises(error):
         bh_fdr(p, gamma)
     with pytest.raises(error):
-        bh_fdr_candidates(p, 10, gamma)
+        bh_fdr(p, gamma, 10)
 
 
 def test_bh_over_candidates_needs_the_family_size():
     with pytest.raises(LengthMismatch):
-        bh_fdr_candidates([0.01, 0.02], 1, 0.05)
-    rejected, q = bh_fdr_candidates([], 0, 0.05)
+        bh_fdr([0.01, 0.02], 0.05, 1)
+    rejected, q = bh_fdr([], 0.05, 0)
     assert rejected.size == q.size == 0
 
 

@@ -17,7 +17,6 @@ from macnet.similarity import (
     canonical_corr_homogeneous,
     equal_corr_closed_form,
     k2_closed_form,
-    k2_domain,
 )
 
 
@@ -229,11 +228,11 @@ class TestK2ClosedForm:
 
 class TestK2Domain:
     def test_origin_is_valid(self):
-        assert k2_domain(K2Params(0.0, 0.0, 0.3, 0.1))
+        assert K2Params(0.0, 0.0, 0.3, 0.1).valid()
 
     def test_large_within_correlation_is_invalid(self):
         params = K2Params(0.9, 0.0, 0.3, 0.1)
-        assert not k2_domain(params)
+        assert not params.valid()
         assert abs(params.a1 - 0.7937253933193772) < 1e-15
 
     def test_matches_direct_eigenvalues(self):
@@ -249,7 +248,7 @@ class TestK2Domain:
                 )
                 if margin < 1e-9:
                     continue
-                assert k2_domain(params) == numkernel.pd_mask(sigma)
+                assert params.valid() == numkernel.pd_mask(sigma)
 
     def test_rejects_out_of_range_correlations(self):
         with pytest.raises(OutOfDomain):

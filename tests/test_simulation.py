@@ -141,7 +141,7 @@ class TestChunkDraw:
 def test_wishart_draw_matches_sampled_data(n):
     # a point of the b=0.2r slice: every correlation of sigma is non-zero
     sigma = build_sigma(K2Params(r=0.4, b=0.08, rho1=0.3, rho2=0.1))
-    lower = numkernel.cholesky(sigma)
+    lower = np.linalg.cholesky(sigma)
     reps = 4000
     factors = np.concatenate(list(simulation._grid_point_factors(2525, 0, reps, n)))
     joint = simulation._replicate_correlations(factors, lower)
@@ -200,6 +200,21 @@ class TestPowerStudy:
     def test_montecarlo_mode_is_gone(self):
         with pytest.raises(UsageError, match=r"\('formula', 'exact'\), got 'montecarlo'"):
             PowerStudySpec(grid=((0.0, 0.0),), pvalue_mode="montecarlo")
+
+    def test_sample_size_must_fit_in_int64(self):
+        # the chi-squared degrees of freedom n - 1 - i are int64; 2**63 - 1 is accepted
+        for n in (2**63, 10**21):
+            with pytest.raises(OutOfDomain, match="n must be at most 2\\*\\*63 - 1"):
+                PowerStudySpec(grid=((0.0, 0.0),), n=n)
+        assert PowerStudySpec(grid=((0.0, 0.0),), n=2**63 - 1).n == 2**63 - 1
+
+    @pytest.mark.parametrize("scenarios", [(1, 2), (5,)])
+    def test_grid_point_a_few_ulps_inside_the_boundary_raises(self, scenarios):
+        # the point passes K2Params.valid(), but its joint matrix has no Cholesky factor
+        spec = PowerStudySpec(grid=((-0.5, 0.29372539331937714),), scenarios=scenarios, reps=10)
+        assert spec.params(*spec.grid[0]).valid()
+        with pytest.raises(NotPositiveDefinite):
+            power_study(spec)
 
     def test_numpy_integer_counts_are_accepted(self):
         spec = PowerStudySpec(grid=((0.0, 0.0),), n=np.int32(8), reps=np.int64(5), seed=1,
