@@ -10,12 +10,13 @@ matrices) give arrays of results, scalars give floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, owens_t
+from scipy.special import erfc, owens_t, roots_legendre
 
 from . import numkernel
 from .errors import (
@@ -153,22 +154,54 @@ def _one_sided_tail(c, arc, mode: str, exact: bool):
     The printed correction is an approximation of uncertain accuracy at low
     correlation (``w_formula_calibration_table`` records it).  With ``exact`` the
     term is 2 T(c, tan(arc/2)), Owen's T, and the tail is exact (Owen 1956,
-    Ann. Math. Stat. 27).  Output is clamped to [0, 1].
+    Ann. Math. Stat. 27).  The min tail's difference cancels far out, so once it
+    falls below 1% of the normal tail at c > 0 it is taken from ``_upper_quadrant``
+    instead.  Output is clamped to [0, 1].
     """
     c = np.asarray(c, dtype=float)
     if exact:
-        correction = 2.0 * owens_t(c, np.tan(arc / 2.0))
+        a = np.tan(arc / 2.0)
+        correction = 2.0 * owens_t(c, a)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             correction = normal_pdf(c) * (normal_pdf(c * arc / 2.0) - 0.5) / (c / 2.0)
+    tail = normal_sf(c)
     if mode == "max":
-        value = normal_sf(c) + correction
+        value = tail + correction
     else:
-        value = normal_sf(c) - correction
+        value = tail - correction
+        far = (c > 0.0) & (value < 0.01 * tail) if exact else False
+        if np.any(far):  # two digits lost to cancellation; integrate the quadrant instead
+            c, a = np.broadcast_arrays(c, a)
+            value = np.array(value, dtype=float)
+            value[far] = _upper_quadrant(c[far], a[far])
     if not exact:
         # the printed correction term diverges at zero; the clamp takes over
         value = np.where(c == 0.0, 0.0 if mode == "max" else 1.0, value)
     return np.clip(value, 0.0, 1.0)
+
+
+def _upper_quadrant(c, a):
+    """P(Z1 > c, Z2 > c) for c > 0 and two standard normals whose correlation is
+    cos(2 arctan a), without cancellation.  Since T(c, inf) = Phi-bar(c)/2, the quadrant
+    Phi-bar(c) - 2 T(c, a) is (1/pi) int_a^inf exp(-c^2 (1 + x^2)/2) / (1 + x^2) dx;
+    with x = 1/t it is exp(-c^2 (1 + a^2)/2) (1/pi) int_0^(1/a) exp(-(c^2/2)(1/t^2 - a^2))
+    / (1 + t^2) dt, whose integrand lies in (0, 1], taken by the 48-point Gauss-Legendre
+    rule.  The rule is weak where 1/a is large and c small, which the caller's switch
+    leaves to Owen's T."""
+    nodes, weights = _legendre_rule()
+    c2, a2, end = np.square(c), np.square(a), 1.0 / a
+    t2 = np.square(0.5 * end[:, None] * (nodes + 1.0))
+    integrand = np.exp(-0.5 * c2[:, None] * (1.0 / t2 - a2[:, None])) / (1.0 + t2)
+    return np.exp(-0.5 * c2 * (1.0 + a2)) * (0.5 * end / np.pi) * (integrand @ weights)
+
+
+@functools.cache
+def _legendre_rule():
+    """Nodes and weights of the 48-point Gauss-Legendre rule on [-1, 1], computed on first
+    use: ``roots_legendre`` imports scipy.linalg (about 45 ms), which ``import
+    macnet.cli`` does not load."""
+    return roots_legendre(48)
 
 
 def _check_extreme_inputs(z1, z2, rho_z, mode: str):

@@ -126,77 +126,83 @@ def _write_columns(path, header, columns):
     atomic_write_text(path, _csv_blocks(header, columns))
 
 
-def _number(cell: str, path, lineno: int, col: int, convert=float):
-    try:
-        return convert(cell)
-    except ValueError:
-        raise NonNumericCell(f"{path}:{lineno}: column {col} is not numeric: {cell!r}",
-                             path=str(path), line=lineno, column=col)
+def _read_rows(path, check_header, keyed: bool = False, min_cells: int | None = None):
+    """The header of the CSV at ``path``, its data rows and their line numbers, blank
+    rows skipped.  ``check_header(header)`` raises unless the header is the file's.  A
+    row whose cell count is not the header's (with ``min_cells``: is below it) is
+    rejected with its line.  With ``keyed`` its first cell is a node id, stripped; a
+    blank id, or one given before, is rejected at column 1.  Rows are checked in file
+    order, each row's cell count before its node id, so the first faulty row is reported."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaMismatch(f"{path}: file is empty", path=str(path), line=1)
+        check_header(header)
+        want = f"at least {min_cells}" if min_cells else len(header)
+        rows, lines, seen = [], [], set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < min_cells if min_cells else len(row) != len(header):
+                raise SchemaMismatch(f"{path}:{lineno}: expected {want} cells, found {len(row)}",
+                                     path=str(path), line=lineno)
+            if keyed:  # the node id: stripped, and neither blank nor given before
+                row[0] = row[0].strip()
+                if not row[0]:
+                    raise SchemaMismatch(f"{path}:{lineno}: empty node id", path=str(path),
+                                         line=lineno, column=1)
+                if row[0] in seen:
+                    raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {row[0]!r}",
+                                          path=str(path), line=lineno, column=1)
+                seen.add(row[0])
+            rows.append(row)
+            lines.append(lineno)
+    return header, rows, lines
 
 
-def _header(reader, path) -> list:
-    try:
-        return next(reader)
-    except StopIteration:
-        raise SchemaMismatch(f"{path}: file is empty", path=str(path), line=1)
+def _first_bad_cell(path, rows, lines, cells, finite: bool = False):
+    """Raise ``NonNumericCell`` at the first cell, in file order, that is not a number
+    (with ``finite``: not a finite one).  ``cells(row)`` gives the (index, type) of the
+    cells of a row to parse, in the order to check them.  Run after a whole-column
+    parse has failed, so that the error names the bad cell's line and column."""
+    for lineno, row in zip(lines, rows):
+        for col, convert in cells(row):
+            try:
+                value = convert(row[col])
+            except ValueError:
+                problem = "numeric"
+            else:
+                problem = "finite" if finite and not np.isfinite(value) else ""
+            if problem:
+                raise NonNumericCell(
+                    f"{path}:{lineno}: column {col + 1} is not {problem}: {row[col]!r}",
+                    path=str(path), line=lineno, column=col + 1)
 
 
 # --- attribute ingestion ------------------------------------------------------
 
 
 def _read_attribute_csv(path):
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = _header(reader, path)
+    def check_header(header):
         if not header or header[0].strip() != "node_id":
-            raise SchemaMismatch(
-                f"{path}: first header cell must be 'node_id'", path=str(path), line=1, column=1
-            )
-        n = len(header) - 1
-        if n < 3:
-            raise SchemaMismatch(
-                f"{path}: need at least 3 sample columns, found {n}", path=str(path), line=1
-            )
-        ids, cells, lines = [], [], []
-        seen = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise SchemaMismatch(
-                    f"{path}:{lineno}: expected {n + 1} cells, found {len(row)}",
-                    path=str(path),
-                    line=lineno,
-                )
-            node_id = row[0].strip()
-            if not node_id:
-                raise SchemaMismatch(f"{path}:{lineno}: empty node id", path=str(path), line=lineno, column=1)
-            if node_id in seen:
-                raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {node_id!r}",
-                                      path=str(path), line=lineno, column=1)
-            seen.add(node_id)
-            ids.append(node_id)
-            cells.append(row[1:])
-            lines.append(lineno)
-    if not ids:
+            raise SchemaMismatch(f"{path}: first header cell must be 'node_id'", path=str(path),
+                                 line=1, column=1)
+        if len(header) < 4:
+            raise SchemaMismatch(f"{path}: need at least 3 sample columns, found {len(header) - 1}",
+                                 path=str(path), line=1)
+
+    _, rows, lines = _read_rows(path, check_header, keyed=True)
+    if not rows:
         raise SchemaMismatch(f"{path}: no data rows", path=str(path), line=2)
     try:
-        block = np.array(cells, dtype=float)
+        block = np.array([row[1:] for row in rows], dtype=float)
     except ValueError:
         block = None
     if block is None or not np.isfinite(block).all():
-        # cell by cell, so the error names the first bad cell's line and column
-        for lineno, row in zip(lines, cells):
-            for col, cell in enumerate(row, start=2):
-                if not np.isfinite(_number(cell, path, lineno, col)):
-                    raise NonNumericCell(
-                        f"{path}:{lineno}: column {col} is not finite: {cell!r}",
-                        path=str(path),
-                        line=lineno,
-                        column=col,
-                    )
-    return ids, block
+        _first_bad_cell(path, rows, lines, lambda row: [(col, float) for col in range(1, len(row))],
+                        finite=True)
+    return [row[0] for row in rows], block
 
 
 def ingest(paths: Sequence) -> AttributeDataset:
@@ -323,14 +329,11 @@ def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
                          p=np.array(columns[6], dtype=float), q=np.array(columns[7], dtype=float),
                          contrib=_optional_column(columns[fields:width], len(rows), float))
     except (ValueError, OverflowError):
-        # cell by cell, in file order, so the error names the first bad cell's line and column
-        for lineno, row in zip(lines, rows):
-            if any(row[fields:]):
-                for col in range(fields, width):
-                    _number(row[col], path, lineno, col + 1)
-            for col in range(3, fields):
-                if col != 5 or row[col] != "":
-                    _number(row[col], path, lineno, col + 1, int if col == 5 else float)
+        # a row's contribution cells (unless all empty) first, then columns 4-8 (df may be empty)
+        _first_bad_cell(path, rows, lines, lambda row: (
+            [(col, float) for col in range(fields, width) if any(row[fields:])]
+            + [(col, int if col == 5 else float) for col in range(3, fields)
+               if col != 5 or row[col]]))
         raise
 
 
@@ -381,32 +384,17 @@ def read_network(edges_path) -> InferredNetwork:
     meta_path = edges_path.parent / META_FILENAME
     meta = _read_meta(meta_path) if meta_path.exists() else None
 
-    with edges_path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = _header(reader, edges_path)
+    def check_header(header):
         if header[: len(EDGE_FIELDS)] != list(EDGE_FIELDS):
-            raise SchemaMismatch(
-                f"{edges_path}: unexpected edge header {header[:8]}", path=str(edges_path), line=1
-            )
+            raise SchemaMismatch(f"{edges_path}: unexpected edge header {header[:8]}",
+                                 path=str(edges_path), line=1)
         contrib_columns = len(header) - len(EDGE_FIELDS)
         if meta is not None and contrib_columns != len(meta["attribute_names"]):
-            raise SchemaMismatch(
-                f"{edges_path}:1: {contrib_columns} contribution columns, but {META_FILENAME} "
-                f"names {len(meta['attribute_names'])} attributes", path=str(edges_path), line=1
-            )
-        rows, lines = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaMismatch(
-                    f"{edges_path}:{lineno}: expected {len(header)} cells, found {len(row)}",
-                    path=str(edges_path),
-                    line=lineno,
-                )
-            rows.append(row)
-            lines.append(lineno)
+            raise SchemaMismatch(f"{edges_path}:1: {contrib_columns} contribution columns, but "
+                                 f"{META_FILENAME} names {len(meta['attribute_names'])} attributes",
+                                 path=str(edges_path), line=1)
 
+    header, rows, lines = _read_rows(edges_path, check_header)
     if meta is None:
         meta = {"node_ids": tuple(dict.fromkeys(v for row in rows for v in row[:2])),
                 "method": rows[0][2] if rows else "unknown", "gamma": float("nan"),
@@ -474,27 +462,13 @@ def read_node_classes(path) -> dict:
 
     Node ids are stripped, as attribute CSVs' and GMT members' are; a blank node id,
     or one given twice, is rejected with its line."""
-    classes = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        if _header(reader, path)[:2] != ["node_id", "label"]:
+    def check_header(header):
+        if header[:2] != ["node_id", "label"]:
             raise SchemaMismatch(f"{path}: expected node class CSV starting with node_id,label",
                                  path=str(path), line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise SchemaMismatch(f"{path}:{lineno}: expected at least 2 cells, found {len(row)}",
-                                     path=str(path), line=lineno)
-            node_id = row[0].strip()
-            if not node_id:
-                raise SchemaMismatch(f"{path}:{lineno}: empty node id", path=str(path), line=lineno,
-                                     column=1)
-            if node_id in classes:
-                raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {node_id!r}",
-                                      path=str(path), line=lineno, column=1)
-            classes[node_id] = row[1]
-    return classes
+
+    _, rows, _ = _read_rows(path, check_header, keyed=True, min_cells=2)
+    return {row[0]: row[1] for row in rows}
 
 
 def _node_class_columns(node_classes: NodeClasses, attribute_names):

@@ -399,8 +399,9 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
 # --- graph statistics --------------------------------------------------------
 #
 # Every statistic is derived from ``InferredNetwork.adjacency_matrix``; scipy.sparse is
-# imported there and in the functions, not at module level, so ``import macnet.cli``
-# stays lean for the subcommands that draw no graph.
+# imported there and in the functions, not at module level.  That saves little:
+# ``macnet.cli`` already imports scipy.special, which loads the same array-API layer,
+# so ``import scipy.sparse`` after ``import macnet.cli`` takes only 10-20 ms.
 
 def degree_values(net: InferredNetwork) -> np.ndarray:
     return np.diff(net.adjacency_matrix.indptr).astype(float)

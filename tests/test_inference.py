@@ -291,6 +291,57 @@ class TestExactExtremePvalue:
         np.testing.assert_allclose(extreme_corr_pvalue(c, c + 0.5, 0.0, "min", exact=True),
                                    normal_sf(c) ** 2, rtol=1e-9, atol=0.0)
 
+    @staticmethod
+    def upper_quadrant(c, rho):
+        """P(Z1 > c, Z2 > c), c > 0, as (1/pi) int_a^inf exp(-c^2 (1 + x^2)/2) / (1 + x^2) dx
+        with a = tan(arccos(rho)/2), by scipy's adaptive quadrature to full relative
+        precision: the first piece spans the integrand's fall from its peak at a."""
+        from scipy.integrate import quad
+
+        a = math.tan(math.acos(rho) / 2.0)
+        f = lambda x: math.exp(-c * c * (1.0 + x * x) / 2.0) / (1.0 + x * x)  # noqa: E731
+        split = a + 64.0 / (c * (c * a + 1.0))
+        pieces = [quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                  for lo, hi in ((a, split), (split, math.inf))]
+        return sum(pieces) / math.pi
+
+    def test_min_tail_far_out_at_independence(self):
+        # the Owen's T difference was 12.7x too large at c = 8 and 0 at c = 9
+        from scipy.special import log_ndtr
+
+        for c in np.arange(0.25, 20.01, 0.25):
+            p = extreme_corr_pvalue(c, c, 0.0, "min", exact=True)
+            tail = math.exp(2.0 * log_ndtr(-c))
+            assert abs(p / tail - 1.0) <= (1e-12 if c <= 10.0 else 1e-9), c
+
+    @pytest.mark.parametrize("rho", [-0.6, -0.3, 0.3, 0.8])
+    def test_min_tail_far_out_matches_quadrature(self, rho):
+        # at rho_z = -0.6 the Owen's T difference read 0 from c = 5 on
+        for c in (1.0, 3.0, 5.0, 7.0, 9.0):
+            p = extreme_corr_pvalue(c, c, rho, "min", exact=True)
+            assert abs(p / self.upper_quadrant(c, rho) - 1.0) <= 1e-10, c
+
+    def test_two_sided_tails_far_out(self):
+        # both two-sided tails read the opposite-sign quadrant at -rho_z
+        c, rho = 6.0, 0.5
+        same, opposite = self.upper_quadrant(c, rho), self.upper_quadrant(c, -rho)
+        expected = {"min": 2.0 * same + 2.0 * opposite,
+                    "max": 4.0 * normal_sf(c) - 2.0 * same - 2.0 * opposite}
+        for mode, value in expected.items():
+            p = extreme_corr_pvalue(c, c, rho, mode, two_sided=True, exact=True)
+            assert abs(p / value - 1.0) <= 1e-12, mode
+
+    def test_owens_t_difference_kept_until_the_switch(self):
+        # a min tail at least 1% of the normal tail keeps the bytes of the Owen's T form
+        from scipy.special import owens_t
+
+        c, rho = np.meshgrid(np.linspace(-3.0, 10.0, 131), np.linspace(-0.99, 0.99, 45))
+        owen = normal_sf(c) - 2.0 * owens_t(c, np.tan(np.arccos(rho) / 2.0))
+        kept = (c <= 0.0) | (owen >= 0.01 * normal_sf(c))
+        p = extreme_corr_pvalue(c, c, rho, "min", exact=True)
+        assert 0 < kept.sum() < kept.size
+        np.testing.assert_array_equal(p[kept], np.clip(owen, 0.0, 1.0)[kept])
+
     def test_within_three_se_of_the_calibration_panel(self):
         rows = inference.w_formula_calibration_table()
         for row in rows:
