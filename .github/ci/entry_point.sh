@@ -8,8 +8,8 @@
 # - a sample size past int64: exit 2;
 # - one malformed file per CSV reader, each exit 2 with one line of JSON that names the
 #   fault, file, line and column: an attribute CSV with a short row after a blank line
-#   (infer), an edge CSV with a non-numeric p (classify) and a node class CSV that
-#   repeats a node id once stripped (enrich);
+#   (infer), an edge CSV with a non-numeric p and one with a df past int64 (classify)
+#   and a node class CSV that repeats a node id once stripped (enrich);
 # - the collinear fixture (collinear_fixture.sh).
 #
 # Each expected failure's status is tested explicitly, since CI runs steps under
@@ -78,6 +78,11 @@ printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\na,b,cca,0.9,
     > "$dir/bad_p/edges.csv"
 expect_error bad_p NonNumericCell "$dir/bad_p/edges.csv" 2 7 \
     classify "$dir/bad_p/edges.csv" --out "$dir/bad_p/out"
+mkdir -p "$dir/huge_df"
+printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\na,b,cca,0.9,30,99999999999999999999999,0.001,0.01,1\n' \
+    > "$dir/huge_df/edges.csv"
+expect_error huge_df NonNumericCell "$dir/huge_df/edges.csv" 2 6 \
+    classify "$dir/huge_df/edges.csv" --out "$dir/huge_df/out"
 printf 'node_id,label\nv1,protein\n v1 ,gene\n' > "$dir/repeated_id.csv"
 printf 'set_one\tdesc\tv1\n' > "$dir/sets.gmt"
 expect_error repeated_id DuplicateNodeId "$dir/repeated_id.csv" 3 1 \

@@ -170,7 +170,7 @@ def _first_bad_cell(path, rows, lines, cells, finite: bool = False):
         for col, convert in cells(row):
             try:
                 value = convert(row[col])
-            except ValueError:
+            except (ValueError, OverflowError):  # np.int64 overflows past int64
                 problem = "numeric"
             else:
                 problem = "finite" if finite and not np.isfinite(value) else ""
@@ -332,7 +332,7 @@ def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
         # a row's contribution cells (unless all empty) first, then columns 4-8 (df may be empty)
         _first_bad_cell(path, rows, lines, lambda row: (
             [(col, float) for col in range(fields, width) if any(row[fields:])]
-            + [(col, int if col == 5 else float) for col in range(3, fields)
+            + [(col, np.int64 if col == 5 else float) for col in range(3, fields)
                if col != 5 or row[col]]))
         raise
 

@@ -175,7 +175,7 @@ def canonical_corr(sigma_ii, sigma_jj, sigma_ij) -> CanonicalSolution:
 
     The squared roots are the eigenvalues of T'T for the symmetric equivalent
     T = inv_sqrt(S_ii) S_ij inv_sqrt(S_jj) of inv(S_jj) S_ij' inv(S_ii) S_ij; the
-    leading weights come from the kernel that ``infer`` runs on its candidate
+    leading weights come from the kernel that ``infer`` runs on its declared
     edges.  Weights are scaled so w' S w = 1 on each side and signed so that
     w_i' S_ij w_j >= 0 and w_i's first non-negligible entry is positive.
     """

@@ -298,25 +298,55 @@ def test_schur_screen_passes_the_collinear_pair_on(monkeypatch):
     assert squared_roots(seen[0])[0, 0] == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
-def test_cca_forms_roots_only_for_candidates_and_repaired_pairs(monkeypatch):
-    """Bartlett's statistic comes from the homogeneity step's log Wilks' Lambda, so only
-    the candidates (p <= gamma) and the singular pairs reach the roots."""
-    rows, candidates = [], []
-    squared_roots, bh_fdr = similarity.squared_roots, inference.bh_fdr
+def test_cca_forms_roots_only_for_edges_and_repaired_pairs(monkeypatch):
+    """Bartlett's statistic comes from the homogeneity step's log Wilks' Lambda, and an
+    edge's similarity and contributions are formed after BH, so only the declared edges
+    and the singular pairs reach the roots, and only the edges the weights."""
+    rows, weights, candidates = [], [], []
+    squared_roots, leading_weights = similarity.squared_roots, similarity._leading_weights
+    bh_fdr = inference.bh_fdr
 
     def recording_roots(t):
         rows.append(len(t))
         return squared_roots(t)
+
+    def recording_weights(t, *args):
+        weights.append(len(t))
+        return leading_weights(t, *args)
 
     def recording_bh(pvalues, gamma, m):
         candidates.append(len(pvalues))
         return bh_fdr(pvalues, gamma, m)
 
     monkeypatch.setattr(similarity, "squared_roots", recording_roots)
+    monkeypatch.setattr(similarity, "_leading_weights", recording_weights)
     monkeypatch.setattr(inference, "bh_fdr", recording_bh)
     net = infer_network(planted_dataset(6, 30, 2), "cca", 0.05)
-    assert net.tested_pairs == 435 and net.n_edges > 0
-    assert sum(rows) <= candidates[0] + len(net.singular_pairs)
+    # more candidates than edges, so a bound on the candidates would not tell them apart
+    assert net.tested_pairs == 435 and 0 < net.n_edges < candidates[0]
+    assert sum(rows) <= net.n_edges + len(net.singular_pairs)
+    assert weights == [net.n_edges]
+
+
+@pytest.mark.parametrize("method,k,mode", [("pearson", 1, "formula"), ("cca", 2, "formula"),
+                                           ("max", 2, "exact"), ("min", 2, "formula"),
+                                           ("min", 2, "exact")])
+def test_an_empty_network_keeps_its_column_shapes(method, k, mode, tmp_path):
+    """Pure noise at gamma = 0.001 declares no edge, so the edges are described from an
+    empty stack of blocks; the table keeps its shapes in process and through the CLI's
+    header-only edge file.  (max under the formula tail declares every pair.)"""
+    data = planted_dataset(3, 12, k, n=40, planted=())
+    table = infer_network(data, method, 0.001, pvalue_mode=mode).table
+    assert table.ends.shape == (0, 2) and table.contrib.shape == (0, k)
+    assert all(getattr(table, name).shape == (0,)
+               for name in ("similarity", "statistic", "df", "p", "q"))
+    inputs = write_attribute_csvs(tmp_path, data)
+    out = tmp_path / "run"
+    assert main(["infer", *inputs, "--method", method, "--fdr", "0.001",
+                 "--pvalue-mode", mode, "--out", str(out)]) == 0
+    assert len((out / "edges.csv").read_text(encoding="utf-8").splitlines()) == 1
+    back = io_mod.read_network(out / "edges.csv").table
+    assert back.ends.shape == (0, 2) and back.contrib.shape == (0, k)
 
 
 def random_blocks(rng, m, k):

@@ -90,6 +90,12 @@ CASES = [
      (NonNumericCell, ":2: column 7 is not numeric: 'oops'", 2, 7)),
     (NODE_CLASS, "earlier_row_wins", body(NODE_CLASS, "a", "a") + [NODE_CLASS[3]],
      (DuplicateNodeId, ":3: duplicate node id 'a'", 3, 1)),
+    # edge CSVs only: df is an int64 cell, so a fraction and an integer past int64 are
+    # both bad cells
+    (EDGE, "df_fraction", [EDGE[1], "a,z,cca,0.5,12,4.5,0.001,0.01,0.6,0.8"],
+     (NonNumericCell, ":2: column 6 is not numeric: '4.5'", 2, 6)),
+    (EDGE, "df_past_int64", [EDGE[1], "a,z,cca,0.5,12,99999999999999999999999,0.001,0.01,0.6,0.8"],
+     (NonNumericCell, ":2: column 6 is not numeric: '99999999999999999999999'", 2, 6)),
 ]
 
 
