@@ -8,7 +8,7 @@
 # - a sample size past int64: exit 2;
 # - one malformed file per CSV reader, each exit 2 with one line of JSON that names the
 #   fault, file, line and column: an attribute CSV with a short row after a blank line
-#   (infer), an edge CSV with a non-numeric p and one with a df past int64 (classify)
+#   (infer), edge CSVs with a non-numeric p, a NaN p and a df past int64 (classify)
 #   and a node class CSV that repeats a node id once stripped (enrich);
 # - the collinear fixture (collinear_fixture.sh).
 #
@@ -78,6 +78,11 @@ printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\na,b,cca,0.9,
     > "$dir/bad_p/edges.csv"
 expect_error bad_p NonNumericCell "$dir/bad_p/edges.csv" 2 7 \
     classify "$dir/bad_p/edges.csv" --out "$dir/bad_p/out"
+mkdir -p "$dir/nan_p"
+printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\na,b,cca,0.9,30,1,nan,0.01,1\n' \
+    > "$dir/nan_p/edges.csv"
+expect_error nan_p NonNumericCell "$dir/nan_p/edges.csv" 2 7 \
+    classify "$dir/nan_p/edges.csv" --out "$dir/nan_p/out"
 mkdir -p "$dir/huge_df"
 printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\na,b,cca,0.9,30,99999999999999999999999,0.001,0.01,1\n' \
     > "$dir/huge_df/edges.csv"

@@ -46,10 +46,12 @@ def _edge_codes(contrib: np.ndarray, t: float, attribute_names: Sequence[str]) -
         raise UnnormalizedContrib(
             f"contribution vector length {contrib.shape[1]} does not match {k} attributes"
         )
-    bad = np.any(contrib < -_SUM_TOL, axis=1) | (np.abs(contrib.sum(axis=1) - 1.0) > _SUM_TOL)
+    # written as the negation of the rule, so that a row holding NaN, which fails every
+    # comparison, is bad
+    bad = ~(np.all(contrib >= -_SUM_TOL, axis=1) & (np.abs(contrib.sum(axis=1) - 1.0) <= _SUM_TOL))
     if bad.any():
         raise UnnormalizedContrib(
-            f"contributions must be non-negative and sum to 1: {contrib[np.argmax(bad)]}"
+            f"contributions must be finite, non-negative and sum to 1: {contrib[np.argmax(bad)]}"
         )
     top = np.argmax(contrib, axis=1)
     return np.where(contrib[np.arange(len(contrib)), top] >= 1.0 - t, top, k)

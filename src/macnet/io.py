@@ -3,9 +3,9 @@
 One CSV per attribute on the way in (``node_id,s1,...,sn``); edge lists,
 run metadata, summaries and simulation output on the way out.  Floats are
 written with 17 significant digits so every file re-parses to the exact
-values, and files are written atomically (temp file + rename).  A CSV is
-formatted and written ``BLOCK_ROWS`` rows at a time, so writing one holds a
-block's cell strings, not the whole file's.
+values, NaN is an empty cell, and files are written atomically (temp file +
+rename).  A CSV is formatted and written ``BLOCK_ROWS`` rows at a time, so
+writing one holds a block's cell strings, not the whole file's.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import re
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -34,59 +33,20 @@ META_FILENAME = "meta.json"
 #: rows of a CSV formatted and written at a time
 BLOCK_ROWS = 65536
 
-#: a text cell holding one of these characters may need quoting, and goes through the
-#: csv module, which decides whether and how
-_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
-
-def fmt(value) -> str:
-    """Serialize one cell; floats carry 17 significant digits."""
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _cells(values, blank=None) -> list:
-    """One column's cells by the rule of ``fmt``, formatted in one pass; cells where
-    ``blank`` is true are left empty and are not formatted."""
+def _cells(values) -> list:
+    """One numeric column's cells, formatted in one pass: integers with ``str``, other
+    numbers with 17 significant digits; NaN is an empty cell and is not formatted."""
     values = np.asarray(values)
     if values.dtype.kind in "iu":
-        text = str
-    else:
-        text, values = "%.17g".__mod__, values.astype(float)
-    if blank is None:
-        return list(map(text, values.tolist()))
+        return list(map(str, values.tolist()))
+    values = values.astype(float)
+    given = ~np.isnan(values)
+    if given.all():
+        return list(map("%.17g".__mod__, values.tolist()))
     cells = np.full(len(values), "", dtype=object)
-    keep = ~np.asarray(blank, dtype=bool)
-    cells[keep] = list(map(text, values[keep].tolist()))
+    cells[given] = list(map("%.17g".__mod__, values[given].tolist()))
     return cells.tolist()
-
-
-def _csv_cell(cell: str) -> str:
-    """One text cell as ``csv.writer(lineterminator="\\n")`` writes it within a row."""
-    buffer = StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([cell])
-    return buffer.getvalue()[:-1]
-
-
-def _text_cells(cells: list) -> list:
-    """Text cells quoted as csv.writer quotes them; a block with no special character
-    is returned as it is."""
-    if not _CSV_SPECIAL.search("".join(cells)):
-        return cells
-    return [_csv_cell(c) if _CSV_SPECIAL.search(c) else c for c in cells]
-
-
-def _block_cells(part) -> list:
-    """The cells of one block of a column: a numeric array is formatted by ``_cells``,
-    with its masked cells (``np.ma``) left empty; any other sequence holds text."""
-    if isinstance(part, np.ndarray) and part.dtype.kind in "iuf":
-        return _cells(np.ma.getdata(part), np.ma.getmask(part) if np.ma.is_masked(part) else None)
-    return _text_cells(part.tolist() if isinstance(part, np.ndarray) else list(part))
 
 
 def atomic_write_text(path, blocks: Iterable[str]):
@@ -109,20 +69,28 @@ def atomic_write_text(path, blocks: Iterable[str]):
         raise
 
 
+def _csv_text(rows) -> str:
+    """Rows of text cells as ``csv.writer(lineterminator="\\n")`` writes them."""
+    buffer = StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def _csv_blocks(header, columns):
-    """The text of a CSV, one block of rows at a time; the rows are the bytes that
-    ``csv.writer(lineterminator="\\n")`` writes for them."""
-    yield ",".join(_text_cells(list(header))) + "\n"
-    rows = len(columns[0])
-    for lo in range(0, rows, BLOCK_ROWS):
-        cells = [_block_cells(c[lo:lo + BLOCK_ROWS]) for c in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    """The text of a CSV, one block of rows at a time."""
+    yield _csv_text([header])
+    numeric = [isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns]
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        parts = [c[lo:lo + BLOCK_ROWS] for c in columns]
+        yield _csv_text(zip(*(_cells(part) if is_numeric else part
+                              for part, is_numeric in zip(parts, numeric))))
 
 
 def _write_columns(path, header, columns):
-    """A CSV of one header row and two or more equal-length columns.  A column is a
-    numeric array, whose cells are written as ``fmt`` writes them and whose masked
-    cells (``np.ma``) are left empty, or a sequence of text cells."""
+    """A CSV of one header row and two or more equal-length columns, each of one of two
+    kinds: a numeric array (integer or float dtype), whose cells ``_cells`` writes, so a
+    NaN is an empty cell; or a sequence of text cells, which ``csv.writer`` quotes where
+    they need it."""
     atomic_write_text(path, _csv_blocks(header, columns))
 
 
@@ -161,23 +129,34 @@ def _read_rows(path, check_header, keyed: bool = False, min_cells: int | None = 
     return header, rows, lines
 
 
-def _first_bad_cell(path, rows, lines, cells, finite: bool = False):
-    """Raise ``NonNumericCell`` at the first cell, in file order, that is not a number
-    (with ``finite``: not a finite one).  ``cells(row)`` gives the (index, type) of the
-    cells of a row to parse, in the order to check them.  Run after a whole-column
-    parse has failed, so that the error names the bad cell's line and column."""
+#: what a parsed cell's value must be: a test of one value or of an array of them, and
+#: the fault that names a cell failing it
+_ANY_VALUE = (lambda value: True, "")
+_FINITE = (np.isfinite, "is not finite")
+_NOT_NAN = (lambda value: ~np.isnan(value), "is NaN")
+_CORRELATION = (lambda value: np.abs(value) <= 1.0, "is not in [-1, 1]")
+_PROBABILITY = (lambda value: (value >= 0.0) & (value <= 1.0), "is not in [0, 1]")
+
+
+def _first_bad_cell(path, rows, lines, cells):
+    """Raise ``NonNumericCell`` at the first bad cell in file order: one that does not
+    parse as its type, or whose value fails its rule (a pair such as ``_FINITE``).
+    ``cells(row)`` gives the (index, type, rule) of the cells of a row to check, in the
+    order to check them.  Run after a whole-column parse or check has failed, so that
+    the error names the bad cell's line and column; that some cell is bad is asserted, so
+    a column check and this cell pass that disagree never return the columns."""
     for lineno, row in zip(lines, rows):
-        for col, convert in cells(row):
+        for col, convert, (test, fault) in cells(row):
             try:
                 value = convert(row[col])
             except (ValueError, OverflowError):  # np.int64 overflows past int64
-                problem = "numeric"
+                problem = "is not numeric"
             else:
-                problem = "finite" if finite and not np.isfinite(value) else ""
+                problem = "" if test(value) else fault
             if problem:
-                raise NonNumericCell(
-                    f"{path}:{lineno}: column {col + 1} is not {problem}: {row[col]!r}",
-                    path=str(path), line=lineno, column=col + 1)
+                raise NonNumericCell(f"{path}:{lineno}: column {col + 1} {problem}: {row[col]!r}",
+                                     path=str(path), line=lineno, column=col + 1)
+    raise AssertionError(f"{path}: a column failed its check, but none of its cells does")
 
 
 # --- attribute ingestion ------------------------------------------------------
@@ -200,8 +179,8 @@ def _read_attribute_csv(path):
     except ValueError:
         block = None
     if block is None or not np.isfinite(block).all():
-        _first_bad_cell(path, rows, lines, lambda row: [(col, float) for col in range(1, len(row))],
-                        finite=True)
+        _first_bad_cell(path, rows, lines,
+                        lambda row: [(col, float, _FINITE) for col in range(1, len(row))])
     return [row[0] for row in rows], block
 
 
@@ -254,12 +233,9 @@ def write_edges_csv(net: InferredNetwork, path):
     k = len(net.attribute_names)
     header = list(EDGE_FIELDS) + [f"contrib_{i + 1}" for i in range(k)]
     names = np.array(net.node_ids, dtype=object)
-    no_contrib = np.isnan(table.contrib).all(axis=1)
-    columns = [names[table.ends[:, 0]], names[table.ends[:, 1]], [net.method] * len(table),
-               table.similarity, table.statistic, np.ma.masked_array(table.df, np.isnan(table.df)),
-               table.p, table.q]
-    columns += [np.ma.masked_array(c, no_contrib) for c in table.contrib.T]
-    _write_columns(path, header, columns)
+    _write_columns(path, header, [
+        names[table.ends[:, 0]], names[table.ends[:, 1]], [net.method] * len(table),
+        table.similarity, table.statistic, table.df, table.p, table.q, *table.contrib.T])
 
 
 def network_meta(net: InferredNetwork) -> dict:
@@ -293,21 +269,23 @@ def write_meta_json(net: InferredNetwork, path):
     atomic_write_text(path, [json.dumps(network_meta(net), indent=2, sort_keys=True) + "\n"])
 
 
-def _optional_column(columns, m: int, dtype) -> np.ndarray:
-    """Cells of c columns of m rows parsed as an (m, c) float array; a row whose
-    cells are all empty reads as NaN."""
+def _optional_column(columns, m: int, dtype):
+    """Cells of c columns of m rows parsed as an (m, c) float array, and whether each row
+    gives its cells; a row whose cells are all empty reads as NaN."""
     if all("" not in c for c in columns):
-        return np.array(columns, dtype=dtype).reshape(len(columns), m).T.astype(float)
+        values = np.array(columns, dtype=dtype).reshape(len(columns), m).T.astype(float)
+        return values, np.ones(m, dtype=bool)
     cells = np.array(columns, dtype=str).reshape(len(columns), m).T
     given = (cells != "").any(axis=1)
     values = np.full(cells.shape, np.nan)
     values[given] = cells[given].astype(dtype)
-    return values
+    return values, given
 
 
 def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
     """The edge table of an edge CSV's rows of ``width`` cells, endpoints looked up in
-    ``index``; numeric columns are parsed whole."""
+    ``index``.  Numeric columns are parsed and checked whole; the first cell, in file
+    order, that is not a number or breaks its column's rule is rejected."""
     columns = list(zip(*rows)) or [()] * width
     ends = np.array([[index.get(v, -1) for v in columns[x]] for x in (0, 1)],
                     dtype=np.intp).T.reshape(-1, 2)
@@ -321,20 +299,25 @@ def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
             problem = f"endpoint {rows[x][column - 1]!r} is not among the node ids of {META_FILENAME}"
         raise SchemaMismatch(f"{path}:{lines[x]}: {problem}", path=str(path), line=lines[x],
                              column=column)
-    fields = len(EDGE_FIELDS)
+    fields, m = len(EDGE_FIELDS), len(rows)
+    # the rule of each cell from column 4 on, as infer writes them: similarity, statistic
+    # (inf for a singular cca pair), df, p and q, then the contributions
+    rules = (_CORRELATION, _NOT_NAN, _ANY_VALUE, _PROBABILITY, _PROBABILITY) + (
+        _NOT_NAN,) * (width - fields)
     try:
-        return EdgeTable(ends=ends, similarity=np.array(columns[3], dtype=float),
-                         statistic=np.array(columns[4], dtype=float),
-                         df=_optional_column(columns[5:6], len(rows), np.int64)[:, 0],
-                         p=np.array(columns[6], dtype=float), q=np.array(columns[7], dtype=float),
-                         contrib=_optional_column(columns[fields:width], len(rows), float))
+        similarity, statistic, p, q = (np.array(columns[col], dtype=float) for col in (3, 4, 6, 7))
+        df = _optional_column(columns[5:6], m, np.int64)[0][:, 0]
+        contrib, given = _optional_column(columns[fields:width], m, float)
+        parsed = (similarity, statistic, df, p, q, *contrib[given].T)
     except (ValueError, OverflowError):
-        # a row's contribution cells (unless all empty) first, then columns 4-8 (df may be empty)
-        _first_bad_cell(path, rows, lines, lambda row: (
-            [(col, float) for col in range(fields, width) if any(row[fields:])]
-            + [(col, np.int64 if col == 5 else float) for col in range(3, fields)
-               if col != 5 or row[col]]))
-        raise
+        parsed = None
+    if parsed is None or not all(np.all(test(values)) for values, (test, _) in zip(parsed, rules)):
+        # a df cell may be empty, and so may all of a row's contribution cells
+        _first_bad_cell(path, rows, lines, lambda row: [
+            (col, np.int64 if col == 5 else float, rules[col - 3]) for col in range(3, width)
+            if (row[col] if col == 5 else col < fields or any(row[fields:]))])
+    return EdgeTable(ends=ends, similarity=similarity, statistic=statistic, df=df, p=p, q=q,
+                     contrib=contrib)
 
 
 def _read_meta(path) -> dict:
@@ -453,7 +436,7 @@ def write_edge_classes_csv(edge_classes: EdgeClasses, attribute_names, path):
                    + [f"contrib_{a}" for a in attribute_names],
                    [names[edge_classes.ends[:, 0]], names[edge_classes.ends[:, 1]],
                     np.array(edge_classes.labels, dtype=object)[edge_classes.code],
-                    [fmt(edge_classes.threshold)] * len(edge_classes),
+                    _cells([edge_classes.threshold]) * len(edge_classes),
                     *edge_classes.contrib.T])
 
 
@@ -512,7 +495,7 @@ def write_power_csv(result: PowerResult, path):
     spec, rows = result.spec, result.rejections.size
     scenarios = len(spec.scenarios)
     r, b = np.array(spec.grid).T
-    constants = [[fmt(value)] * rows
+    constants = [_cells([value]) * rows
                  for value in (spec.rho1, spec.rho2, spec.n, spec.reps, spec.alpha)]
     _write_columns(path, ["r", "b", "rho1", "rho2", "n", "reps", "alpha", "scenario", "power", "mc_se"],
                    [np.repeat(r, scenarios), np.repeat(b, scenarios), *constants,

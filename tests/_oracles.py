@@ -14,7 +14,8 @@ correlation matrices; ``equal_corr_blocks`` builds the equal-correlation model's
 blocks; ``adjacency_sets`` and ``edge_pairs`` read a network's edges as node ids;
 ``bartlett_from_roots`` is Bartlett's test from canonical roots, and
 ``homogeneity_from_cov`` the homogeneity test of a stack of joint covariances,
-each through the function ``infer`` calls.
+each through the function ``infer`` calls; ``csv_cell`` is one numeric CSV cell as
+macnet writes it, formatted one value at a time.
 """
 
 import itertools
@@ -26,6 +27,14 @@ import numpy as np
 from macnet import inference, numkernel
 from macnet.errors import InsufficientSamples, NotPositiveDefinite, ZeroVariance
 from macnet.simulation import substream
+
+
+def csv_cell(value) -> str:
+    """One numeric CSV cell: an integer by ``str``, any other number with 17 significant
+    digits, and NaN as an empty cell."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "" if math.isnan(value) else format(float(value), ".17g")
 
 
 def brute_force_betweenness(node_ids, adjacency):

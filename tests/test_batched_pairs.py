@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import macnet
-from _oracles import bartlett_from_roots, corr_matrices
+from _oracles import bartlett_from_roots, corr_matrices, csv_cell
 from macnet import inference, io as io_mod, network, numkernel, similarity, simulation
 from macnet.cli import main
 from macnet.errors import DegenerateR
@@ -647,7 +647,7 @@ def write_attribute_csvs(directory, data):
             writer = csv.writer(handle)
             writer.writerow(["node_id"] + [f"s{t + 1}" for t in range(data.n_samples)])
             for v, node in enumerate(data.node_ids):
-                writer.writerow([node] + [io_mod.fmt(x) for x in data.samples[v, a]])
+                writer.writerow([node] + [csv_cell(x) for x in data.samples[v, a]])
         paths.append(str(path))
     return paths
 

@@ -92,6 +92,12 @@ class TestClassifyEdge:
         with pytest.raises(UnnormalizedContrib):
             edge((0.9, 0.3))
 
+    @pytest.mark.parametrize("contrib", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.0)])
+    def test_non_finite_contributions_are_rejected(self, contrib):
+        # NaN fails every comparison, so it once passed both checks and was labelled mixed
+        with pytest.raises(UnnormalizedContrib, match="finite"):
+            star([(0.9, 0.1), contrib])
+
 
 class TestClassifyNode:
     def test_majority_counting(self):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from _oracles import edge_pairs, sample_mvn
+from _oracles import csv_cell, edge_pairs, sample_mvn
 from macnet import io as io_mod
 from macnet import simulation
 from macnet.cli import _slice_sweep, main
@@ -18,7 +18,7 @@ def write_attribute_csv(path, node_ids, block):
     n = block.shape[1]
     rows = [["node_id"] + [f"s{i + 1}" for i in range(n)]]
     for node_id, values in zip(node_ids, block):
-        rows.append([node_id] + [io_mod.fmt(v) for v in values])
+        rows.append([node_id] + [csv_cell(v) for v in values])
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows(rows)
 
@@ -168,14 +168,13 @@ class TestRoundTrip:
         self.assert_tables_equal(back.table, net.table)
         assert back.node_ids == ids and back.method == method
 
-    def test_column_cells_match_fmt(self):
+    def test_column_cells_match_the_cell_oracle(self):
         floats = [0.0, -0.0, 1 / 3, -1e-310, 5e-324, 1e17, 123456789.0, float("inf"),
                   float("-inf"), float("nan"), np.pi]
         ints = [0, -7, 2**40]
-        assert io_mod._cells(np.array(floats)) == [io_mod.fmt(v) for v in floats]
-        assert io_mod._cells(np.array(ints)) == [io_mod.fmt(v) for v in ints]
-        assert io_mod._cells(np.array(floats), blank=np.isnan(floats)) == [
-            "" if v != v else io_mod.fmt(v) for v in floats]
+        assert io_mod._cells(np.array(floats)) == [csv_cell(v) for v in floats]
+        assert io_mod._cells(np.array(floats[:9])) == [csv_cell(v) for v in floats[:9]]
+        assert io_mod._cells(np.array(ints)) == [csv_cell(v) for v in ints]
 
     def test_infinite_statistic_is_read_back_by_netstat_and_classify(self, tmp_path):
         # a singular cca pair whose leading root reaches 1 has statistic inf and p 0
@@ -196,8 +195,8 @@ class TestRoundTrip:
 
     def test_seventeen_digit_serialization(self):
         values = [1 / 3, np.pi, 1e-17, 0.1 + 0.2]
-        for v in values:
-            assert float(io_mod.fmt(v)) == v
+        assert [float(cell) for cell in io_mod._cells(np.array(values))] == values
+        assert [csv_cell(v) for v in values] == io_mod._cells(np.array(values))
 
 
 class TestCliInfer:
@@ -459,6 +458,26 @@ class TestMalformedEdgeAndClassFiles:
                            + "a,b,cca,0.9,30.1,4,0.001,0.002,0.5,0.5\n"
                            + "a,c,cca,0.8,25.3,4,small,0.003,0.4,0.6\n")
         assert (err["error"], err["line"], err["column"]) == ("NonNumericCell", 3, 7)
+
+    @pytest.mark.parametrize("command,row,column", [
+        ("netstat", "a,b,cca,nan,30.1,4,0.001,0.002,0.5,0.5", 4),
+        ("netstat", "a,b,cca,1.7,30.1,4,0.001,0.002,0.5,0.5", 4),
+        ("netstat", "a,b,cca,0.9,30.1,4,1.5,0.002,0.5,0.5", 7),
+        ("classify", "a,b,cca,0.9,30.1,4,0.001,-5,0.5,0.5", 8),
+        ("classify", "a,b,cca,0.9,30.1,4,0.001,7,0.5,0.5", 8),
+        ("classify", "a,b,cca,0.9,30.1,4,0.001,0.002,nan,0.5", 9)],
+        ids=["similarity_nan", "similarity_1.7", "p_1.5", "q_-5", "q_7", "contrib_nan"])
+    def test_edge_cell_infer_never_writes(self, tmp_path, capsys, command, row, column):
+        # netstat wrote a NaN avg_correlation (not JSON), and classify labelled the NaN
+        # contribution's edge mixed
+        edges = tmp_path / "edges.csv"
+        edges.write_text(self.EDGE_HEADER + row + "\n")
+        assert main([command, str(edges), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["path"], err["line"], err["column"]) == (
+            "NonNumericCell", str(edges), 2, column)
 
     def test_edge_endpoint_missing_from_meta(self, tmp_path, capsys):
         (tmp_path / "meta.json").write_text(json.dumps({

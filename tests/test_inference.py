@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,7 @@ from macnet.inference import (
     normal_pdf,
     normal_sf,
 )
+from macnet.similarity import K2Params
 
 
 def pair_homogeneity(samples_i, samples_j):
@@ -168,21 +170,124 @@ class TestBartlett:
         with pytest.raises(InsufficientSamples):
             bartlett_from_roots([0.1, 0.1], 6, 2)
 
-    def test_cca_tail_rejects_at_the_nominal_rate_under_the_null(self):
-        """The tail every cca pair reaches, audited where BH draws its line: 10^6 null
-        pairs (k = 2, n = 50, Sigma = I) drawn as Bartlett factors, tested through the
-        shipped correlation, log Wilks' Lambda and Bartlett steps.  Each rejection
-        count lies within 4 binomial standard errors of alpha * reps."""
-        reps, n = 10**6, 50
-        pvalues = np.concatenate([
-            inference._bartlett_from_log_lambda(simulation._log_wilks_lambda(
-                numkernel.corr_from_cross(t @ np.swapaxes(t, 1, 2))), n, 2).p
-            for t in simulation._grid_point_factors(23, 0, reps, n)])
-        assert pvalues.size == reps
-        for alpha in (0.05, 1e-3):
-            expected = alpha * reps
-            assert abs(np.sum(pvalues <= alpha) - expected) <= 4.0 * math.sqrt(
-                expected * (1.0 - alpha))
+    def test_cca_tail_rejects_at_the_nominal_rate_under_the_null(self, null_draw):
+        """The tail every cca pair reaches, audited where BH draws its line: the null
+        draw at Sigma = I, tested through the shipped correlation, log Wilks' Lambda and
+        Bartlett steps.  Each rejection count lies within 4 binomial standard errors of
+        alpha * reps."""
+        pvalues = inference._bartlett_from_log_lambda(null_draw("identity")["log_lambda"],
+                                                      NULL_N, 2).p
+        assert pvalues.size == NULL_REPS
+        for alpha in NULL_ALPHAS:
+            assert near_nominal(np.sum(pvalues <= alpha), alpha)
+
+
+#: the null draws of the tail audits: NULL_REPS replicates of the 4x4 sample correlation
+#: matrix of two nodes with two attributes each (n = NULL_N), from the Bartlett factors of
+#: seed 23's first grid point, at a covariance with no cross block: the identity, and
+#: within-node correlation 0.5, so that the two z statistics correlate (rho_z near 0.25)
+NULL_REPS, NULL_N, NULL_ALPHAS = 10**6, 50, (0.05, 1e-3)
+NULL_SIGMAS = {"identity": np.eye(4),
+               "within_0.5": simulation.build_sigma(K2Params(r=0.5, b=0.0, rho1=0.0, rho2=0.0))}
+
+
+def near_nominal(count, alpha) -> bool:
+    """Whether a rejection count of NULL_REPS null replicates lies within 4 binomial
+    standard errors of alpha * NULL_REPS."""
+    expected = alpha * NULL_REPS
+    return abs(count - expected) <= 4.0 * math.sqrt(expected * (1.0 - alpha))
+
+
+def _null_draw(sigma: str) -> dict:
+    """Per replicate: r1 and r2, the cross-node correlations of attributes 1 and 2;
+    rho_z, the correlation of their z statistics as ``infer`` estimates it; and log
+    Wilks' Lambda."""
+    lower = np.linalg.cholesky(NULL_SIGMAS[sigma])
+    parts = []
+    for factors in simulation._grid_point_factors(23, 0, NULL_REPS, NULL_N):
+        joint = simulation._replicate_correlations(factors, lower)
+        parts.append((joint[:, 0, 2], joint[:, 1, 3],
+                      fisher_z_correlation(joint[:, :2, :2], joint[:, 2:, 2:], joint[:, :2, 2:]),
+                      simulation._log_wilks_lambda(joint)))
+    return dict(zip(("r1", "r2", "rho_z", "log_lambda"),
+                    (np.concatenate(column) for column in zip(*parts))))
+
+
+@pytest.fixture(scope="module")
+def null_draw():
+    """``_null_draw`` of each covariance, drawn once for this module's tail audits."""
+    return functools.cache(_null_draw)
+
+
+@pytest.fixture(scope="module")
+def null_rejections(null_draw):
+    """Rejection counts at each of NULL_ALPHAS by (covariance, tail, source of rho_z).
+
+    A tail's p-values come from the shipped call: ``correlation_test`` of r1 for
+    pearson, or the two-sided ``extreme_corr_pvalue`` of (z1, z2), printed or exact.
+    rho_z is each replicate's own (``replicate``, as ``infer`` takes it per pair), or
+    one value from ``np.corrcoef`` of all replicates' z statistics (``grid``, as
+    ``simulate`` takes it per grid point)."""
+    @functools.cache
+    def rejections(sigma, tail, source):
+        draw = null_draw(sigma)
+        if tail == "pearson":
+            pvalues = inference.correlation_test(draw["r1"], NULL_N)[1]
+        else:
+            z1, z2 = fisher_z(draw["r1"], NULL_N), fisher_z(draw["r2"], NULL_N)
+            rho_z = draw["rho_z"] if source == "replicate" else min(
+                1.0, max(-1.0, float(np.corrcoef(z1, z2)[0, 1])))
+            mode, form = tail.split("_")
+            pvalues = extreme_corr_pvalue(z1, z2, rho_z, mode, two_sided=True,
+                                          exact=form == "exact")
+        return {alpha: int(np.sum(pvalues <= alpha)) for alpha in NULL_ALPHAS}
+
+    return rejections
+
+
+#: the audited rows that fail today, by (covariance, tail, alpha), with the rejection
+#: share over alpha that each reads with rho_z per replicate and per grid point
+NULL_TAIL_FAILURES = {
+    # Fisher z's normal tail is too heavy where BH decides (ROADMAP item 17)
+    ("identity", "pearson", 1e-3): "1.212",
+    # the exact max tail of Fisher z statistics, too heavy in the same way
+    ("identity", "max_exact", 0.05): "1.0198 and 1.0196",
+    ("identity", "max_exact", 1e-3): "1.257",
+    ("within_0.5", "max_exact", 1e-3): "1.268 and 1.267",
+    # the printed corrections: max rejects every replicate, min almost none (items 1, 27)
+    **{(sigma, "max_printed", alpha): f"{1 / alpha:g}" for sigma in NULL_SIGMAS
+       for alpha in NULL_ALPHAS},
+    ("identity", "min_printed", 0.05): "0.0031",
+    ("within_0.5", "min_printed", 0.05): "0.0084",
+    **{(sigma, "min_printed", 1e-3): "0" for sigma in NULL_SIGMAS},
+}
+
+
+def _null_tail_rows():
+    rows = [("identity", "pearson", None, alpha) for alpha in NULL_ALPHAS]
+    rows += [(sigma, f"{mode}_{form}", source, alpha) for sigma in NULL_SIGMAS
+             for mode in ("max", "min") for form in ("printed", "exact")
+             for source in (("replicate", "grid") if form == "exact" else ("replicate",))
+             for alpha in NULL_ALPHAS]
+    for sigma, tail, source, alpha in rows:
+        share = NULL_TAIL_FAILURES.get((sigma, tail, alpha))
+        marks = [] if share is None else [pytest.mark.xfail(
+            strict=True, reason=f"rejects {share} x alpha")]
+        yield pytest.param(sigma, tail, source, alpha, marks=marks,
+                           id="-".join(filter(None, (sigma, tail, source, f"{alpha:g}"))))
+
+
+@pytest.mark.parametrize("sigma,tail,source,alpha", _null_tail_rows())
+def test_pearson_and_extreme_tails_reject_at_the_nominal_rate_under_the_null(
+        null_rejections, sigma, tail, source, alpha):
+    """The pearson, max and min tails audited on the null draws where BH draws its line,
+    as the cca tail is: each rejection count lies within 4 binomial standard errors of
+    alpha * reps.  pearson reads one attribute, whose null draw is the same at both
+    covariances, so it is audited at the identity only.  The printed tails are off by
+    factors of 20 to 1000 whichever rho_z they read, so only the exact tails are audited
+    with both sources of rho_z."""
+    count = null_rejections(sigma, tail, source)[alpha]
+    assert near_nominal(count, alpha), count / (alpha * NULL_REPS)
 
 
 class TestExtremePvalue:

@@ -96,6 +96,28 @@ CASES = [
      (NonNumericCell, ":2: column 6 is not numeric: '4.5'", 2, 6)),
     (EDGE, "df_past_int64", [EDGE[1], "a,z,cca,0.5,12,99999999999999999999999,0.001,0.01,0.6,0.8"],
      (NonNumericCell, ":2: column 6 is not numeric: '99999999999999999999999'", 2, 6)),
+    # edge CSVs only: a number that infer never writes; a statistic may be infinite (a
+    # singular cca pair) and a row may leave every contribution cell empty
+    *[(EDGE, fault, [EDGE[1], "a,z,cca,0.5,12,4,0.001,0.01,0.6,0.8".replace(old, new)],
+       (NonNumericCell, f":2: column {column} {problem}: {bad!r}", 2, column))
+      for fault, old, new, column, problem, bad in [
+          ("similarity_nan", "0.5", "nan", 4, "is not in [-1, 1]", "nan"),
+          ("similarity_above_one", "0.5", "1.7", 4, "is not in [-1, 1]", "1.7"),
+          ("similarity_below_minus_one", "0.5", "-1.5", 4, "is not in [-1, 1]", "-1.5"),
+          ("statistic_nan", "12", "nan", 5, "is NaN", "nan"),
+          ("p_nan", "0.001", "nan", 7, "is not in [0, 1]", "nan"),
+          ("p_above_one", "0.001", "1.5", 7, "is not in [0, 1]", "1.5"),
+          ("q_negative", "0.01", "-5", 8, "is not in [0, 1]", "-5"),
+          ("q_above_one", "0.01", "7", 8, "is not in [0, 1]", "7"),
+          ("contrib_nan", "0.6", "nan", 9, "is NaN", "nan"),
+          ("contrib_all_nan", "0.6,0.8", "nan,nan", 9, "is NaN", "nan"),
+          ("contrib_one_empty", "0.6,0.8", "0.6,", 10, "is not numeric", "")]],
+    (EDGE, "statistic_inf", [EDGE[1], "a,z,cca,0.5,inf,4,0,0,0.6,0.8"], ["a"]),
+    (EDGE, "contrib_empty", [EDGE[1], "a,z,cca,0.5,12,4,0.001,0.01,,"], ["a"]),
+    # a cell out of its range is reported before a later row's non-numeric cell
+    (EDGE, "range_before_later_parse",
+     [EDGE[1], "a,z,cca,0.5,12,4,0.001,7,0.6,0.8", "a,z,cca,0.5,12,4,oops,0.01,0.6,0.8"],
+     (NonNumericCell, ":2: column 8 is not in [0, 1]: '7'", 2, 8)),
 ]
 
 
@@ -113,3 +135,11 @@ def test_readers_share_one_row_contract(tmp_path, kind, lines, expected):
     assert type(caught.value) is error
     assert (str(caught.value), caught.value.path, caught.value.line, caught.value.column) == (
         path + message, path, line, column)
+
+
+def test_a_column_check_without_a_bad_cell_is_not_returned():
+    # the cell pass runs only after a whole-column check failed; if it finds no bad cell
+    # the two disagree, and the reader must stop rather than return the columns
+    with pytest.raises(AssertionError, match="none of its cells does"):
+        io_mod._first_bad_cell("f.csv", [["a", "1.5"]], [2],
+                               lambda row: [(1, float, io_mod._FINITE)])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import edge_pairs
+from _oracles import csv_cell, edge_pairs
 from macnet import io as io_mod
 from macnet.classify import classify_network
 from test_network import toy_network
@@ -56,12 +56,11 @@ def test_rows_cross_block_boundaries_unchanged(tmp_path, monkeypatch, rows):
     names = np.resize(np.array(["plain", "a,b", 'x"y', "line\nbreak"], dtype=object), rows)
     floats = np.array([-0.0, np.inf, np.nan, 1e-310, 1 / 3, -2.5, 1e17])[:rows]
     ints = np.array([0, -7, 2**40, 3, 5, -1, 9])[:rows]
-    blank = np.arange(rows) % 2 == 1
+    blanked = np.where(np.arange(rows) % 2 == 1, np.nan, floats)
     header = ["name", "float", "int", "blanked", "constant"]
-    io_mod._write_columns(tmp_path / "t.csv", header,
-                          [names, floats, ints, np.ma.masked_array(floats, blank), ["c"] * rows])
-    expected = [[n, io_mod.fmt(f), io_mod.fmt(i), "" if b else io_mod.fmt(f), "c"]
-                for n, f, i, b in zip(names, floats, ints, blank)]
+    io_mod._write_columns(tmp_path / "t.csv", header, [names, floats, ints, blanked, ["c"] * rows])
+    expected = [[n, csv_cell(f), csv_cell(i), csv_cell(b), "c"]
+                for n, f, i, b in zip(names, floats, ints, blanked)]
     assert (tmp_path / "t.csv").read_bytes() == reference_bytes(header, expected)
 
 
