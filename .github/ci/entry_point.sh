@@ -8,8 +8,10 @@
 # - a sample size past int64: exit 2;
 # - one malformed file per CSV reader, each exit 2 with one line of JSON that names the
 #   fault, file, line and column: an attribute CSV with a short row after a blank line
-#   (infer), edge CSVs with a non-numeric p, a NaN p and a df past int64 (classify)
-#   and a node class CSV that repeats a node id once stripped (enrich);
+#   (infer), edge CSVs with a non-numeric p, a NaN p and a df past int64 (classify),
+#   a max edge CSV that carries contributions (netstat) and a node class CSV that
+#   repeats a node id once stripped (enrich);
+# - an infer input that is a directory: exit 2 with one line of JSON naming the path;
 # - the collinear fixture (collinear_fixture.sh).
 #
 # Each expected failure's status is tested explicitly, since CI runs steps under
@@ -88,10 +90,19 @@ printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\na,b,cca,0.9,
     > "$dir/huge_df/edges.csv"
 expect_error huge_df NonNumericCell "$dir/huge_df/edges.csv" 2 6 \
     classify "$dir/huge_df/edges.csv" --out "$dir/huge_df/out"
+mkdir -p "$dir/max_contrib"
+printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1,contrib_2\na,b,max,0.9,30,,0.001,0.01,0.5,0.5\n' \
+    > "$dir/max_contrib/edges.csv"
+expect_error max_contrib NonNumericCell "$dir/max_contrib/edges.csv" 2 9 \
+    netstat "$dir/max_contrib/edges.csv" --out "$dir/max_contrib/out"
 printf 'node_id,label\nv1,protein\n v1 ,gene\n' > "$dir/repeated_id.csv"
 printf 'set_one\tdesc\tv1\n' > "$dir/sets.gmt"
 expect_error repeated_id DuplicateNodeId "$dir/repeated_id.csv" 3 1 \
     enrich "$dir/repeated_id.csv" "$dir/sets.gmt" --universe 10 --out "$dir/repeated_id"
+
+mkdir -p "$dir/input_dir"
+expect_error input_dir SchemaMismatch "$dir/input_dir" "" "" \
+    infer "$dir/input_dir" --out "$dir/input_dir_out"
 
 expect 2 huge_n simulate --grid 0:0 --n 1000000000000000000000 --reps 5 --out "$dir/sim_huge_n"
 

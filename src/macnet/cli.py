@@ -20,7 +20,7 @@ from . import enrichment as enrichment_mod
 from . import io as io_mod
 from . import network as network_mod
 from . import simulation as simulation_mod
-from .errors import MacnetError, SchemaMismatch, UsageError
+from .errors import MacnetError, UsageError
 from .inference import PVALUE_MODES
 
 
@@ -95,9 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_infer(args) -> int:
-    for path in args.inputs:
-        if not Path(path).exists():
-            raise SchemaMismatch(f"input file not found: {path}", path=str(path))
     dataset = io_mod.ingest(args.inputs)
     if args.attributes:
         dataset = dataset.select([a.strip() for a in args.attributes.split(",") if a.strip()])
@@ -121,11 +118,7 @@ def _distribution_stems(paths) -> dict:
 
 
 def _cmd_netstat(args) -> int:
-    networks = []
-    for path in args.edges:
-        if not Path(path).exists():
-            raise SchemaMismatch(f"edge file not found: {path}", path=str(path))
-        networks.append((Path(path), io_mod.read_network(path)))
+    networks = [(Path(path), io_mod.read_network(path)) for path in args.edges]
     out = Path(args.out)
     stems = _distribution_stems([path for path, _ in networks])
     summaries = {}
@@ -149,8 +142,6 @@ def _cmd_netstat(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if not Path(args.edges).exists():
-        raise SchemaMismatch(f"edge file not found: {args.edges}", path=str(args.edges))
     net = io_mod.read_network(args.edges)
     edge_classes, node_classes = classify_mod.classify_network(net, args.threshold)
     out = Path(args.out)
@@ -164,9 +155,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enrich(args) -> int:
-    for path in (args.classes, args.sets):
-        if not Path(path).exists():
-            raise SchemaMismatch(f"input file not found: {path}", path=str(path))
     classes = io_mod.read_node_classes(args.classes)
     gsc = enrichment_mod.load_gmt(args.sets, args.universe)
     exclude = [t.strip() for t in args.exclude.split(",")] if args.exclude else None

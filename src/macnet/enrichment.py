@@ -8,7 +8,6 @@ family.  Set collections are read from tab-separated GMT-style files.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -58,11 +57,6 @@ class GeneSetCollection:
         return self._annotated
 
 
-#: whitespace other than the tab that separates cells; a line without it past its
-#: description has no member cell to strip
-_NON_TAB_SPACE = re.compile(r"[^\S\t]")
-
-
 def parse_gmt(source) -> tuple:
     """Read ``name<TAB>description<TAB>member...`` lines into (sets, descriptions).
 
@@ -70,15 +64,17 @@ def parse_gmt(source) -> tuple:
     surrounding whitespace stripped; blank member cells are dropped.
     """
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
         origin = str(source)
+        try:
+            lines = Path(source).read_text(encoding="utf-8").splitlines()
+        except OSError as exc:
+            raise SchemaMismatch(f"{origin}: cannot read: {exc.strerror}", path=origin) from None
     else:
         lines = list(source)
         origin = "<stream>"
     sets = {}
     descriptions = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -93,8 +89,7 @@ def parse_gmt(source) -> tuple:
             raise SchemaMismatch(f"{origin}:{lineno}: set name is blank", path=origin, line=lineno)
         if name in sets:
             raise SchemaMismatch(f"{origin}:{lineno}: duplicate set {name!r}", path=origin, line=lineno)
-        padded = _NON_TAB_SPACE.search(line, len(fields[0]) + len(fields[1]) + 2)
-        members = frozenset(map(str.strip, fields[2:]) if padded else fields[2:])
+        members = frozenset(map(str.strip, fields[2:]))
         if "" in members:
             members -= {""}
         if not members:

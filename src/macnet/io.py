@@ -15,7 +15,6 @@ import json
 import os
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -99,9 +98,15 @@ def _read_rows(path, check_header, keyed: bool = False, min_cells: int | None = 
     rows skipped.  ``check_header(header)`` raises unless the header is the file's.  A
     row whose cell count is not the header's (with ``min_cells``: is below it) is
     rejected with its line.  With ``keyed`` its first cell is a node id, stripped; a
-    blank id, or one given before, is rejected at column 1.  Rows are checked in file
-    order, each row's cell count before its node id, so the first faulty row is reported."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    blank id, one holding a carriage return (which ``csv.writer`` would write unquoted),
+    or one given before, is rejected at column 1.  Rows are checked in file order, each
+    row's cell count before its node id, so the first faulty row is reported.  A path
+    that cannot be opened, a directory say, is rejected with its path."""
+    try:
+        handle = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise SchemaMismatch(f"{path}: cannot read: {exc.strerror}", path=str(path)) from None
+    with handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -120,6 +125,9 @@ def _read_rows(path, check_header, keyed: bool = False, min_cells: int | None = 
                 if not row[0]:
                     raise SchemaMismatch(f"{path}:{lineno}: empty node id", path=str(path),
                                          line=lineno, column=1)
+                if "\r" in row[0]:
+                    raise SchemaMismatch(f"{path}:{lineno}: node id {row[0]!r} holds a carriage "
+                                         "return", path=str(path), line=lineno, column=1)
                 if row[0] in seen:
                     raise DuplicateNodeId(f"{path}:{lineno}: duplicate node id {row[0]!r}",
                                           path=str(path), line=lineno, column=1)
@@ -131,9 +139,10 @@ def _read_rows(path, check_header, keyed: bool = False, min_cells: int | None = 
 
 #: what a parsed cell's value must be: a test of one value or of an array of them, and
 #: the fault that names a cell failing it
-_ANY_VALUE = (lambda value: True, "")
 _FINITE = (np.isfinite, "is not finite")
 _NOT_NAN = (lambda value: ~np.isnan(value), "is NaN")
+_NON_NEGATIVE = (lambda value: value >= 0.0, "is not in [0, inf]")
+_EMPTY = (lambda value: value == "", "is not empty")
 _CORRELATION = (lambda value: np.abs(value) <= 1.0, "is not in [-1, 1]")
 _PROBABILITY = (lambda value: (value >= 0.0) & (value <= 1.0), "is not in [0, 1]")
 
@@ -269,23 +278,10 @@ def write_meta_json(net: InferredNetwork, path):
     atomic_write_text(path, [json.dumps(network_meta(net), indent=2, sort_keys=True) + "\n"])
 
 
-def _optional_column(columns, m: int, dtype):
-    """Cells of c columns of m rows parsed as an (m, c) float array, and whether each row
-    gives its cells; a row whose cells are all empty reads as NaN."""
-    if all("" not in c for c in columns):
-        values = np.array(columns, dtype=dtype).reshape(len(columns), m).T.astype(float)
-        return values, np.ones(m, dtype=bool)
-    cells = np.array(columns, dtype=str).reshape(len(columns), m).T
-    given = (cells != "").any(axis=1)
-    values = np.full(cells.shape, np.nan)
-    values[given] = cells[given].astype(dtype)
-    return values, given
-
-
-def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
-    """The edge table of an edge CSV's rows of ``width`` cells, endpoints looked up in
-    ``index``.  Numeric columns are parsed and checked whole; the first cell, in file
-    order, that is not a number or breaks its column's rule is rejected."""
+def _edge_table(rows, width: int, index: dict, path, lines, method: str) -> EdgeTable:
+    """The edge table of an edge CSV's rows of ``width`` cells, all of ``method``, endpoints
+    looked up in ``index``.  Columns are parsed and checked whole; the first cell, in file
+    order, that does not parse as its type or breaks its column's rule is rejected."""
     columns = list(zip(*rows)) or [()] * width
     ends = np.array([[index.get(v, -1) for v in columns[x]] for x in (0, 1)],
                     dtype=np.intp).T.reshape(-1, 2)
@@ -299,31 +295,36 @@ def _edge_table(rows, width: int, index: dict, path, lines) -> EdgeTable:
             problem = f"endpoint {rows[x][column - 1]!r} is not among the node ids of {META_FILENAME}"
         raise SchemaMismatch(f"{path}:{lines[x]}: {problem}", path=str(path), line=lines[x],
                              column=column)
-    fields, m = len(EDGE_FIELDS), len(rows)
-    # the rule of each cell from column 4 on, as infer writes them: similarity, statistic
-    # (inf for a singular cca pair), df, p and q, then the contributions
-    rules = (_CORRELATION, _NOT_NAN, _ANY_VALUE, _PROBABILITY, _PROBABILITY) + (
-        _NOT_NAN,) * (width - fields)
+    m, k = len(rows), width - len(EDGE_FIELDS)
+    # the type and rule of each cell from column 4 on, as infer writes them: similarity,
+    # statistic (inf for a singular cca pair), df, p, q and k contributions; a cca row
+    # gives df = k^2 and every contribution, any other method's leaves them empty
+    if method == "cca":
+        df_cell = (np.int64, (lambda value: value == k * k, f"is not {k * k}"))
+        cells = [(float, _CORRELATION), (float, _NON_NEGATIVE), df_cell, (float, _PROBABILITY),
+                 (float, _PROBABILITY)] + [(float, _NOT_NAN)] * k
+    else:
+        cells = [(float, _CORRELATION), (float, _NOT_NAN), (str, _EMPTY), (float, _PROBABILITY),
+                 (float, _PROBABILITY)] + [(str, _EMPTY)] * k
+    cells = [(col, *cell) for col, cell in enumerate(cells, 3)]
     try:
-        similarity, statistic, p, q = (np.array(columns[col], dtype=float) for col in (3, 4, 6, 7))
-        df = _optional_column(columns[5:6], m, np.int64)[0][:, 0]
-        contrib, given = _optional_column(columns[fields:width], m, float)
-        parsed = (similarity, statistic, df, p, q, *contrib[given].T)
-    except (ValueError, OverflowError):
+        parsed = [np.array(columns[col], dtype=convert) for col, convert, _ in cells]
+    except (ValueError, OverflowError):  # np.int64 overflows past int64
         parsed = None
-    if parsed is None or not all(np.all(test(values)) for values, (test, _) in zip(parsed, rules)):
-        # a df cell may be empty, and so may all of a row's contribution cells
-        _first_bad_cell(path, rows, lines, lambda row: [
-            (col, np.int64 if col == 5 else float, rules[col - 3]) for col in range(3, width)
-            if (row[col] if col == 5 else col < fields or any(row[fields:]))])
-    return EdgeTable(ends=ends, similarity=similarity, statistic=statistic, df=df, p=p, q=q,
-                     contrib=contrib)
+    if parsed is None or not all(np.all(test(values)) for values, (*_, (test, _)) in zip(parsed, cells)):
+        _first_bad_cell(path, rows, lines, lambda row: cells)
+    similarity, statistic, df, p, q, *contrib = parsed
+    if method != "cca":  # the empty df and contribution cells read as NaN
+        df, contrib = np.full(m, np.nan), np.full((k, m), np.nan)
+    return EdgeTable(ends=ends, similarity=similarity, statistic=statistic, df=df.astype(float),
+                     p=p, q=q, contrib=np.array(contrib, dtype=float).reshape(k, m).T)
 
 
-def _read_meta(path) -> dict:
-    """The ``InferredNetwork`` fields that a meta.json written by ``infer`` holds; a file
-    that is not JSON, lacks or mistypes a field (node ids and attribute names must be
-    lists of strings), or repeats a node id, is rejected with its path."""
+def _read_meta(path) -> dict | None:
+    """The ``InferredNetwork`` fields that a meta.json written by ``infer`` holds, or None
+    where there is no file at ``path``.  A file that cannot be read or is not JSON, lacks
+    or mistypes a field (node ids and attribute names must be lists of strings), or
+    repeats a node id, is rejected with its path."""
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
         homogeneity = meta.get("homogeneity", {})
@@ -348,7 +349,9 @@ def _read_meta(path) -> dict:
             "homogeneity_singular_pairs": int(homogeneity.get("singular_pairs", 0)),
             "pvalue_mode": meta.get("pvalue_mode", "formula"),
         }
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
+    except (FileNotFoundError, NotADirectoryError):  # no meta.json: the edges alone are read
+        return None
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
         raise SchemaMismatch(f"{path}: not network metadata ({type(exc).__name__}: {exc})",
                              path=str(path)) from None
 
@@ -361,11 +364,11 @@ def read_network(edges_path) -> InferredNetwork:
     are named attr_1, attr_2, ... after the contribution columns.  A header whose
     contribution columns do not match the meta.json's attribute count is rejected with
     line 1; an edge whose endpoint is missing from the node ids, a self-loop, and an
-    edge whose method is not the network's are rejected with their line.
+    edge whose method is not the network's are rejected with their line.  A cca edge
+    gives df = k^2 and every contribution; any other method's leaves both empty.
     """
     edges_path = Path(edges_path)
-    meta_path = edges_path.parent / META_FILENAME
-    meta = _read_meta(meta_path) if meta_path.exists() else None
+    meta = _read_meta(edges_path.parent / META_FILENAME)
 
     def check_header(header):
         if header[: len(EDGE_FIELDS)] != list(EDGE_FIELDS):
@@ -380,6 +383,8 @@ def read_network(edges_path) -> InferredNetwork:
     header, rows, lines = _read_rows(edges_path, check_header)
     if meta is None:
         meta = {"node_ids": tuple(dict.fromkeys(v for row in rows for v in row[:2])),
+                "attribute_names": tuple(f"attr_{i + 1}"
+                                         for i in range(len(header) - len(EDGE_FIELDS))),
                 "method": rows[0][2] if rows else "unknown", "gamma": float("nan"),
                 "n_samples": 0, "tested_pairs": len(rows)}
     for row, lineno in zip(rows, lines):
@@ -388,13 +393,7 @@ def read_network(edges_path) -> InferredNetwork:
                                  f"network's {meta['method']!r}", path=str(edges_path),
                                  line=lineno, column=3)
     table = _edge_table(rows, len(header), {v: x for x, v in enumerate(meta["node_ids"])},
-                        edges_path, lines)
-    no_contrib = np.isnan(table.contrib).all()
-    count = 1 if no_contrib else table.contrib.shape[1]
-    meta.setdefault("attribute_names", tuple(f"attr_{i + 1}" for i in range(count)))
-    if no_contrib:
-        # one empty contribution cell per attribute, as infer writes them
-        table = replace(table, contrib=np.full((len(table), len(meta["attribute_names"])), np.nan))
+                        edges_path, lines, meta["method"])
     return InferredNetwork(table=table, **meta)
 
 

@@ -232,6 +232,18 @@ class TestCliInfer:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "SchemaMismatch"
 
+    def test_node_id_holding_a_carriage_return_is_data_error(self, tmp_path, capsys):
+        # csv.writer does not quote a bare carriage return, so edges.csv could not be read
+        path = tmp_path / "protein.csv"
+        path.write_text('node_id,s1,s2,s3\nv0,1,2,3\n"a\rb",4,5,7\nv2,1,0,2\n', newline="")
+        assert main(["infer", str(path), "--out", str(tmp_path / "run")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["path"], err["line"], err["column"]) == (
+            "SchemaMismatch", str(path), 3, 1)
+        assert not (tmp_path / "run").exists()
+
     def test_usage_error(self, capsys):
         code = main(["infer"])
         assert code == 1
@@ -465,8 +477,11 @@ class TestMalformedEdgeAndClassFiles:
         ("netstat", "a,b,cca,0.9,30.1,4,1.5,0.002,0.5,0.5", 7),
         ("classify", "a,b,cca,0.9,30.1,4,0.001,-5,0.5,0.5", 8),
         ("classify", "a,b,cca,0.9,30.1,4,0.001,7,0.5,0.5", 8),
-        ("classify", "a,b,cca,0.9,30.1,4,0.001,0.002,nan,0.5", 9)],
-        ids=["similarity_nan", "similarity_1.7", "p_1.5", "q_-5", "q_7", "contrib_nan"])
+        ("classify", "a,b,cca,0.9,30.1,4,0.001,0.002,nan,0.5", 9),
+        ("netstat", "a,b,max,0.9,30.1,,0.001,0.002,0.5,0.5", 9),
+        ("classify", "a,b,max,0.9,30.1,,0.001,0.002,0.5,0.5", 9)],
+        ids=["similarity_nan", "similarity_1.7", "p_1.5", "q_-5", "q_7", "contrib_nan",
+             "netstat_max_contrib", "classify_max_contrib"])
     def test_edge_cell_infer_never_writes(self, tmp_path, capsys, command, row, column):
         # netstat wrote a NaN avg_correlation (not JSON), and classify labelled the NaN
         # contribution's edge mixed
@@ -583,6 +598,25 @@ class TestMalformedEdgeAndClassFiles:
             "SchemaMismatch", str(tmp_path / "sets.gmt"), 2)
         assert "blank" in err["message"]
         assert not (tmp_path / "out" / "enrichment.csv").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "netstat", "classify", "enrich_classes",
+                                         "enrich_sets"])
+    def test_input_that_is_a_directory(self, tmp_path, capsys, command):
+        # open() raised IsADirectoryError, which left the CLI with a traceback and exit 1
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        (tmp_path / "node_classes.csv").write_text("node_id,label\nv0,protein\n")
+        argv = {"infer": ["infer", str(folder)], "netstat": ["netstat", str(folder)],
+                "classify": ["classify", str(folder)],
+                "enrich_classes": ["enrich", str(folder), str(folder), "--universe", "5"],
+                "enrich_sets": ["enrich", str(tmp_path / "node_classes.csv"), str(folder),
+                                "--universe", "5"]}[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["path"]) == ("SchemaMismatch", str(folder))
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodeMapping:

@@ -24,7 +24,8 @@ from macnet.network import (
 def toy_network(node_ids, pairs, similarities=None, *, method="pearson",
                 attribute_names=("attr",), contrib=None):
     """A hand-built network over ``node_ids`` with one edge per (id, id) pair:
-    statistic 1, p = q = 0.01, no df, and the (m, k) ``contrib`` rows or NaN."""
+    statistic 1, p = q = 0.01, df = k^2 for cca and none otherwise, and the (m, k)
+    ``contrib`` rows or NaN."""
     index = {v: x for x, v in enumerate(node_ids)}
     ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
     m, k = len(ends), len(attribute_names)
@@ -33,7 +34,7 @@ def toy_network(node_ids, pairs, similarities=None, *, method="pearson",
         ends=ends,
         similarity=np.full(m, 0.5) if similarities is None else np.array(similarities, dtype=float),
         statistic=np.ones(m),
-        df=np.full(m, np.nan),
+        df=np.full(m, k * k if method == "cca" else np.nan),
         p=np.full(m, 0.01),
         q=np.full(m, 0.01),
         contrib=np.array(contrib, dtype=float).reshape(m, k),
