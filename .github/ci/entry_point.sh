@@ -12,6 +12,9 @@
 #   a max edge CSV that carries contributions (netstat) and a node class CSV that
 #   repeats a node id once stripped (enrich);
 # - an infer input that is a directory: exit 2 with one line of JSON naming the path;
+# - classify's method rule: a max edge CSV exits 2 with one line of JSON naming
+#   MissingContribution, and a header-only pearson edge CSV with its meta.json exits 0
+#   with every node unclassified;
 # - the collinear fixture (collinear_fixture.sh).
 #
 # Each expected failure's status is tested explicitly, since CI runs steps under
@@ -103,6 +106,25 @@ expect_error repeated_id DuplicateNodeId "$dir/repeated_id.csv" 3 1 \
 mkdir -p "$dir/input_dir"
 expect_error input_dir SchemaMismatch "$dir/input_dir" "" "" \
     infer "$dir/input_dir" --out "$dir/input_dir_out"
+
+mkdir -p "$dir/max_edges"
+printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1,contrib_2\na,b,max,0.9,30,,0.001,0.01,,\n' \
+    > "$dir/max_edges/edges.csv"
+expect_error max_edges MissingContribution "" "" "" \
+    classify "$dir/max_edges/edges.csv" --out "$dir/max_edges/out"
+mkdir -p "$dir/no_edges"
+printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\n' > "$dir/no_edges/edges.csv"
+printf '{"method": "pearson", "gamma": 0.05, "n_samples": 10, "node_ids": ["a", "b", "c"], "attribute_names": ["x"]}\n' \
+    > "$dir/no_edges/meta.json"
+macnet classify "$dir/no_edges/edges.csv" --out "$dir/no_edges/out"
+python - "$dir/no_edges/out/node_classes.csv" <<'PY'
+import csv
+import sys
+
+with open(sys.argv[1], newline="", encoding="utf-8") as handle:
+    rows = [(row["node_id"], row["label"]) for row in csv.DictReader(handle)]
+assert rows == [("a", "unclassified"), ("b", "unclassified"), ("c", "unclassified")], rows
+PY
 
 expect 2 huge_n simulate --grid 0:0 --n 1000000000000000000000 --reps 5 --out "$dir/sim_huge_n"
 

@@ -238,13 +238,16 @@ EDGE_FIELDS = ("node_i", "node_j", "method", "similarity", "statistic", "df", "p
 
 
 def write_edges_csv(net: InferredNetwork, path):
+    """One row per edge: a cca edge's df is k^2; another method's df and contributions are empty."""
     table = net.table
-    k = len(net.attribute_names)
+    k, m = len(net.attribute_names), len(table)
     header = list(EDGE_FIELDS) + [f"contrib_{i + 1}" for i in range(k)]
     names = np.array(net.node_ids, dtype=object)
+    empty = [""] * m
     _write_columns(path, header, [
-        names[table.ends[:, 0]], names[table.ends[:, 1]], [net.method] * len(table),
-        table.similarity, table.statistic, table.df, table.p, table.q, *table.contrib.T])
+        names[table.ends[:, 0]], names[table.ends[:, 1]], [net.method] * m,
+        table.similarity, table.statistic, np.full(m, k * k) if net.method == "cca" else empty,
+        table.p, table.q, *([empty] * k if table.contrib is None else table.contrib.T)])
 
 
 def network_meta(net: InferredNetwork) -> dict:
@@ -313,11 +316,10 @@ def _edge_table(rows, width: int, index: dict, path, lines, method: str) -> Edge
         parsed = None
     if parsed is None or not all(np.all(test(values)) for values, (*_, (test, _)) in zip(parsed, cells)):
         _first_bad_cell(path, rows, lines, lambda row: cells)
-    similarity, statistic, df, p, q, *contrib = parsed
-    if method != "cca":  # the empty df and contribution cells read as NaN
-        df, contrib = np.full(m, np.nan), np.full((k, m), np.nan)
-    return EdgeTable(ends=ends, similarity=similarity, statistic=statistic, df=df.astype(float),
-                     p=p, q=q, contrib=np.array(contrib, dtype=float).reshape(k, m).T)
+    similarity, statistic, _, p, q, *contrib = parsed
+    return EdgeTable(ends=ends, similarity=similarity, statistic=statistic, p=p, q=q,
+                     contrib=np.array(contrib, dtype=float).reshape(k, m).T
+                     if method == "cca" else None)
 
 
 def _read_meta(path) -> dict | None:

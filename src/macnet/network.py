@@ -109,19 +109,18 @@ class EdgeTable:
     """Declared edges as columns, one row per edge.
 
     ``ends`` (m, 2) holds each edge's endpoint indices into the network's
-    ``node_ids``; ``similarity``, ``statistic``, ``df``, ``p`` and ``q`` are
-    float64 columns and ``contrib`` is (m, k).  ``df`` is NaN where a method
-    has no degrees of freedom, and a row of NaN contributions means the edge
-    carries no contribution vector.
+    ``node_ids``; ``similarity``, ``statistic``, ``p`` and ``q`` are float64
+    columns.  Only cca edges have a df (k^2, written by ``io.write_edges_csv``)
+    and a contribution vector: ``contrib`` is (m, k) for cca and None for
+    pearson, max and min.
     """
 
     ends: np.ndarray
     similarity: np.ndarray
     statistic: np.ndarray
-    df: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    contrib: np.ndarray
+    contrib: Optional[np.ndarray]
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -300,8 +299,9 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
 
     Per-node facts are computed once; the pair triangle is then streamed in tiles
     of whole rows (``PAIR_CHUNK``).  Only running counts, the singular cca pairs and
-    the candidates (p <= gamma, each with its k-by-k correlation block) outlive a
-    tile, and Benjamini-Hochberg runs over the candidates in a family of all tested
+    the candidates (p <= gamma, each with what its edge is described from: cca's
+    k-by-k correlation block, the others' k per-attribute r) outlive a tile, and
+    Benjamini-Hochberg runs over the candidates in a family of all tested
     pairs (``inference.bh_fdr`` with m), so memory does not grow with the number of
     pairs beyond the candidates.  Similarities and cca's contributions are formed once,
     for the declared edges only.  No result depends on the tile size.
@@ -350,31 +350,28 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
                 pvalues = inference.extreme_corr_pvalue(*zs.T, rho_z, method, two_sided=True,
                                                         exact=pvalue_mode == "exact")
         keep = np.flatnonzero(pvalues <= gamma)
-        candidates.append((i[keep], j[keep], statistic[keep], pvalues[keep], sigma_ij[keep]))
+        carried = sigma_ij if method == "cca" else rhos
+        candidates.append((i[keep], j[keep], statistic[keep], pvalues[keep], carried[keep]))
 
-    ends_i, ends_j, statistic, pvalues, blocks = (
+    ends_i, ends_j, statistic, pvalues, carried = (
         np.concatenate(column) for column in zip(*candidates))
     tested = data.n_nodes * last // 2
     rejected, q = inference.bh_fdr(pvalues, gamma, tested)
-    # what drives each declared edge, formed from its correlation block for the edges only
+    # what drives each declared edge, formed for the edges only
     ends = np.stack([ends_i[rejected], ends_j[rejected]], axis=1)
     if method == "cca":
         # an edge's p <= gamma keeps rho_c > 0, so its leading weights are well defined
-        sigma_ij, (inv_i, inv_j) = blocks[rejected], facts.inv_sqrt[ends.T]
+        sigma_ij, (inv_i, inv_j) = carried[rejected], facts.inv_sqrt[ends.T]
         t = inv_i @ sigma_ij @ inv_j
         sims = np.sqrt(np.clip(similarity.squared_roots(t)[:, 0], 0.0, 1.0))
         _, _, contrib = similarity._leading_weights(t, inv_i, inv_j, sigma_ij)
     else:  # pearson's r (k = 1) or the signed extreme r, and no contribution vector
-        # the edges' diagonals are not kept past this line: where max declares every
-        # pair, holding them raised its peak RSS at N_v = 2,500 from 711 to 806 MiB
         extreme = np.min if method == "min" else np.max
-        sims = extreme(np.diagonal(blocks, axis1=1, axis2=2)[rejected], axis=-1)
-        contrib = np.full((rejected.size, k), np.nan)
+        sims, contrib = extreme(carried[rejected], axis=-1), None
     table = EdgeTable(
         ends=ends,
         similarity=sims,
         statistic=statistic[rejected],
-        df=np.full(rejected.size, k * k if method == "cca" else np.nan),
         p=pvalues[rejected],
         q=q[rejected],
         contrib=contrib,

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -145,20 +146,31 @@ def reference_network(data, method, gamma, exact=False):
     return edges, singular_pairs, fraction, singular
 
 
+def written_df_cells(net):
+    """The df cells of the network's edge file, in row order."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "edges.csv"
+        io_mod.write_edges_csv(net, path)
+        with open(path, newline="", encoding="utf-8") as handle:
+            return [row["df"] for row in csv.DictReader(handle)]
+
+
 def assert_matches_reference(net, reference):
-    """The batched network against ``reference_network``.  A singular pair's roots
-    come from its node blocks, rounded where the QR/SVD roots are not: its
-    similarity must lie within 1e-9 and its statistic within 1e-3 relative, where
-    the QR/SVD roots give a finite one."""
+    """The batched network against ``reference_network``, its df as the edge file
+    writes it.  A singular pair's roots come from its node blocks, rounded where the
+    QR/SVD roots are not: its similarity must lie within 1e-9 and its statistic
+    within 1e-3 relative, where the QR/SVD roots give a finite one."""
     edges, singular_pairs, fraction, singular = reference
     pairs, t = id_pairs(net), net.table
     assert set(pairs) == set(edges)
     assert list(net.singular_pairs) == singular_pairs
     assert net.homogeneity_reject_fraction == fraction
     assert net.homogeneity_singular_pairs == singular
-    for r, pair in enumerate(pairs):
+    if net.method != "cca":
+        assert t.contrib is None
+    for r, (pair, df_cell) in enumerate(zip(pairs, written_df_cells(net), strict=True)):
         similarity_, statistic, df, p, contrib, q = edges[pair]
-        assert (None if np.isnan(t.df[r]) else t.df[r]) == df
+        assert df_cell == ("" if df is None else str(df))
         assert t.q[r] == pytest.approx(q, rel=REL, abs=0)
         if pair in singular_pairs:
             assert t.similarity[r] == pytest.approx(similarity_, rel=0, abs=1e-9)
@@ -170,9 +182,7 @@ def assert_matches_reference(net, reference):
         assert t.similarity[r] == pytest.approx(similarity_, rel=REL, abs=0)
         assert t.statistic[r] == pytest.approx(statistic, rel=REL, abs=0)
         assert t.p[r] == pytest.approx(p, rel=REL, abs=0)
-        if contrib is None:
-            assert np.isnan(t.contrib[r]).all()
-        else:
+        if contrib is not None:
             assert t.contrib[r] == pytest.approx(contrib, rel=REL, abs=0)
 
 
@@ -219,8 +229,8 @@ def test_cca_runs_no_per_pair_solver(make, monkeypatch):
 
     monkeypatch.setattr(similarity, "canonical_corr", refuse)
     net = infer_network(make(), "cca", 0.05)
-    assert net.n_edges and net.table.contrib.shape[1] == len(net.attribute_names)
-    assert not np.isnan(net.table.contrib).all(axis=1).any()
+    assert net.n_edges and net.table.contrib.shape == (net.n_edges, len(net.attribute_names))
+    assert not np.isnan(net.table.contrib).any()
 
 
 @pytest.mark.parametrize("method", ["max", "min"])
@@ -337,16 +347,17 @@ def test_an_empty_network_keeps_its_column_shapes(method, k, mode, tmp_path):
     header-only edge file.  (max under the formula tail declares every pair.)"""
     data = planted_dataset(3, 12, k, n=40, planted=())
     table = infer_network(data, method, 0.001, pvalue_mode=mode).table
-    assert table.ends.shape == (0, 2) and table.contrib.shape == (0, k)
+    contrib_shape = (0, k) if method == "cca" else None
+    assert table.ends.shape == (0, 2) and getattr(table.contrib, "shape", None) == contrib_shape
     assert all(getattr(table, name).shape == (0,)
-               for name in ("similarity", "statistic", "df", "p", "q"))
+               for name in ("similarity", "statistic", "p", "q"))
     inputs = write_attribute_csvs(tmp_path, data)
     out = tmp_path / "run"
     assert main(["infer", *inputs, "--method", method, "--fdr", "0.001",
                  "--pvalue-mode", mode, "--out", str(out)]) == 0
     assert len((out / "edges.csv").read_text(encoding="utf-8").splitlines()) == 1
     back = io_mod.read_network(out / "edges.csv").table
-    assert back.ends.shape == (0, 2) and back.contrib.shape == (0, k)
+    assert back.ends.shape == (0, 2) and getattr(back.contrib, "shape", None) == contrib_shape
 
 
 def random_blocks(rng, m, k):
@@ -447,8 +458,8 @@ def test_results_do_not_depend_on_chunk_size(method, monkeypatch):
 def network_fields(net):
     """Every output field of a network, floats as their bytes."""
     t = net.table
-    return ([column.tobytes() for column in (t.ends, t.similarity, t.statistic, t.df, t.p, t.q,
-                                             t.contrib)],
+    return ([column.tobytes() for column in (t.ends, t.similarity, t.statistic, t.p, t.q)],
+            None if t.contrib is None else t.contrib.tobytes(),
             net.tested_pairs, net.singular_pairs, net.homogeneity_reject_fraction,
             net.homogeneity_singular_pairs)
 

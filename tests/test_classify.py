@@ -190,10 +190,22 @@ class TestClassifyNetwork:
             assert label(node_classes, i) == ("mixed" if counts[2] == best
                                               else ATTRS[0] if counts[0] == best else ATTRS[1])
 
-    def test_requires_contributions(self):
-        net = toy_network(("a", "b"), [("a", "b")], attribute_names=("x",))
-        with pytest.raises(MissingContribution):
+    @pytest.mark.parametrize("method,attrs", [("pearson", ("x",)), ("max", ATTRS),
+                                              ("min", ATTRS)])
+    def test_requires_contributions(self, method, attrs):
+        net = toy_network(("a", "b", "c"), [("b", "c"), ("a", "b")], method=method,
+                          attribute_names=attrs)
+        with pytest.raises(MissingContribution, match=r"edge \(b, c\)"):
             classify_network(net, 0.25)
+
+    def test_edgeless_network_of_any_method_leaves_every_node_unclassified(self):
+        for method, attrs in [("pearson", ("x",)), ("max", ATTRS), ("cca", ATTRS)]:
+            net = toy_network(("a", "b", "c"), [], method=method, attribute_names=attrs,
+                              contrib=np.empty((0, len(attrs))))
+            edge_classes, node_classes = classify_network(net, 0.25)
+            assert len(edge_classes) == 0 and edge_classes.contrib.shape == (0, len(attrs))
+            assert {label(node_classes, i) for i in range(3)} == {"unclassified"}
+            assert not node_classes.proportions.any()
 
 
 class TestSimplexCoords:

@@ -145,8 +145,10 @@ class TestRoundTrip:
 
     @staticmethod
     def assert_tables_equal(a, b):
-        for field in ("ends", "similarity", "statistic", "df", "p", "q", "contrib"):
-            assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
+        for field in ("ends", "similarity", "statistic", "p", "q"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert (a.contrib is None) == (b.contrib is None)
+        assert b.contrib is None or np.array_equal(a.contrib, b.contrib)
 
     @pytest.mark.parametrize("method", ["pearson", "max"])
     def test_quoted_ids_and_empty_cells_round_trip(self, tmp_path, method):
@@ -408,6 +410,16 @@ class TestCliNetstatClassifyEnrich:
             rows = list(csv.DictReader(handle))
         assert {(row["class"], row["overlap"]) for row in rows} == {("protein", "1"), ("gene", "1")}
 
+    def test_enrich_warns_of_a_class_without_annotated_members(self, tmp_path, capsys):
+        (tmp_path / "node_classes.csv").write_text("node_id,label\nv0,protein\nzz,ghost\n")
+        (tmp_path / "sets.gmt").write_text("set_one\tdesc\tv0\tv1\n")
+        assert main(["enrich", str(tmp_path / "node_classes.csv"), str(tmp_path / "sets.gmt"),
+                     "--universe", "50", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: class 'ghost' has no annotated members; skipped"]
+        with open(tmp_path / "out" / "enrichment.csv", newline="") as handle:
+            assert {row["class"] for row in csv.DictReader(handle)} == {"protein"}
+
     def test_pipeline_runs_on_cca_and_max_networks(self, tmp_path):
         protein, gene, *_ = make_dataset_files(tmp_path)
         for method in ("cca", "max"):
@@ -431,12 +443,33 @@ class TestCliNetstatClassifyEnrich:
         assert io_mod.read_network(out / "edges.csv").pvalue_mode == "montecarlo"
         assert main(["netstat", str(out / "edges.csv"), "--out", str(tmp_path / "stats")]) == 0
 
-    def test_classify_rejects_network_without_contributions(self, tmp_path):
+    @pytest.mark.parametrize("method", ["pearson", "max"])
+    def test_classify_rejects_network_without_contributions(self, tmp_path, capsys, method):
         protein, gene, *_ = make_dataset_files(tmp_path)
-        out = tmp_path / "run_pearson"
-        assert main(["infer", str(protein), "--method", "pearson", "--out", str(out)]) == 0
+        out = tmp_path / f"run_{method}"
+        inputs = [str(protein)] if method == "pearson" else [str(protein), str(gene)]
+        assert main(["infer", *inputs, "--method", method, "--out", str(out)]) == 0
+        with open(out / "edges.csv", newline="") as handle:
+            first = next(csv.DictReader(handle))
+        capsys.readouterr()
         code = main(["classify", str(out / "edges.csv"), "--out", str(tmp_path / "x")])
         assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MissingContribution"
+        assert f"edge ({first['node_i']}, {first['node_j']})" in err["message"]
+
+    def test_classify_leaves_every_node_of_an_edgeless_pearson_network_unclassified(
+            self, tmp_path):
+        protein, *_ = make_dataset_files(tmp_path, planted=())
+        out = tmp_path / "run"
+        assert main(["infer", str(protein), "--method", "pearson", "--fdr", "0.001",
+                     "--out", str(out)]) == 0
+        assert len((out / "edges.csv").read_text().splitlines()) == 1
+        assert main(["classify", str(out / "edges.csv"), "--out", str(tmp_path / "cls")]) == 0
+        with open(tmp_path / "cls" / "node_classes.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == len(io_mod.read_network(out / "edges.csv").node_ids)
+        assert {row["label"] for row in rows} == {"unclassified"}
 
 
 class TestMalformedEdgeAndClassFiles:
@@ -709,6 +742,17 @@ class TestCliSimulateRejectsBadArguments:
     def test_grid_value_not_a_number(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "x:1"], 1)
         assert err["error"] == "UsageError" and "'x:1'" in err["message"]
+
+    @pytest.mark.parametrize("grid", [",", " , ,"])
+    def test_empty_grid(self, tmp_path, capsys, grid):
+        err = self.run(tmp_path, capsys, ["--grid", grid], 1)
+        assert err == {"error": "UsageError", "message": "empty --grid"}
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_slice_with_no_points(self, tmp_path, capsys, points):
+        err = self.run(tmp_path, capsys, ["--slice", "b=0.2r", "--points", points], 1)
+        assert err == {"error": "UsageError",
+                       "message": f"--points must be positive, got {points}"}
 
     def test_scenario_not_an_integer(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, ["--grid", "0:0", "--scenarios", "a"], 1)

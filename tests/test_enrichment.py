@@ -190,6 +190,18 @@ class TestEnrich:
         with pytest.raises(EmptyInput):
             GeneSetCollection(universe_size=10, sets={})
 
+    @pytest.mark.parametrize("universe", [0, -3])
+    def test_universe_below_one_rejected(self, universe):
+        with pytest.raises(InvalidCounts, match=f"universe size must be positive, got {universe}"):
+            GeneSetCollection(universe_size=universe, sets={"s": ["g1"]})
+
+    def test_non_string_members_converted_with_str(self):
+        gsc = GeneSetCollection(universe_size=10, sets={7: [1, "g2", 1.5], "t": ["g2"]})
+        assert gsc.sets == {"7": frozenset({"1", "g2", "1.5"}), "t": frozenset({"g2"})}
+        assert gsc.annotated() == frozenset({"1", "g2", "1.5"})
+        report = enrich({"1": "a", "g2": "a"}, gsc, gamma=0.05)
+        assert report.set_names == ("7", "t") and report.overlap.tolist() == [[2, 1]]
+
 
 class TestUpperTails:
     """The batched tail routine every enrichment p-value comes from."""

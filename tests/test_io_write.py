@@ -102,3 +102,17 @@ def test_written_file_takes_the_umask_mode(tmp_path, umask, mode):
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == mode
     assert stat.S_IMODE(reference.stat().st_mode) == mode
+
+
+def test_a_block_that_raises_mid_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def blocks():
+        yield "new,"
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        io_mod.atomic_write_text(path, blocks())
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +9,7 @@ from scipy.stats import spearmanr
 from _oracles import adjacency_sets, brute_force_betweenness, edge_pairs, sample_mvn
 from macnet import simulation
 from macnet.errors import LengthMismatch, NodeSetMismatch, NonFiniteInput, UsageError, ZeroVariance
+from macnet.io import read_network, write_edges_csv, write_meta_json
 from macnet.network import (
     AttributeDataset,
     EdgeTable,
@@ -24,20 +27,18 @@ from macnet.network import (
 def toy_network(node_ids, pairs, similarities=None, *, method="pearson",
                 attribute_names=("attr",), contrib=None):
     """A hand-built network over ``node_ids`` with one edge per (id, id) pair:
-    statistic 1, p = q = 0.01, df = k^2 for cca and none otherwise, and the (m, k)
-    ``contrib`` rows or NaN."""
+    statistic 1, p = q = 0.01, and for cca the (m, k) ``contrib`` rows (no
+    contributions for any other method)."""
     index = {v: x for x, v in enumerate(node_ids)}
     ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
     m, k = len(ends), len(attribute_names)
-    contrib = np.full((m, k), np.nan) if contrib is None else contrib
     table = EdgeTable(
         ends=ends,
         similarity=np.full(m, 0.5) if similarities is None else np.array(similarities, dtype=float),
         statistic=np.ones(m),
-        df=np.full(m, k * k if method == "cca" else np.nan),
         p=np.full(m, 0.01),
         q=np.full(m, 0.01),
-        contrib=np.array(contrib, dtype=float).reshape(m, k),
+        contrib=np.array(contrib, dtype=float).reshape(m, k) if method == "cca" else None,
     )
     return InferredNetwork(tuple(node_ids), tuple(attribute_names), method, 0.05, 10, table,
                            tested_pairs=len(node_ids) * (len(node_ids) - 1) // 2)
@@ -115,20 +116,37 @@ class TestInferNetwork:
         rho, _ = spearmanr(p_by_pair(z_net), p_by_pair(chi_net))
         assert rho == pytest.approx(1.0, abs=1e-12)
 
-    def test_cca_edges_carry_contributions(self):
+    def test_cca_edges_carry_contributions(self, tmp_path):
         data = planted_two_attribute_dataset(3)
         net = infer_network(data, "cca", 0.05)
         assert net.n_edges >= 1
-        assert (net.table.df == 4).all()
+        assert net.table.contrib.shape == (net.n_edges, 2)
         assert not np.isnan(net.table.contrib).any()
         assert net.table.contrib.sum(axis=1) == pytest.approx(np.ones(net.n_edges), abs=1e-9)
         assert net.homogeneity_reject_fraction is not None
+        write_edges_csv(net, tmp_path / "edges.csv")
+        with open(tmp_path / "edges.csv", newline="") as handle:
+            assert [row["df"] for row in csv.DictReader(handle)] == ["4"] * net.n_edges
 
     def test_max_min_methods_run(self):
         data = planted_two_attribute_dataset(9)
         for method in ("max", "min"):
             net = infer_network(data, method, 0.05)
             assert frozenset(("v0", "v1")) in edge_pairs(net)
+
+    @pytest.mark.parametrize("method", ["pearson", "max", "min"])
+    def test_only_cca_edges_carry_contributions(self, method, tmp_path):
+        data = planted_two_attribute_dataset(9)
+        if method == "pearson":
+            data = data.select(["x"])
+        net = infer_network(data, method, 0.05)
+        assert net.n_edges >= 1 and net.table.contrib is None
+        write_edges_csv(net, tmp_path / "edges.csv")
+        write_meta_json(net, tmp_path / "meta.json")
+        assert read_network(tmp_path / "edges.csv").table.contrib is None
+
+    def test_edge_table_has_no_df_column(self):
+        assert "df" not in {field.name for field in dataclasses.fields(EdgeTable)}
 
     def test_exact_pvalue_mode(self):
         data = planted_two_attribute_dataset(9)
@@ -321,6 +339,10 @@ class TestJaccard:
     def test_disjoint(self):
         ids = ["a", "b", "c", "d"]
         assert jaccard(toy_network(ids, [("a", "b")]), toy_network(ids, [("c", "d")])) == (0.0, 0)
+
+    def test_two_edgeless_networks_are_identical(self):
+        ids = ["a", "b", "c"]
+        assert jaccard(toy_network(ids, []), toy_network(ids[::-1], [])) == (1.0, 0)
 
     def test_node_set_mismatch(self):
         with pytest.raises(NodeSetMismatch):
