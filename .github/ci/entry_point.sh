@@ -11,10 +11,13 @@
 #   (infer), edge CSVs with a non-numeric p, a NaN p and a df past int64 (classify),
 #   a max edge CSV that carries contributions (netstat) and a node class CSV that
 #   repeats a node id once stripped (enrich);
+# - an edge CSV that gives a node pair again, reversed: netstat exits 2 with one line of
+#   JSON naming the later line;
 # - an infer input that is a directory: exit 2 with one line of JSON naming the path;
 # - classify's method rule: a max edge CSV exits 2 with one line of JSON naming
 #   MissingContribution, and a header-only pearson edge CSV with its meta.json exits 0
 #   with every node unclassified;
+# - the homogeneity check is cca's: infer --method max writes "reject_fraction": null;
 # - the collinear fixture (collinear_fixture.sh).
 #
 # Each expected failure's status is tested explicitly, since CI runs steps under
@@ -98,6 +101,11 @@ printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1,contrib_2\na,
     > "$dir/max_contrib/edges.csv"
 expect_error max_contrib NonNumericCell "$dir/max_contrib/edges.csv" 2 9 \
     netstat "$dir/max_contrib/edges.csv" --out "$dir/max_contrib/out"
+mkdir -p "$dir/repeated_pair"
+printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\na,b,max,0.9,30,,0.001,0.01,\nb,a,max,0.9,30,,0.001,0.01,\nb,c,max,0.9,30,,0.001,0.01,\n' \
+    > "$dir/repeated_pair/edges.csv"
+expect_error repeated_pair SchemaMismatch "$dir/repeated_pair/edges.csv" 3 "" \
+    netstat "$dir/repeated_pair/edges.csv" --out "$dir/repeated_pair/out"
 printf 'node_id,label\nv1,protein\n v1 ,gene\n' > "$dir/repeated_id.csv"
 printf 'set_one\tdesc\tv1\n' > "$dir/sets.gmt"
 expect_error repeated_id DuplicateNodeId "$dir/repeated_id.csv" 3 1 \
@@ -125,6 +133,24 @@ with open(sys.argv[1], newline="", encoding="utf-8") as handle:
     rows = [(row["node_id"], row["label"]) for row in csv.DictReader(handle)]
 assert rows == [("a", "unclassified"), ("b", "unclassified"), ("c", "unclassified")], rows
 PY
+
+mkdir -p "$dir/max_meta"
+python - "$dir/max_meta" <<'PY'
+import os
+import sys
+
+import numpy as np
+
+x = np.random.default_rng(3).standard_normal((2, 5, 12))
+for name, block in zip(("a", "b"), x):
+    rows = ["node_id," + ",".join(f"s{t}" for t in range(12))]
+    rows += [f"v{v}," + ",".join(map(str, row.tolist())) for v, row in enumerate(block)]
+    with open(os.path.join(sys.argv[1], name + ".csv"), "w") as f:
+        f.write("\n".join(rows) + "\n")
+PY
+macnet infer "$dir/max_meta/a.csv" "$dir/max_meta/b.csv" --method max --out "$dir/max_meta/out"
+grep -q '"reject_fraction": null' "$dir/max_meta/out/meta.json" \
+    || { echo "infer --method max wrote a homogeneity verdict" >&2; exit 1; }
 
 expect 2 huge_n simulate --grid 0:0 --n 1000000000000000000000 --reps 5 --out "$dir/sim_huge_n"
 

@@ -188,12 +188,12 @@ def _upper_quadrant(c, a):
     with x = 1/t it is exp(-c^2 (1 + a^2)/2) (1/pi) int_0^(1/a) exp(-(c^2/2)(1/t^2 - a^2))
     / (1 + t^2) dt, whose integrand lies in (0, 1], taken by the 48-point Gauss-Legendre
     rule.  The rule is weak where 1/a is large and c small, which the caller's switch
-    leaves to Owen's T."""
+    leaves to Owen's T.  Each row is summed in one order, whatever the number of rows."""
     nodes, weights = _legendre_rule()
     c2, a2, end = np.square(c), np.square(a), 1.0 / a
     t2 = np.square(0.5 * end[:, None] * (nodes + 1.0))
     integrand = np.exp(-0.5 * c2[:, None] * (1.0 / t2 - a2[:, None])) / (1.0 + t2)
-    return np.exp(-0.5 * c2 * (1.0 + a2)) * (0.5 * end / np.pi) * (integrand @ weights)
+    return np.exp(-0.5 * c2 * (1.0 + a2)) * (0.5 * end / np.pi) * np.einsum("pk,k->p", integrand, weights)
 
 
 @functools.cache

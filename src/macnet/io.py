@@ -24,7 +24,8 @@ import numpy as np
 from .classify import EdgeClasses, NodeClasses, simplex_xy
 from .enrichment import EnrichmentReport
 from .errors import DuplicateNodeId, NonNumericCell, SchemaMismatch
-from .network import AttributeDataset, EdgeTable, InferredNetwork, NetworkSummary
+from .inference import HOMOGENEITY_DF_FORMULA
+from .network import HOMOGENEITY_ALPHA, AttributeDataset, EdgeTable, InferredNetwork, NetworkSummary
 from .simulation import PowerResult
 
 META_FILENAME = "meta.json"
@@ -251,9 +252,6 @@ def write_edges_csv(net: InferredNetwork, path):
 
 
 def network_meta(net: InferredNetwork) -> dict:
-    from .inference import HOMOGENEITY_DF_FORMULA
-    from .network import HOMOGENEITY_ALPHA
-
     return {
         "method": net.method,
         "gamma": net.gamma,
@@ -270,7 +268,7 @@ def network_meta(net: InferredNetwork) -> dict:
         "singular_pairs": [list(pair) for pair in net.singular_pairs],
         "homogeneity": {
             "reject_fraction": net.homogeneity_reject_fraction,
-            "singular_pairs": net.homogeneity_singular_pairs,
+            "singular_pairs": len(net.singular_pairs),
             "alpha": HOMOGENEITY_ALPHA,
             "df_formula": HOMOGENEITY_DF_FORMULA,
         },
@@ -288,14 +286,20 @@ def _edge_table(rows, width: int, index: dict, path, lines, method: str) -> Edge
     columns = list(zip(*rows)) or [()] * width
     ends = np.array([[index.get(v, -1) for v in columns[x]] for x in (0, 1)],
                     dtype=np.intp).T.reshape(-1, 2)
-    bad = (ends < 0).any(axis=1) | (ends[:, 0] == ends[:, 1])
+    # the row that first gave each row's unordered pair (negative keys: a missing endpoint)
+    _, first, pair = np.unique(ends.min(axis=1) * len(index) + ends.max(axis=1),
+                               return_index=True, return_inverse=True)
+    bad = (ends < 0).any(axis=1) | (ends[:, 0] == ends[:, 1]) | (first[pair] < np.arange(len(ends)))
     if bad.any():
         x = int(np.argmax(bad))
-        if (ends[x] >= 0).all():
-            problem, column = f"self-loop on {rows[x][0]!r}", 2
-        else:
+        if (ends[x] < 0).any():
             column = 1 if ends[x, 0] < 0 else 2
             problem = f"endpoint {rows[x][column - 1]!r} is not among the node ids of {META_FILENAME}"
+        elif ends[x, 0] == ends[x, 1]:
+            problem, column = f"self-loop on {rows[x][0]!r}", 2
+        else:
+            problem, column = (f"edge {rows[x][0]!r}-{rows[x][1]!r} repeats the node pair of "
+                               f"line {lines[first[pair[x]]]}"), None
         raise SchemaMismatch(f"{path}:{lines[x]}: {problem}", path=str(path), line=lines[x],
                              column=column)
     m, k = len(rows), width - len(EDGE_FIELDS)
@@ -329,7 +333,6 @@ def _read_meta(path) -> dict | None:
     repeats a node id, is rejected with its path."""
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
-        homogeneity = meta.get("homogeneity", {})
         for field in ("node_ids", "attribute_names"):
             if not isinstance(meta[field], list):
                 raise TypeError(f"{field} is not a list")
@@ -347,8 +350,7 @@ def _read_meta(path) -> dict | None:
             "n_samples": int(meta["n_samples"]),
             "tested_pairs": int(meta.get("tested_pairs", 0)),
             "singular_pairs": tuple(tuple(pair) for pair in meta.get("singular_pairs", [])),
-            "homogeneity_reject_fraction": homogeneity.get("reject_fraction"),
-            "homogeneity_singular_pairs": int(homogeneity.get("singular_pairs", 0)),
+            "homogeneity_reject_fraction": meta.get("homogeneity", {}).get("reject_fraction"),
             "pvalue_mode": meta.get("pvalue_mode", "formula"),
         }
     except (FileNotFoundError, NotADirectoryError):  # no meta.json: the edges alone are read
@@ -365,9 +367,10 @@ def read_network(edges_path) -> InferredNetwork:
     method is the first edge's, every edge counts as a tested pair, and the attributes
     are named attr_1, attr_2, ... after the contribution columns.  A header whose
     contribution columns do not match the meta.json's attribute count is rejected with
-    line 1; an edge whose endpoint is missing from the node ids, a self-loop, and an
-    edge whose method is not the network's are rejected with their line.  A cca edge
-    gives df = k^2 and every contribution; any other method's leaves both empty.
+    line 1; an edge whose endpoint is missing from the node ids, a self-loop, an edge
+    whose node pair an earlier edge gave (in either order), and an edge whose method is
+    not the network's are rejected with their line.  A cca edge gives df = k^2 and every
+    contribution; any other method's leaves both empty.
     """
     edges_path = Path(edges_path)
     meta = _read_meta(edges_path.parent / META_FILENAME)

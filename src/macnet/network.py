@@ -31,7 +31,7 @@ from .errors import (
 
 METHODS = ("pearson", "max", "min", "cca")
 
-#: per-pair homogeneity check is reported against this level
+#: cca's per-pair homogeneity check is reported against this level
 HOMOGENEITY_ALPHA = 0.05
 
 #: node pairs per row tile, at most: a tile takes PAIR_CHUNK // (N_v - 1) rows of the
@@ -139,7 +139,6 @@ class InferredNetwork:
     tested_pairs: int = 0
     singular_pairs: tuple = ()
     homogeneity_reject_fraction: Optional[float] = None
-    homogeneity_singular_pairs: int = 0
     pvalue_mode: str = "formula"
 
     @property
@@ -157,9 +156,7 @@ class InferredNetwork:
 
         ends = self.table.ends
         rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
-        adj = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n_nodes,) * 2)
-        adj.data[:] = 1.0  # a pair listed twice is still one edge
-        return adj
+        return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.n_nodes,) * 2)
 
     @cached_property
     def component_labels(self) -> np.ndarray:
@@ -220,7 +217,7 @@ def _check_preconditions(data: AttributeDataset, method: str, pvalue_mode: str):
 
 class _NodeFacts:
     """Per-node data, computed once: centred rows (k-by-n), Gram and correlation
-    blocks, the homogeneity test's covariance block facts, and for cca each
+    blocks, and for cca the homogeneity test's covariance block facts and each
     correlation block's inverse root.  cca raises ``DegenerateR`` naming the first
     node whose correlation block fails the PD rule."""
 
@@ -234,8 +231,8 @@ class _NodeFacts:
         self.gram = np.einsum("van,vbn->vab", self.centred, self.centred)
         self.sigma = self._correlation(self.gram, self._sq, self._sq)
         self.sigma[:, np.arange(self.k), np.arange(self.k)] = 1.0
-        self.cov = inference.covariance_block_facts(self.gram / self.n)
         if method == "cca":
+            self.cov = inference.covariance_block_facts(self.gram / self.n)
             values, vectors = np.linalg.eigh(self.sigma)
             bad = np.flatnonzero(~numkernel.pd_from_eigenvalues(values))
             if bad.size:
@@ -295,10 +292,11 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     first pair with a per-attribute |r| of 1.  cca needs each node's own
     correlation block positive-definite (``DegenerateR`` otherwise); a pair whose
     joint correlation matrix is not takes its roots from its node blocks like every
-    other pair, and is reported in ``singular_pairs``.
+    other pair, and is reported in ``singular_pairs``.  Only cca runs the homogeneity
+    check, whose log Wilks' Lambda its test reads; other methods report no verdict.
 
     Per-node facts are computed once; the pair triangle is then streamed in tiles
-    of whole rows (``PAIR_CHUNK``).  Only running counts, the singular cca pairs and
+    of whole rows (``PAIR_CHUNK``).  Only cca's homogeneity counts and singular pairs and
     the candidates (p <= gamma, each with what its edge is described from: cca's
     k-by-k correlation block, the others' k per-attribute r) outlive a tile, and
     Benjamini-Hochberg runs over the candidates in a family of all tested
@@ -313,23 +311,21 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
     _check_preconditions(data, method, pvalue_mode)
 
     facts = _NodeFacts(data, method)
-    n, k, ids = facts.n, facts.k, data.node_ids
+    n, ids = facts.n, data.node_ids
     last = data.n_nodes - 1
-    verdicts = rejects = singular = 0
+    verdicts = rejects = 0
     singular_pairs, candidates = [], []
     step = max(1, PAIR_CHUNK // last)
-    cov, _, logdet, pd, log_diagonal = facts.cov
     for start in range(0, last, step):
         i, j, gram, sigma_ij = facts.tile(np.arange(start, min(start + step, last)))
-        if n >= 2 * k + 2:  # always so for cca, whose test reads log Wilks' Lambda from it
+        if method == "cca":
+            cov, _, logdet, pd, log_diagonal = facts.cov
             # the test reads no inverse of the second block
             hom, pair_singular, log_lambda = inference.homogeneity_test_from_blocks(
                 [fact[i] for fact in facts.cov], (cov[j], None, logdet[j], pd[j], log_diagonal[j]),
                 gram / n, n)
             verdicts += hom.p.size
             rejects += int(np.sum(hom.p < HOMOGENEITY_ALPHA))
-            singular += int(np.sum(pair_singular))
-        if method == "cca":
             statistic, pvalues = _test_cca(facts, i, j, sigma_ij, log_lambda)
             singular_pairs += [(ids[a], ids[b]) for a, b in zip(i[pair_singular], j[pair_singular])]
         else:
@@ -386,7 +382,6 @@ def infer_network(data: AttributeDataset, method: str, gamma: float, *,
         tested_pairs=tested,
         singular_pairs=tuple(singular_pairs),
         homogeneity_reject_fraction=rejects / verdicts if verdicts else None,
-        homogeneity_singular_pairs=singular,
         pvalue_mode=pvalue_mode,
     )
 

@@ -95,17 +95,17 @@ def qr_svd_canonical(block_i, block_j):
 def reference_network(data, method, gamma, exact=False):
     """Per-pair loop over the public functions, one pair per call.
 
-    Returns (edges by pair, singular cca pairs, homogeneity reject fraction, singular
-    homogeneity count).  cca raises ``DegenerateR`` on a node whose own correlation
-    block fails the PD rule, and tests a pair that the homogeneity step finds
-    singular on its QR/SVD roots.
+    Returns (edges by pair, singular cca pairs, homogeneity reject fraction).  cca raises
+    ``DegenerateR`` on a node whose own correlation block fails the PD rule, and tests a
+    pair that the homogeneity step finds singular on its QR/SVD roots.  The homogeneity
+    check is cca's: the other methods get no reject fraction.
     """
     n, k = data.n_samples, data.k
     if method == "cca":
         for v, node in enumerate(data.node_ids):
             if not numkernel.pd_mask(corr_matrices(data.samples[v].T)):
                 raise DegenerateR(f"node {node!r}")
-    rows, singular_pairs, flags, singular = [], [], [], 0
+    rows, singular_pairs, flags = [], [], []
     for vi in range(data.n_nodes):
         for vj in range(vi + 1, data.n_nodes):
             block_i, block_j = data.samples[vi].T, data.samples[vj].T
@@ -123,27 +123,23 @@ def reference_network(data, method, gamma, exact=False):
                                                   exact=exact)
                 row = (similarity.aggregate_extreme(rhos, method),
                        similarity.aggregate_extreme(zs, method), None, p, None)
-            elif pair_homogeneity(block_i, block_j) is None:
+            elif (hom := pair_homogeneity(block_i, block_j)) is None:
                 singular_pairs.append(pair)
                 roots, contrib = qr_svd_canonical(block_i, block_j)
                 test = bartlett_from_roots(roots, n, k)
                 row = (roots[0], test.statistic, test.df, test.p, tuple(contrib))
             else:
+                flags.append(hom.p < network.HOMOGENEITY_ALPHA)
                 solution = similarity.canonical_corr(joint[:k, :k], joint[k:, k:], joint[:k, k:])
                 test = bartlett_from_roots(solution.roots, n, k)
                 row = (solution.rho_c, test.statistic, test.df, test.p, tuple(solution.contrib))
-            hom = pair_homogeneity(block_i, block_j)
-            if hom is None:
-                singular += 1
-            else:
-                flags.append(hom.p < network.HOMOGENEITY_ALPHA)
             rows.append((pair, row))
     rejected, q = inference.bh_fdr([row[3] for _, row in rows], gamma)
     rejected = set(rejected.tolist())
     edges = {pair: row + (float(q[idx]),)
              for idx, (pair, row) in enumerate(rows) if idx in rejected}
     fraction = float(np.mean(flags)) if flags else None
-    return edges, singular_pairs, fraction, singular
+    return edges, singular_pairs, fraction
 
 
 def written_df_cells(net):
@@ -160,12 +156,11 @@ def assert_matches_reference(net, reference):
     writes it.  A singular pair's roots come from its node blocks, rounded where the
     QR/SVD roots are not: its similarity must lie within 1e-9 and its statistic
     within 1e-3 relative, where the QR/SVD roots give a finite one."""
-    edges, singular_pairs, fraction, singular = reference
+    edges, singular_pairs, fraction = reference
     pairs, t = id_pairs(net), net.table
     assert set(pairs) == set(edges)
     assert list(net.singular_pairs) == singular_pairs
     assert net.homogeneity_reject_fraction == fraction
-    assert net.homogeneity_singular_pairs == singular
     if net.method != "cca":
         assert t.contrib is None
     for r, (pair, df_cell) in enumerate(zip(pairs, written_df_cells(net), strict=True)):
@@ -257,6 +252,36 @@ def test_exact_mode_makes_one_tail_call_per_tile(monkeypatch):
     assert calls == [(28,), (28,)]
 
 
+@pytest.mark.parametrize("method", ["pearson", "max", "min", "cca"])
+def test_homogeneity_check_runs_once_per_tile_for_cca_only(method, monkeypatch):
+    """The homogeneity check qualifies cca's weights and gives cca's test its log Wilks'
+    Lambda, so it runs once per cca tile and never for pearson, max or min, which build
+    no covariance block facts either."""
+    calls = {"tiles": 0, "homogeneity": 0, "facts": 0}
+
+    def counting(module, name, key):
+        function = getattr(module, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return function(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(network._NodeFacts, "tile", "tiles")
+    counting(inference, "homogeneity_test_from_blocks", "homogeneity")
+    counting(inference, "covariance_block_facts", "facts")
+    monkeypatch.setattr(network, "PAIR_CHUNK", 2 * 11)
+    data = planted_dataset(6, 12, 1 if method == "pearson" else 2)
+    net = infer_network(data, method, 0.05)
+    assert calls["tiles"] == 6  # two of the eleven rows a tile
+    if method == "cca":
+        assert (calls["homogeneity"], calls["facts"]) == (calls["tiles"], 1)
+        assert net.homogeneity_reject_fraction is not None
+    else:
+        assert (calls["homogeneity"], calls["facts"]) == (0, 0)
+        assert net.homogeneity_reject_fraction is None
+
+
 @pytest.mark.parametrize("method", ["max", "min", "cca"])
 def test_exactly_singular_node_matches_per_pair_reference(method):
     data = exactly_singular_node_dataset()
@@ -267,7 +292,11 @@ def test_exactly_singular_node_matches_per_pair_reference(method):
     if method == "cca":
         assert net is None  # node v2's own correlation block is singular
     else:
-        assert net.homogeneity_singular_pairs == data.n_nodes - 1
+        # v2's pairs would fail the PD rule, but the homogeneity check is cca's: max and
+        # min run none, so they report no verdict and no singular pair
+        homogeneity = io_mod.network_meta(net)["homogeneity"]
+        assert net.singular_pairs == () and net.homogeneity_reject_fraction is None
+        assert (homogeneity["reject_fraction"], homogeneity["singular_pairs"]) == (None, 0)
 
 
 @pytest.mark.parametrize("make", [singular_node_dataset, exactly_singular_node_dataset])
@@ -284,7 +313,7 @@ def test_cca_rejects_a_singular_node(make, tmp_path, capsys):
                                   lambda: planted_dataset(7, 20, 3, n=40)])
 def test_schur_screen_clears_noise_pairs(make):
     net = infer_network(make(), "cca", 0.05)
-    assert net.singular_pairs == () and net.homogeneity_singular_pairs == 0
+    assert net.singular_pairs == ()
 
 
 def test_schur_screen_passes_the_collinear_pair_on(monkeypatch):
@@ -416,7 +445,7 @@ def test_collinear_pair_is_singular_not_fatal():
     net = infer_network(collinear_dataset(), "cca", 0.05)
     assert net.singular_pairs == (("v0", "v1"),)
     assert net.tested_pairs == 8 * 7 // 2
-    assert net.homogeneity_singular_pairs == 1
+    assert io_mod.network_meta(net)["homogeneity"]["singular_pairs"] == 1
     edge = id_pairs(net).index(("v0", "v1"))
     assert net.table.similarity[edge] == pytest.approx(1.0, rel=0, abs=1e-9)
     assert net.table.p[edge] == 0.0
@@ -460,25 +489,34 @@ def network_fields(net):
     t = net.table
     return ([column.tobytes() for column in (t.ends, t.similarity, t.statistic, t.p, t.q)],
             None if t.contrib is None else t.contrib.tobytes(),
-            net.tested_pairs, net.singular_pairs, net.homogeneity_reject_fraction,
-            net.homogeneity_singular_pairs)
+            net.tested_pairs, net.singular_pairs, net.homogeneity_reject_fraction)
 
 
 TILE_CASES = [
-    (1, "pearson", lambda: planted_dataset(11, 23, 1, planted=((0, 1), (2, 3), (5, 9)), rho=0.8)),
-    (1, "cca", lambda: planted_dataset(11, 23, 1, planted=((0, 1), (2, 3), (5, 9)), rho=0.8)),
-    (2, "cca", lambda: collinear_dataset(n_nodes=23)),
-    (2, "max", lambda: collinear_dataset(n_nodes=23)),
-    (2, "min", lambda: planted_dataset(13, 23, 2, planted=((0, 1), (2, 3), (5, 9)), rho=0.8)),
-    (3, "cca", lambda: planted_dataset(12, 23, 3, n=40, planted=((0, 1), (4, 7)), rho=0.8)),
+    (1, "pearson", "formula",
+     lambda: planted_dataset(11, 23, 1, planted=((0, 1), (2, 3), (5, 9)), rho=0.8)),
+    (1, "cca", "formula",
+     lambda: planted_dataset(11, 23, 1, planted=((0, 1), (2, 3), (5, 9)), rho=0.8)),
+    (2, "cca", "formula", lambda: collinear_dataset(n_nodes=23)),
+    (2, "max", "formula", lambda: collinear_dataset(n_nodes=23)),
+    (2, "min", "formula",
+     lambda: planted_dataset(13, 23, 2, planted=((0, 1), (2, 3), (5, 9)), rho=0.8)),
+    (3, "cca", "formula",
+     lambda: planted_dataset(12, 23, 3, n=40, planted=((0, 1), (4, 7)), rho=0.8)),
+    # seven strong pairs take min's far tail to ``inference._upper_quadrant``, in batches
+    # whose size follows the tiles
+    *[(2, method, "exact", lambda: planted_dataset(
+        13, 23, 2, planted=((0, 1), (2, 3), (4, 8), (5, 9), (6, 7), (10, 15), (12, 20)), rho=0.8))
+      for method in ("max", "min")],
 ]
 
 
-@pytest.mark.parametrize("k,method,make", TILE_CASES)
-def test_every_field_is_bit_identical_across_tile_shapes(k, method, make, monkeypatch):
+@pytest.mark.parametrize("k,method,mode,make", TILE_CASES)
+def test_every_field_is_bit_identical_across_tile_shapes(k, method, mode, make, monkeypatch):
     """Tiles of 1, 2 and 7 rows and one tile of all rows give the same bits: a BLAS
     product would sum in an order that depends on its operand shapes (a one-row
-    operand takes gemv, and remainder kernels differ), so the row products must not."""
+    operand takes gemv, and remainder kernels differ), so the row products and the
+    exact min tail's quadrature must not."""
     data = make()
     assert data.k == k
     last = data.n_nodes - 1
@@ -494,7 +532,7 @@ def test_every_field_is_bit_identical_across_tile_shapes(k, method, make, monkey
     for rows in (1, 2, 7, last):
         monkeypatch.setattr(network, "PAIR_CHUNK", rows * last)
         tiles.clear()
-        net = infer_network(data, method, 0.2)
+        net = infer_network(data, method, 0.2, pvalue_mode=mode)
         assert tiles == [rows] * (last // rows) + ([last % rows] if last % rows else [])
         fields.append(network_fields(net))
     assert len(net.table) > 0
@@ -628,13 +666,13 @@ def test_homogeneity_verdict_does_not_depend_on_attribute_units(method, monkeypa
     data = planted_dataset(5, 40, 2)
     plain = infer_network(data, method, 0.05)
     plain_assembled, assembled[:] = sum(assembled), []
-    assert plain.homogeneity_singular_pairs == 0
+    assert plain.singular_pairs == ()
     # one unit per attribute across all nodes leaves the statistic as it is, so the
-    # singular count and the reject fraction must not move either (the PD rule on the
+    # singular pairs and the reject fraction must not move either (the PD rule on the
     # raw covariance called all 780 pairs singular), and the determinant screen must
     # clear the same pairs without assembling them
     same = infer_network(rescaled(data, [1e-3, 1e4]), method, 0.05)
-    assert same.homogeneity_singular_pairs == plain.homogeneity_singular_pairs
+    assert same.singular_pairs == plain.singular_pairs
     # cca's log Wilks' Lambda comes from covariance-scale determinants, which must not
     # move the edges or their tests either
     assert id_pairs(same) == id_pairs(plain)
@@ -646,8 +684,13 @@ def test_homogeneity_verdict_does_not_depend_on_attribute_units(method, monkeypa
     # match their partners', so the statistic and the reject fraction change, but no
     # pair is singular (the raw rule called 455 of 780 singular)
     mixed = infer_network(rescaled(data, [1.0, 1e4], every_third=1e-3), method, 0.05)
-    assert mixed.homogeneity_singular_pairs == 0
-    assert mixed.homogeneity_reject_fraction > plain.homogeneity_reject_fraction
+    assert mixed.singular_pairs == ()
+    if method == "cca":
+        assert mixed.homogeneity_reject_fraction > plain.homogeneity_reject_fraction
+    else:  # the check is cca's: max and min give no verdict and assemble no joint block
+        assert plain_assembled == 0
+        assert (plain.homogeneity_reject_fraction, same.homogeneity_reject_fraction,
+                mixed.homogeneity_reject_fraction) == (None, None, None)
 
 
 def write_attribute_csvs(directory, data):

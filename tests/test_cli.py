@@ -219,6 +219,20 @@ class TestCliInfer:
         assert frozenset(("v0", "v1")) in edge_pairs(net)
         assert frozenset(("v2", "v3")) in edge_pairs(net)
 
+    @pytest.mark.parametrize("method", ["pearson", "max", "min"])
+    def test_homogeneity_summary_is_cca_only(self, tmp_path, method):
+        """The homogeneity check is cca's, so another method's meta.json keeps every
+        homogeneity key with no verdict and no singular pair."""
+        protein, gene, *_ = make_dataset_files(tmp_path)
+        out = tmp_path / "run"
+        subset = ["--attributes", "gene"] if method == "pearson" else []
+        assert main(["infer", str(protein), str(gene), "--method", method, *subset,
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["homogeneity"] == {"reject_fraction": None, "singular_pairs": 0,
+                                       "alpha": 0.05, "df_formula": "k(k+1)/2 + k(k-1)/2"}
+        assert io_mod.read_network(out / "edges.csv").homogeneity_reject_fraction is None
+
     def test_attribute_subset(self, tmp_path):
         protein, gene, *_ = make_dataset_files(tmp_path)
         out = tmp_path / "run"

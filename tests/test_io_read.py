@@ -97,7 +97,7 @@ CASES = [
     (ATTRIBUTE, "earlier_row_wins", body(ATTRIBUTE, "a", "a") + [ATTRIBUTE[3]],
      (DuplicateNodeId, ":3: duplicate node id 'a'", 3, 1)),
     (EDGE, "earlier_row_wins",
-     [EDGE[1], "a,z,cca,0.5,12,4,oops,0.01,0.6,0.8", "a,z,cca,bad,12,4,0.001,0.01,0.6,0.8"],
+     [EDGE[1], "a,z,cca,0.5,12,4,oops,0.01,0.6,0.8", 'a,"x,y",cca,bad,12,4,0.001,0.01,0.6,0.8'],
      (NonNumericCell, ":2: column 7 is not numeric: 'oops'", 2, 7)),
     (NODE_CLASS, "earlier_row_wins", body(NODE_CLASS, "a", "a") + [NODE_CLASS[3]],
      (DuplicateNodeId, ":3: duplicate node id 'a'", 3, 1)),
@@ -137,8 +137,16 @@ CASES = [
     (EDGE, "statistic_inf", [EDGE[1], "a,z,cca,0.5,inf,4,0,0,0.6,0.8"], ["a"]),
     # a cell out of its range is reported before a later row's non-numeric cell
     (EDGE, "range_before_later_parse",
-     [EDGE[1], "a,z,cca,0.5,12,4,0.001,7,0.6,0.8", "a,z,cca,0.5,12,4,oops,0.01,0.6,0.8"],
+     [EDGE[1], "a,z,cca,0.5,12,4,0.001,7,0.6,0.8", 'a,"x,y",cca,0.5,12,4,oops,0.01,0.6,0.8'],
      (NonNumericCell, ":2: column 8 is not in [0, 1]: '7'", 2, 8)),
+    # edge CSVs only: a node pair given before, in either order, is one edge given twice;
+    # like a self-loop it is rejected at its line, before any cell is parsed
+    *[(EDGE, fault, [EDGE[1], "a,z,cca,0.5,12,4,0.001,0.01,0.6,0.8",
+                     f"{pair},cca,0.5,12,4,oops,0.01,0.6,0.8",
+                     'z,"x,y",cca,0.5,12,4,0.001,0.01,0.6,0.8'],
+       (SchemaMismatch, f":3: edge {ends} repeats the node pair of line 2", 3, None))
+      for fault, pair, ends in [("repeated_pair", "a,z", "'a'-'z'"),
+                                ("repeated_pair_reversed", "z,a", "'z'-'a'")]],
 ]
 
 
