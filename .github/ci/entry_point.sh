@@ -11,8 +11,9 @@
 #   (infer), edge CSVs with a non-numeric p, a NaN p and a df past int64 (classify),
 #   a max edge CSV that carries contributions (netstat) and a node class CSV that
 #   repeats a node id once stripped (enrich);
-# - an edge CSV that gives a node pair again, reversed: netstat exits 2 with one line of
-#   JSON naming the later line;
+# - the simple-graph rule of edge CSVs: an edge that gives a node pair again, reversed,
+#   a self-loop, and an endpoint missing from the meta.json's node ids each make netstat
+#   exit 2 with one line of JSON naming the line (and, but for the repeat, the column);
 # - an infer input that is a directory: exit 2 with one line of JSON naming the path;
 # - classify's method rule: a max edge CSV exits 2 with one line of JSON naming
 #   MissingContribution, and a header-only pearson edge CSV with its meta.json exits 0
@@ -106,6 +107,18 @@ printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\na,b,max,0.9,
     > "$dir/repeated_pair/edges.csv"
 expect_error repeated_pair SchemaMismatch "$dir/repeated_pair/edges.csv" 3 "" \
     netstat "$dir/repeated_pair/edges.csv" --out "$dir/repeated_pair/out"
+mkdir -p "$dir/self_loop"
+printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1\na,b,max,0.9,30,,0.001,0.01,\nc,c,max,0.9,30,,0.001,0.01,\n' \
+    > "$dir/self_loop/edges.csv"
+expect_error self_loop SchemaMismatch "$dir/self_loop/edges.csv" 3 2 \
+    netstat "$dir/self_loop/edges.csv" --out "$dir/self_loop/out"
+mkdir -p "$dir/missing_end"
+printf 'node_i,node_j,method,similarity,statistic,df,p,q,contrib_1,contrib_2\na,b,max,0.9,30,,0.001,0.01,,\nz,c,max,0.9,30,,0.001,0.01,,\n' \
+    > "$dir/missing_end/edges.csv"
+printf '{"method": "max", "gamma": 0.05, "n_samples": 10, "node_ids": ["a", "b", "c"], "attribute_names": ["x", "y"]}\n' \
+    > "$dir/missing_end/meta.json"
+expect_error missing_end SchemaMismatch "$dir/missing_end/edges.csv" 3 1 \
+    netstat "$dir/missing_end/edges.csv" --out "$dir/missing_end/out"
 printf 'node_id,label\nv1,protein\n v1 ,gene\n' > "$dir/repeated_id.csv"
 printf 'set_one\tdesc\tv1\n' > "$dir/sets.gmt"
 expect_error repeated_id DuplicateNodeId "$dir/repeated_id.csv" 3 1 \

@@ -32,7 +32,6 @@ from .inference import (
 )
 from .network import (
     AttributeDataset,
-    EdgeTable,
     InferredNetwork,
     NetworkSummary,
     betweenness_values,

@@ -109,20 +109,20 @@ def classify_network(net, t: float = DEFAULT_THRESHOLD):
     """Edge and node classes of a cca network, labelled by the rules of ``_edge_codes``
     and ``_node_codes``.  Only cca edges carry contributions: another method's network
     raises ``MissingContribution`` at its first edge, or leaves every node unclassified."""
-    table, labels = net.table, _labels(net.attribute_names)
-    if net.method != "cca" and len(table):
-        node_i, node_j = (net.node_ids[x] for x in table.ends[0])
+    labels = _labels(net.attribute_names)
+    if net.method != "cca" and net.n_edges:
+        node_i, node_j = (net.node_ids[x] for x in net.ends[0])
         raise MissingContribution(
             f"edge ({node_i}, {node_j}) carries no contribution vector; "
             f"classification needs a canonical-correlation network"
         )
     width = len(net.attribute_names) + 1
-    contrib = table.contrib if net.method == "cca" else np.empty((0, width - 1))
+    contrib = net.contrib if net.method == "cca" else np.empty((0, width - 1))
     code = _edge_codes(contrib, t, net.attribute_names)
-    counts = np.bincount((table.ends * width + code[:, None]).ravel(),
+    counts = np.bincount((net.ends * width + code[:, None]).ravel(),
                          minlength=net.n_nodes * width).reshape(net.n_nodes, width)
     proportions, node_code = _node_codes(counts.astype(float))
-    return (EdgeClasses(net.node_ids, table.ends, contrib, code, labels, float(t)),
+    return (EdgeClasses(net.node_ids, net.ends, contrib, code, labels, float(t)),
             NodeClasses(net.node_ids, proportions, node_code, labels))
 
 

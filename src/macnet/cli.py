@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from collections import Counter
@@ -118,26 +119,22 @@ def _distribution_stems(paths) -> dict:
 
 
 def _cmd_netstat(args) -> int:
-    networks = [(Path(path), io_mod.read_network(path)) for path in args.edges]
+    paths = [Path(path) for path in args.edges]
+    networks = {path: io_mod.read_network(path) for path in dict.fromkeys(paths)}
     out = Path(args.out)
-    stems = _distribution_stems([path for path, _ in networks])
+    stems = _distribution_stems(paths)
     summaries = {}
-    for path, net in networks:
-        if str(path) in summaries:
-            continue
+    for path, net in networks.items():
         stats = network_mod.summary(net)
         summaries[str(path)] = io_mod.summary_dict(stats)
         io_mod.write_distribution_csv(net, stats.degrees, stats.clustering, stats.betweenness,
                                       out / f"{stems[path]}_distributions.csv")
     io_mod.write_summary_json(summaries, out / "summary.json")
-    if len(networks) > 1:
-        rows = []
-        for a in range(len(networks)):
-            for b in range(a + 1, len(networks)):
-                value, shared = network_mod.jaccard(networks[a][1], networks[b][1])
-                rows.append((str(networks[a][0]), str(networks[b][0]), value, shared))
-        io_mod.write_jaccard_csv(rows, out / "jaccard.csv")
-    print(f"summaries for {len(networks)} network(s) -> {out / 'summary.json'}")
+    if len(paths) > 1:  # one row per pair of arguments, a path given twice included
+        io_mod.write_jaccard_csv([(str(a), str(b), *network_mod.jaccard(networks[a], networks[b]))
+                                  for a, b in itertools.combinations(paths, 2)],
+                                 out / "jaccard.csv")
+    print(f"summaries for {len(summaries)} network(s) -> {out / 'summary.json'}")
     return 0
 
 

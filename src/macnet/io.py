@@ -25,7 +25,7 @@ from .classify import EdgeClasses, NodeClasses, simplex_xy
 from .enrichment import EnrichmentReport
 from .errors import DuplicateNodeId, NonNumericCell, SchemaMismatch
 from .inference import HOMOGENEITY_DF_FORMULA
-from .network import HOMOGENEITY_ALPHA, AttributeDataset, EdgeTable, InferredNetwork, NetworkSummary
+from .network import HOMOGENEITY_ALPHA, AttributeDataset, InferredNetwork, NetworkSummary
 from .simulation import PowerResult
 
 META_FILENAME = "meta.json"
@@ -240,15 +240,14 @@ EDGE_FIELDS = ("node_i", "node_j", "method", "similarity", "statistic", "df", "p
 
 def write_edges_csv(net: InferredNetwork, path):
     """One row per edge: a cca edge's df is k^2; another method's df and contributions are empty."""
-    table = net.table
-    k, m = len(net.attribute_names), len(table)
+    k, m = len(net.attribute_names), net.n_edges
     header = list(EDGE_FIELDS) + [f"contrib_{i + 1}" for i in range(k)]
     names = np.array(net.node_ids, dtype=object)
     empty = [""] * m
     _write_columns(path, header, [
-        names[table.ends[:, 0]], names[table.ends[:, 1]], [net.method] * m,
-        table.similarity, table.statistic, np.full(m, k * k) if net.method == "cca" else empty,
-        table.p, table.q, *([empty] * k if table.contrib is None else table.contrib.T)])
+        names[net.ends[:, 0]], names[net.ends[:, 1]], [net.method] * m,
+        net.similarity, net.statistic, np.full(m, k * k) if net.method == "cca" else empty,
+        net.p, net.q, *([empty] * k if net.contrib is None else net.contrib.T)])
 
 
 def network_meta(net: InferredNetwork) -> dict:
@@ -279,19 +278,17 @@ def write_meta_json(net: InferredNetwork, path):
     atomic_write_text(path, [json.dumps(network_meta(net), indent=2, sort_keys=True) + "\n"])
 
 
-def _edge_table(rows, width: int, index: dict, path, lines, method: str) -> EdgeTable:
-    """The edge table of an edge CSV's rows of ``width`` cells, all of ``method``, endpoints
-    looked up in ``index``.  Columns are parsed and checked whole; the first cell, in file
-    order, that does not parse as its type or breaks its column's rule is rejected."""
+def _edge_table(rows, width: int, index: dict, path, lines, method: str) -> dict:
+    """The ``InferredNetwork`` edge columns of an edge CSV's rows of ``width`` cells, all of
+    ``method``, endpoints looked up in ``index``.  The first edge breaking the simple-graph
+    rule is rejected before any cell is parsed, then the first cell, in file order, that
+    does not parse as its type or breaks its column's rule."""
     columns = list(zip(*rows)) or [()] * width
     ends = np.array([[index.get(v, -1) for v in columns[x]] for x in (0, 1)],
                     dtype=np.intp).T.reshape(-1, 2)
-    # the row that first gave each row's unordered pair (negative keys: a missing endpoint)
-    _, first, pair = np.unique(ends.min(axis=1) * len(index) + ends.max(axis=1),
-                               return_index=True, return_inverse=True)
-    bad = (ends < 0).any(axis=1) | (ends[:, 0] == ends[:, 1]) | (first[pair] < np.arange(len(ends)))
-    if bad.any():
-        x = int(np.argmax(bad))
+    bad = InferredNetwork.first_non_simple_edge(ends, len(index))
+    if bad is not None:
+        x, first = bad
         if (ends[x] < 0).any():
             column = 1 if ends[x, 0] < 0 else 2
             problem = f"endpoint {rows[x][column - 1]!r} is not among the node ids of {META_FILENAME}"
@@ -299,7 +296,7 @@ def _edge_table(rows, width: int, index: dict, path, lines, method: str) -> Edge
             problem, column = f"self-loop on {rows[x][0]!r}", 2
         else:
             problem, column = (f"edge {rows[x][0]!r}-{rows[x][1]!r} repeats the node pair of "
-                               f"line {lines[first[pair[x]]]}"), None
+                               f"line {lines[first]}"), None
         raise SchemaMismatch(f"{path}:{lines[x]}: {problem}", path=str(path), line=lines[x],
                              column=column)
     m, k = len(rows), width - len(EDGE_FIELDS)
@@ -321,9 +318,8 @@ def _edge_table(rows, width: int, index: dict, path, lines, method: str) -> Edge
     if parsed is None or not all(np.all(test(values)) for values, (*_, (test, _)) in zip(parsed, cells)):
         _first_bad_cell(path, rows, lines, lambda row: cells)
     similarity, statistic, _, p, q, *contrib = parsed
-    return EdgeTable(ends=ends, similarity=similarity, statistic=statistic, p=p, q=q,
-                     contrib=np.array(contrib, dtype=float).reshape(k, m).T
-                     if method == "cca" else None)
+    return dict(ends=ends, similarity=similarity, statistic=statistic, p=p, q=q,
+                contrib=np.array(contrib, dtype=float).reshape(k, m).T if method == "cca" else None)
 
 
 def _read_meta(path) -> dict | None:
@@ -397,9 +393,9 @@ def read_network(edges_path) -> InferredNetwork:
             raise SchemaMismatch(f"{edges_path}:{lineno}: method {row[2]!r} is not the "
                                  f"network's {meta['method']!r}", path=str(edges_path),
                                  line=lineno, column=3)
-    table = _edge_table(rows, len(header), {v: x for x, v in enumerate(meta["node_ids"])},
-                        edges_path, lines, meta["method"])
-    return InferredNetwork(table=table, **meta)
+    columns = _edge_table(rows, len(header), {v: x for x, v in enumerate(meta["node_ids"])},
+                          edges_path, lines, meta["method"])
+    return InferredNetwork(**columns, **meta)
 
 
 # --- summaries, classification, enrichment, power -------------------------------

@@ -283,7 +283,7 @@ def equal_corr_blocks(k: int, r: float, rho: float, b: float):
 def adjacency_sets(net) -> dict:
     """Each node id's set of neighbouring node ids."""
     adj = {v: set() for v in net.node_ids}
-    for a, b in net.table.ends.tolist():
+    for a, b in net.ends.tolist():
         adj[net.node_ids[a]].add(net.node_ids[b])
         adj[net.node_ids[b]].add(net.node_ids[a])
     return adj
@@ -292,7 +292,7 @@ def adjacency_sets(net) -> dict:
 def edge_pairs(net) -> frozenset:
     """The edges as a set of unordered node-id pairs."""
     return frozenset(frozenset((net.node_ids[a], net.node_ids[b]))
-                     for a, b in net.table.ends.tolist())
+                     for a, b in net.ends.tolist())
 
 
 def bartlett_from_roots(roots, n: int, k: int):

@@ -157,7 +157,7 @@ def assert_matches_reference(net, reference):
     QR/SVD roots are not: its similarity must lie within 1e-9 and its statistic
     within 1e-3 relative, where the QR/SVD roots give a finite one."""
     edges, singular_pairs, fraction = reference
-    pairs, t = id_pairs(net), net.table
+    pairs, t = id_pairs(net), net
     assert set(pairs) == set(edges)
     assert list(net.singular_pairs) == singular_pairs
     assert net.homogeneity_reject_fraction == fraction
@@ -224,8 +224,8 @@ def test_cca_runs_no_per_pair_solver(make, monkeypatch):
 
     monkeypatch.setattr(similarity, "canonical_corr", refuse)
     net = infer_network(make(), "cca", 0.05)
-    assert net.n_edges and net.table.contrib.shape == (net.n_edges, len(net.attribute_names))
-    assert not np.isnan(net.table.contrib).any()
+    assert net.n_edges and net.contrib.shape == (net.n_edges, len(net.attribute_names))
+    assert not np.isnan(net.contrib).any()
 
 
 @pytest.mark.parametrize("method", ["max", "min"])
@@ -372,20 +372,20 @@ def test_cca_forms_roots_only_for_edges_and_repaired_pairs(monkeypatch):
                                            ("min", 2, "exact")])
 def test_an_empty_network_keeps_its_column_shapes(method, k, mode, tmp_path):
     """Pure noise at gamma = 0.001 declares no edge, so the edges are described from an
-    empty stack of blocks; the table keeps its shapes in process and through the CLI's
-    header-only edge file.  (max under the formula tail declares every pair.)"""
+    empty stack of blocks; the network keeps its column shapes in process and through the
+    CLI's header-only edge file.  (max under the formula tail declares every pair.)"""
     data = planted_dataset(3, 12, k, n=40, planted=())
-    table = infer_network(data, method, 0.001, pvalue_mode=mode).table
+    net = infer_network(data, method, 0.001, pvalue_mode=mode)
     contrib_shape = (0, k) if method == "cca" else None
-    assert table.ends.shape == (0, 2) and getattr(table.contrib, "shape", None) == contrib_shape
-    assert all(getattr(table, name).shape == (0,)
+    assert net.ends.shape == (0, 2) and getattr(net.contrib, "shape", None) == contrib_shape
+    assert all(getattr(net, name).shape == (0,)
                for name in ("similarity", "statistic", "p", "q"))
     inputs = write_attribute_csvs(tmp_path, data)
     out = tmp_path / "run"
     assert main(["infer", *inputs, "--method", method, "--fdr", "0.001",
                  "--pvalue-mode", mode, "--out", str(out)]) == 0
     assert len((out / "edges.csv").read_text(encoding="utf-8").splitlines()) == 1
-    back = io_mod.read_network(out / "edges.csv").table
+    back = io_mod.read_network(out / "edges.csv")
     assert back.ends.shape == (0, 2) and getattr(back.contrib, "shape", None) == contrib_shape
 
 
@@ -447,8 +447,8 @@ def test_collinear_pair_is_singular_not_fatal():
     assert net.tested_pairs == 8 * 7 // 2
     assert io_mod.network_meta(net)["homogeneity"]["singular_pairs"] == 1
     edge = id_pairs(net).index(("v0", "v1"))
-    assert net.table.similarity[edge] == pytest.approx(1.0, rel=0, abs=1e-9)
-    assert net.table.p[edge] == 0.0
+    assert net.similarity[edge] == pytest.approx(1.0, rel=0, abs=1e-9)
+    assert net.p[edge] == 0.0
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-6, 1e-4, 1e-2])
@@ -465,12 +465,12 @@ def test_collinear_copy_matches_qr_svd_roots(noise, tmp_path):
     roots, _ = qr_svd_canonical(data.samples[0].T, data.samples[1].T)
     expected = bartlett_from_roots(roots, data.n_samples, data.k)
     if np.isfinite(expected.statistic):
-        assert net.table.statistic[edge] == pytest.approx(expected.statistic, rel=1e-3, abs=0)
+        assert net.statistic[edge] == pytest.approx(expected.statistic, rel=1e-3, abs=0)
     if net.singular_pairs:
-        assert net.table.p[edge] == 0.0
+        assert net.p[edge] == 0.0
     if noise == 0.0:
         assert roots[0] == 1.0 and np.isinf(expected.statistic)
-        assert net.table.similarity[edge] == pytest.approx(1.0, rel=0, abs=1e-9)
+        assert net.similarity[edge] == pytest.approx(1.0, rel=0, abs=1e-9)
 
 
 @pytest.mark.parametrize("method", ["pearson", "max", "min", "cca"])
@@ -486,9 +486,8 @@ def test_results_do_not_depend_on_chunk_size(method, monkeypatch):
 
 def network_fields(net):
     """Every output field of a network, floats as their bytes."""
-    t = net.table
-    return ([column.tobytes() for column in (t.ends, t.similarity, t.statistic, t.p, t.q)],
-            None if t.contrib is None else t.contrib.tobytes(),
+    return ([column.tobytes() for column in (net.ends, net.similarity, net.statistic, net.p, net.q)],
+            None if net.contrib is None else net.contrib.tobytes(),
             net.tested_pairs, net.singular_pairs, net.homogeneity_reject_fraction)
 
 
@@ -535,7 +534,7 @@ def test_every_field_is_bit_identical_across_tile_shapes(k, method, mode, make, 
         net = infer_network(data, method, 0.2, pvalue_mode=mode)
         assert tiles == [rows] * (last // rows) + ([last % rows] if last % rows else [])
         fields.append(network_fields(net))
-    assert len(net.table) > 0
+    assert net.n_edges > 0
     assert all(f == fields[0] for f in fields[1:])
 
 
@@ -676,8 +675,8 @@ def test_homogeneity_verdict_does_not_depend_on_attribute_units(method, monkeypa
     # cca's log Wilks' Lambda comes from covariance-scale determinants, which must not
     # move the edges or their tests either
     assert id_pairs(same) == id_pairs(plain)
-    np.testing.assert_allclose(same.table.statistic, plain.table.statistic, rtol=REL, atol=0)
-    np.testing.assert_allclose(same.table.p, plain.table.p, rtol=REL, atol=0)
+    np.testing.assert_allclose(same.statistic, plain.statistic, rtol=REL, atol=0)
+    np.testing.assert_allclose(same.p, plain.p, rtol=REL, atol=0)
     assert same.homogeneity_reject_fraction == plain.homogeneity_reject_fraction
     assert sum(assembled) == plain_assembled
     # a1 x 1e4 and every third node's a0 x 1e-3: those nodes' marginal blocks no longer

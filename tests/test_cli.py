@@ -138,13 +138,13 @@ class TestRoundTrip:
         assert back.method == net.method
         assert back.n_samples == net.n_samples
         assert back.tested_pairs == net.tested_pairs
-        self.assert_tables_equal(back.table, net.table)
+        self.assert_edges_equal(back, net)
         assert back.singular_pairs == net.singular_pairs
         assert back.pvalue_mode == net.pvalue_mode
         assert back.homogeneity_reject_fraction == net.homogeneity_reject_fraction
 
     @staticmethod
-    def assert_tables_equal(a, b):
+    def assert_edges_equal(a, b):
         for field in ("ends", "similarity", "statistic", "p", "q"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         assert (a.contrib is None) == (b.contrib is None)
@@ -157,9 +157,8 @@ class TestRoundTrip:
         net = toy_network(ids, [(ids[0], ids[1]), (ids[1], ids[3]), (ids[2], ids[0])],
                           [0.5, -0.0, -0.75], method=method,
                           attribute_names=tuple(f"a{i}" for i in range(k)))
-        net = dataclasses.replace(net, table=dataclasses.replace(
-            net.table, statistic=np.array([1.25, float("inf"), -2.5]),
-            p=np.array([1e-3, 0.0, 1.0]), q=np.array([2e-3, 1 / 3, 1.0])))
+        net = dataclasses.replace(net, statistic=np.array([1.25, float("inf"), -2.5]),
+                                  p=np.array([1e-3, 0.0, 1.0]), q=np.array([2e-3, 1 / 3, 1.0]))
         io_mod.write_edges_csv(net, tmp_path / "one" / "edges.csv")
         io_mod.write_meta_json(net, tmp_path / "one" / "meta.json")
         back = io_mod.read_network(tmp_path / "one" / "edges.csv")
@@ -167,7 +166,7 @@ class TestRoundTrip:
         text = (tmp_path / "one" / "edges.csv").read_bytes()
         assert text == (tmp_path / "two" / "edges.csv").read_bytes()
         assert f",{method},-0,inf,,0,".encode() in text and b'"has,comma"' in text
-        self.assert_tables_equal(back.table, net.table)
+        self.assert_edges_equal(back, net)
         assert back.node_ids == ids and back.method == method
 
     def test_column_cells_match_the_cell_oracle(self):
@@ -182,15 +181,14 @@ class TestRoundTrip:
         # a singular cca pair whose leading root reaches 1 has statistic inf and p 0
         net = toy_network(["a", "b", "c"], [("a", "b"), ("b", "c")], method="cca",
                           attribute_names=("x", "y"), contrib=[[0.5, 0.5], [0.9, 0.1]])
-        table = dataclasses.replace(net.table, statistic=np.array([np.inf, 3.0]),
-                                    p=np.array([0.0, 0.01]))
-        net = dataclasses.replace(net, table=table, singular_pairs=(("a", "b"),))
+        net = dataclasses.replace(net, statistic=np.array([np.inf, 3.0]), p=np.array([0.0, 0.01]),
+                                  singular_pairs=(("a", "b"),))
         edges = tmp_path / "run" / "edges.csv"
         io_mod.write_edges_csv(net, edges)
         io_mod.write_meta_json(net, tmp_path / "run" / "meta.json")
         assert edges.read_text().splitlines()[1].split(",")[4] == "inf"
         back = io_mod.read_network(edges)
-        self.assert_tables_equal(back.table, table)
+        self.assert_edges_equal(back, net)
         assert back.singular_pairs == (("a", "b"),)
         assert main(["netstat", str(edges), "--out", str(tmp_path / "netstat")]) == 0
         assert main(["classify", str(edges), "--out", str(tmp_path / "classify")]) == 0
@@ -375,19 +373,26 @@ class TestCliNetstatClassifyEnrich:
                      "--out", str(out)]) == 0
         return tmp_path, out, ids
 
-    def test_netstat_summary_and_jaccard(self, inferred, tmp_path):
+    def test_netstat_summary_and_jaccard(self, inferred, tmp_path, capsys, monkeypatch):
         base, out, ids = inferred
         stats_dir = base / "stats"
+        reads = []
+        read_network = io_mod.read_network
+        monkeypatch.setattr(io_mod, "read_network", lambda path: reads.append(path) or read_network(path))
         code = main(["netstat", str(out / "edges.csv"), str(out / "edges.csv"),
                      "--out", str(stats_dir)])
         assert code == 0
+        # a path given twice is read once and summarised once
+        assert len(reads) == 1
+        assert capsys.readouterr().out == f"summaries for 1 network(s) -> {stats_dir / 'summary.json'}\n"
         summaries = json.loads((stats_dir / "summary.json").read_text())
+        assert list(summaries) == [str(out / "edges.csv")]
         entry = summaries[str(out / "edges.csv")]
         assert entry["nodes"] == 10
         assert entry["density"] == pytest.approx(2 * entry["edges"] / (10 * 9))
         with open(stats_dir / "jaccard.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert float(rows[0]["jaccard"]) == 1.0
+        assert len(rows) == 1 and float(rows[0]["jaccard"]) == 1.0
 
     def test_classify_and_enrich(self, inferred, tmp_path):
         base, out, ids = inferred

@@ -15,7 +15,7 @@ from _oracles import brute_force_lcc, masked_betweenness
 import macnet
 from macnet import io as io_mod, network
 from macnet.cli import main
-from macnet.errors import SchemaMismatch
+from macnet.errors import NodeSetMismatch, SchemaMismatch
 from test_network import id_pairs, toy_network
 
 
@@ -89,16 +89,21 @@ def test_betweenness_matches_masked_reference_bit_for_bit(monkeypatch, make, chu
 
 
 def test_pair_listed_twice_is_rejected_before_any_statistic(tmp_path):
-    """Each listed pair is one edge of the statistics, so ``read_network`` rejects an
-    edge file that gives a pair again, in either order, at that line."""
+    """Each listed pair is one edge of the statistics, so a network that gives a pair
+    again, in either order, raises, and ``read_network`` rejects such an edge file at
+    that line."""
     nodes = ["a", "b", "c", "d"]
-    twice = toy_network(nodes, [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")])
-    io_mod.write_edges_csv(twice, tmp_path / "edges.csv")
-    io_mod.write_meta_json(twice, tmp_path / "meta.json")
+    with pytest.raises(NodeSetMismatch, match=r"edge 1 \('b', 'a'\) repeats the node pair of edge 0"):
+        toy_network(nodes, [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")])
+    net = toy_network(nodes, [("a", "b"), ("b", "c"), ("c", "a")])
+    io_mod.write_edges_csv(net, tmp_path / "edges.csv")
+    io_mod.write_meta_json(net, tmp_path / "meta.json")
+    header, first, *rest = (tmp_path / "edges.csv").read_text().splitlines(keepends=True)
+    assert first.startswith("a,b,")
+    (tmp_path / "edges.csv").write_text("".join([header, first, "b,a," + first[4:], *rest]))
     with pytest.raises(SchemaMismatch) as caught:
         io_mod.read_network(tmp_path / "edges.csv")
     assert (caught.value.line, caught.value.column) == (3, None)
-    net = toy_network(nodes, [("a", "b"), ("b", "c"), ("c", "a")])
     np.testing.assert_array_equal(network.degree_values(net), [2, 2, 2, 0])
     np.testing.assert_array_equal(network.clustering_values(net), [1, 1, 1, 0])
     assert network.largest_connected_component(net) == 3

@@ -38,7 +38,7 @@ def read(kind, tmp_path, lines):
         (tmp_path / "meta.json").write_text(json.dumps(dict(META, method=method)),
                                             encoding="utf-8")
         net = io_mod.read_network(path)
-        return [net.node_ids[x] for x in net.table.ends[:, 0]]
+        return [net.node_ids[x] for x in net.ends[:, 0]]
     return io_mod.read_node_classes(path)
 
 

@@ -74,7 +74,7 @@ def test_edges_and_node_classes_round_trip_awkward_names(tmp_path):
     back = io_mod.read_network(tmp_path / "edges.csv")
     assert back.node_ids == ids and back.attribute_names == attributes
     assert edge_pairs(back) == edge_pairs(net)
-    np.testing.assert_array_equal(back.table.contrib, net.table.contrib)
+    np.testing.assert_array_equal(back.contrib, net.contrib)
 
     _, node_classes = classify_network(back, 0.25)
     io_mod.write_node_classes_csv(node_classes, attributes, tmp_path / "node_classes.csv")

@@ -12,7 +12,6 @@ from macnet.errors import LengthMismatch, NodeSetMismatch, NonFiniteInput, Usage
 from macnet.io import read_network, write_edges_csv, write_meta_json
 from macnet.network import (
     AttributeDataset,
-    EdgeTable,
     InferredNetwork,
     betweenness_values,
     clustering_values,
@@ -32,16 +31,20 @@ def toy_network(node_ids, pairs, similarities=None, *, method="pearson",
     index = {v: x for x, v in enumerate(node_ids)}
     ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
     m, k = len(ends), len(attribute_names)
-    table = EdgeTable(
+    return InferredNetwork(
+        node_ids=tuple(node_ids),
+        attribute_names=tuple(attribute_names),
+        method=method,
+        gamma=0.05,
+        n_samples=10,
         ends=ends,
         similarity=np.full(m, 0.5) if similarities is None else np.array(similarities, dtype=float),
         statistic=np.ones(m),
         p=np.full(m, 0.01),
         q=np.full(m, 0.01),
         contrib=np.array(contrib, dtype=float).reshape(m, k) if method == "cca" else None,
+        tested_pairs=len(node_ids) * (len(node_ids) - 1) // 2,
     )
-    return InferredNetwork(tuple(node_ids), tuple(attribute_names), method, 0.05, 10, table,
-                           tested_pairs=len(node_ids) * (len(node_ids) - 1) // 2)
 
 
 def planted_pair_dataset(seed, n_nodes=3, n=100, rho=0.9, planted=((0, 1),)):
@@ -71,13 +74,13 @@ def random_toy_graph(rng, max_nodes=8):
 
 
 def id_pairs(net):
-    """Each edge's (node id, node id) pair, in table order."""
-    return [(net.node_ids[a], net.node_ids[b]) for a, b in net.table.ends.tolist()]
+    """Each edge's (node id, node id) pair, in edge order."""
+    return [(net.node_ids[a], net.node_ids[b]) for a, b in net.ends.tolist()]
 
 
 def p_by_pair(net):
     """Edge p-values in the order of their (node id, node id) pairs."""
-    return [p for _, p in sorted(zip(id_pairs(net), net.table.p.tolist()))]
+    return [p for _, p in sorted(zip(id_pairs(net), net.p.tolist()))]
 
 
 class TestInferNetwork:
@@ -101,8 +104,8 @@ class TestInferNetwork:
     def test_q_bounded_by_gamma_and_p(self):
         data = planted_pair_dataset(5, n_nodes=6)
         net = infer_network(data, "pearson", 0.1)
-        assert (net.table.q <= 0.1).all()
-        assert (net.table.p <= net.table.q).all()
+        assert (net.q <= 0.1).all()
+        assert (net.p <= net.q).all()
 
     def test_k1_cca_matches_pearson_ranking(self):
         rng = simulation.substream(77, 0)
@@ -120,9 +123,9 @@ class TestInferNetwork:
         data = planted_two_attribute_dataset(3)
         net = infer_network(data, "cca", 0.05)
         assert net.n_edges >= 1
-        assert net.table.contrib.shape == (net.n_edges, 2)
-        assert not np.isnan(net.table.contrib).any()
-        assert net.table.contrib.sum(axis=1) == pytest.approx(np.ones(net.n_edges), abs=1e-9)
+        assert net.contrib.shape == (net.n_edges, 2)
+        assert not np.isnan(net.contrib).any()
+        assert net.contrib.sum(axis=1) == pytest.approx(np.ones(net.n_edges), abs=1e-9)
         assert net.homogeneity_reject_fraction is not None
         write_edges_csv(net, tmp_path / "edges.csv")
         with open(tmp_path / "edges.csv", newline="") as handle:
@@ -140,13 +143,13 @@ class TestInferNetwork:
         if method == "pearson":
             data = data.select(["x"])
         net = infer_network(data, method, 0.05)
-        assert net.n_edges >= 1 and net.table.contrib is None
+        assert net.n_edges >= 1 and net.contrib is None
         write_edges_csv(net, tmp_path / "edges.csv")
         write_meta_json(net, tmp_path / "meta.json")
-        assert read_network(tmp_path / "edges.csv").table.contrib is None
+        assert read_network(tmp_path / "edges.csv").contrib is None
 
     def test_edge_table_has_no_df_column(self):
-        assert "df" not in {field.name for field in dataclasses.fields(EdgeTable)}
+        assert "df" not in {field.name for field in dataclasses.fields(InferredNetwork)}
 
     def test_exact_pvalue_mode(self):
         data = planted_two_attribute_dataset(9)
@@ -154,7 +157,7 @@ class TestInferNetwork:
         assert frozenset(("v0", "v1")) in edge_pairs(net)
         assert net.pvalue_mode == "exact"
         again = infer_network(data, "max", 0.05, pvalue_mode="exact")
-        assert net.table.p.tolist() == again.table.p.tolist()
+        assert net.p.tolist() == again.p.tolist()
 
     def test_montecarlo_mode_is_gone(self):
         with pytest.raises(UsageError, match=r"\('formula', 'exact'\), got 'montecarlo'"):
@@ -178,7 +181,7 @@ class TestInferNetwork:
         b = infer_network(data, "cca", 0.05)
         assert a.node_ids == b.node_ids
         for field in ("ends", "p", "q"):
-            assert getattr(a.table, field).tolist() == getattr(b.table, field).tolist(), field
+            assert getattr(a, field).tolist() == getattr(b, field).tolist(), field
 
     def test_zero_variance_reports_node_and_attribute(self):
         rng = simulation.substream(19, 0)
@@ -218,7 +221,7 @@ class TestInferNetwork:
             data, scaled = data.select(["y"]), scaled.select(["y"])
         base, net = infer_network(data, method, 0.05), infer_network(scaled, method, 0.05)
         assert edge_pairs(net) == edge_pairs(base) and base.n_edges
-        np.testing.assert_allclose(net.table.p, base.table.p, rtol=1e-9)
+        np.testing.assert_allclose(net.p, base.p, rtol=1e-9)
 
     def test_method_preconditions(self):
         data = planted_two_attribute_dataset(23)
@@ -347,6 +350,40 @@ class TestJaccard:
     def test_node_set_mismatch(self):
         with pytest.raises(NodeSetMismatch):
             jaccard(toy_network(["a", "b"], []), toy_network(["a", "c"], []))
+
+
+class TestSimpleGraphRule:
+    """An in-process network's edges form a simple graph, as ``read_network`` requires of
+    an edge file: the first edge that breaks the rule is named with its row and node ids."""
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([("a", "b"), ("c", "a"), ("a", "b")], r"edge 2 \('a', 'b'\) repeats the node pair of edge 0"),
+        ([("a", "b"), ("c", "a"), ("b", "a")], r"edge 2 \('b', 'a'\) repeats the node pair of edge 0"),
+        ([("a", "b"), ("c", "c"), ("b", "a")], r"edge 1 \('c', 'c'\) is a self-loop"),
+        ([("a", "b"), ("b", "a"), ("b", "c")], r"edge 1 \('b', 'a'\) repeats the node pair of edge 0"),
+    ], ids=["repeated_pair", "repeated_pair_reversed", "self_loop", "repeated_pair_next_to_it"])
+    def test_a_repeated_pair_or_self_loop_raises(self, pairs, message):
+        with pytest.raises(NodeSetMismatch, match=message):
+            toy_network(["a", "b", "c"], pairs)
+
+    @pytest.mark.parametrize("ends,named", [
+        ([[0, 1], [1, -1]], "('b', -1)"),
+        ([[0, 1], [1, 3]], "('b', 3)"),
+        # its pair's key, min * 3 + max = 2, is the first edge's
+        ([[0, 2], [-1, 5]], "(-1, 5)"),
+    ], ids=["negative", "past_the_last_node", "sharing_a_key_in_range"])
+    def test_an_end_outside_the_nodes_raises(self, ends, named):
+        net = toy_network(["a", "b", "c"], [("a", "b")])
+        with pytest.raises(NodeSetMismatch) as caught:
+            dataclasses.replace(net, ends=np.array(ends), similarity=np.zeros(2),
+                                statistic=np.zeros(2), p=np.zeros(2), q=np.zeros(2))
+        assert str(caught.value) == f"edge 1 {named} has an end outside [0, 3)"
+
+    def test_a_simple_graph_is_kept(self):
+        ids = ["a", "b", "c", "d"]
+        net = toy_network(ids, [("b", "c"), ("c", "a"), ("d", "b"), ("a", "d")])
+        assert net.n_edges == 4 and InferredNetwork.first_non_simple_edge(net.ends, 4) is None
+        assert toy_network(ids, []).n_edges == 0
 
 
 class TestAttributeDataset:
